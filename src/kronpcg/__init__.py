@@ -47,7 +47,6 @@ from .problems import (
     gen_problem1,
     gen_problem2,
     gen_problem3,
-    normalize,
     run_experiment,
 )
 from .solver import (
@@ -62,7 +61,6 @@ from .solver import (
 )
 from .tensors import (
     frobenius_norm,
-    hadamard,
     hadamard_pinv,
     inner,
     kron_assemble,

@@ -13,6 +13,9 @@ counting 1.  The rules, applied uniformly by every counted routine:
 
 Diagnostics (true-residual recomputation, error indicators, null-norm
 bookkeeping) are free; an explicitly requested stopping-tolerance check is
+counted.  On a singular grid the final projection of the returned iterate
+onto the mean-free tensors is free, like the right-hand-side centering the
+caller does before the solve; the per-iteration residual centering is
 counted.  Under these rules the closed-form budgets below are exact, so
 instrumented counters reproduce them identity-for-identity.
 """

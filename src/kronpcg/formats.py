@@ -100,12 +100,11 @@ RUN_LOG_SCHEMA: dict = {
         "seed": {"type": ["integer", "null"]},
         "config": {
             "type": "object",
-            "required": ["max_iter", "stop_tol", "center_each_iter", "center_target"],
+            "required": ["max_iter", "stop_tol", "center_each_iter"],
             "properties": {
                 "max_iter": {"type": "integer", "minimum": 0},
                 "stop_tol": _NUMBER_OR_NULL,
                 "center_each_iter": {"type": ["boolean", "null"]},
-                "center_target": {"type": "string"},
             },
         },
         "iterations": {
@@ -172,7 +171,6 @@ def log_to_dict(log: ConvergenceLog, config: Optional[SolverConfig] = None) -> d
             "max_iter": cfg.max_iter,
             "stop_tol": cfg.stop_tol,
             "center_each_iter": cfg.center_each_iter,
-            "center_target": cfg.center_target,
         },
         "iterations": [
             {

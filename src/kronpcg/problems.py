@@ -38,7 +38,6 @@ from .tensors import frobenius_norm
 
 __all__ = [
     "ProblemSpec",
-    "normalize",
     "gen_problem1",
     "gen_problem2",
     "gen_problem3",
@@ -70,16 +69,11 @@ class ProblemSpec:
         return poisson_operator(self.shape, self.bcs)
 
 
-def normalize(h: np.ndarray) -> np.ndarray:
-    """Rescale so the Frobenius norm equals ``1 / (number of cells)``."""
-    h = np.asarray(h, dtype=float)
-    norm = frobenius_norm(h)
-    if norm == 0.0:
-        raise ValueError("cannot normalize an all-zero right-hand side")
-    return h * (1.0 / (h.size * norm))
-
-
 def _normalized(h: np.ndarray) -> tuple[np.ndarray, float]:
+    """Rescale so the Frobenius norm equals ``1 / (number of cells)``.
+
+    Returns the rescaled side and the applied scale factor.
+    """
     norm = frobenius_norm(h)
     if norm == 0.0:
         raise ValueError("cannot normalize an all-zero right-hand side")

@@ -4,9 +4,11 @@ The iteration never forms the system matrix: the operator is applied
 direction-by-direction with three-point stencils, the preconditioner is an
 opaque callable on residual tensors, and every inner product is the
 Frobenius pairing.  Singular (all-periodic / all-Neumann) systems are
-handled by keeping iterates orthogonal to the constant-tensor null space:
-the preconditioned residual is mean-centered once per iteration (the
-centering target is configurable).
+handled by keeping the recursive residual orthogonal to the constant-tensor
+null space: it is mean-centered once per iteration, and the returned
+iterate is centered once at the end (the operator annihilates constants,
+so the constant part of a search direction never reaches the scalars or
+the residual).
 
 Each run produces a :class:`ConvergenceLog` with one record per iteration:
 scalar coefficients, recursive and true residual norms, the quadratic-form
@@ -14,8 +16,12 @@ error indicator ``kappa`` and its scaled square-root series ``eta``, the
 null-space component of the iterate, and the cumulative elementary-op
 count under the accounting rules documented in :mod:`kronpcg.counting`.
 
-Breakdown (nonpositive preconditioned inner product, or nonpositive
-curvature) raises :class:`PCGBreakdown` carrying the partial log.
+The run stops at its budget, at the optional true-residual tolerance, or
+at the rounding floor: a nonpositive or non-finite curvature or
+preconditioned inner product once the recursive residual has fallen to
+``eps * |r_0|``, noted once in ``log.warnings``.  The same sign failure
+above the floor is a breakdown (an indefinite operator or preconditioner)
+and raises :class:`PCGBreakdown` carrying the partial log.
 """
 
 from __future__ import annotations
@@ -44,7 +50,15 @@ __all__ = [
 ]
 
 _EPS = float(np.finfo(float).eps)  # 2**-52
-_CENTER_TARGETS = ("z", "u", "r", "p", "w", "none")
+
+# Breakdown kind -> (the sign-checked pairing, the PCGBreakdown reason).
+_BREAKDOWNS = {
+    "curvature": ("curvature <Lp, p>", "nonpositive curvature"),
+    "indefinite": (
+        "preconditioned inner product <r, z>",
+        "nonpositive preconditioned inner product",
+    ),
+}
 
 
 @dataclass
@@ -54,23 +68,18 @@ class SolverConfig:
     ``max_iter`` is the primary stopping rule; ``stop_tol`` (relative true
     residual) is optional and, when set, its per-iteration evaluation is
     charged to the op counter.  ``center_each_iter=None`` resolves to
-    "center iff the operator is singular"; ``center_target`` picks which
-    loop quantity gets centered (default the preconditioned residual).
+    "center iff the operator is singular"; centering keeps the recursive
+    residual, and the returned iterate, mean-free.
     """
 
     max_iter: int = 100
     stop_tol: Optional[float] = None
     center_each_iter: Optional[bool] = None
-    center_target: str = "z"
     record_true_residual: bool = True
 
     def __post_init__(self) -> None:
         if self.max_iter < 0:
             raise ValueError("max_iter must be nonnegative")
-        if self.center_target not in _CENTER_TARGETS:
-            raise ValueError(
-                f"center_target must be one of {_CENTER_TARGETS}, got {self.center_target!r}"
-            )
 
 
 @dataclass
@@ -156,6 +165,29 @@ def _counted_true_residual(op, h, u, ops: OpCounter) -> float:
     return frobenius_norm(r)
 
 
+def _judge(
+    log: ConvergenceLog, s: int, kind: str, value: float, r_norm: float, r0_norm: float
+) -> Optional[str]:
+    """Classify one sign check of iteration ``s``; ``None`` lets the run go on.
+
+    A nonpositive or non-finite pairing once the recursive residual has
+    fallen to ``eps * |r_0|`` (or underflowed to zero) is the rounding
+    floor, a normal stop; above the floor it is the breakdown ``kind``.
+    Either way the verdict is noted in ``log.warnings``.
+    """
+    if 0.0 < value < np.inf:
+        return None
+    pairing = _BREAKDOWNS[kind][0]
+    if r_norm <= _EPS * r0_norm:
+        log.warnings.append(
+            f"iteration {s}: {pairing} = {value:.3e} at rounding level; "
+            "residual floor reached, stopping"
+        )
+        return "floor"
+    log.warnings.append(f"iteration {s}: {pairing} = {value:.3e} is not positive")
+    return kind
+
+
 def pcg(
     op,
     h: np.ndarray,
@@ -187,7 +219,6 @@ def pcg(
             )
 
     centering = cfg.center_each_iter if cfg.center_each_iter is not None else singular
-    target = cfg.center_target if centering else "none"
 
     ops = OpCounter()
     ops.add(getattr(precond, "init_cost", 0))
@@ -198,155 +229,80 @@ def pcg(
 
     log = ConvergenceLog(h_norm=h_norm)
 
-    def finish(breakdown: Optional[str] = None) -> None:
-        first_res = log.records[1].true_res if len(log.records) > 1 else None
-        if first_res is None and len(log.records) > 1:
-            first_res = log.records[1].computed_res
-        etas = eta_series([rec.kappa for rec in log.records], first_res)
-        for rec, e in zip(log.records, etas):
-            rec.eta_scaled = float(e)
-        log.u = u
-        log.breakdown = breakdown
-
-    def record(s, alpha, beta, rho, r, tr) -> IterationRecord:
-        rec = IterationRecord(
-            s=s,
-            alpha=alpha,
-            beta=beta,
-            rho=rho,
-            computed_res=frobenius_norm(r),
-            true_res=tr,
-            kappa=kappa_indicator(op, h, u),
-            null_norm=op_mod.nullspace_component(u),
-            ops_cum=ops.count,
+    def record(s, alpha, beta, r_norm) -> bool:
+        """Log iteration ``s``; report whether the tolerance stop is met."""
+        if cfg.stop_tol is not None:
+            tr = _counted_true_residual(op, h, u, ops)
+        else:
+            tr = true_residual(op, h, u) if cfg.record_true_residual else None
+        log.records.append(
+            IterationRecord(
+                s=s,
+                alpha=alpha,
+                beta=beta,
+                rho=rho,
+                computed_res=r_norm,
+                true_res=tr,
+                kappa=kappa_indicator(op, h, u),
+                null_norm=op_mod.nullspace_component(u),
+                ops_cum=ops.count,
+            )
         )
-        log.records.append(rec)
-        return rec
+        return cfg.stop_tol is not None and tr <= cfg.stop_tol * max(h_norm, _EPS)
 
     # Initialization: residual, preconditioned residual, first direction.
-    w = op_mod.apply(op, u, ops)
-    if target == "w":
-        w = op_mod.center(w, ops)
-    r = saxpy(-1.0, w, h)
+    r = saxpy(-1.0, op_mod.apply(op, u, ops), h)
     ops.add(2 * h.size)
-    if target == "r":
+    if centering:
         r = op_mod.center(r, ops)
     z = precond.apply(r, ops)
-    if target == "z":
-        z = op_mod.center(z, ops)
     rho = inner(r, z)
     ops.add(2 * h.size)
     p = z
-    if target == "p":
-        p = op_mod.center(p, ops)
+    r_norm = r0_norm = frobenius_norm(r)
+    done = record(0, None, None, r_norm) or r_norm == 0.0
 
-    tr0: Optional[float] = None
-    if cfg.stop_tol is not None:
-        tr0 = _counted_true_residual(op, h, u, ops)
-    elif cfg.record_true_residual:
-        # r was formed as h - Lu0 just above, so its norm IS the true
-        # residual unless centering already touched it.
-        tr0 = frobenius_norm(r) if target not in ("r", "w") else true_residual(op, h, u)
-    rec0 = record(0, None, None, rho, r, tr0)
-
-    if rec0.computed_res == 0.0:
-        finish()
-        return u, log
-    if cfg.stop_tol is not None and tr0 is not None and tr0 <= cfg.stop_tol * max(h_norm, _EPS):
-        finish()
-        return u, log
-
-    floor_noted = False
-    for s in range(1, cfg.max_iter + 1):
+    stop: Optional[str] = None  # "floor" or a breakdown kind
+    s = 0
+    while not done and s < cfg.max_iter:
+        s += 1
         w = op_mod.apply(op, p, ops)
-        if target == "w":
-            w = op_mod.center(w, ops)
         wp = inner(w, p)
         ops.add(2 * h.size)
-        if wp <= 0.0:
-            # A nonpositive value that exceeds what inner-product rounding
-            # can produce means the operator is not positive on this
-            # direction: misuse, and the run cannot continue.  A value
-            # inside the rounding band just means the step carries no
-            # information; stop cleanly where we stand.
-            bound = 100.0 * _EPS * frobenius_norm(w) * frobenius_norm(p)
-            if frobenius_norm(w) == 0.0 or wp < -bound:
-                log.warnings.append(
-                    f"iteration {s}: curvature <Lp, p> = {wp:.3e} is not positive"
-                )
-                finish("curvature")
-                raise PCGBreakdown("nonpositive curvature", log, u)
-            log.warnings.append(
-                f"iteration {s}: curvature at rounding level; stopping at the "
-                "residual floor"
-            )
+        stop = _judge(log, s, "curvature", wp, r_norm, r0_norm)
+        if stop is not None:
             break
         alpha = rho / wp
         u = saxpy(alpha, p, u)
-        ops.add(2 * h.size)
-        if target == "u":
-            u = op_mod.center(u, ops)
         r = saxpy(-alpha, w, r)
-        ops.add(2 * h.size)
-        if target == "r":
+        ops.add(4 * h.size)
+        if centering:
             r = op_mod.center(r, ops)
-        if frobenius_norm(r) == 0.0:
-            # The recursive residual underflowed to (or below) the smallest
-            # representable norm; there is no direction left to build.
-            tr = true_residual(op, h, u) if cfg.record_true_residual else None
-            record(s, alpha, None, 0.0, r, tr)
-            break
         z = precond.apply(r, ops)
-        if target == "z":
-            z = op_mod.center(z, ops)
         rho_next = inner(r, z)
         ops.add(2 * h.size)
-        if rho_next <= 0.0:
-            bound = 100.0 * _EPS * frobenius_norm(r) * frobenius_norm(z)
-            if abs(rho_next) > bound:
-                # Genuinely negative: the preconditioner is indefinite on
-                # this residual.
-                log.warnings.append(
-                    f"iteration {s}: preconditioned inner product <r, z> = "
-                    f"{rho_next:.3e} is not positive (indefinite preconditioner)"
-                )
-                tr = true_residual(op, h, u) if cfg.record_true_residual else None
-                record(s, alpha, None, rho_next, r, tr)
-                finish("indefinite")
-                raise PCGBreakdown("nonpositive preconditioned inner product", log, u)
-            # Rounding-level: the residual is at its numerical floor and
-            # <r, z> carries no information.  Keep iterating (the scalars
-            # become harmless noise) so fixed-iteration budgets complete.
-            if not floor_noted:
-                log.warnings.append(
-                    f"iteration {s}: preconditioned inner product at rounding "
-                    "level; residual floor reached, further iterations carry "
-                    "no information"
-                )
-                floor_noted = True
-        beta = rho_next / rho if rho != 0.0 else 0.0
+        r_norm = frobenius_norm(r)
+        stop = _judge(log, s, "indefinite", rho_next, r_norm, r0_norm)
+        beta = None
+        if stop is None:
+            beta = rho_next / rho if rho != 0.0 else 0.0
+            p = saxpy(beta, p, z)
+            ops.add(2 * h.size)
         rho = rho_next
-        p = saxpy(beta, p, z)
-        ops.add(2 * h.size)
-        if target == "p":
-            p = op_mod.center(p, ops)
-        if not (np.isfinite(rho) and np.isfinite(beta) and np.isfinite(alpha)):
-            log.warnings.append(
-                f"iteration {s}: non-finite iteration scalars at the residual "
-                "floor; stopping"
-            )
-            tr = true_residual(op, h, u) if cfg.record_true_residual else None
-            record(s, alpha, beta, rho, r, tr)
-            break
+        done = record(s, alpha, beta, r_norm) or stop is not None
 
-        tr: Optional[float] = None
-        if cfg.stop_tol is not None:
-            tr = _counted_true_residual(op, h, u, ops)
-        elif cfg.record_true_residual:
-            tr = true_residual(op, h, u)
-        record(s, alpha, beta, rho, r, tr)
-        if cfg.stop_tol is not None and tr is not None and tr <= cfg.stop_tol * max(h_norm, _EPS):
-            break
-
-    finish()
+    if centering:
+        u = op_mod.center(u)  # free, like the caller's centering of h
+    first_res = None
+    if len(log.records) > 1:
+        first_res = log.records[1].true_res
+        if first_res is None:
+            first_res = log.records[1].computed_res
+    etas = eta_series([rec.kappa for rec in log.records], first_res)
+    for rec, e in zip(log.records, etas):
+        rec.eta_scaled = float(e)
+    log.u = u
+    if stop in _BREAKDOWNS:
+        log.breakdown = stop
+        raise PCGBreakdown(_BREAKDOWNS[stop][1], log, u)
     return u, log

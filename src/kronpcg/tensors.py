@@ -26,7 +26,6 @@ __all__ = [
     "linear_transform",
     "inner",
     "frobenius_norm",
-    "hadamard",
     "hadamard_pinv",
     "saxpy",
     "kron_assemble",
@@ -101,15 +100,6 @@ def inner(x: np.ndarray, y: np.ndarray) -> float:
 def frobenius_norm(x: np.ndarray) -> float:
     """Frobenius norm (entrywise 2-norm) of a tensor."""
     return float(np.linalg.norm(np.asarray(x, dtype=float)))
-
-
-def hadamard(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Entrywise product of two same-shape tensors."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape:
-        raise ValueError(f"shape mismatch in Hadamard product: {x.shape} vs {y.shape}")
-    return x * y
 
 
 def hadamard_pinv(x: np.ndarray, tol: float = 1e-13) -> np.ndarray:

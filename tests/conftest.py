@@ -9,6 +9,7 @@ import numpy as np
 
 from kronpcg.laplace1d import BoundaryCondition
 from kronpcg.operators import poisson_operator
+from kronpcg.precond import Preconditioner
 
 ALL_BCS = tuple(BoundaryCondition)
 SINGULAR_BCS = (BoundaryCondition.PERIODIC, BoundaryCondition.NEUMANN)
@@ -86,3 +87,15 @@ def random_operator(rng, ndim=2, lo=3, hi=7, nonsingular=None):
         singular = all(bc in SINGULAR_BCS for bc in bcs)
         if nonsingular is None or singular != nonsingular:
             return poisson_operator(dims, bcs)
+
+
+class Negated(Preconditioner):
+    """A deliberately indefinite wrapper: applies minus the inner preconditioner."""
+
+    name = "negated"
+
+    def __init__(self, inner_precond):
+        self.inner = inner_precond
+
+    def apply(self, r, ops=None):
+        return -self.inner.apply(r, ops)

@@ -7,9 +7,11 @@ import jsonschema
 import numpy as np
 import pytest
 
+from conftest import Negated
 from kronpcg import cli
 from kronpcg.formats import RUN_LOG_SCHEMA, read_tensor, write_tensor
 from kronpcg.laplace1d import BoundaryCondition, analytic_spectrum
+from kronpcg.precond import make_preconditioner
 
 
 def test_gen_then_solve_round_trip(tmp_path, capsys):
@@ -90,7 +92,10 @@ def test_solve_refuses_uncentered_singular_with_centering_off(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_solve_reports_breakdown_with_exit_two(tmp_path, capsys):
+def test_solve_reports_breakdown_with_exit_two(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(
+        cli, "make_preconditioner", lambda op, spec: Negated(make_preconditioner(op, spec))
+    )
     rhs = tmp_path / "p1.kten"
     cli.main(["gen", "--problem", "p1", "--size", "50x100", "--out", str(rhs)])
     log_path = tmp_path / "log.json"
@@ -99,7 +104,7 @@ def test_solve_reports_breakdown_with_exit_two(tmp_path, capsys):
             "solve",
             "--input", str(rhs),
             "--bc", "x=periodic,y=periodic",
-            "--precond", "lowrank:r=7",
+            "--precond", "pinv",
             "--max-iter", "50",
             "--log", str(log_path),
         ]
@@ -184,8 +189,13 @@ def test_experiment_exp2_sweeps_preconditioners(tmp_path, capsys):
     )
     assert int(rows["lowrank(r=3)"]["iters_to_1e-9"]) < 40
     # Every run wrote a log and a plottable series.
-    assert len(list(outdir.glob("*.json"))) == len(rows)
+    logs = [json.loads(path.read_text()) for path in outdir.glob("*.json")]
+    assert len(logs) == len(rows)
     assert len(list(outdir.glob("*.dat"))) == len(rows)
+    # No run breaks down, and every run ends at the rounding level.
+    for doc in logs:
+        assert doc["breakdown"] is None, doc["preconditioner"]
+        assert doc["final_norms"]["relative_true_residual"] <= 1e-12, doc["preconditioner"]
 
 
 def test_experiment_exp3_runs_the_spectral_preconditioner_everywhere(tmp_path, capsys):
