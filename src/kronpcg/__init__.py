@@ -34,7 +34,6 @@ from .operators import (
 )
 from .precond import (
     IdentityPreconditioner,
-    IndefinitePreconditionerWarning,
     JacobiPreconditioner,
     LowRankPreconditioner,
     PinvPreconditioner,

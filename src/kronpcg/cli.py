@@ -362,17 +362,15 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
         dims = _parse_size(args.size)
         bcs = _parse_bcs(args.bc, len(dims))
         op = poisson_operator(dims, bcs)
-        source = "analytic" if args.analytic else "numeric"
-        for axis, factor in enumerate(op.factors):
-            dec = (
-                analytic_spectrum(factor.n, factor.bc)
-                if args.analytic
-                else numeric_spectrum(factor)
-            )
+        decomps = [
+            analytic_spectrum(factor.n, factor.bc) if args.analytic else numeric_spectrum(factor)
+            for factor in op.factors
+        ]
+        for axis, (factor, dec) in enumerate(zip(op.factors, decomps)):
             values = ",".join(f"{v:.12g}" for v in dec.values)
             print(f"axis {_AXES[axis]} ({factor.bc.value}, n={factor.n}): {values}")
         if args.sums:
-            sums = spectrum_sums(op, source=source)
+            sums = spectrum_sums(op, decomps)
             print(f"sum-spectrum min {sums.min():.12g} max {sums.max():.12g}")
         return 0
     if not args.n:

@@ -44,7 +44,7 @@ class OpCounter:
         return f"OpCounter(count={self.count})"
 
 
-def cost_model(shape: Shape, phase: str, variant: str = "sparse") -> int:
+def cost_model(shape: Shape, phase: str) -> int:
     """Closed-form operation budgets for the conjugate-gradient pieces.
 
     ``phase`` selects what is being costed:
@@ -56,26 +56,16 @@ def cost_model(shape: Shape, phase: str, variant: str = "sparse") -> int:
     - ``"pinv_apply"``: one application of the spectral pseudoinverse
       preconditioner (two full multi-mode transforms plus a Hadamard),
     - ``"center"``: one mean-centering pass.
-
-    ``variant`` chooses stencil (``"sparse"``) or assembled-matrix
-    (``"full"``) costs for the operator apply inside init/iter; it is
-    ignored by the other phases.
     """
     if len(shape) not in (2, 3):
         raise ValueError(f"shape must be 2D or 3D, got {shape}")
-    if variant not in ("sparse", "full"):
-        raise ValueError(f"variant must be 'sparse' or 'full', got {variant!r}")
     size = prod(shape)
     extent_sum = sum(shape)
     ndim = len(shape)
 
     if phase == "init":
-        if variant == "full":
-            return 2 * size * (extent_sum + 2)
         return 6 * size * ndim + 4 * size
     if phase == "iter":
-        if variant == "full":
-            return 2 * size * (extent_sum + 5)
         return 6 * size * ndim + 10 * size
     if phase == "pinv_apply":
         return 4 * size * extent_sum + size

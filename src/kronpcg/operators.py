@@ -26,7 +26,6 @@ from .laplace1d import (
     apply_axis,
     build,
     is_singular_1d,
-    numeric_spectrum,
 )
 from .counting import OpCounter
 from .tensors import Shape, kron_assemble
@@ -115,30 +114,23 @@ def assemble_dense(op: PoissonOperator) -> np.ndarray:
     return total
 
 
-def spectra(
-    op: PoissonOperator, source: str = "numeric"
-) -> list[SpectralDecomposition]:
-    """Per-direction eigendecompositions, ``source`` in {numeric, analytic}."""
-    if source == "numeric":
-        return [numeric_spectrum(f) for f in op.factors]
-    if source == "analytic":
-        return [analytic_spectrum(f.n, f.bc) for f in op.factors]
-    raise ValueError(f"unknown spectrum source {source!r}")
+def spectra(op: PoissonOperator) -> list[SpectralDecomposition]:
+    """Closed-form eigendecompositions of the 1D factors, one per direction."""
+    return [analytic_spectrum(f.n, f.bc) for f in op.factors]
 
 
 def spectrum_sums(
     op: PoissonOperator,
     decomps: Optional[Iterable[SpectralDecomposition]] = None,
-    source: str = "numeric",
 ) -> np.ndarray:
     """Tensor of all sums of per-direction eigenvalues (operator spectrum).
 
     Entry ``(i, j[, k])`` is the eigenvalue attached to the product of the
     ``i``-th, ``j``-th (and ``k``-th) per-direction eigenvectors, each list
-    taken in ascending order.
+    taken in ascending order.  ``decomps`` defaults to :func:`spectra`.
     """
     if decomps is None:
-        decomps = spectra(op, source)
+        decomps = spectra(op)
     value_lists = [np.asarray(d.values, dtype=float) for d in decomps]
     if len(value_lists) != op.ndim:
         raise ValueError("need one decomposition per direction")

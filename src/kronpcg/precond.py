@@ -10,8 +10,8 @@ Three families, all symmetric so conjugate gradients stays valid:
 - low-rank (2D only): the pseudoinverse with the reciprocal-eigenvalue
   matrix replaced by a rank-``r`` SVD truncation, which turns the dense
   spectral transform into ``r`` cheap congruence pairs.  Truncation can
-  lose positive definiteness; applications check the ``<z, r>`` sign and
-  emit :class:`IndefinitePreconditionerWarning` when it is crossed.
+  lose positive definiteness; the solver's ``<r, z>`` sign check reports
+  it as a breakdown.
 
 Also here: the stand-alone weighted Jacobi stationary solver used as a
 baseline in the experiments.
@@ -19,7 +19,6 @@ baseline in the experiments.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -27,7 +26,7 @@ import numpy as np
 
 from . import operators as op_mod
 from .counting import OpCounter
-from .tensors import frobenius_norm, hadamard_pinv, inner, linear_transform
+from .tensors import frobenius_norm, hadamard_pinv, linear_transform
 
 __all__ = [
     "Preconditioner",
@@ -35,7 +34,6 @@ __all__ = [
     "JacobiPreconditioner",
     "PinvPreconditioner",
     "LowRankPreconditioner",
-    "IndefinitePreconditionerWarning",
     "make_preconditioner",
     "StationaryResult",
     "jacobi_standalone",
@@ -45,8 +43,11 @@ __all__ = [
 NULL_MODE_TOL = 1e-13
 
 
-class IndefinitePreconditionerWarning(UserWarning):
-    """A preconditioner application produced ``<z, r> <= 0``."""
+def _spectral_setup(op) -> tuple[list[np.ndarray], np.ndarray]:
+    """Per-direction eigenbases and the entrywise pseudoinverse of the sums."""
+    decomps = op_mod.spectra(op)
+    sums = op_mod.spectrum_sums(op, decomps)
+    return [d.vectors for d in decomps], hadamard_pinv(sums, NULL_MODE_TOL)
 
 
 class Preconditioner:
@@ -129,22 +130,19 @@ class JacobiPreconditioner(Preconditioner):
 class PinvPreconditioner(Preconditioner):
     """Spectral (pseudo)inverse through the per-direction eigenbases.
 
-    Setup eigendecomposes each 1D factor and stores the entrywise
-    pseudoinverse of the eigenvalue-sum tensor, zeroing sums within
-    ``tol`` of zero (for an all-periodic or all-Neumann grid exactly the
-    constant mode drops out).  Application is transform, Hadamard,
-    transform back: ``4*N*(n+q[+t]) + N`` elementary ops.
+    Setup takes each 1D factor's closed-form eigenpairs and stores the
+    entrywise pseudoinverse of the eigenvalue-sum tensor, zeroing sums
+    within ``NULL_MODE_TOL`` of zero (for an all-periodic or all-Neumann
+    grid exactly the constant mode drops out).  Application is transform,
+    Hadamard, transform back: ``4*N*(n+q[+t]) + N`` elementary ops.
     """
 
     name = "pinv"
 
-    def __init__(self, op, source: str = "numeric", tol: float = NULL_MODE_TOL):
+    def __init__(self, op):
         self.op = op
-        decomps = op_mod.spectra(op, source)
-        self.bases = [d.vectors for d in decomps]
+        self.bases, self.ghat = _spectral_setup(op)
         self.bases_t = [v.T.copy() for v in self.bases]
-        sums = op_mod.spectrum_sums(op, decomps)
-        self.ghat = hadamard_pinv(sums, tol)
         # Eigenvalue-sum tensor and its reciprocal: (ndim-1)+1 ops per entry.
         self.init_cost = op.ndim * int(np.prod(op.shape))
 
@@ -167,8 +165,9 @@ class LowRankPreconditioner(Preconditioner):
     ``sum_rho sigma_rho a_rho b_rho^T``; each triplet becomes a pair of
     small congruences ``(Vn diag(sigma_rho a_rho) Vn^T,  Vq diag(b_rho) Vq^T)``
     applied left and right of the residual.  At ``r = min(n, q)`` this
-    reproduces the pseudoinverse; small ``r`` can go indefinite, which the
-    apply reports via :class:`IndefinitePreconditionerWarning`.
+    reproduces the pseudoinverse; small ``r`` can go indefinite, which
+    :func:`kronpcg.solver.pcg` reports as a breakdown.  Each application
+    costs ``r*(2*N*(n+q) + N)`` elementary ops.
 
     A 3D analogue would need a tensor decomposition in place of the SVD
     and is deliberately not provided.
@@ -176,7 +175,7 @@ class LowRankPreconditioner(Preconditioner):
 
     name = "lowrank"
 
-    def __init__(self, op, rank: int, source: str = "numeric", tol: float = NULL_MODE_TOL):
+    def __init__(self, op, rank: int):
         if op.ndim != 2:
             raise ValueError("low-rank preconditioner supports 2D grids only")
         n, q = op.shape
@@ -184,9 +183,7 @@ class LowRankPreconditioner(Preconditioner):
             raise ValueError(f"rank must be in [1, {min(n, q)}], got {rank}")
         self.op = op
         self.rank = int(rank)
-        decomps = op_mod.spectra(op, source)
-        vn, vq = decomps[0].vectors, decomps[1].vectors
-        ghat = hadamard_pinv(op_mod.spectrum_sums(op, decomps), tol)
+        (vn, vq), ghat = _spectral_setup(op)
         a, sigma, bt = np.linalg.svd(ghat)
         self.left = [vn @ np.diag(sigma[i] * a[:, i]) @ vn.T for i in range(rank)]
         self.right = [vq @ np.diag(bt[i, :]) @ vq.T for i in range(rank)]
@@ -202,14 +199,6 @@ class LowRankPreconditioner(Preconditioner):
             z += ml @ r @ mr.T
         if ops is not None:
             ops.add(self.rank * (2 * r.size * (n + q) + r.size))
-            ops.add(2 * r.size)  # definiteness check below
-        if inner(z, r) <= 0.0:
-            warnings.warn(
-                f"low-rank preconditioner (r={self.rank}) lost definiteness: "
-                "<z, r> <= 0 on this residual",
-                IndefinitePreconditionerWarning,
-                stacklevel=2,
-            )
         return z
 
 

@@ -200,7 +200,8 @@ def pcg(
     Returns the final iterate and the convergence log.  For a singular
     operator the right-hand side must arrive centered (the constant
     component of the solution is not determined); pass it through
-    :func:`kronpcg.operators.center` first or let the CLI do it.
+    :func:`kronpcg.operators.center` first or let the CLI do it.  A
+    non-finite right-hand side or initial guess raises ``ValueError``.
     """
     cfg = config if config is not None else SolverConfig()
     precond = precond if precond is not None else IdentityPreconditioner()
@@ -209,6 +210,8 @@ def pcg(
         raise ValueError(f"right-hand side shape {h.shape} does not match grid {op.shape}")
 
     h_norm = frobenius_norm(h)
+    if not np.isfinite(h_norm):
+        raise ValueError(f"right-hand side is not finite (|h| = {h_norm})")
     singular = op_mod.is_singular(op)
     if singular and h_norm > 0.0:
         rel_null = op_mod.nullspace_component(h) / h_norm
@@ -226,6 +229,8 @@ def pcg(
     u = np.zeros(op.shape) if u0 is None else np.array(u0, dtype=float)
     if u.shape != op.shape:
         raise ValueError(f"initial guess shape {u.shape} does not match grid {op.shape}")
+    if not np.isfinite(u).all():
+        raise ValueError("initial guess has non-finite entries")
 
     log = ConvergenceLog(h_norm=h_norm)
 

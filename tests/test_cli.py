@@ -12,6 +12,7 @@ from kronpcg import cli
 from kronpcg.formats import RUN_LOG_SCHEMA, read_tensor, write_tensor
 from kronpcg.laplace1d import BoundaryCondition, analytic_spectrum
 from kronpcg.precond import make_preconditioner
+from kronpcg.problems import gen_problem1, gen_problem2
 
 
 def test_gen_then_solve_round_trip(tmp_path, capsys):
@@ -90,6 +91,23 @@ def test_solve_refuses_uncentered_singular_with_centering_off(tmp_path, capsys):
     doc = json.loads(log_path.read_text())
     assert any("centered" in w for w in doc["warnings"])
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "gen, size, bcs, bad",
+    [
+        (gen_problem1, (5, 10), "x=periodic,y=periodic", np.nan),
+        (gen_problem2, (10, 12), "x=dirichlet-neumann,y=periodic", np.inf),
+    ],
+    ids=["p1-nan", "p2-inf"],
+)
+def test_solve_rejects_a_non_finite_rhs_with_exit_one(tmp_path, capsys, gen, size, bcs, bad):
+    _, h = gen(*size)
+    h[1, 2] = bad
+    rhs = tmp_path / "bad.kten"
+    write_tensor(str(rhs), h)
+    assert cli.main(["solve", "--input", str(rhs), "--bc", bcs, "--precond", "pinv"]) == 1
+    assert "not finite" in capsys.readouterr().err
 
 
 def test_solve_reports_breakdown_with_exit_two(tmp_path, capsys, monkeypatch):

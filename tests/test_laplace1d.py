@@ -66,7 +66,7 @@ def test_apply_axis_rejects_extent_mismatch():
 
 
 @pytest.mark.parametrize("bc", ALL_BCS)
-@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8, 11, 16, 17])
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8, 11, 16, 17, 512, 1024])
 def test_analytic_spectrum_matches_numeric(bc, n):
     """Closed forms and the dense eigensolver must agree to near rounding."""
     ana = analytic_spectrum(n, bc)

@@ -15,7 +15,6 @@ from kronpcg.operators import (
     is_singular,
     nullspace_component,
     poisson_operator,
-    spectra,
     spectrum_sums,
 )
 from kronpcg.tensors import unvec, vec
@@ -62,19 +61,6 @@ def test_spectrum_sums_match_dense_eigenvalues(ndim):
         sums = np.sort(spectrum_sums(op).ravel())
         dense_vals = np.linalg.eigvalsh(assemble_dense(op))
         assert np.allclose(sums, dense_vals, atol=1e-8)
-
-
-def test_spectrum_sums_analytic_source_agrees():
-    op = poisson_operator((7, 9), (BC.PERIODIC, BC.DIRICHLET_NEUMANN))
-    numeric = np.sort(spectrum_sums(op, source="numeric").ravel())
-    analytic = np.sort(spectrum_sums(op, source="analytic").ravel())
-    assert np.allclose(numeric, analytic, atol=1e-10)
-
-
-def test_spectra_rejects_unknown_source():
-    op = poisson_operator((4, 4), (BC.PERIODIC, BC.PERIODIC))
-    with pytest.raises(ValueError):
-        spectra(op, source="guess")
 
 
 @pytest.mark.parametrize(

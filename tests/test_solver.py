@@ -105,6 +105,23 @@ def test_shape_validation():
         SolverConfig(max_iter=-1)
 
 
+@pytest.mark.parametrize(
+    "h_bad, u0_bad",
+    [(np.nan, None), (np.inf, None), (None, np.nan)],
+    ids=["nan_h", "inf_h", "nan_u0"],
+)
+def test_non_finite_input_is_refused(h_bad, u0_bad):
+    op = _mixed_op()
+    h = _mixed_rhs(op)
+    u0 = np.zeros(op.shape)
+    if h_bad is not None:
+        h[2, 3] = h_bad
+    if u0_bad is not None:
+        u0[2, 3] = u0_bad
+    with pytest.raises(ValueError, match="finite"):
+        pcg(op, h, u0=u0)
+
+
 def test_zero_rhs_short_circuits():
     op = poisson_operator((4, 5), (BC.PERIODIC, BC.PERIODIC))
     u, log = pcg(op, np.zeros(op.shape), config=SolverConfig(max_iter=50))
