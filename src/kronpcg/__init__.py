@@ -65,7 +65,6 @@ from .tensors import (
     kron_assemble,
     linear_transform,
     mode_product,
-    saxpy,
     unvec,
     vec,
 )

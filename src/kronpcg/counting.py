@@ -6,15 +6,18 @@ counting 1.  The rules, applied uniformly by every counted routine:
 - stencil (sparse) factor apply: 6 per entry per direction
   (3 multiplies + 3 adds; 12nq in 2D, 18nqt in 3D),
 - inner product: 2 per entry,
-- scaled addition (saxpy): 2 per entry,
+- scaled addition (``y + a*x``): 2 per entry,
 - Hadamard product or entrywise scaling: 1 per entry,
 - mean-centering: 3 per entry,
 - full mode product along an axis of extent m: 2m per entry.
 
 Diagnostics (true-residual recomputation, error indicators, null-norm
 bookkeeping) are free; an explicitly requested stopping-tolerance check is
-counted.  On a singular grid the final projection of the returned iterate
-onto the mean-free tensors is free, like the right-hand-side centering the
+counted.  Both diagnostics of a logged record come from one operator
+apply, which with the residual's subtraction and norm is what a
+stopping-tolerance check is charged: ``6*N*ndim + 4*N`` per record.  On a
+singular grid the final projection of the returned iterate onto the
+mean-free tensors is free, like the right-hand-side centering the
 caller does before the solve; the per-iteration residual centering is
 counted.  Under these rules the closed-form budgets below are exact, so
 instrumented counters reproduce them identity-for-identity.

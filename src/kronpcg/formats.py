@@ -2,7 +2,8 @@
 
 A ``.kten`` file is one ASCII header line ``KTEN <ndim> <d1> <d2> [<d3>]``
 followed by the raw float64 little-endian payload in first-index-fastest
-order; round-trips are bitwise.  Run logs are JSON documents matching
+order; round-trips are bitwise, and a payload holding NaN or Inf is
+refused on read.  Run logs are JSON documents matching
 :data:`RUN_LOG_SCHEMA`.  All writers go through a temp file and an atomic
 rename so a crash never leaves a half-written artifact.
 """
@@ -50,7 +51,11 @@ def write_tensor(path: str, t: np.ndarray) -> None:
 
 
 def read_tensor(path: str) -> np.ndarray:
-    """Read a KTEN file back into an array (exact payload bytes)."""
+    """Read a KTEN file back into an array (exact payload bytes).
+
+    Raises ``ValueError`` for a malformed file or a payload holding NaN or
+    Inf, so no reader of KTEN files sees non-finite values.
+    """
     with open(path, "rb") as fh:
         header = fh.readline(256)
         payload = fh.read()
@@ -73,6 +78,8 @@ def read_tensor(path: str) -> np.ndarray:
             f"{path}: payload is {len(payload)} bytes, header promises {expected}"
         )
     flat = np.frombuffer(payload, dtype="<f8").astype(float)
+    if not np.isfinite(flat).all():
+        raise ValueError(f"{path}: payload is not finite (holds NaN or Inf)")
     return flat.reshape(dims, order="F")
 
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from math import prod
 
 import numpy as np
 
@@ -115,21 +116,54 @@ def apply_axis(lap: Laplacian1D, x: np.ndarray, axis: int) -> np.ndarray:
     This is the sparse path: three multiply-adds per output entry, no
     assembled matrix.  Works for vectors (``axis=0``) and for 2D/3D tensors.
     """
-    xm = np.moveaxis(np.asarray(x, dtype=float), axis, 0)
-    if xm.shape[0] != lap.n:
+    x = np.ascontiguousarray(x, dtype=float)
+    if x.shape[axis] != lap.n:
         raise ValueError(
-            f"axis extent {xm.shape[0]} does not match operator size {lap.n}"
+            f"axis extent {x.shape[axis]} does not match operator size {lap.n}"
         )
-    y = np.empty_like(xm)
-    y[1:-1] = 2.0 * xm[1:-1]
-    y[1:-1] -= xm[:-2]
-    y[1:-1] -= xm[2:]
-    y[0] = lap.alpha * xm[0] - xm[1]
-    y[-1] = lap.beta * xm[-1] - xm[-2]
-    if lap.gamma != 0.0:
-        y[0] += lap.gamma * xm[-1]
-        y[-1] += lap.gamma * xm[0]
-    return np.moveaxis(y, 0, axis)
+    out = 2.0 * x
+    add_offdiagonal(lap, x, out, axis)
+    return out
+
+
+def add_offdiagonal(lap: Laplacian1D, x: np.ndarray, out: np.ndarray, axis: int) -> None:
+    """Add ``(lap - 2I) x`` along ``axis`` into ``out``, in place.
+
+    With the ``2x`` diagonal already in ``out`` this completes the stencil.
+    ``x`` and ``out`` must be C-contiguous, of one shape, and apart in
+    memory.  Neighbours along ``axis`` sit ``step`` entries apart in the
+    flat arrays, so each neighbour term is one long shifted-slice
+    subtraction.  The shift also reaches across from each block's first
+    (last) face into the block before (after); those faces are saved
+    beforehand and written back with their corner terms.  Only face-sized
+    copies are made.
+    """
+    if x.shape != out.shape or not (x.flags.c_contiguous and out.flags.c_contiguous):
+        raise ValueError("stencil input and output must be C-contiguous, of one shape")
+    if np.may_share_memory(x, out):
+        raise ValueError("stencil output must not overlap its input")
+
+    def at(index):
+        key = [slice(None)] * x.ndim
+        key[axis] = index
+        return tuple(key)
+
+    def put_back(face, saved, corners):
+        for coef, col in corners:
+            if coef == -1.0:
+                saved -= x[at(col)]
+            elif coef != 0.0:
+                saved += coef * x[at(col)]
+        out[at(face)] = saved
+
+    step = prod(x.shape[axis + 1 :])
+    xf, of = x.reshape(-1), out.reshape(-1)
+    first = out[at(0)].copy()
+    of[step:] -= xf[:-step]
+    put_back(0, first, ((lap.alpha - 2.0, 0), (lap.gamma, -1)))
+    last = out[at(-1)].copy()
+    of[:-step] -= xf[step:]
+    put_back(-1, last, ((lap.beta - 2.0, -1), (lap.gamma, 0)))
 
 
 @dataclass(frozen=True)

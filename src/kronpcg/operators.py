@@ -1,10 +1,11 @@
 """Kronecker-sum Poisson operators on 2D/3D rectangular grids.
 
 The discrete minus-Laplacian acts on a grid field ``U`` one direction at a
-time: each 1D factor is applied along its own tensor mode and the results
-are summed.  In matrix form that is ``(I x L1) + (L2 x I)`` in 2D and the
+time: each 1D factor acts along its own tensor mode and the results are
+summed.  In matrix form that is ``(I x L1) + (L2 x I)`` in 2D and the
 three-term analogue in 3D, but the operator is never assembled on the
-solve path; :func:`apply` stays with the three-point stencils.
+solve path; :func:`apply` stays with the three-point stencils, summed in
+place in one output array.
 
 Also here: the null-space utilities (mean-centering and the size of the
 component along the constant tensor) and the right-hand-side updates that
@@ -22,8 +23,8 @@ from .laplace1d import (
     BoundaryCondition,
     Laplacian1D,
     SpectralDecomposition,
+    add_offdiagonal,
     analytic_spectrum,
-    apply_axis,
     build,
     is_singular_1d,
 )
@@ -79,19 +80,29 @@ def poisson_operator(
 
 
 def apply(
-    op: PoissonOperator, x: np.ndarray, ops: Optional[OpCounter] = None
+    op: PoissonOperator,
+    x: np.ndarray,
+    ops: Optional[OpCounter] = None,
+    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Apply the operator by summing stencil applications over directions.
+    """Apply the operator with the Kronecker-sum stencil, into ``out`` if given.
+
+    The diagonal ``2*ndim*x`` is written once; each direction then
+    subtracts its two shifted neighbours and adds its corner terms in
+    place (:func:`kronpcg.laplace1d.add_offdiagonal`), so no temporary of
+    the grid's size is made.  ``out`` must be C-contiguous and must not
+    overlap ``x``; the result is ``out`` itself, or a new array when it is
+    omitted.
 
     Counts 6 elementary operations per entry per direction (3 multiplies
     and 3 adds), i.e. 12nq in 2D and 18nqt in 3D.
     """
-    x = np.asarray(x, dtype=float)
+    x = np.ascontiguousarray(x, dtype=float)
     if x.shape != op.shape:
         raise ValueError(f"tensor shape {x.shape} does not match grid {op.shape}")
-    out = apply_axis(op.factors[0], x, axis=0)
-    for axis in range(1, op.ndim):
-        out += apply_axis(op.factors[axis], x, axis=axis)
+    out = np.multiply(x, 2.0 * op.ndim, out=out)
+    for axis, f in enumerate(op.factors):
+        add_offdiagonal(f, x, out, axis)
     if ops is not None:
         ops.add(6 * x.size * op.ndim)
     return out
@@ -145,16 +156,19 @@ def is_singular(op: PoissonOperator) -> bool:
     return all(is_singular_1d(f.bc) for f in op.factors)
 
 
-def center(x: np.ndarray, ops: Optional[OpCounter] = None) -> np.ndarray:
+def center(
+    x: np.ndarray, ops: Optional[OpCounter] = None, out: Optional[np.ndarray] = None
+) -> np.ndarray:
     """Remove the mean: project out the constant-tensor component.
 
-    Counts 3 operations per entry (sum, then broadcast subtract, per the
-    package's accounting rules).
+    Writes into ``out`` when given (``out=x`` centers in place).  Counts 3
+    operations per entry (sum, then broadcast subtract, per the package's
+    accounting rules).
     """
     x = np.asarray(x, dtype=float)
     if ops is not None:
         ops.add(3 * x.size)
-    return x - x.mean()
+    return np.subtract(x, x.mean(), out=out)
 
 
 def nullspace_component(x: np.ndarray) -> float:

@@ -85,7 +85,9 @@ class JacobiPreconditioner(Preconditioner):
     with ``x_0 = 0`` (the first sweep collapses to ``Dhat^-1 r``).
     ``omega < 1`` is rejected; ``omega`` slightly above 1 trades speed per
     sweep for robustness.  Each sweep after the first counts
-    ``6*N*ndim + 4*N`` elementary ops, the first counts ``N``.
+    ``6*N*ndim + 4*N`` elementary ops, the first counts ``N``.  The sweeps
+    run in place in the returned array and one scratch buffer owned by the
+    instance, so one instance serves one solve at a time.
     """
 
     name = "jacobi"
@@ -105,10 +107,7 @@ class JacobiPreconditioner(Preconditioner):
             diag_sum = diag_sum + f.diagonal().reshape(shape)
         self.dhat = self.omega * diag_sum
         self.dhat_inv = 1.0 / self.dhat
-        # Dense off parts kept for introspection; the apply path never uses them.
-        self.off_parts = [
-            f.dense() - self.omega * np.diag(f.diagonal()) for f in op.factors
-        ]
+        self._work = np.empty(op.shape)  # sweep scratch, reused by every apply
         # Building the weighted diagonal: ndim-1 adds, a scaling, a reciprocal.
         self.init_cost = (op.ndim + 1) * int(np.prod(op.shape))
 
@@ -119,9 +118,13 @@ class JacobiPreconditioner(Preconditioner):
         x = self.dhat_inv * r
         if ops is not None:
             ops.add(r.size)
+        f = self._work
         for _ in range(self.p - 1):
-            f = r - op_mod.apply(self.op, x, ops) + self.dhat * x
-            x = self.dhat_inv * f
+            # f = r - L x + Dhat x, then x = Dhat^-1 f, all in place.
+            op_mod.apply(self.op, x, ops, out=f)
+            np.subtract(r, f, out=f)
+            f += np.multiply(self.dhat, x, out=x)
+            np.multiply(self.dhat_inv, f, out=x)
             if ops is not None:
                 ops.add(4 * r.size)
         return x
@@ -151,7 +154,7 @@ class PinvPreconditioner(Preconditioner):
 
     def apply(self, r: np.ndarray, ops: Optional[OpCounter] = None) -> np.ndarray:
         f = linear_transform(self.bases_t, r)
-        f = f * self.ghat
+        f *= self.ghat
         z = linear_transform(self.bases, f)
         if ops is not None:
             ops.add(4 * r.size * sum(self.op.shape) + r.size)

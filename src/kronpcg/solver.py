@@ -15,6 +15,13 @@ scalar coefficients, recursive and true residual norms, the quadratic-form
 error indicator ``kappa`` and its scaled square-root series ``eta``, the
 null-space component of the iterate, and the cumulative elementary-op
 count under the accounting rules documented in :mod:`kronpcg.counting`.
+A record costs one operator apply: ``Lu`` gives ``kappa`` and then the
+true residual ``h - Lu`` in the same buffer.
+
+The loop updates the iterate, the residual and the search direction in
+buffers allocated once per solve, with one more work buffer for ``Lp``
+and ``Lu``; the preconditioner's output is the only grid array a step
+makes.  The caller's ``h`` and ``u0`` are never written to.
 
 The run stops at its budget, at the optional true-residual tolerance, or
 at the rounding floor: a nonpositive or non-finite curvature or
@@ -34,7 +41,7 @@ import numpy as np
 from . import operators as op_mod
 from .counting import OpCounter, cost_model
 from .precond import IdentityPreconditioner, Preconditioner
-from .tensors import frobenius_norm, inner, saxpy
+from .tensors import frobenius_norm, inner
 
 __all__ = [
     "OpCounter",
@@ -157,12 +164,13 @@ def true_residual(op, h: np.ndarray, u: np.ndarray) -> float:
     return frobenius_norm(h - op_mod.apply(op, u))
 
 
-def _counted_true_residual(op, h, u, ops: OpCounter) -> float:
-    w = op_mod.apply(op, u, ops)
-    r = saxpy(-1.0, w, h)
-    ops.add(2 * h.size)  # subtraction
-    ops.add(2 * h.size)  # norm
-    return frobenius_norm(r)
+def _counted_true_residual(h: np.ndarray, lu: np.ndarray, ops: Optional[OpCounter]) -> float:
+    """``|h - Lu|`` from a given ``Lu``, overwriting ``lu`` with the residual."""
+    np.subtract(h, lu, out=lu)
+    if ops is not None:
+        ops.add(2 * h.size)  # subtraction
+        ops.add(2 * h.size)  # norm
+    return frobenius_norm(lu)
 
 
 def _judge(
@@ -202,10 +210,13 @@ def pcg(
     component of the solution is not determined); pass it through
     :func:`kronpcg.operators.center` first or let the CLI do it.  A
     non-finite right-hand side or initial guess raises ``ValueError``.
+    The iteration works in place on its own copies; per step it applies
+    the operator once to the search direction and once more for the
+    logged record.
     """
     cfg = config if config is not None else SolverConfig()
     precond = precond if precond is not None else IdentityPreconditioner()
-    h = np.asarray(h, dtype=float)
+    h = np.ascontiguousarray(h, dtype=float)  # one layout for every pairing
     if h.shape != op.shape:
         raise ValueError(f"right-hand side shape {h.shape} does not match grid {op.shape}")
 
@@ -226,20 +237,31 @@ def pcg(
     ops = OpCounter()
     ops.add(getattr(precond, "init_cost", 0))
 
-    u = np.zeros(op.shape) if u0 is None else np.array(u0, dtype=float)
+    u = np.zeros(op.shape) if u0 is None else np.array(u0, dtype=float, order="C")
     if u.shape != op.shape:
         raise ValueError(f"initial guess shape {u.shape} does not match grid {op.shape}")
     if not np.isfinite(u).all():
         raise ValueError("initial guess has non-finite entries")
 
     log = ConvergenceLog(h_norm=h_norm)
+    # Buffers of the in-place loop (p is copied from the first z below).
+    r = np.empty(op.shape)
+    w = np.empty(op.shape)
 
     def record(s, alpha, beta, r_norm) -> bool:
-        """Log iteration ``s``; report whether the tolerance stop is met."""
-        if cfg.stop_tol is not None:
-            tr = _counted_true_residual(op, h, u, ops)
-        else:
-            tr = true_residual(op, h, u) if cfg.record_true_residual else None
+        """Log iteration ``s``; report whether the tolerance stop is met.
+
+        One operator apply into ``w`` serves both diagnostics: ``kappa``
+        reads ``Lu``, then ``w`` becomes the true residual ``h - Lu``.
+        The apply, subtraction and norm are counted only when a stopping
+        tolerance asks for them.
+        """
+        counted = ops if cfg.stop_tol is not None else None
+        lu = op_mod.apply(op, u, counted, out=w)
+        kappa = inner(u, lu) - 2.0 * inner(u, h)
+        tr = None
+        if counted is not None or cfg.record_true_residual:
+            tr = _counted_true_residual(h, lu, counted)
         log.records.append(
             IterationRecord(
                 s=s,
@@ -248,7 +270,7 @@ def pcg(
                 rho=rho,
                 computed_res=r_norm,
                 true_res=tr,
-                kappa=kappa_indicator(op, h, u),
+                kappa=kappa,
                 null_norm=op_mod.nullspace_component(u),
                 ops_cum=ops.count,
             )
@@ -256,14 +278,15 @@ def pcg(
         return cfg.stop_tol is not None and tr <= cfg.stop_tol * max(h_norm, _EPS)
 
     # Initialization: residual, preconditioned residual, first direction.
-    r = saxpy(-1.0, op_mod.apply(op, u, ops), h)
+    np.subtract(h, op_mod.apply(op, u, ops, out=r), out=r)
     ops.add(2 * h.size)
     if centering:
-        r = op_mod.center(r, ops)
+        op_mod.center(r, ops, out=r)
     z = precond.apply(r, ops)
     rho = inner(r, z)
     ops.add(2 * h.size)
-    p = z
+    p = z.copy()  # its own buffer: z may be r itself
+    del z  # dropped once used, so two outputs never coexist (peak memory)
     r_norm = r0_norm = frobenius_norm(r)
     done = record(0, None, None, r_norm) or r_norm == 0.0
 
@@ -271,18 +294,18 @@ def pcg(
     s = 0
     while not done and s < cfg.max_iter:
         s += 1
-        w = op_mod.apply(op, p, ops)
+        op_mod.apply(op, p, ops, out=w)
         wp = inner(w, p)
         ops.add(2 * h.size)
         stop = _judge(log, s, "curvature", wp, r_norm, r0_norm)
         if stop is not None:
             break
         alpha = rho / wp
-        u = saxpy(alpha, p, u)
-        r = saxpy(-alpha, w, r)
+        r += np.multiply(w, -alpha, out=w)  # r - alpha*Lp
+        u += np.multiply(p, alpha, out=w)  # u + alpha*p
         ops.add(4 * h.size)
         if centering:
-            r = op_mod.center(r, ops)
+            op_mod.center(r, ops, out=r)
         z = precond.apply(r, ops)
         rho_next = inner(r, z)
         ops.add(2 * h.size)
@@ -291,13 +314,15 @@ def pcg(
         beta = None
         if stop is None:
             beta = rho_next / rho if rho != 0.0 else 0.0
-            p = saxpy(beta, p, z)
+            p *= beta
+            p += z  # z + beta*p
             ops.add(2 * h.size)
+        del z
         rho = rho_next
         done = record(s, alpha, beta, r_norm) or stop is not None
 
     if centering:
-        u = op_mod.center(u)  # free, like the caller's centering of h
+        op_mod.center(u, out=u)  # free, like the caller's centering of h
     first_res = None
     if len(log.records) > 1:
         first_res = log.records[1].true_res

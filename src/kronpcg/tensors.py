@@ -27,7 +27,6 @@ __all__ = [
     "inner",
     "frobenius_norm",
     "hadamard_pinv",
-    "saxpy",
     "kron_assemble",
 ]
 
@@ -58,6 +57,9 @@ def mode_product(m: np.ndarray, mode: int, t: np.ndarray) -> np.ndarray:
     ``mode=1`` multiplies along the first tensor index (column fibers for a
     matrix), ``mode=2`` along the second, ``mode=3`` along the third.  The
     matrix's column count must match the tensor extent along that mode.
+    On the C-contiguous tensor the product is one reshaped GEMM (a batched
+    one for a middle mode), so the result comes out C-contiguous with no
+    axis moved.
     """
     m = np.asarray(m, dtype=float)
     t = _check_ndim(np.asarray(t, dtype=float))
@@ -69,8 +71,14 @@ def mode_product(m: np.ndarray, mode: int, t: np.ndarray) -> np.ndarray:
             f"matrix shape {m.shape} does not act on tensor extent "
             f"{t.shape[axis]} along mode {mode}"
         )
-    out = np.tensordot(m, t, axes=(1, axis))
-    return np.moveaxis(out, 0, axis)
+    t = np.ascontiguousarray(t)
+    if axis == 0:
+        out = m @ t.reshape(t.shape[0], -1)
+    elif axis == t.ndim - 1:
+        out = t.reshape(-1, t.shape[-1]) @ m.T
+    else:
+        out = np.matmul(m, t)
+    return out.reshape(t.shape[:axis] + (m.shape[0],) + t.shape[axis + 1 :])
 
 
 def linear_transform(mats: Sequence[np.ndarray], t: np.ndarray) -> np.ndarray:
@@ -109,15 +117,6 @@ def hadamard_pinv(x: np.ndarray, tol: float = 1e-13) -> np.ndarray:
     mask = np.abs(x) > tol
     out[mask] = 1.0 / x[mask]
     return out
-
-
-def saxpy(a: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Scaled addition ``y + a*x`` (new array)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape:
-        raise ValueError(f"shape mismatch in saxpy: {x.shape} vs {y.shape}")
-    return y + a * x
 
 
 def kron_assemble(factors: Sequence[np.ndarray]) -> np.ndarray:

@@ -66,6 +66,16 @@ def test_read_tensor_rejects_malformed_files(tmp_path, blob):
         read_tensor(str(path))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_read_tensor_rejects_a_non_finite_payload(tmp_path, bad):
+    t = np.zeros((3, 4, 5))
+    t[2, 1, 3] = bad
+    path = tmp_path / "bad.kten"
+    write_tensor(str(path), t)
+    with pytest.raises(ValueError, match="not finite"):
+        read_tensor(str(path))
+
+
 def _sample_log(max_iter=5):
     spec, h = gen_problem1(5, 10)
     cfg = SolverConfig(max_iter=max_iter)

@@ -1,0 +1,62 @@
+"""The benchmark's runtime tracer still finds the names it wraps.
+
+``perfbench/layertrace.py`` wraps kronpcg functions by name from outside
+the package, so renaming one of them breaks every traced benchmark run.
+This test imports the tracer by path, only reading ``perfbench/``, and
+traces one small solve.
+"""
+
+import importlib.util
+import inspect
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import kronpcg
+from kronpcg.laplace1d import BoundaryCondition as BC
+from kronpcg.operators import center, poisson_operator
+from kronpcg.precond import PinvPreconditioner
+from kronpcg.solver import SolverConfig, pcg
+
+LAYERTRACE = Path(__file__).resolve().parents[1] / "perfbench" / "layertrace.py"
+
+
+@pytest.fixture(scope="module")
+def layertrace():
+    spec = importlib.util.spec_from_file_location("layertrace", LAYERTRACE)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _bindings():
+    """Every function bound in a kronpcg module, and each preconditioner's apply."""
+    out = {}
+    for name, mod in list(sys.modules.items()):
+        if mod is not None and (name == "kronpcg" or name.startswith("kronpcg.")):
+            for attr, value in vars(mod).items():
+                if inspect.isfunction(value):
+                    out[name, attr] = value
+    for cls in vars(kronpcg.precond).values():
+        if isinstance(cls, type) and issubclass(cls, kronpcg.precond.Preconditioner):
+            out[cls.__name__, "apply"] = cls.__dict__.get("apply")
+    return out
+
+
+def test_a_traced_solve_records_the_true_residual_span(layertrace):
+    op = poisson_operator((8, 6), (BC.PERIODIC, BC.PERIODIC))
+    h = center(np.random.default_rng(43).standard_normal(op.shape))
+    precond = PinvPreconditioner(op)
+    before = _bindings()
+    tracer = layertrace.Tracer()
+    with tracer:
+        assert _bindings() != before
+        _, log = pcg(op, h, precond, config=SolverConfig(max_iter=20, stop_tol=1e-9))
+    stats = tracer.take()
+    assert _bindings() == before
+    records = len(log.records)
+    assert stats["solver.true_residual"].calls == records
+    assert stats["precond.apply"].calls == records
+    assert stats["operators.apply"].calls == records + log.iterations + 1

@@ -33,6 +33,33 @@ def test_apply_matches_assembled_matrix(ndim):
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(x)
 
 
+@pytest.mark.parametrize("bc", list(BC))
+@pytest.mark.parametrize("ndim", [2, 3])
+def test_apply_into_a_buffer_matches_the_allocating_path(ndim, bc):
+    op = poisson_operator((5, 4, 6)[:ndim], (bc,) * ndim)
+    x = np.random.default_rng(3).standard_normal(op.shape)
+    buf = np.full(op.shape, np.nan)
+    assert apply(op, x, out=buf) is buf
+    assert np.array_equal(buf, apply(op, x))
+    want = unvec(assemble_dense(op) @ vec(x), op.shape)
+    assert np.linalg.norm(buf - want) <= 1e-14 * np.linalg.norm(x)
+
+
+def test_apply_refuses_an_aliased_or_misshapen_output():
+    op = poisson_operator((4, 5), (BC.PERIODIC, BC.NEUMANN))
+    x = np.ones(op.shape)
+    for out in (x, np.empty((2, 4, 5)), np.empty((5, 4)).T):
+        with pytest.raises(ValueError):
+            apply(op, x, out=out)
+
+
+def test_center_in_place_matches_the_allocating_path():
+    x = np.random.default_rng(4).standard_normal((4, 6))
+    want = center(x)
+    assert center(x, out=x) is x
+    assert np.array_equal(x, want)
+
+
 def test_apply_rejects_shape_mismatch():
     op = poisson_operator((4, 5), (BC.PERIODIC, BC.PERIODIC))
     with pytest.raises(ValueError):

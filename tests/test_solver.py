@@ -2,10 +2,16 @@ import numpy as np
 import pytest
 
 from conftest import Negated, dense_jacobi_matrix, dense_pseudoinverse, dense_pcg
+from kronpcg import operators as op_mod
 from kronpcg.counting import OpCounter, cost_model
 from kronpcg.laplace1d import BoundaryCondition
 from kronpcg.operators import assemble_dense, center, nullspace_component, poisson_operator
-from kronpcg.precond import JacobiPreconditioner, PinvPreconditioner, Preconditioner
+from kronpcg.precond import (
+    IdentityPreconditioner,
+    JacobiPreconditioner,
+    PinvPreconditioner,
+    Preconditioner,
+)
 from kronpcg.problems import gen_problem1
 from kronpcg.solver import (
     ConvergenceLog,
@@ -287,3 +293,70 @@ def test_log_iterations_property():
     _, full = pcg(op, h, config=SolverConfig(max_iter=7, center_each_iter=True))
     assert full.iterations == 7
     assert len(full.records) == 8
+
+
+class TestInPlaceIteration:
+    """The solver updates its own buffers in place; these pin the hazards."""
+
+    @pytest.mark.parametrize("precond_kind", ["identity", "jacobi", "pinv"])
+    def test_inputs_are_left_unmodified(self, precond_kind):
+        op = poisson_operator((6, 8), (BC.PERIODIC, BC.NEUMANN))
+        rng = np.random.default_rng(31)
+        h = center(rng.standard_normal(op.shape))
+        u0 = rng.standard_normal(op.shape)
+        h_copy, u0_copy = h.copy(), u0.copy()
+        precond = {
+            "identity": IdentityPreconditioner(),
+            "jacobi": JacobiPreconditioner(op, p=2, omega=1.3),
+            "pinv": PinvPreconditioner(op),
+        }[precond_kind]
+        u, log = pcg(op, h, precond, u0=u0, config=SolverConfig(max_iter=6))
+        assert np.array_equal(h, h_copy)
+        assert np.array_equal(u0, u0_copy)
+        assert u is not u0 and u is not h
+        assert log.records[-1].true_res < log.records[0].true_res
+
+    @pytest.mark.parametrize("singular", [True, False], ids=["singular", "nonsingular"])
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            SolverConfig(max_iter=8, stop_tol=1e-6),
+            SolverConfig(max_iter=8, record_true_residual=False),
+        ],
+        ids=["stop_tol", "no_true_residual"],
+    )
+    def test_logged_kappa_is_the_indicator_of_each_iterate(self, singular, cfg):
+        if singular:
+            op = poisson_operator((7, 9), (BC.PERIODIC, BC.NEUMANN))
+        else:
+            op = _mixed_op()
+        h = center(_mixed_rhs(op, seed=37)) if singular else _mixed_rhs(op, seed=37)
+        precond = JacobiPreconditioner(op, p=2, omega=1.3)
+        _, log = pcg(op, h, precond, config=cfg)
+        assert log.iterations >= 3
+        for rec in log.records:
+            step = SolverConfig(
+                max_iter=rec.s,
+                stop_tol=cfg.stop_tol,
+                record_true_residual=cfg.record_true_residual,
+            )
+            u_s, _ = pcg(op, h, precond, config=step)
+            assert rec.kappa == pytest.approx(kappa_indicator(op, h, u_s), rel=1e-12)
+
+    @pytest.mark.parametrize("stop_tol", [None, 1e-8])
+    @pytest.mark.parametrize("sweeps", [1, 3])
+    def test_one_operator_apply_per_step_and_per_record(self, monkeypatch, stop_tol, sweeps):
+        op = poisson_operator((12, 10), (BC.PERIODIC, BC.PERIODIC))
+        h = center(np.random.default_rng(41).standard_normal(op.shape))
+        precond = JacobiPreconditioner(op, p=sweeps, omega=1.3)
+        calls = []
+        real_apply = op_mod.apply
+
+        def counted_apply(*args, **kwargs):
+            calls.append(1)
+            return real_apply(*args, **kwargs)
+
+        monkeypatch.setattr(op_mod, "apply", counted_apply)
+        _, log = pcg(op, h, precond, config=SolverConfig(max_iter=12, stop_tol=stop_tol))
+        steps = log.iterations + 1  # the initial residual plus one L p per loop pass
+        assert len(calls) == steps + len(log.records) + (sweeps - 1) * steps

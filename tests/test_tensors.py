@@ -8,7 +8,6 @@ from kronpcg.tensors import (
     kron_assemble,
     linear_transform,
     mode_product,
-    saxpy,
     unvec,
     vec,
 )
@@ -73,6 +72,17 @@ def test_linear_transform_2d_is_congruence():
     assert np.allclose(linear_transform([a, b], u), a @ u @ b.T, atol=1e-12)
 
 
+@pytest.mark.parametrize("shape", [(4, 6), (3, 4, 5)])
+def test_linear_transform_ignores_the_input_layout(shape):
+    """F-ordered input (what a KTEN read returns) gives the C-ordered result."""
+    rng = np.random.default_rng(17)
+    t = rng.standard_normal(shape)
+    mats = [rng.standard_normal((m + 1, m)) for m in shape]
+    got = linear_transform(mats, np.asfortranarray(t))
+    assert np.array_equal(got, linear_transform(mats, t))
+    assert np.allclose(vec(got), kron_assemble(mats[::-1]) @ vec(t), atol=1e-12)
+
+
 def test_linear_transform_needs_one_matrix_per_mode():
     with pytest.raises(ValueError):
         linear_transform([np.eye(3)], np.zeros((3, 3)))
@@ -99,13 +109,6 @@ def test_hadamard_and_pinv():
     assert g[1, 0] == -2.0
     assert g[0, 1] == 0.0
     assert g[1, 1] == 0.0  # below the threshold counts as a null mode
-
-
-def test_saxpy():
-    rng = np.random.default_rng(23)
-    x = rng.standard_normal((3, 3))
-    y = rng.standard_normal((3, 3))
-    assert np.allclose(saxpy(-2.5, x, y), y - 2.5 * x, atol=1e-15)
 
 
 def test_kron_assemble_order():
