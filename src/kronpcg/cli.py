@@ -31,7 +31,15 @@ from .operators import (
     spectrum_sums,
 )
 from .precond import jacobi_standalone, make_preconditioner
-from .problems import P3_VARIANTS, gen_problem1, gen_problem2, gen_problem3, run_experiment
+from .problems import (
+    EXPERIMENTS,
+    P3_VARIANTS,
+    experiment_runs,
+    gen_problem1,
+    gen_problem2,
+    gen_problem3,
+    run_experiment,
+)
 from .solver import PCGBreakdown, SolverConfig, pcg
 from .tensors import frobenius_norm
 
@@ -113,9 +121,7 @@ def _parse_face_flags(args: argparse.Namespace, ndim: int) -> BoundaryData:
 
 
 def _slug(precond_spec: str) -> str:
-    return (
-        precond_spec.replace(":", "_").replace("=", "").replace(",", "_").replace(".", "p")
-    )
+    return precond_spec.translate(str.maketrans({":": "_", "-": "_", ",": "_", "=": "", ".": "p"}))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -136,7 +142,8 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--precond", default="none", help="none | pinv | jacobi:p=3,omega=1.3 | lowrank:r=3")
     solve.add_argument("--max-iter", type=int, default=100)
     solve.add_argument("--tol", type=float, default=None, help="relative true-residual stop")
-    solve.add_argument("--center", choices=["auto", "on", "off"], default="auto")
+    solve.add_argument("--center", choices=["auto", "off"], default="auto",
+                       help="uncentered h on a singular grid: auto centers it, off refuses it")
     solve.add_argument("--log", help="write the run log JSON here")
     solve.add_argument("--solution", help="write the final iterate as .kten here")
     for flag, text in [
@@ -148,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
         solve.add_argument(f"--{flag}", action="append", metavar="AXIS=VALUE", help=text)
 
     exp = sub.add_parser("experiment", help="run a packaged experiment suite")
-    exp.add_argument("--name", required=True, choices=["exp1", "exp2", "exp3"])
+    exp.add_argument("--name", required=True, choices=sorted(EXPERIMENTS))
     exp.add_argument("--outdir", required=True)
     exp.add_argument("--seed", type=int, default=0, help="seed for the random problems")
 
@@ -224,8 +231,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         h = center(h)
         notes.append("right-hand side centered (singular operator)")
 
-    center_flag = {"auto": None, "on": True, "off": False}[args.center]
-    cfg = SolverConfig(max_iter=args.max_iter, stop_tol=args.tol, center_each_iter=center_flag)
+    cfg = SolverConfig(max_iter=args.max_iter, stop_tol=args.tol)
     precond = make_preconditioner(op, args.precond)
 
     code = 0
@@ -252,7 +258,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
     last = log.records[-1]
     rel = "n/a"
-    if last.true_res is not None and log.h_norm > 0.0:
+    if log.h_norm > 0.0:
         rel = f"{last.true_res / log.h_norm:.3e}"
     status = "breakdown after" if code == 2 else "done:"
     print(
@@ -264,94 +270,49 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     return code
 
 
-def _run_to_files(outdir: str, spec, h, pspec: str, cfg: SolverConfig) -> dict:
-    log = run_experiment(spec, h, [pspec], config=cfg, strict=False)[0]
-    name = f"{spec.name}_{_slug(pspec)}"
-    formats.write_run_log(os.path.join(outdir, f"{name}.json"), log, cfg)
-    formats.write_gnuplot_series(
-        os.path.join(outdir, f"{name}.dat"),
-        [rec.ops_cum for rec in log.records],
-        [rec.true_res for rec in log.records],
-        f"{spec.name} {log.meta['preconditioner']}: cumulative ops vs true residual",
-    )
-    return formats.summary_row(log)
+def _run_to_files(outdir: str, spec, h, pspec: str, budget: int) -> tuple[dict, str]:
+    """Run one experiment entry, write its series (and run log); return the
+    summary row and the run's label."""
+    stem = os.path.join(outdir, f"{spec.name}_{_slug(pspec)}")
+    head, _, omega = pspec.partition(":omega=")
+    if head == "jacobi-standalone":
+        result = jacobi_standalone(spec.operator(), h, omega=float(omega), iters=budget)
+        ops_cum, residuals = result.ops_cum, result.residuals
+        label = f"stand-alone jacobi omega={omega}"
+        reach = 1e-9 * frobenius_norm(h)
+        row = {
+            "problem": spec.name,
+            "preconditioner": f"jacobi-standalone(omega={float(omega):g})",
+            "iters_to_1e-9": next((i for i, r in enumerate(residuals) if r <= reach), ""),
+            "final_true_res": repr(residuals[-1]),
+            "ops_cum": ops_cum[-1],
+        }
+        title = f"{spec.name} {label}: ops vs true residual"
+    else:
+        cfg = SolverConfig(max_iter=budget)
+        log = run_experiment(spec, h, [pspec], config=cfg, strict=False)[0]
+        formats.write_run_log(f"{stem}.json", log, cfg)
+        ops_cum = [rec.ops_cum for rec in log.records]
+        residuals = [rec.true_res for rec in log.records]
+        label = log.meta["preconditioner"]
+        row = formats.summary_row(log)
+        title = f"{spec.name} {label}: cumulative ops vs true residual"
+    formats.write_gnuplot_series(f"{stem}.dat", ops_cum, residuals, title)
+    return row, label
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
     os.makedirs(args.outdir, exist_ok=True)
     rows: list[dict] = []
-
-    if args.name == "exp1":
-        spec, h = gen_problem1(50, 100)
-        rows.append(_run_to_files(args.outdir, spec, h, "none", SolverConfig(max_iter=600)))
-        cg_level = rows[-1]["final_true_res"]
-        cg_rel = float(cg_level) / frobenius_norm(h)
-        print(f"conjugate gradients: relative residual {cg_rel:.3e} after <= 600 iterations")
-        op = spec.operator()
-        for omega in (1.0, 1.15, 1.3):
-            result = jacobi_standalone(op, h, omega=omega, iters=8000)
-            name = f"{spec.name}_jacobi_standalone_omega{str(omega).replace('.', 'p')}"
-            formats.write_gnuplot_series(
-                os.path.join(args.outdir, f"{name}.dat"),
-                result.ops_cum,
-                result.residuals,
-                f"{spec.name} stand-alone jacobi omega={omega}: ops vs true residual",
-            )
-            h_norm = frobenius_norm(h)
-            reached = next(
-                (i for i, r in enumerate(result.residuals) if r <= cg_rel * h_norm),
-                None,
-            )
-            where = f"at iteration {reached}" if reached is not None else "never (within 8000)"
-            print(f"stand-alone jacobi omega={omega}: reaches the CG level {where}")
-            rows.append(
-                {
-                    "problem": spec.name,
-                    "preconditioner": f"jacobi-standalone(omega={omega:g})",
-                    "iters_to_1e-9": next(
-                        (i for i, r in enumerate(result.residuals) if r <= 1e-9 * h_norm),
-                        "",
-                    ),
-                    "final_true_res": repr(result.residuals[-1]),
-                    "ops_cum": result.ops_cum[-1],
-                }
-            )
-
-    elif args.name == "exp2":
-        spec, h = gen_problem1(50, 100)
-        plan: list[tuple[str, int]] = [
-            ("none", 800),
-            ("jacobi:p=3,omega=1.3", 800),
-            ("lowrank:r=3", 800),
-            ("pinv", 10),
-        ]
-        for p in (1, 3, 5):
-            for omega in (1.0, 1.15, 1.3):
-                entry = (f"jacobi:p={p},omega={omega:g}", 800)
-                if entry not in plan:
-                    plan.append(entry)
-        for r in (1, 2, 3, 4, 7, 10):
-            entry = (f"lowrank:r={r}", 800)
-            if entry not in plan:
-                plan.append(entry)
-        for pspec, max_iter in plan:
-            rows.append(
-                _run_to_files(args.outdir, spec, h, pspec, SolverConfig(max_iter=max_iter))
-            )
-            print(f"{pspec}: iterations to 1e-9 = {rows[-1]['iters_to_1e-9'] or 'not reached'}")
-
-    else:  # exp3
-        problems = [gen_problem1(*size) for size in [(5, 10), (20, 40), (50, 100), (500, 1000)]]
-        problems.append(gen_problem2())
-        problems.extend(gen_problem3(v, seed=args.seed) for v in sorted(P3_VARIANTS))
-        for spec, h in problems:
-            rows.append(_run_to_files(args.outdir, spec, h, "pinv", SolverConfig(max_iter=10)))
-            rel = float(rows[-1]["final_true_res"]) / frobenius_norm(h)
-            print(
-                f"{spec.name} {'x'.join(map(str, spec.shape))}: iterations to 1e-9 = "
-                f"{rows[-1]['iters_to_1e-9']}, final relative residual {rel:.3e}"
-            )
-
+    for spec, h, pspec, budget in experiment_runs(args.name, seed=args.seed):
+        row, label = _run_to_files(args.outdir, spec, h, pspec, budget)
+        rows.append(row)
+        reached = row["iters_to_1e-9"]
+        rel = float(row["final_true_res"]) / frobenius_norm(h)
+        print(
+            f"{spec.name} {'x'.join(map(str, spec.shape))} {label}: iterations to 1e-9 = "
+            f"{'not reached' if reached == '' else reached}, final relative residual {rel:.3e}"
+        )
     formats.write_csv_summary(os.path.join(args.outdir, "summary.csv"), rows)
     print(f"summary written to {os.path.join(args.outdir, 'summary.csv')}")
     return 0

@@ -107,11 +107,10 @@ RUN_LOG_SCHEMA: dict = {
         "seed": {"type": ["integer", "null"]},
         "config": {
             "type": "object",
-            "required": ["max_iter", "stop_tol", "center_each_iter"],
+            "required": ["max_iter", "stop_tol"],
             "properties": {
                 "max_iter": {"type": "integer", "minimum": 0},
                 "stop_tol": _NUMBER_OR_NULL,
-                "center_each_iter": {"type": ["boolean", "null"]},
             },
         },
         "iterations": {
@@ -174,11 +173,7 @@ def log_to_dict(log: ConvergenceLog, config: Optional[SolverConfig] = None) -> d
         "bcs": list(meta.get("bcs", [])),
         "preconditioner": meta.get("preconditioner", "identity"),
         "seed": meta.get("seed"),
-        "config": {
-            "max_iter": cfg.max_iter,
-            "stop_tol": cfg.stop_tol,
-            "center_each_iter": cfg.center_each_iter,
-        },
+        "config": {"max_iter": cfg.max_iter, "stop_tol": cfg.stop_tol},
         "iterations": [
             {
                 "s": rec.s,
@@ -215,7 +210,7 @@ def summary_row(log: ConvergenceLog, threshold: float = 1e-9) -> dict:
     iters_to = ""
     if log.h_norm > 0.0:
         for rec in log.records:
-            if rec.true_res is not None and rec.true_res <= threshold * log.h_norm:
+            if rec.true_res <= threshold * log.h_norm:
                 iters_to = rec.s
                 break
     last = log.records[-1] if log.records else None
@@ -223,7 +218,7 @@ def summary_row(log: ConvergenceLog, threshold: float = 1e-9) -> dict:
         "problem": log.meta.get("problem", ""),
         "preconditioner": log.meta.get("preconditioner", ""),
         "iters_to_1e-9": iters_to,
-        "final_true_res": "" if last is None or last.true_res is None else repr(last.true_res),
+        "final_true_res": "" if last is None else repr(last.true_res),
         "ops_cum": "" if last is None else last.ops_cum,
     }
 
@@ -243,8 +238,5 @@ def write_csv_summary(path: str, rows: Sequence[dict]) -> None:
 def write_gnuplot_series(path: str, xs: Sequence, ys: Sequence, comment: str) -> None:
     """Two-column whitespace-separated series with one comment line."""
     lines = [f"# {comment}"]
-    for x, y in zip(xs, ys):
-        if y is None:
-            continue
-        lines.append(f"{x} {float(y)!r}")
+    lines.extend(f"{x} {float(y)!r}" for x, y in zip(xs, ys))
     _atomic_write_bytes(path, ("\n".join(lines) + "\n").encode("ascii"))

@@ -10,6 +10,8 @@ demonstration experiments:
 - ``p3``: two random-valued stripes, a wide positive one and a narrower
   negative one, on fully periodic 2D/3D grids (singular; seeded RNG).
 
+The packaged experiments are one table of runs, :data:`EXPERIMENTS`.
+
 Every generated H is normalized so its Frobenius norm is the reciprocal
 of the cell count; singular-system sides are centered first.  The applied
 scale factor is kept on the :class:`ProblemSpec` so the physical system
@@ -42,6 +44,8 @@ __all__ = [
     "gen_problem2",
     "gen_problem3",
     "P3_VARIANTS",
+    "EXPERIMENTS",
+    "experiment_runs",
     "run_experiment",
 ]
 
@@ -230,3 +234,38 @@ def run_experiment(
         )
         logs.append(log)
     return logs
+
+
+_SWEEP = [f"jacobi:p={p},omega={w:g}" for p in (1, 3, 5) for w in (1.0, 1.15, 1.3)]
+_SWEEP += [f"lowrank:r={r}" for r in (1, 2, 3, 4, 7, 10)]
+_P1 = ("p1", 50, 100)
+
+# Experiment name -> runs of (problem, preconditioner spec, budget); a problem
+# is its generator's family and arguments.  ``jacobi-standalone:omega=W`` is
+# the stationary Jacobi baseline run by itself, its budget counted in sweeps.
+EXPERIMENTS: dict[str, list[tuple[tuple, str, int]]] = {
+    "exp1": [(_P1, "none", 600)]
+    + [(_P1, f"jacobi-standalone:omega={w}", 8000) for w in (1.0, 1.15, 1.3)],
+    "exp2": [
+        (_P1, s, 10 if s == "pinv" else 800)
+        for s in dict.fromkeys(["none", "jacobi:p=3,omega=1.3", "lowrank:r=3", "pinv", *_SWEEP])
+    ],
+    "exp3": [
+        (problem, "pinv", 10)
+        for problem in [("p1", 5, 10), ("p1", 20, 40), _P1, ("p1", 500, 1000), ("p2",)]
+        + [("p3", v) for v in sorted(P3_VARIANTS)]
+    ],
+}
+
+
+def experiment_runs(name: str, seed: int = 0) -> list[tuple[ProblemSpec, np.ndarray, str, int]]:
+    """One experiment's runs as (spec, h, preconditioner spec, budget), in
+    table order; each problem is generated once, p3 with ``seed``."""
+    gens = {"p1": gen_problem1, "p2": gen_problem2, "p3": lambda v: gen_problem3(v, seed=seed)}
+    made: dict[tuple, tuple[ProblemSpec, np.ndarray]] = {}
+    runs = []
+    for problem, pspec, budget in EXPERIMENTS[name]:
+        if problem not in made:
+            made[problem] = gens[problem[0]](*problem[1:])
+        runs.append((*made[problem], pspec, budget))
+    return runs

@@ -74,15 +74,12 @@ class SolverConfig:
 
     ``max_iter`` is the primary stopping rule; ``stop_tol`` (relative true
     residual) is optional and, when set, its per-iteration evaluation is
-    charged to the op counter.  ``center_each_iter=None`` resolves to
-    "center iff the operator is singular"; centering keeps the recursive
-    residual, and the returned iterate, mean-free.
+    charged to the op counter.  Centering is not a knob: :func:`pcg`
+    centers exactly when the operator is singular.
     """
 
     max_iter: int = 100
     stop_tol: Optional[float] = None
-    center_each_iter: Optional[bool] = None
-    record_true_residual: bool = True
 
     def __post_init__(self) -> None:
         if self.max_iter < 0:
@@ -98,7 +95,7 @@ class IterationRecord:
     beta: Optional[float]
     rho: float
     computed_res: float
-    true_res: Optional[float]
+    true_res: float
     kappa: float
     null_norm: float
     ops_cum: int
@@ -208,11 +205,14 @@ def pcg(
     Returns the final iterate and the convergence log.  For a singular
     operator the right-hand side must arrive centered (the constant
     component of the solution is not determined); pass it through
-    :func:`kronpcg.operators.center` first or let the CLI do it.  A
+    :func:`kronpcg.operators.center` first or let the CLI do it.  The
+    operator alone decides centering: on a singular grid the recursive
+    residual is mean-centered every iteration and the returned iterate
+    once at the end; a nonsingular grid is never centered.  A
     non-finite right-hand side or initial guess raises ``ValueError``.
     The iteration works in place on its own copies; per step it applies
     the operator once to the search direction and once more for the
-    logged record.
+    logged record, which always carries the true residual.
     """
     cfg = config if config is not None else SolverConfig()
     precond = precond if precond is not None else IdentityPreconditioner()
@@ -231,8 +231,6 @@ def pcg(
                 "singular operator with uncentered right-hand side "
                 f"(null component {rel_null:.2e} of |h|); center h first"
             )
-
-    centering = cfg.center_each_iter if cfg.center_each_iter is not None else singular
 
     ops = OpCounter()
     ops.add(getattr(precond, "init_cost", 0))
@@ -259,9 +257,7 @@ def pcg(
         counted = ops if cfg.stop_tol is not None else None
         lu = op_mod.apply(op, u, counted, out=w)
         kappa = inner(u, lu) - 2.0 * inner(u, h)
-        tr = None
-        if counted is not None or cfg.record_true_residual:
-            tr = _counted_true_residual(h, lu, counted)
+        tr = _counted_true_residual(h, lu, counted)
         log.records.append(
             IterationRecord(
                 s=s,
@@ -280,7 +276,7 @@ def pcg(
     # Initialization: residual, preconditioned residual, first direction.
     np.subtract(h, op_mod.apply(op, u, ops, out=r), out=r)
     ops.add(2 * h.size)
-    if centering:
+    if singular:
         op_mod.center(r, ops, out=r)
     z = precond.apply(r, ops)
     rho = inner(r, z)
@@ -304,7 +300,7 @@ def pcg(
         r += np.multiply(w, -alpha, out=w)  # r - alpha*Lp
         u += np.multiply(p, alpha, out=w)  # u + alpha*p
         ops.add(4 * h.size)
-        if centering:
+        if singular:
             op_mod.center(r, ops, out=r)
         z = precond.apply(r, ops)
         rho_next = inner(r, z)
@@ -321,13 +317,9 @@ def pcg(
         rho = rho_next
         done = record(s, alpha, beta, r_norm) or stop is not None
 
-    if centering:
+    if singular:
         op_mod.center(u, out=u)  # free, like the caller's centering of h
-    first_res = None
-    if len(log.records) > 1:
-        first_res = log.records[1].true_res
-        if first_res is None:
-            first_res = log.records[1].computed_res
+    first_res = log.records[1].true_res if len(log.records) > 1 else None
     etas = eta_series([rec.kappa for rec in log.records], first_res)
     for rec, e in zip(log.records, etas):
         rec.eta_scaled = float(e)

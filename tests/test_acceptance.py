@@ -111,7 +111,7 @@ def test_criterion_03_cg_scalars_match_textbook_recurrence():
             op,
             h,
             IdentityPreconditioner(),
-            config=SolverConfig(max_iter=budget, record_true_residual=False),
+            config=SolverConfig(max_iter=budget),
         )
         a = assemble_dense(op)
         _, alphas, betas, res = dense_pcg(a, h.ravel(order="F"), iters=budget)
@@ -230,7 +230,7 @@ def test_criterion_07_iterates_stay_off_the_null_space():
         _, log = pcg(op, h, pre, config=SolverConfig(max_iter=10))
         worst = 0.0
         for s in range(1, log.iterations + 1):
-            u_s, _ = pcg(op, h, pre, config=SolverConfig(max_iter=s, record_true_residual=False))
+            u_s, _ = pcg(op, h, pre, config=SolverConfig(max_iter=s))
             worst = max(worst, nullspace_component(u_s) / float(np.linalg.norm(u_s)))
         ok = ok and worst <= 1e-9
         parts.append(f"{name}: max ratio {worst:.1e}")
@@ -242,8 +242,8 @@ def test_criterion_07_iterates_stay_off_the_null_space():
     ]:
         op = spec.operator()
         pre = IdentityPreconditioner() if pre_kind == "identity" else PinvPreconditioner(op)
-        u, log = pcg(op, h, pre, config=SolverConfig(max_iter=iters, record_true_residual=False))
-        u1, _ = pcg(op, h, pre, config=SolverConfig(max_iter=1, record_true_residual=False))
+        u, log = pcg(op, h, pre, config=SolverConfig(max_iter=iters))
+        u1, _ = pcg(op, h, pre, config=SolverConfig(max_iter=1))
         denom = min(float(np.linalg.norm(u1)), float(np.linalg.norm(u)))
         worst = max(rec.null_norm for rec in log.records[1:]) / denom
         ok = ok and worst <= 1e-9 and log.records[0].null_norm == 0.0
@@ -308,9 +308,7 @@ def test_criterion_09_operation_counts_match_the_cost_tables():
             op,
             h,
             IdentityPreconditioner(),
-            config=SolverConfig(
-                max_iter=4, center_each_iter=False, record_true_residual=False
-            ),
+            config=SolverConfig(max_iter=4),
         )
         deltas = [
             log.records[s].ops_cum - log.records[s - 1].ops_cum for s in range(2, 5)
@@ -356,7 +354,7 @@ def test_criterion_10_error_indicator_tracks_the_energy_norm():
             op,
             h,
             IdentityPreconditioner(),
-            config=SolverConfig(max_iter=s, record_true_residual=False),
+            config=SolverConfig(max_iter=s),
         )
         d = u_s.ravel(order="F") - u_star
         errors.append(float(np.sqrt(max(float(d @ (a @ d)), 0.0))))

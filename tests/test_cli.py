@@ -93,6 +93,39 @@ def test_solve_refuses_uncentered_singular_with_centering_off(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_center_off_on_a_centered_singular_side_solves(tmp_path, capsys):
+    """``--center off`` only refuses an uncentered side; the solver still
+    centers its residual on a singular grid, so no false breakdown."""
+    rhs = tmp_path / "p3.kten"
+    cli.main(["gen", "--problem", "p3", "--variant", "3d_128x64x8", "--out", str(rhs)])
+    log_path = tmp_path / "log.json"
+    code = cli.main(
+        [
+            "solve",
+            "--input", str(rhs),
+            "--bc", "x=periodic,y=periodic,z=periodic",
+            "--precond", "pinv",
+            "--max-iter", "10",
+            "--center", "off",
+            "--log", str(log_path),
+        ]
+    )
+    assert code == 0
+    capsys.readouterr()
+    doc = json.loads(log_path.read_text())
+    assert doc["breakdown"] is None
+    assert doc["final_norms"]["relative_true_residual"] <= 1e-11
+
+
+def test_center_on_is_not_an_option(tmp_path, capsys):
+    """Centering a nonsingular system is wrong, so it cannot be forced."""
+    rhs = tmp_path / "p2.kten"
+    cli.main(["gen", "--problem", "p2", "--out", str(rhs)])
+    argv = ["solve", "--input", str(rhs), "--bc", "x=dirichlet-neumann,y=periodic"]
+    assert cli.main(argv + ["--precond", "pinv", "--center", "on"]) == 1
+    assert "--center" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "gen, size, bcs, bad",
     [

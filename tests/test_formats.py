@@ -88,7 +88,7 @@ def test_log_document_validates_against_the_schema():
     doc = log_to_dict(log, cfg)
     jsonschema.validate(doc, RUN_LOG_SCHEMA)
     assert doc["problem"] == "p1"
-    assert doc["config"]["max_iter"] == 5
+    assert doc["config"] == {"max_iter": 5, "stop_tol": None}
     assert len(doc["iterations"]) == len(log.records)
     assert doc["final_norms"]["relative_true_residual"] <= 1e-12
 
@@ -98,6 +98,16 @@ def test_log_without_metadata_still_validates():
     op = spec.operator()
     _, log = pcg(op, h, PinvPreconditioner(op), config=SolverConfig(max_iter=3))
     jsonschema.validate(log_to_dict(log), RUN_LOG_SCHEMA)
+
+
+def test_log_with_the_old_centering_key_still_validates():
+    """Logs written before centering became the operator's call carry
+    ``config.center_each_iter``; the schema must keep accepting them."""
+    log, cfg = _sample_log()
+    doc = log_to_dict(log, cfg)
+    for old_value in (None, True, False):
+        doc["config"]["center_each_iter"] = old_value
+        jsonschema.validate(doc, RUN_LOG_SCHEMA)
 
 
 def test_write_run_log_round_trips_through_json(tmp_path):
@@ -127,9 +137,9 @@ def test_csv_summary_has_header_and_rows(tmp_path):
     assert len(lines) == 3
 
 
-def test_gnuplot_series_skips_gaps_and_round_trips(tmp_path):
+def test_gnuplot_series_round_trips(tmp_path):
     path = tmp_path / "series.dat"
-    write_gnuplot_series(str(path), [0, 1, 2, 3], [1.0, None, 0.25, 1e-300], "a curve")
+    write_gnuplot_series(str(path), [0, 2, 3], [1.0, 0.25, 1e-300], "a curve")
     lines = path.read_text().splitlines()
     assert lines[0] == "# a curve"
     assert len(lines) == 4

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import dense_jacobi_matrix, dense_pseudoinverse, random_operator
+from kronpcg import operators as op_mod
 from kronpcg.counting import OpCounter, cost_model
 from kronpcg.laplace1d import BoundaryCondition, analytic_spectrum, numeric_spectrum
 from kronpcg.operators import assemble_dense, poisson_operator, spectrum_sums
@@ -212,6 +213,25 @@ class TestJacobiStandalone:
         assert not result.diverged
         assert result.residuals[-1] < 1e-6 * result.residuals[0]
         assert result.ops_cum == sorted(result.ops_cum)
+
+    def test_one_operator_apply_per_step(self, monkeypatch):
+        """The residual recorded after a step is the next step's ``h - L x``."""
+        op = poisson_operator((6, 7), (BC.DIRICHLET, BC.PERIODIC))
+        h = np.random.default_rng(61).standard_normal(op.shape)
+        calls = []
+        real_apply = op_mod.apply
+
+        def counted_apply(*args, **kwargs):
+            calls.append(1)
+            return real_apply(*args, **kwargs)
+
+        monkeypatch.setattr(op_mod, "apply", counted_apply)
+        result = jacobi_standalone(op, h, omega=1.3, iters=25)
+        assert result.iterations == 25
+        assert len(calls) == 25 + 1
+        step = result.ops_cum[1] - result.ops_cum[0]
+        assert step == 6 * h.size * op.ndim + 4 * h.size
+        assert np.diff(result.ops_cum).tolist() == [step] * 25
 
     def test_zero_iterations_only_records_the_start(self):
         op = poisson_operator((4, 4), (BC.DIRICHLET, BC.DIRICHLET))

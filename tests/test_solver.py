@@ -165,7 +165,7 @@ def test_null_direction_breaks_down_on_curvature():
     rng = np.random.default_rng(9)
     h = center(rng.standard_normal(op.shape))
     with pytest.raises(PCGBreakdown) as excinfo:
-        pcg(op, h, _ConstantOnes(), config=SolverConfig(max_iter=5, center_each_iter=False))
+        pcg(op, h, _ConstantOnes(), config=SolverConfig(max_iter=5))
     assert excinfo.value.log.breakdown == "curvature"
 
 
@@ -195,16 +195,6 @@ def test_run_stops_at_the_residual_floor():
     assert log.records[-1].true_res <= 1e-12 * log.h_norm
 
 
-@pytest.mark.parametrize("centering", [True, False])
-def test_centering_switch_runs(centering):
-    spec, h = gen_problem1(5, 10)
-    op = spec.operator()
-    cfg = SolverConfig(max_iter=5, center_each_iter=centering)
-    u, log = pcg(op, h, PinvPreconditioner(op), config=cfg)
-    assert log.iterations == 5
-    assert log.records[-1].null_norm <= 1e-9 * max(1.0, np.linalg.norm(u))
-
-
 def test_jacobi_on_an_all_neumann_grid_returns_a_mean_free_iterate():
     """Jacobi output carries a constant part that the search directions
     accumulate; the returned iterate must still be off the null space."""
@@ -220,7 +210,7 @@ class TestAccounting:
     def test_plain_run_matches_cost_model_2d(self):
         op = _mixed_op()
         h = _mixed_rhs(op, seed=11)
-        cfg = SolverConfig(max_iter=4, record_true_residual=False)
+        cfg = SolverConfig(max_iter=4)
         _, log = pcg(op, h, config=cfg)
         counts = [rec.ops_cum for rec in log.records]
         assert counts[0] == cost_model(op.shape, "init")
@@ -230,7 +220,7 @@ class TestAccounting:
     def test_plain_run_matches_cost_model_3d(self):
         op = poisson_operator((4, 5, 3), (BC.DIRICHLET, BC.DIRICHLET, BC.DIRICHLET))
         h = np.random.default_rng(13).standard_normal(op.shape)
-        cfg = SolverConfig(max_iter=3, record_true_residual=False)
+        cfg = SolverConfig(max_iter=3)
         _, log = pcg(op, h, config=cfg)
         counts = [rec.ops_cum for rec in log.records]
         n = 4 * 5 * 3
@@ -242,7 +232,7 @@ class TestAccounting:
         spec, h = gen_problem1(5, 10)
         op = spec.operator()
         precond = PinvPreconditioner(op)
-        cfg = SolverConfig(max_iter=3, record_true_residual=False)
+        cfg = SolverConfig(max_iter=3)
         _, log = pcg(op, h, precond, config=cfg)
         n = 50
         pinv_apply = cost_model(op.shape, "pinv_apply")
@@ -254,7 +244,7 @@ class TestAccounting:
     def test_stop_tol_checks_are_charged(self):
         op = _mixed_op()
         h = _mixed_rhs(op, seed=17)
-        base = SolverConfig(max_iter=3, record_true_residual=False)
+        base = SolverConfig(max_iter=3)
         checked = SolverConfig(max_iter=3, stop_tol=1e-30)
         _, log_base = pcg(op, h, config=base)
         _, log_checked = pcg(op, h, config=checked)
@@ -290,7 +280,7 @@ def test_log_iterations_property():
     assert log.iterations == 0
     spec, h = gen_problem1(5, 10)
     op = spec.operator()
-    _, full = pcg(op, h, config=SolverConfig(max_iter=7, center_each_iter=True))
+    _, full = pcg(op, h, config=SolverConfig(max_iter=7))
     assert full.iterations == 7
     assert len(full.records) == 8
 
@@ -321,9 +311,9 @@ class TestInPlaceIteration:
         "cfg",
         [
             SolverConfig(max_iter=8, stop_tol=1e-6),
-            SolverConfig(max_iter=8, record_true_residual=False),
+            SolverConfig(max_iter=8),
         ],
-        ids=["stop_tol", "no_true_residual"],
+        ids=["stop_tol", "no_stop_tol"],
     )
     def test_logged_kappa_is_the_indicator_of_each_iterate(self, singular, cfg):
         if singular:
@@ -335,11 +325,7 @@ class TestInPlaceIteration:
         _, log = pcg(op, h, precond, config=cfg)
         assert log.iterations >= 3
         for rec in log.records:
-            step = SolverConfig(
-                max_iter=rec.s,
-                stop_tol=cfg.stop_tol,
-                record_true_residual=cfg.record_true_residual,
-            )
+            step = SolverConfig(max_iter=rec.s, stop_tol=cfg.stop_tol)
             u_s, _ = pcg(op, h, precond, config=step)
             assert rec.kappa == pytest.approx(kappa_indicator(op, h, u_s), rel=1e-12)
 
