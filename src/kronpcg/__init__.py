@@ -17,7 +17,6 @@ from .laplace1d import (
     analytic_spectrum,
     build,
     is_singular_1d,
-    numeric_spectrum,
 )
 from .operators import (
     BoundaryData,
@@ -25,7 +24,6 @@ from .operators import (
     PoissonOperator,
     apply,
     apply_bc_updates,
-    assemble_dense,
     center,
     is_singular,
     nullspace_component,
@@ -46,7 +44,6 @@ from .problems import (
     gen_problem1,
     gen_problem2,
     gen_problem3,
-    run_experiment,
 )
 from .solver import (
     ConvergenceLog,
@@ -54,19 +51,14 @@ from .solver import (
     PCGBreakdown,
     SolverConfig,
     eta_series,
-    kappa_indicator,
     pcg,
-    true_residual,
 )
 from .tensors import (
     frobenius_norm,
     hadamard_pinv,
     inner,
-    kron_assemble,
     linear_transform,
     mode_product,
-    unvec,
-    vec,
 )
 
 __version__ = "0.1.0"

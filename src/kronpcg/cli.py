@@ -3,9 +3,9 @@
 Four subcommands: ``gen`` writes benchmark right-hand sides as KTEN
 files, ``solve`` runs preconditioned conjugate gradients on a KTEN input,
 ``experiment`` reproduces the packaged experiment suites into a directory
-of run logs / CSV / gnuplot series, and ``spectrum`` prints operator
-eigenvalues.  Exit codes: 0 success, 1 usage or input error, 2 solver
-breakdown.
+of run logs / CSV / gnuplot series, and ``spectrum`` prints the
+closed-form operator eigenvalues.  Exit codes: 0 success, 1 usage or
+input error, 2 solver breakdown.
 """
 
 from __future__ import annotations
@@ -16,10 +16,8 @@ import os
 import sys
 from typing import Optional, Sequence
 
-import numpy as np
-
 from . import formats
-from .laplace1d import BoundaryCondition, analytic_spectrum, build, numeric_spectrum
+from .laplace1d import BoundaryCondition, analytic_spectrum
 from .operators import (
     BoundaryData,
     FaceValue,
@@ -28,6 +26,7 @@ from .operators import (
     is_singular,
     nullspace_component,
     poisson_operator,
+    spectra,
     spectrum_sums,
 )
 from .precond import jacobi_standalone, make_preconditioner
@@ -38,7 +37,6 @@ from .problems import (
     gen_problem1,
     gen_problem2,
     gen_problem3,
-    run_experiment,
 )
 from .solver import PCGBreakdown, SolverConfig, pcg
 from .tensors import frobenius_norm
@@ -163,7 +161,6 @@ def build_parser() -> argparse.ArgumentParser:
     spec.add_argument("--n", type=int, help="1D size (with a single --bc value)")
     spec.add_argument("--bc", required=True, help="one condition, or x=...,y=... with --size")
     spec.add_argument("--size", help="grid extents for the sum-spectrum form")
-    spec.add_argument("--analytic", action="store_true", help="use closed-form spectra")
     spec.add_argument("--sums", action="store_true", help="print sum-spectrum extrema")
 
     return parser
@@ -240,19 +237,11 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     except PCGBreakdown as exc:
         u, log = exc.u, exc.log
         code = 2
-    log.meta.update(
-        {
-            "problem": os.path.basename(args.input),
-            "shape": list(op.shape),
-            "bcs": [bc.value for bc in bcs],
-            "preconditioner": precond.describe(),
-            "seed": None,
-        }
-    )
+    log.meta.update(problem=os.path.basename(args.input), seed=None)
     log.warnings[:0] = notes
 
     if args.log:
-        formats.write_run_log(args.log, log, cfg)
+        formats.write_run_log(args.log, log)
     if args.solution:
         formats.write_tensor(args.solution, u)
 
@@ -270,47 +259,44 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     return code
 
 
-def _run_to_files(outdir: str, spec, h, pspec: str, budget: int) -> tuple[dict, str]:
-    """Run one experiment entry, write its series (and run log); return the
-    summary row and the run's label."""
-    stem = os.path.join(outdir, f"{spec.name}_{_slug(pspec)}")
+def _run_to_files(
+    outdir: str, name: str, spec, h, pspec: str, budget: int
+) -> tuple[dict, float]:
+    """Run one experiment entry and write its series (and run log) under
+    ``name``; return its summary row and final relative true residual."""
+    stem = os.path.join(outdir, f"{name}_{_slug(pspec)}")
+    op = spec.operator()
     head, _, omega = pspec.partition(":omega=")
     if head == "jacobi-standalone":
-        result = jacobi_standalone(spec.operator(), h, omega=float(omega), iters=budget)
+        result = jacobi_standalone(op, h, omega=float(omega), iters=budget)
         ops_cum, residuals = result.ops_cum, result.residuals
-        label = f"stand-alone jacobi omega={omega}"
-        reach = 1e-9 * frobenius_norm(h)
-        row = {
-            "problem": spec.name,
-            "preconditioner": f"jacobi-standalone(omega={float(omega):g})",
-            "iters_to_1e-9": next((i for i, r in enumerate(residuals) if r <= reach), ""),
-            "final_true_res": repr(residuals[-1]),
-            "ops_cum": ops_cum[-1],
-        }
-        title = f"{spec.name} {label}: ops vs true residual"
+        label = f"jacobi-standalone(omega={float(omega):g})"
     else:
-        cfg = SolverConfig(max_iter=budget)
-        log = run_experiment(spec, h, [pspec], config=cfg, strict=False)[0]
-        formats.write_run_log(f"{stem}.json", log, cfg)
+        precond = make_preconditioner(op, pspec)
+        try:
+            _, log = pcg(op, h, precond, config=SolverConfig(max_iter=budget))
+        except PCGBreakdown as exc:  # the partial log is kept, noting the breakdown
+            log = exc.log
+        log.meta.update(problem=name, seed=spec.seed)
+        formats.write_run_log(f"{stem}.json", log)
         ops_cum = [rec.ops_cum for rec in log.records]
         residuals = [rec.true_res for rec in log.records]
         label = log.meta["preconditioner"]
-        row = formats.summary_row(log)
-        title = f"{spec.name} {label}: cumulative ops vs true residual"
+    h_norm = frobenius_norm(h)
+    title = f"{name} {label}: cumulative ops vs true residual"
     formats.write_gnuplot_series(f"{stem}.dat", ops_cum, residuals, title)
-    return row, label
+    return formats.summary_row(name, label, ops_cum, residuals, h_norm), residuals[-1] / h_norm
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
     os.makedirs(args.outdir, exist_ok=True)
     rows: list[dict] = []
-    for spec, h, pspec, budget in experiment_runs(args.name, seed=args.seed):
-        row, label = _run_to_files(args.outdir, spec, h, pspec, budget)
+    for name, spec, h, pspec, budget in experiment_runs(args.name, seed=args.seed):
+        row, rel = _run_to_files(args.outdir, name, spec, h, pspec, budget)
         rows.append(row)
         reached = row["iters_to_1e-9"]
-        rel = float(row["final_true_res"]) / frobenius_norm(h)
         print(
-            f"{spec.name} {'x'.join(map(str, spec.shape))} {label}: iterations to 1e-9 = "
+            f"{name} {row['preconditioner']}: iterations to 1e-9 = "
             f"{'not reached' if reached == '' else reached}, final relative residual {rel:.3e}"
         )
     formats.write_csv_summary(os.path.join(args.outdir, "summary.csv"), rows)
@@ -323,10 +309,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
         dims = _parse_size(args.size)
         bcs = _parse_bcs(args.bc, len(dims))
         op = poisson_operator(dims, bcs)
-        decomps = [
-            analytic_spectrum(factor.n, factor.bc) if args.analytic else numeric_spectrum(factor)
-            for factor in op.factors
-        ]
+        decomps = spectra(op)
         for axis, (factor, dec) in enumerate(zip(op.factors, decomps)):
             values = ",".join(f"{v:.12g}" for v in dec.values)
             print(f"axis {_AXES[axis]} ({factor.bc.value}, n={factor.n}): {values}")
@@ -340,9 +323,8 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
         bc = BoundaryCondition(args.bc.strip().lower())
     except ValueError:
         raise UsageError(f"unknown boundary condition {args.bc!r}")
-    dec = analytic_spectrum(args.n, bc) if args.analytic else numeric_spectrum(build(args.n, bc))
     print("k,eigenvalue")
-    for k, value in enumerate(dec.values, start=1):
+    for k, value in enumerate(analytic_spectrum(args.n, bc).values, start=1):
         print(f"{k},{value:.15g}")
     return 0
 

@@ -14,11 +14,11 @@ import csv
 import io
 import json
 import os
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .solver import ConvergenceLog, SolverConfig
+from .solver import ConvergenceLog
 
 __all__ = [
     "write_tensor",
@@ -159,14 +159,14 @@ RUN_LOG_SCHEMA: dict = {
 }
 
 
-def log_to_dict(log: ConvergenceLog, config: Optional[SolverConfig] = None) -> dict:
-    """Flatten a convergence log (plus its run metadata) to a JSON document."""
+def log_to_dict(log: ConvergenceLog) -> dict:
+    """Flatten a convergence log (its run, config and metadata) to a JSON document."""
     meta = log.meta
     final_true = log.records[-1].true_res if log.records else None
     rel = None
     if final_true is not None and log.h_norm > 0.0:
         rel = final_true / log.h_norm
-    cfg = config if config is not None else SolverConfig()
+    cfg = log.config
     return {
         "problem": meta.get("problem"),
         "shape": list(meta.get("shape", [])),
@@ -200,26 +200,23 @@ def log_to_dict(log: ConvergenceLog, config: Optional[SolverConfig] = None) -> d
     }
 
 
-def write_run_log(path: str, log: ConvergenceLog, config: Optional[SolverConfig] = None) -> None:
-    doc = log_to_dict(log, config)
+def write_run_log(path: str, log: ConvergenceLog) -> None:
+    doc = log_to_dict(log)
     _atomic_write_bytes(path, json.dumps(doc, indent=1).encode("ascii"))
 
 
-def summary_row(log: ConvergenceLog, threshold: float = 1e-9) -> dict:
-    """One CSV row: where the run crossed ``threshold`` (relative), and totals."""
-    iters_to = ""
-    if log.h_norm > 0.0:
-        for rec in log.records:
-            if rec.true_res <= threshold * log.h_norm:
-                iters_to = rec.s
-                break
-    last = log.records[-1] if log.records else None
+def summary_row(
+    problem: str, preconditioner: str, ops_cum: Sequence, residuals: Sequence, h_norm: float
+) -> dict:
+    """One CSV row of a run's series: the first step whose true residual is
+    at most ``1e-9 * h_norm`` (empty if none), the final residual and ops."""
+    reach = 1e-9 * h_norm
     return {
-        "problem": log.meta.get("problem", ""),
-        "preconditioner": log.meta.get("preconditioner", ""),
-        "iters_to_1e-9": iters_to,
-        "final_true_res": "" if last is None else repr(last.true_res),
-        "ops_cum": "" if last is None else last.ops_cum,
+        "problem": problem,
+        "preconditioner": preconditioner,
+        "iters_to_1e-9": next((s for s, r in enumerate(residuals) if r <= reach), ""),
+        "final_true_res": repr(residuals[-1]),
+        "ops_cum": ops_cum[-1],
     }
 
 

@@ -19,9 +19,9 @@ the periodic and pure-Neumann variants are singular with the constant
 vector spanning the null space, the other three are positive definite.
 
 Closed-form eigendecompositions exist for all five variants
-(:func:`analytic_spectrum`); they are the package's production source of
-eigenpairs.  The dense symmetric eigensolver (:func:`numeric_spectrum`) is
-kept as the reference they are checked against.
+(:func:`analytic_spectrum`); they are the package's only source of
+eigenpairs.  The test suite checks them against a dense symmetric
+eigensolver.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ __all__ = [
     "is_singular_1d",
     "SpectralDecomposition",
     "analytic_spectrum",
-    "numeric_spectrum",
 ]
 
 
@@ -79,26 +78,12 @@ class Laplacian1D:
     beta: float
     gamma: float
 
-    def dense(self) -> np.ndarray:
-        """Assemble the full ``n x n`` matrix."""
-        n = self.n
-        m = 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
-        m[0, 0] = self.alpha
-        m[n - 1, n - 1] = self.beta
-        m[0, n - 1] = self.gamma
-        m[n - 1, 0] = self.gamma
-        return m
-
     def diagonal(self) -> np.ndarray:
         """Main diagonal as a vector: ``[alpha, 2, ..., 2, beta]``."""
         d = np.full(self.n, 2.0)
         d[0] = self.alpha
         d[-1] = self.beta
         return d
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        """Matrix-vector product via the 3-nonzeros-per-row stencil."""
-        return apply_axis(self, np.asarray(x, dtype=float), axis=0)
 
 
 def build(n: int, bc: BoundaryCondition) -> Laplacian1D:
@@ -108,22 +93,6 @@ def build(n: int, bc: BoundaryCondition) -> Laplacian1D:
     bc = BoundaryCondition(bc)
     alpha, beta, gamma = CORNER_TRIPLES[bc]
     return Laplacian1D(n=n, bc=bc, alpha=alpha, beta=beta, gamma=gamma)
-
-
-def apply_axis(lap: Laplacian1D, x: np.ndarray, axis: int) -> np.ndarray:
-    """Apply ``lap`` along one axis of a tensor using only the stencil.
-
-    This is the sparse path: three multiply-adds per output entry, no
-    assembled matrix.  Works for vectors (``axis=0``) and for 2D/3D tensors.
-    """
-    x = np.ascontiguousarray(x, dtype=float)
-    if x.shape[axis] != lap.n:
-        raise ValueError(
-            f"axis extent {x.shape[axis]} does not match operator size {lap.n}"
-        )
-    out = 2.0 * x
-    add_offdiagonal(lap, x, out, axis)
-    return out
 
 
 def add_offdiagonal(lap: Laplacian1D, x: np.ndarray, out: np.ndarray, axis: int) -> None:
@@ -172,12 +141,6 @@ class SpectralDecomposition:
 
     values: np.ndarray
     vectors: np.ndarray
-
-
-def numeric_spectrum(lap: Laplacian1D) -> SpectralDecomposition:
-    """Dense symmetric eigendecomposition (ascending, orthonormal)."""
-    values, vectors = np.linalg.eigh(lap.dense())
-    return SpectralDecomposition(values=values, vectors=vectors)
 
 
 def analytic_spectrum(n: int, bc: BoundaryCondition) -> SpectralDecomposition:

@@ -3,9 +3,9 @@
 The discrete minus-Laplacian acts on a grid field ``U`` one direction at a
 time: each 1D factor acts along its own tensor mode and the results are
 summed.  In matrix form that is ``(I x L1) + (L2 x I)`` in 2D and the
-three-term analogue in 3D, but the operator is never assembled on the
-solve path; :func:`apply` stays with the three-point stencils, summed in
-place in one output array.
+three-term analogue in 3D, but the operator is never assembled:
+:func:`apply` stays with the three-point stencils, summed in place in one
+output array.
 
 Also here: the null-space utilities (mean-centering and the size of the
 component along the constant tensor) and the right-hand-side updates that
@@ -29,13 +29,12 @@ from .laplace1d import (
     is_singular_1d,
 )
 from .counting import OpCounter
-from .tensors import Shape, kron_assemble
+from .tensors import Shape
 
 __all__ = [
     "PoissonOperator",
     "poisson_operator",
     "apply",
-    "assemble_dense",
     "spectra",
     "spectrum_sums",
     "is_singular",
@@ -45,8 +44,6 @@ __all__ = [
     "BoundaryData",
     "apply_bc_updates",
 ]
-
-ASSEMBLE_LIMIT = 10_000
 
 
 @dataclass(frozen=True)
@@ -106,23 +103,6 @@ def apply(
     if ops is not None:
         ops.add(6 * x.size * op.ndim)
     return out
-
-
-def assemble_dense(op: PoissonOperator) -> np.ndarray:
-    """Assemble the full matrix (test-scale only, total size <= 10^4)."""
-    size = int(np.prod(op.shape))
-    if size > ASSEMBLE_LIMIT:
-        raise ValueError(
-            f"refusing to assemble a {size} x {size} dense operator "
-            f"(limit {ASSEMBLE_LIMIT})"
-        )
-    eyes = [np.eye(f.n) for f in op.factors]
-    total = np.zeros((size, size))
-    for axis, f in enumerate(op.factors):
-        # Kronecker order is last factor leftmost under first-index-fastest vec.
-        mats = [f.dense() if d == axis else eyes[d] for d in range(op.ndim)]
-        total += kron_assemble(list(reversed(mats)))
-    return total
 
 
 def spectra(op: PoissonOperator) -> list[SpectralDecomposition]:

@@ -1,4 +1,4 @@
-"""Benchmark right-hand sides and the experiment runner.
+"""Benchmark right-hand sides and the packaged experiment table.
 
 Three families of charge distributions, mirroring the package's
 demonstration experiments:
@@ -10,7 +10,9 @@ demonstration experiments:
 - ``p3``: two random-valued stripes, a wide positive one and a narrower
   negative one, on fully periodic 2D/3D grids (singular; seeded RNG).
 
-The packaged experiments are one table of runs, :data:`EXPERIMENTS`.
+The packaged experiments are one table of runs, :data:`EXPERIMENTS`;
+:func:`experiment_runs` generates one experiment's inputs and the CLI
+solves them.
 
 Every generated H is normalized so its Frobenius norm is the reciprocal
 of the cell count; singular-system sides are centered first.  The applied
@@ -21,7 +23,7 @@ can be recovered.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -34,8 +36,6 @@ from .operators import (
     center,
     poisson_operator,
 )
-from .precond import make_preconditioner
-from .solver import ConvergenceLog, PCGBreakdown, SolverConfig, pcg
 from .tensors import frobenius_norm
 
 __all__ = [
@@ -46,7 +46,6 @@ __all__ = [
     "P3_VARIANTS",
     "EXPERIMENTS",
     "experiment_runs",
-    "run_experiment",
 ]
 
 P3_VARIANTS: dict[str, tuple[int, ...]] = {
@@ -197,45 +196,6 @@ def gen_problem3(
     return spec, h
 
 
-def run_experiment(
-    spec: ProblemSpec,
-    h: np.ndarray,
-    precond_specs: Sequence[str],
-    config: Optional[SolverConfig] = None,
-    strict: bool = True,
-) -> list[ConvergenceLog]:
-    """Solve one problem under several preconditioners, collecting logs.
-
-    ``precond_specs`` uses the command-line grammar (``none``, ``pinv``,
-    ``jacobi:p=3,omega=1.3``, ``lowrank:r=3``).  With ``strict=False`` a
-    breakdown does not abort the sweep; the partial log (which already
-    carries the breakdown warning) is kept in its place.
-    """
-    op = spec.operator()
-    cfg = config if config is not None else SolverConfig(max_iter=10)
-    logs: list[ConvergenceLog] = []
-    for pspec in precond_specs:
-        precond = make_preconditioner(op, pspec)
-        try:
-            _, log = pcg(op, h, precond, config=cfg)
-        except PCGBreakdown as exc:
-            if strict:
-                raise
-            log = exc.log
-        log.meta.update(
-            {
-                "problem": spec.name,
-                "shape": list(spec.shape),
-                "bcs": [bc.value for bc in spec.bcs],
-                "preconditioner": precond.describe(),
-                "precond_spec": pspec,
-                "seed": spec.seed,
-            }
-        )
-        logs.append(log)
-    return logs
-
-
 _SWEEP = [f"jacobi:p={p},omega={w:g}" for p in (1, 3, 5) for w in (1.0, 1.15, 1.3)]
 _SWEEP += [f"lowrank:r={r}" for r in (1, 2, 3, 4, 7, 10)]
 _P1 = ("p1", 50, 100)
@@ -258,14 +218,22 @@ EXPERIMENTS: dict[str, list[tuple[tuple, str, int]]] = {
 }
 
 
-def experiment_runs(name: str, seed: int = 0) -> list[tuple[ProblemSpec, np.ndarray, str, int]]:
-    """One experiment's runs as (spec, h, preconditioner spec, budget), in
-    table order; each problem is generated once, p3 with ``seed``."""
+def experiment_runs(
+    name: str, seed: int = 0
+) -> list[tuple[str, ProblemSpec, np.ndarray, str, int]]:
+    """One experiment's runs as (label, spec, h, preconditioner spec, budget),
+    in table order; each problem is generated once, p3 with ``seed``.
+
+    The label is the family and the grid shape, e.g. ``p1_500x1000``, so
+    it tells apart the runs of one family at several sizes.
+    """
     gens = {"p1": gen_problem1, "p2": gen_problem2, "p3": lambda v: gen_problem3(v, seed=seed)}
     made: dict[tuple, tuple[ProblemSpec, np.ndarray]] = {}
     runs = []
     for problem, pspec, budget in EXPERIMENTS[name]:
         if problem not in made:
             made[problem] = gens[problem[0]](*problem[1:])
-        runs.append((*made[problem], pspec, budget))
+        spec, h = made[problem]
+        label = f"{problem[0]}_{'x'.join(map(str, spec.shape))}"
+        runs.append((label, spec, h, pspec, budget))
     return runs

@@ -51,9 +51,7 @@ __all__ = [
     "ConvergenceLog",
     "PCGBreakdown",
     "pcg",
-    "kappa_indicator",
     "eta_series",
-    "true_residual",
 ]
 
 _EPS = float(np.finfo(float).eps)  # 2**-52
@@ -104,13 +102,19 @@ class IterationRecord:
 
 @dataclass
 class ConvergenceLog:
-    """Full run history plus the final iterate."""
+    """Full run history plus the final iterate.
+
+    :func:`pcg` fills ``config`` and ``meta`` (``shape``, ``bcs``,
+    ``preconditioner``) with what it ran; callers may add ``problem`` and
+    ``seed``.
+    """
 
     records: list[IterationRecord] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
     u: Optional[np.ndarray] = None
     h_norm: float = 0.0
     breakdown: Optional[str] = None
+    config: SolverConfig = field(default_factory=SolverConfig)
     meta: dict = field(default_factory=dict)
 
     @property
@@ -129,16 +133,6 @@ class PCGBreakdown(Exception):
         super().__init__(f"conjugate-gradient breakdown: {reason}")
 
 
-def kappa_indicator(op, h: np.ndarray, u: np.ndarray) -> float:
-    """Quadratic-form error indicator ``<u, Lu> - 2<u, h>``.
-
-    Up to the constant ``<u*, Lu*>`` this is the squared operator-norm
-    error of ``u``, so its minimizer over a run marks the best iterate
-    even though the constant itself is unknown.
-    """
-    return inner(u, op_mod.apply(op, u)) - 2.0 * inner(u, h)
-
-
 def eta_series(kappas, first_iter_residual: Optional[float]) -> np.ndarray:
     """Scaled error-indicator series ``alpha*sqrt(kappa - min kappa) + eps``.
 
@@ -154,11 +148,6 @@ def eta_series(kappas, first_iter_residual: Optional[float]) -> np.ndarray:
     if first_iter_residual is not None and k.size > 1 and eta[1] > _EPS:
         alpha = first_iter_residual / eta[1]
     return alpha * eta + _EPS
-
-
-def true_residual(op, h: np.ndarray, u: np.ndarray) -> float:
-    """Frobenius norm of ``h - Lu``, recomputed from scratch."""
-    return frobenius_norm(h - op_mod.apply(op, u))
 
 
 def _counted_true_residual(h: np.ndarray, lu: np.ndarray, ops: Optional[OpCounter]) -> float:
@@ -241,7 +230,15 @@ def pcg(
     if not np.isfinite(u).all():
         raise ValueError("initial guess has non-finite entries")
 
-    log = ConvergenceLog(h_norm=h_norm)
+    log = ConvergenceLog(
+        h_norm=h_norm,
+        config=cfg,
+        meta={
+            "shape": list(op.shape),
+            "bcs": [bc.value for bc in op.bcs],
+            "preconditioner": precond.describe(),
+        },
+    )
     # Buffers of the in-place loop (p is copied from the first z below).
     r = np.empty(op.shape)
     w = np.empty(op.shape)

@@ -3,15 +3,13 @@
 Grid fields are plain numpy arrays of shape ``(n, q)`` or ``(n, q, t)``.
 The linearization convention throughout the package is first-index-fastest:
 entry ``(i, j, k)`` sits at flat position ``i + n*j + n*q*k``, which is
-numpy's Fortran order.  ``vec`` is therefore a reshape, not a copy, whenever
-the array is already F-contiguous, and ``vec(mode_product(M, l, T))`` agrees
-with multiplying ``vec(T)`` by the matching Kronecker-factor matrix built by
-:func:`kron_assemble`.
+numpy's Fortran order.  Under it, the mode product ``M x_l T`` flattens to
+the matching Kronecker-factor matrix times the flattened ``T``; the test
+suite's dense references check exactly that.
 """
 
 from __future__ import annotations
 
-from functools import reduce
 from typing import Sequence
 
 import numpy as np
@@ -20,14 +18,11 @@ Shape = tuple[int, ...]
 
 __all__ = [
     "Shape",
-    "vec",
-    "unvec",
     "mode_product",
     "linear_transform",
     "inner",
     "frobenius_norm",
     "hadamard_pinv",
-    "kron_assemble",
 ]
 
 
@@ -35,20 +30,6 @@ def _check_ndim(t: np.ndarray) -> np.ndarray:
     if t.ndim not in (2, 3):
         raise ValueError(f"expected a 2D or 3D tensor, got ndim={t.ndim}")
     return t
-
-
-def vec(t: np.ndarray) -> np.ndarray:
-    """Flatten ``t`` to a vector in first-index-fastest order."""
-    return np.asarray(t, dtype=float).reshape(-1, order="F")
-
-
-def unvec(v: np.ndarray, shape: Shape) -> np.ndarray:
-    """Inverse of :func:`vec`: reinterpret a flat vector as a tensor."""
-    v = np.asarray(v, dtype=float)
-    size = int(np.prod(shape))
-    if v.ndim != 1 or v.size != size:
-        raise ValueError(f"cannot unvec array of size {v.size} into shape {shape}")
-    return v.reshape(shape, order="F")
 
 
 def mode_product(m: np.ndarray, mode: int, t: np.ndarray) -> np.ndarray:
@@ -117,19 +98,3 @@ def hadamard_pinv(x: np.ndarray, tol: float = 1e-13) -> np.ndarray:
     mask = np.abs(x) > tol
     out[mask] = 1.0 / x[mask]
     return out
-
-
-def kron_assemble(factors: Sequence[np.ndarray]) -> np.ndarray:
-    """Kronecker product of a list of matrices, left to right.
-
-    With the first-index-fastest vec convention, ``kron_assemble([B, A])``
-    applied to ``vec(U)`` equals ``vec(A @ U @ B.T)``, and
-    ``kron_assemble([C, B, A])`` matches the 3D transform ``(A, B, C | U)``.
-    """
-    if len(factors) == 0:
-        raise ValueError("kron_assemble needs at least one factor")
-    mats = [np.asarray(f, dtype=float) for f in factors]
-    for m in mats:
-        if m.ndim != 2:
-            raise ValueError("kron_assemble factors must be matrices")
-    return reduce(np.kron, mats)

@@ -5,14 +5,81 @@ eigendecompositions, textbook recurrences on flat vectors.  The package
 must agree with these on problems small enough to afford them.
 """
 
+from functools import reduce
+
 import numpy as np
 
-from kronpcg.laplace1d import BoundaryCondition
-from kronpcg.operators import poisson_operator
+from kronpcg.laplace1d import BoundaryCondition, SpectralDecomposition
+from kronpcg.operators import apply, poisson_operator
 from kronpcg.precond import Preconditioner
+from kronpcg.tensors import inner
 
 ALL_BCS = tuple(BoundaryCondition)
 SINGULAR_BCS = (BoundaryCondition.PERIODIC, BoundaryCondition.NEUMANN)
+ASSEMBLE_LIMIT = 10_000
+
+
+def vec(t):
+    """Flatten ``t`` to a vector in first-index-fastest order."""
+    return np.asarray(t, dtype=float).reshape(-1, order="F")
+
+
+def unvec(v, shape):
+    """Inverse of :func:`vec`: reinterpret a flat vector as a tensor."""
+    v = np.asarray(v, dtype=float)
+    if v.ndim != 1 or v.size != int(np.prod(shape)):
+        raise ValueError(f"cannot unvec array of size {v.size} into shape {shape}")
+    return v.reshape(shape, order="F")
+
+
+def kron_assemble(factors):
+    """Kronecker product of a list of matrices, left to right.
+
+    With the first-index-fastest ``vec``, ``kron_assemble([B, A]) @ vec(U)``
+    equals ``vec(A @ U @ B.T)``, and ``kron_assemble([C, B, A])`` matches
+    the 3D transform ``(A, B, C | U)``.
+    """
+    return reduce(np.kron, [np.asarray(f, dtype=float) for f in factors])
+
+
+def dense_1d(lap):
+    """The full ``n x n`` matrix of a 1D factor."""
+    n = lap.n
+    m = 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
+    m[0, 0] = lap.alpha
+    m[n - 1, n - 1] = lap.beta
+    m[0, n - 1] = m[n - 1, 0] = lap.gamma
+    return m
+
+
+def numeric_spectrum(lap):
+    """Dense symmetric eigendecomposition of a 1D factor (ascending, orthonormal)."""
+    values, vectors = np.linalg.eigh(dense_1d(lap))
+    return SpectralDecomposition(values=values, vectors=vectors)
+
+
+def assemble_dense(op):
+    """The full matrix of a grid operator (total size at most ``ASSEMBLE_LIMIT``)."""
+    size = int(np.prod(op.shape))
+    if size > ASSEMBLE_LIMIT:
+        raise ValueError(f"refusing to assemble a {size} x {size} dense operator")
+    eyes = [np.eye(f.n) for f in op.factors]
+    total = np.zeros((size, size))
+    for axis, f in enumerate(op.factors):
+        # Kronecker order is last factor leftmost under first-index-fastest vec.
+        mats = [dense_1d(f) if d == axis else eyes[d] for d in range(op.ndim)]
+        total += kron_assemble(mats[::-1])
+    return total
+
+
+def kappa_indicator(op, h, u):
+    """Quadratic-form error indicator ``<u, Lu> - 2<u, h>``, from scratch.
+
+    Up to the constant ``<u*, Lu*>`` this is the squared operator-norm
+    error of ``u``, so its minimizer over a run marks the best iterate
+    even though the constant itself is unknown.
+    """
+    return inner(u, apply(op, u)) - 2.0 * inner(u, h)
 
 
 def dense_pseudoinverse(a, tol=1e-13):

@@ -11,17 +11,11 @@ import time
 import numpy as np
 import pytest
 
-from conftest import ALL_BCS, dense_pcg, random_operator
+from conftest import ALL_BCS, assemble_dense, dense_pcg, numeric_spectrum, random_operator
 from kronpcg.counting import OpCounter
-from kronpcg.laplace1d import (
-    BoundaryCondition,
-    analytic_spectrum,
-    build,
-    numeric_spectrum,
-)
+from kronpcg.laplace1d import BoundaryCondition, analytic_spectrum, build
 from kronpcg.operators import (
     apply as apply_operator,
-    assemble_dense,
     nullspace_component,
     poisson_operator,
     spectrum_sums,

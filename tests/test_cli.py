@@ -191,7 +191,7 @@ def test_solve_applies_face_flags(tmp_path):
 
 
 def test_spectrum_one_dimensional_output(capsys):
-    assert cli.main(["spectrum", "--n", "5", "--bc", "dirichlet", "--analytic"]) == 0
+    assert cli.main(["spectrum", "--n", "5", "--bc", "dirichlet"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0] == "k,eigenvalue"
     got = [float(line.split(",")[1]) for line in lines[1:]]
@@ -219,13 +219,13 @@ def test_experiment_exp1_compares_cg_with_stationary_jacobi(tmp_path, capsys):
     outdir = tmp_path / "exp1"
     assert cli.main(["experiment", "--name", "exp1", "--outdir", str(outdir)]) == 0
     out = capsys.readouterr().out
-    assert "stand-alone jacobi omega=1.0" in out
+    assert "jacobi-standalone(omega=1)" in out
     rows = _read_summary(outdir / "summary.csv")
     assert len(rows) == 4  # plain CG plus three damping choices
     cg = float(rows[0]["final_true_res"])
     for row in rows[1:]:
         assert float(row["final_true_res"]) > cg
-    assert (outdir / "p1_none.dat").exists()
+    assert (outdir / "p1_50x100_none.dat").exists()
 
 
 def test_experiment_exp2_sweeps_preconditioners(tmp_path, capsys):
@@ -249,12 +249,41 @@ def test_experiment_exp2_sweeps_preconditioners(tmp_path, capsys):
         assert doc["final_norms"]["relative_true_residual"] <= 1e-12, doc["preconditioner"]
 
 
-def test_experiment_exp3_runs_the_spectral_preconditioner_everywhere(tmp_path, capsys):
-    outdir = tmp_path / "exp3"
+@pytest.fixture(scope="module")
+def exp3_dir(tmp_path_factory):
+    outdir = tmp_path_factory.mktemp("exp3")
     assert cli.main(["experiment", "--name", "exp3", "--outdir", str(outdir)]) == 0
-    capsys.readouterr()
-    rows = _read_summary(outdir / "summary.csv")
+    return outdir
+
+
+def test_experiment_exp3_runs_the_spectral_preconditioner_everywhere(exp3_dir):
+    rows = _read_summary(exp3_dir / "summary.csv")
     assert len(rows) == 9  # four stripe grids, the band problem, four random variants
     for row in rows:
         assert row["iters_to_1e-9"] != ""
         assert int(row["iters_to_1e-9"]) <= 3
+
+
+def test_experiment_exp3_keeps_every_run_apart(exp3_dir):
+    """The four stripe grids share a family; the grid shape in each run's
+    label keeps their files and summary rows apart."""
+    problems = [row["problem"] for row in _read_summary(exp3_dir / "summary.csv")]
+    assert len(set(problems)) == 9
+    assert "p1_500x1000" in problems
+    assert len(list(exp3_dir.glob("*.json"))) == 9
+    assert len(list(exp3_dir.glob("*.dat"))) == 9
+
+
+def test_experiment_entry_keeps_the_log_of_a_breakdown(tmp_path, monkeypatch):
+    """An indefinite preconditioner does not abort the suite: the entry
+    writes its partial log, marked as a breakdown."""
+    monkeypatch.setattr(
+        cli, "make_preconditioner", lambda op, spec: Negated(make_preconditioner(op, spec))
+    )
+    spec, h = gen_problem1(50, 100)
+    cli._run_to_files(str(tmp_path), "p1_50x100", spec, h, "pinv", 50)
+    doc = json.loads((tmp_path / "p1_50x100_pinv.json").read_text())
+    jsonschema.validate(doc, RUN_LOG_SCHEMA)
+    assert doc["breakdown"] == "indefinite"
+    assert (doc["problem"], doc["shape"], doc["bcs"]) == ("p1_50x100", [50, 100], ["periodic"] * 2)
+    assert 0 < len(doc["iterations"]) - 1 < 50

@@ -15,7 +15,7 @@ from kronpcg.formats import (
     write_tensor,
 )
 from kronpcg.precond import PinvPreconditioner
-from kronpcg.problems import gen_problem1, run_experiment
+from kronpcg.problems import gen_problem1
 from kronpcg.solver import SolverConfig, pcg
 
 
@@ -76,21 +76,33 @@ def test_read_tensor_rejects_a_non_finite_payload(tmp_path, bad):
         read_tensor(str(path))
 
 
-def _sample_log(max_iter=5):
+def _sample_log(max_iter=5, stop_tol=None):
     spec, h = gen_problem1(5, 10)
-    cfg = SolverConfig(max_iter=max_iter)
-    (log,) = run_experiment(spec, h, ["pinv"], config=cfg)
-    return log, cfg
+    op = spec.operator()
+    _, log = pcg(op, h, PinvPreconditioner(op), config=SolverConfig(max_iter, stop_tol))
+    log.meta.update(problem=spec.name, seed=spec.seed)
+    return log
+
+
+def _sample_row(log):
+    ops_cum = [rec.ops_cum for rec in log.records]
+    residuals = [rec.true_res for rec in log.records]
+    return summary_row("p1", log.meta["preconditioner"], ops_cum, residuals, log.h_norm)
 
 
 def test_log_document_validates_against_the_schema():
-    log, cfg = _sample_log()
-    doc = log_to_dict(log, cfg)
+    log = _sample_log()
+    doc = log_to_dict(log)
     jsonschema.validate(doc, RUN_LOG_SCHEMA)
     assert doc["problem"] == "p1"
     assert doc["config"] == {"max_iter": 5, "stop_tol": None}
     assert len(doc["iterations"]) == len(log.records)
     assert doc["final_norms"]["relative_true_residual"] <= 1e-12
+
+
+def test_log_records_the_config_of_its_run():
+    doc = log_to_dict(_sample_log(max_iter=3, stop_tol=1e-6))
+    assert doc["config"] == {"max_iter": 3, "stop_tol": 1e-6}
 
 
 def test_log_without_metadata_still_validates():
@@ -103,25 +115,23 @@ def test_log_without_metadata_still_validates():
 def test_log_with_the_old_centering_key_still_validates():
     """Logs written before centering became the operator's call carry
     ``config.center_each_iter``; the schema must keep accepting them."""
-    log, cfg = _sample_log()
-    doc = log_to_dict(log, cfg)
+    doc = log_to_dict(_sample_log())
     for old_value in (None, True, False):
         doc["config"]["center_each_iter"] = old_value
         jsonschema.validate(doc, RUN_LOG_SCHEMA)
 
 
 def test_write_run_log_round_trips_through_json(tmp_path):
-    log, cfg = _sample_log()
     path = tmp_path / "run.json"
-    write_run_log(str(path), log, cfg)
+    write_run_log(str(path), _sample_log())
     doc = json.loads(path.read_text())
     jsonschema.validate(doc, RUN_LOG_SCHEMA)
     assert doc["iterations"][0]["s"] == 0
 
 
 def test_summary_row_reports_the_crossing():
-    log, _ = _sample_log()
-    row = summary_row(log)
+    log = _sample_log()
+    row = _sample_row(log)
     assert row["problem"] == "p1"
     assert row["iters_to_1e-9"] == 1
     assert float(row["final_true_res"]) <= 1e-9
@@ -129,9 +139,9 @@ def test_summary_row_reports_the_crossing():
 
 
 def test_csv_summary_has_header_and_rows(tmp_path):
-    log, _ = _sample_log()
+    row = _sample_row(_sample_log())
     path = tmp_path / "summary.csv"
-    write_csv_summary(str(path), [summary_row(log), summary_row(log)])
+    write_csv_summary(str(path), [row, row])
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "problem,preconditioner,iters_to_1e-9,final_true_res,ops_cum"
     assert len(lines) == 3

@@ -1,13 +1,16 @@
-"""The benchmark's runtime tracer still finds the names it wraps.
+"""The benchmark harness still runs against the package.
 
 ``perfbench/layertrace.py`` wraps kronpcg functions by name from outside
 the package, so renaming one of them breaks every traced benchmark run.
 This test imports the tracer by path, only reading ``perfbench/``, and
-traces one small solve.
+traces one small solve.  ``perfbench/run.py`` calls the package's public
+API; one short run of it must solve without a failure.
 """
 
 import importlib.util
 import inspect
+import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -20,7 +23,8 @@ from kronpcg.operators import center, poisson_operator
 from kronpcg.precond import PinvPreconditioner
 from kronpcg.solver import SolverConfig, pcg
 
-LAYERTRACE = Path(__file__).resolve().parents[1] / "perfbench" / "layertrace.py"
+ROOT = Path(__file__).resolve().parents[1]
+LAYERTRACE = ROOT / "perfbench" / "layertrace.py"
 
 
 @pytest.fixture(scope="module")
@@ -60,3 +64,17 @@ def test_a_traced_solve_records_the_true_residual_span(layertrace):
     assert stats["solver.true_residual"].calls == records
     assert stats["precond.apply"].calls == records
     assert stats["operators.apply"].calls == records + log.iterations + 1
+
+
+def test_the_benchmark_harness_solves_a_workload():
+    argv = ["--workload", "p2-2d-mixed-pinv", "--seed", "0", "--seconds", "0", "--trace", "0"]
+    done = subprocess.run(
+        [sys.executable, "perfbench/run.py", *argv],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    summary = json.loads(done.stdout.splitlines()[-1])
+    assert summary["failed"] == 0, done.stdout

@@ -1,23 +1,20 @@
 import numpy as np
 import pytest
 
-from conftest import random_operator
+from conftest import ASSEMBLE_LIMIT, assemble_dense, random_operator, unvec, vec
 from kronpcg.counting import OpCounter
 from kronpcg.laplace1d import BoundaryCondition
 from kronpcg.operators import (
-    ASSEMBLE_LIMIT,
     BoundaryData,
     FaceValue,
     apply,
     apply_bc_updates,
-    assemble_dense,
     center,
     is_singular,
     nullspace_component,
     poisson_operator,
     spectrum_sums,
 )
-from kronpcg.tensors import unvec, vec
 
 BC = BoundaryCondition
 

@@ -1,11 +1,20 @@
 import numpy as np
 import pytest
 
-from conftest import dense_jacobi_matrix, dense_pseudoinverse, random_operator
+from conftest import (
+    assemble_dense,
+    dense_jacobi_matrix,
+    dense_pseudoinverse,
+    kron_assemble,
+    numeric_spectrum,
+    random_operator,
+    unvec,
+    vec,
+)
 from kronpcg import operators as op_mod
 from kronpcg.counting import OpCounter, cost_model
-from kronpcg.laplace1d import BoundaryCondition, analytic_spectrum, numeric_spectrum
-from kronpcg.operators import assemble_dense, poisson_operator, spectrum_sums
+from kronpcg.laplace1d import BoundaryCondition, analytic_spectrum
+from kronpcg.operators import poisson_operator, spectrum_sums
 from kronpcg.precond import (
     IdentityPreconditioner,
     JacobiPreconditioner,
@@ -14,7 +23,7 @@ from kronpcg.precond import (
     jacobi_standalone,
     make_preconditioner,
 )
-from kronpcg.tensors import hadamard_pinv, inner, kron_assemble, unvec, vec
+from kronpcg.tensors import hadamard_pinv, inner
 
 BC = BoundaryCondition
 

@@ -1,19 +1,11 @@
 import numpy as np
 import pytest
 
-from conftest import Negated
 from kronpcg import problems
 from kronpcg.laplace1d import BoundaryCondition
 from kronpcg.operators import BoundaryData, FaceValue, apply_bc_updates
-from kronpcg.precond import make_preconditioner
-from kronpcg.problems import (
-    P3_VARIANTS,
-    gen_problem1,
-    gen_problem2,
-    gen_problem3,
-    run_experiment,
-)
-from kronpcg.solver import PCGBreakdown, SolverConfig
+from kronpcg.problems import P3_VARIANTS, gen_problem1, gen_problem2, gen_problem3
+from kronpcg.solver import SolverConfig
 
 BC = BoundaryCondition
 
@@ -146,36 +138,3 @@ class TestProblem3:
         with pytest.raises(ValueError):
             gen_problem3("4d_hypercube")
 
-
-class TestRunExperiment:
-    def test_meta_is_stamped_on_every_log(self):
-        spec, h = gen_problem1(5, 10)
-        logs = run_experiment(spec, h, ["none", "pinv"], config=SolverConfig(max_iter=4))
-        assert len(logs) == 2
-        for log, pspec in zip(logs, ["none", "pinv"]):
-            assert log.meta["problem"] == "p1"
-            assert log.meta["shape"] == [5, 10]
-            assert log.meta["bcs"] == ["periodic", "periodic"]
-            assert log.meta["precond_spec"] == pspec
-
-    def test_default_budget_is_ten_iterations(self):
-        spec, h = gen_problem1(5, 10)
-        (log,) = run_experiment(spec, h, ["none"])
-        assert log.iterations == 10
-
-    def test_strict_mode_propagates_breakdowns(self, monkeypatch):
-        """A genuinely indefinite preconditioner breaks the run down; strict
-        mode raises, the lenient sweep keeps the partial log."""
-        monkeypatch.setattr(
-            problems,
-            "make_preconditioner",
-            lambda op, spec: Negated(make_preconditioner(op, spec)),
-        )
-        spec, h = gen_problem1(50, 100)
-        cfg = SolverConfig(max_iter=50)
-        with pytest.raises(PCGBreakdown):
-            run_experiment(spec, h, ["pinv"], config=cfg, strict=True)
-        (log,) = run_experiment(spec, h, ["pinv"], config=cfg, strict=False)
-        assert log.breakdown == "indefinite"
-        assert log.meta["precond_spec"] == "pinv"
-        assert 0 < log.iterations < 50

@@ -1,16 +1,8 @@
 import numpy as np
 import pytest
 
-from kronpcg.tensors import (
-    frobenius_norm,
-    hadamard_pinv,
-    inner,
-    kron_assemble,
-    linear_transform,
-    mode_product,
-    unvec,
-    vec,
-)
+from conftest import kron_assemble, unvec, vec
+from kronpcg.tensors import frobenius_norm, hadamard_pinv, inner, linear_transform, mode_product
 
 
 def test_vec_is_first_index_fastest():
