@@ -18,10 +18,18 @@ All five are symmetric positive semidefinite with spectrum inside [0, 4];
 the periodic and pure-Neumann variants are singular with the constant
 vector spanning the null space, the other three are positive definite.
 
-Closed-form eigendecompositions exist for all five variants
-(:func:`analytic_spectrum`); they are the package's only source of
-eigenpairs.  The test suite checks them against a dense symmetric
-eigensolver.
+One closed-form rule gives the eigenpairs of all five variants
+(:func:`analytic_spectrum`), the package's only source of eigenpairs.
+A corner of 2 is a Dirichlet end, a corner of 1 a Neumann end.  With
+``d`` Dirichlet ends the angles are ``theta_k = pi*(k + d/2)/(n + d/2)``,
+``k = 0..n-1``, and on a periodic line ``theta_k = 2*pi*k/n``.  The
+eigenvalues are ``2 - 2*cos(theta_k)``, and the eigenvectors are the
+sampled cosines ``cos(theta_k*(j - s) - phi)``, ``j = 1..n``, where the
+first end sets the sampling shift and phase: ``s = 1/2, phi = 0`` after
+a Neumann end, ``s = 0, phi = pi/2`` (a sine) after a Dirichlet end.  A
+periodic line takes ``phi = pi/4``, the Hartley basis ``cos + sin``, in
+which the equal-eigenvalue columns ``k`` and ``n - k`` are orthogonal.
+The test suite checks the rule against a dense symmetric eigensolver.
 """
 
 from __future__ import annotations
@@ -70,19 +78,15 @@ def is_singular_1d(bc: BoundaryCondition) -> bool:
 
 @dataclass(frozen=True)
 class Laplacian1D:
-    """A 1D minus-Laplacian: size, boundary kind, and the corner triple."""
+    """A 1D minus-Laplacian: size and boundary kind (corners in ``CORNER_TRIPLES``)."""
 
     n: int
     bc: BoundaryCondition
-    alpha: float
-    beta: float
-    gamma: float
 
     def diagonal(self) -> np.ndarray:
-        """Main diagonal as a vector: ``[alpha, 2, ..., 2, beta]``."""
+        """Main diagonal as a vector: ``[first corner, 2, ..., 2, last corner]``."""
         d = np.full(self.n, 2.0)
-        d[0] = self.alpha
-        d[-1] = self.beta
+        d[0], d[-1], _ = CORNER_TRIPLES[self.bc]
         return d
 
 
@@ -90,9 +94,7 @@ def build(n: int, bc: BoundaryCondition) -> Laplacian1D:
     """Construct the 1D operator for a grid direction of ``n >= 3`` points."""
     if n < 3:
         raise ValueError(f"1D operator needs n >= 3, got n={n}")
-    bc = BoundaryCondition(bc)
-    alpha, beta, gamma = CORNER_TRIPLES[bc]
-    return Laplacian1D(n=n, bc=bc, alpha=alpha, beta=beta, gamma=gamma)
+    return Laplacian1D(n=n, bc=BoundaryCondition(bc))
 
 
 def add_offdiagonal(lap: Laplacian1D, x: np.ndarray, out: np.ndarray, axis: int) -> None:
@@ -125,14 +127,15 @@ def add_offdiagonal(lap: Laplacian1D, x: np.ndarray, out: np.ndarray, axis: int)
                 saved += coef * x[at(col)]
         out[at(face)] = saved
 
+    first_corner, last_corner, corner = CORNER_TRIPLES[lap.bc]
     step = prod(x.shape[axis + 1 :])
     xf, of = x.reshape(-1), out.reshape(-1)
     first = out[at(0)].copy()
     of[step:] -= xf[:-step]
-    put_back(0, first, ((lap.alpha - 2.0, 0), (lap.gamma, -1)))
+    put_back(0, first, ((first_corner - 2.0, 0), (corner, -1)))
     last = out[at(-1)].copy()
     of[:-step] -= xf[step:]
-    put_back(-1, last, ((lap.beta - 2.0, -1), (lap.gamma, 0)))
+    put_back(-1, last, ((last_corner - 2.0, -1), (corner, 0)))
 
 
 @dataclass(frozen=True)
@@ -144,62 +147,43 @@ class SpectralDecomposition:
 
 
 def analytic_spectrum(n: int, bc: BoundaryCondition) -> SpectralDecomposition:
-    """Closed-form eigendecomposition of the 1D operator.
+    """Closed-form eigendecomposition of the 1D operator, by one rule.
 
-    Eigenvalues come out ascending with eigenvector columns permuted
-    consistently; the doubled periodic eigenvalues keep their cosine/sine
-    vectors, cleaned by one Gram-Schmidt pass per degenerate pair.
+    With ``d`` Dirichlet ends the angles are ``theta_k = pi*(k + d/2)/(n + d/2)``,
+    on a periodic line ``theta_k = 2*pi*k/n``; the eigenvalues are
+    ``2 - 2*cos(theta_k)`` and column ``k`` is ``cos(theta_k*(j - s) - phi)``
+    for ``j = 1..n``, normalized.  ``s = 1/2`` after a Neumann first end and
+    0 otherwise; ``phi = pi/2`` after a Dirichlet first end, 0 after a
+    Neumann one, and ``pi/4`` on a periodic line, where it gives the Hartley
+    basis ``cos + sin``: columns ``k`` and ``n - k`` share an eigenvalue and
+    are orthogonal with no extra pass.
+
+    Every angle is ``pi*a/D`` for integers ``a`` and ``D``, so every phase
+    is an integer multiple of ``pi/(4*D)`` and all entries are gathered
+    from one table of cosines.  Columns are built in ascending eigenvalue
+    order (periodic: ``k = 0, n-1, 1, n-2, 2, ...``) and come out
+    C-contiguous.
     """
     if n < 3:
         raise ValueError(f"1D operator needs n >= 3, got n={n}")
-    bc = BoundaryCondition(bc)
-    j = np.arange(1, n + 1, dtype=float)
-
-    if bc is BoundaryCondition.DIRICHLET:
-        k = np.arange(1, n + 1, dtype=float)
-        values = 2.0 - 2.0 * np.cos(k * np.pi / (n + 1))
-        vectors = np.sin(np.outer(j, k) * np.pi / (n + 1))
-    elif bc is BoundaryCondition.NEUMANN:
-        k = np.arange(1, n + 1, dtype=float)
-        values = 2.0 - 2.0 * np.cos((k - 1.0) * np.pi / n)
-        vectors = np.cos(np.outer(j - 0.5, k - 1.0) * np.pi / n)
-    elif bc is BoundaryCondition.DIRICHLET_NEUMANN:
-        k = np.arange(1, n + 1, dtype=float)
-        theta = (2.0 * k - 1.0) * np.pi / (2 * n + 1)
-        values = 2.0 - 2.0 * np.cos(theta)
-        vectors = np.sin(np.outer(j, theta) - k * np.pi)
-    elif bc is BoundaryCondition.NEUMANN_DIRICHLET:
-        k = np.arange(1, n + 1, dtype=float)
-        theta = (2.0 * k - 1.0) * np.pi / (2 * n + 1)
-        values = 2.0 - 2.0 * np.cos(theta)
-        vectors = np.cos(np.outer(j - 0.5, theta))
-    elif bc is BoundaryCondition.PERIODIC:
-        cols = [np.ones(n)]
-        vals = [0.0]
-        for k in range(1, (n - 1) // 2 + 1):
-            lam = 2.0 - 2.0 * np.cos(2.0 * np.pi * k / n)
-            cols.append(np.cos(2.0 * np.pi * k * j / n))
-            cols.append(np.sin(2.0 * np.pi * k * j / n))
-            vals.extend([lam, lam])
-        if n % 2 == 0:
-            # The (4, alternating) pair exists only on even grids.
-            cols.append((-1.0) ** j)
-            vals.append(4.0)
-        values = np.array(vals)
-        vectors = np.column_stack(cols)
-    else:  # pragma: no cover - enum is exhaustive
-        raise ValueError(f"unknown boundary condition {bc}")
-
-    vectors = vectors / np.linalg.norm(vectors, axis=0)
-    if bc is BoundaryCondition.PERIODIC:
-        # One modified Gram-Schmidt step inside each doubled eigenvalue.
-        for k in range(1, (n - 1) // 2 + 1):
-            c = vectors[:, 2 * k - 1]
-            s = vectors[:, 2 * k]
-            s = s - np.dot(c, s) * c
-            vectors[:, 2 * k] = s / np.linalg.norm(s)
-
-    order = np.argsort(values, kind="stable")
-    # C order, as eigh returns: the gather gives F order, measured slower in pinv.
-    vectors = np.ascontiguousarray(vectors[:, order])
-    return SpectralDecomposition(values=values[order], vectors=vectors)
+    first, last, corner = CORNER_TRIPLES[BoundaryCondition(bc)]
+    m = np.arange(n)
+    if corner == -1.0:
+        # Column pairs k = n - a/2, a/2 share the eigenvalue of a = 2*min(k, n-k);
+        # the angle of k = n - a/2 is that of -a, modulo the period.
+        a_value = 2 * ((m + 1) // 2)
+        a_column = np.where(m % 2 == 1, -a_value, a_value)
+        denom, shift2, phase4 = n, 0, 1
+    else:
+        dirichlet_ends = int(first == 2.0) + int(last == 2.0)
+        a_value = a_column = 2 * m + dirichlet_ends
+        denom = 2 * n + dirichlet_ends
+        shift2 = int(first == 1.0)  # 2*s
+        phase4 = 2 * int(first == 2.0)  # phi in units of pi/4
+    period = 8 * denom
+    cosines = np.cos(np.arange(period) * np.pi / (4 * denom))
+    values = 2.0 - 2.0 * cosines[4 * a_value]
+    j2 = 2 * np.arange(1, n + 1) - shift2
+    vectors = cosines[(np.outer(j2, 2 * a_column) - phase4 * denom) % period]
+    vectors /= np.linalg.norm(vectors, axis=0)
+    return SpectralDecomposition(values=values, vectors=vectors)

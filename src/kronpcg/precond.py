@@ -26,7 +26,7 @@ import numpy as np
 
 from . import operators as op_mod
 from .counting import OpCounter
-from .tensors import frobenius_norm, hadamard_pinv, linear_transform
+from .tensors import NULL_MODE_TOL, frobenius_norm, hadamard_pinv, linear_transform
 
 __all__ = [
     "Preconditioner",
@@ -40,14 +40,12 @@ __all__ = [
     "NULL_MODE_TOL",
 ]
 
-NULL_MODE_TOL = 1e-13
-
 
 def _spectral_setup(op) -> tuple[list[np.ndarray], np.ndarray]:
     """Per-direction eigenbases and the entrywise pseudoinverse of the sums."""
     decomps = op_mod.spectra(op)
     sums = op_mod.spectrum_sums(op, decomps)
-    return [d.vectors for d in decomps], hadamard_pinv(sums, NULL_MODE_TOL)
+    return [d.vectors for d in decomps], hadamard_pinv(sums)
 
 
 class Preconditioner:
@@ -145,12 +143,13 @@ class PinvPreconditioner(Preconditioner):
     def __init__(self, op):
         self.op = op
         self.bases, self.ghat = _spectral_setup(op)
-        self.bases_t = [v.T.copy() for v in self.bases]
         # Eigenvalue-sum tensor and its reciprocal: (ndim-1)+1 ops per entry.
         self.init_cost = op.ndim * int(np.prod(op.shape))
 
     def apply(self, r: np.ndarray, ops: Optional[OpCounter] = None) -> np.ndarray:
-        f = linear_transform(self.bases_t, r)
+        # The bases are C-ordered, so their transposes are F-ordered views
+        # that GEMM reads in place: no transposed copies are kept.
+        f = linear_transform([v.T for v in self.bases], r)
         f *= self.ghat
         z = linear_transform(self.bases, f)
         if ops is not None:

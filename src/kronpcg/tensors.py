@@ -23,7 +23,11 @@ __all__ = [
     "inner",
     "frobenius_norm",
     "hadamard_pinv",
+    "NULL_MODE_TOL",
 ]
+
+# Eigenvalue sums at or below this magnitude count as null modes.
+NULL_MODE_TOL = 1e-13
 
 
 def _check_ndim(t: np.ndarray) -> np.ndarray:
@@ -91,10 +95,10 @@ def frobenius_norm(x: np.ndarray) -> float:
     return float(np.linalg.norm(np.asarray(x, dtype=float)))
 
 
-def hadamard_pinv(x: np.ndarray, tol: float = 1e-13) -> np.ndarray:
-    """Entrywise pseudoinverse: ``1/x`` where ``|x| > tol``, else 0."""
+def hadamard_pinv(x: np.ndarray) -> np.ndarray:
+    """Entrywise pseudoinverse: ``1/x`` where ``|x| > NULL_MODE_TOL``, else 0."""
     x = np.asarray(x, dtype=float)
     out = np.zeros_like(x)
-    mask = np.abs(x) > tol
+    mask = np.abs(x) > NULL_MODE_TOL
     out[mask] = 1.0 / x[mask]
     return out

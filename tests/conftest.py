@@ -9,7 +9,7 @@ from functools import reduce
 
 import numpy as np
 
-from kronpcg.laplace1d import BoundaryCondition, SpectralDecomposition
+from kronpcg.laplace1d import CORNER_TRIPLES, BoundaryCondition, SpectralDecomposition
 from kronpcg.operators import apply, poisson_operator
 from kronpcg.precond import Preconditioner
 from kronpcg.tensors import inner
@@ -46,9 +46,10 @@ def dense_1d(lap):
     """The full ``n x n`` matrix of a 1D factor."""
     n = lap.n
     m = 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
-    m[0, 0] = lap.alpha
-    m[n - 1, n - 1] = lap.beta
-    m[0, n - 1] = m[n - 1, 0] = lap.gamma
+    first, last, corner = CORNER_TRIPLES[lap.bc]
+    m[0, 0] = first
+    m[n - 1, n - 1] = last
+    m[0, n - 1] = m[n - 1, 0] = corner
     return m
 
 

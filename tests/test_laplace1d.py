@@ -10,6 +10,8 @@ from kronpcg.laplace1d import (
     build,
     is_singular_1d,
 )
+from kronpcg.operators import poisson_operator
+from kronpcg.precond import PinvPreconditioner
 
 BC = BoundaryCondition
 
@@ -75,10 +77,10 @@ def test_analytic_spectrum_matches_numeric(bc, n):
     # Same operator either way.
     dense = dense_1d(build(n, bc))
     recon = (ana.vectors * ana.values) @ ana.vectors.T
-    assert np.allclose(recon, dense, atol=1e-12)
+    assert np.allclose(recon, dense, atol=1e-13)
     # Orthonormal columns, ascending values.
     gram = ana.vectors.T @ ana.vectors
-    assert np.allclose(gram, np.eye(n), atol=1e-12)
+    assert np.allclose(gram, np.eye(n), atol=1e-13)
     assert np.all(np.diff(ana.values) >= -1e-14)
 
 
@@ -94,9 +96,20 @@ def test_periodic_even_grid_has_simple_top_eigenvalue(n):
     values = analytic_spectrum(n, BC.PERIODIC).values
     assert values[-1] == pytest.approx(4.0, abs=1e-13)
     assert np.sum(np.isclose(values, 4.0, atol=1e-10)) == 1
-    # Everything strictly between 0 and 4 comes in cosine/sine pairs.
+    # Everything strictly between 0 and 4 comes in (k, n-k) Hartley pairs.
     interior = values[(values > 1e-10) & (values < 4.0 - 1e-10)]
     assert interior.size % 2 == 0
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_bases_come_c_ordered_with_exact_periodic_pairs(n):
+    """Periodic pairs are exactly equal; pinv applies the C-ordered bases in place."""
+    values = analytic_spectrum(n, BC.PERIODIC).values
+    pairs = values[1 : n - (n + 1) % 2].reshape(-1, 2)
+    assert np.array_equal(pairs[:, 0], pairs[:, 1])
+    assert all(analytic_spectrum(n, bc).vectors.flags.c_contiguous for bc in ALL_BCS)
+    op = poisson_operator((n, 5), (BC.PERIODIC, BC.DIRICHLET_NEUMANN))
+    assert all(v.flags.c_contiguous for v in PinvPreconditioner(op).bases)
 
 
 @pytest.mark.parametrize("n", [5, 7, 9])
