@@ -2,8 +2,9 @@
 
 The package solves finite-difference Poisson equations on 2D/3D
 rectangular grids without ever assembling the system matrix: the operator
-lives as one small 1D matrix per direction, applied through tensor mode
-products.  Five boundary treatments per direction, three structure-aware
+is the grid shape plus one boundary condition per direction, applied as
+in-place three-point stencils, and the spectral preconditioners work
+through tensor mode products.  Five boundary treatments per direction, three structure-aware
 preconditioner families, hardware-independent operation accounting, and a
 CLI for generating benchmark problems and reproducing the packaged
 experiments.
@@ -12,10 +13,8 @@ experiments.
 from .counting import OpCounter, cost_model
 from .laplace1d import (
     BoundaryCondition,
-    Laplacian1D,
     SpectralDecomposition,
     analytic_spectrum,
-    build,
     is_singular_1d,
 )
 from .operators import (

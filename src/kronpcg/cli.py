@@ -310,9 +310,9 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
         bcs = _parse_bcs(args.bc, len(dims))
         op = poisson_operator(dims, bcs)
         decomps = spectra(op)
-        for axis, (factor, dec) in enumerate(zip(op.factors, decomps)):
+        for axis, (n, bc, dec) in enumerate(zip(op.shape, op.bcs, decomps)):
             values = ",".join(f"{v:.12g}" for v in dec.values)
-            print(f"axis {_AXES[axis]} ({factor.bc.value}, n={factor.n}): {values}")
+            print(f"axis {_AXES[axis]} ({bc.value}, n={n}): {values}")
         if args.sums:
             sums = spectrum_sums(op, decomps)
             print(f"sum-spectrum min {sums.min():.12g} max {sums.max():.12g}")

@@ -17,6 +17,10 @@ neumann-dirichlet      1      2      0
 All five are symmetric positive semidefinite with spectrum inside [0, 4];
 the periodic and pure-Neumann variants are singular with the constant
 vector spanning the null space, the other three are positive definite.
+A 1D operator is just its size ``n`` and its boundary condition, and
+``CORNER_TRIPLES`` is the one table of what each condition means: the
+stencil, the diagonal, the singularity test (both end rows sum to zero)
+and the face values an end accepts (:func:`face_kinds`) all read it.
 
 One closed-form rule gives the eigenpairs of all five variants
 (:func:`analytic_spectrum`), the package's only source of eigenpairs.
@@ -37,15 +41,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from math import prod
+from typing import Optional
 
 import numpy as np
 
 __all__ = [
     "BoundaryCondition",
     "CORNER_TRIPLES",
-    "Laplacian1D",
-    "build",
     "is_singular_1d",
+    "face_kinds",
+    "diagonal",
     "SpectralDecomposition",
     "analytic_spectrum",
 ]
@@ -72,33 +77,32 @@ CORNER_TRIPLES: dict[BoundaryCondition, tuple[float, float, float]] = {
 
 
 def is_singular_1d(bc: BoundaryCondition) -> bool:
-    """True iff the 1D operator with this boundary handling is singular."""
-    return bc in (BoundaryCondition.PERIODIC, BoundaryCondition.NEUMANN)
+    """True iff the constants are in the null space: both end rows sum to zero."""
+    first, last, corner = CORNER_TRIPLES[BoundaryCondition(bc)]
+    return first + corner == 1.0 == last + corner
 
 
-@dataclass(frozen=True)
-class Laplacian1D:
-    """A 1D minus-Laplacian: size and boundary kind (corners in ``CORNER_TRIPLES``)."""
+def face_kinds(bc: BoundaryCondition) -> tuple[Optional[str], Optional[str]]:
+    """The (begin, end) face-value kinds a direction with this handling accepts.
 
-    n: int
-    bc: BoundaryCondition
-
-    def diagonal(self) -> np.ndarray:
-        """Main diagonal as a vector: ``[first corner, 2, ..., 2, last corner]``."""
-        d = np.full(self.n, 2.0)
-        d[0], d[-1], _ = CORNER_TRIPLES[self.bc]
-        return d
+    A Dirichlet end (corner 2) takes a potential and a Neumann end
+    (corner 1) a field; a periodic line (wrap corner -1) has no faces.
+    """
+    first, last, corner = CORNER_TRIPLES[BoundaryCondition(bc)]
+    if corner != 0.0:
+        return None, None
+    return tuple("potential" if c == 2.0 else "field" for c in (first, last))
 
 
-def build(n: int, bc: BoundaryCondition) -> Laplacian1D:
-    """Construct the 1D operator for a grid direction of ``n >= 3`` points."""
-    if n < 3:
-        raise ValueError(f"1D operator needs n >= 3, got n={n}")
-    return Laplacian1D(n=n, bc=BoundaryCondition(bc))
+def diagonal(n: int, bc: BoundaryCondition) -> np.ndarray:
+    """Main diagonal as a vector: ``[first corner, 2, ..., 2, last corner]``."""
+    d = np.full(n, 2.0)
+    d[0], d[-1], _ = CORNER_TRIPLES[BoundaryCondition(bc)]
+    return d
 
 
-def add_offdiagonal(lap: Laplacian1D, x: np.ndarray, out: np.ndarray, axis: int) -> None:
-    """Add ``(lap - 2I) x`` along ``axis`` into ``out``, in place.
+def add_offdiagonal(bc: BoundaryCondition, x: np.ndarray, out: np.ndarray, axis: int) -> None:
+    """Add ``(L - 2I) x`` along ``axis`` into ``out``, in place, for the 1D ``L`` of ``bc``.
 
     With the ``2x`` diagonal already in ``out`` this completes the stencil.
     ``x`` and ``out`` must be C-contiguous, of one shape, and apart in
@@ -127,7 +131,7 @@ def add_offdiagonal(lap: Laplacian1D, x: np.ndarray, out: np.ndarray, axis: int)
                 saved += coef * x[at(col)]
         out[at(face)] = saved
 
-    first_corner, last_corner, corner = CORNER_TRIPLES[lap.bc]
+    first_corner, last_corner, corner = CORNER_TRIPLES[bc]
     step = prod(x.shape[axis + 1 :])
     xf, of = x.reshape(-1), out.reshape(-1)
     first = out[at(0)].copy()

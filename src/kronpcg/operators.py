@@ -5,7 +5,8 @@ time: each 1D factor acts along its own tensor mode and the results are
 summed.  In matrix form that is ``(I x L1) + (L2 x I)`` in 2D and the
 three-term analogue in 3D, but the operator is never assembled:
 :func:`apply` stays with the three-point stencils, summed in place in one
-output array.
+output array.  A factor is fixed by its extent and boundary condition, so
+an operator is just the grid shape and one condition per direction.
 
 Also here: the null-space utilities (mean-centering and the size of the
 component along the constant tensor) and the right-hand-side updates that
@@ -21,15 +22,14 @@ import numpy as np
 
 from .laplace1d import (
     BoundaryCondition,
-    Laplacian1D,
     SpectralDecomposition,
     add_offdiagonal,
     analytic_spectrum,
-    build,
+    face_kinds,
     is_singular_1d,
 )
 from .counting import OpCounter
-from .tensors import Shape
+from .tensors import Shape, outer_sum
 
 __all__ = [
     "PoissonOperator",
@@ -48,21 +48,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PoissonOperator:
-    """A 2D/3D minus-Laplacian as a tuple of 1D factors, one per direction."""
+    """A 2D/3D minus-Laplacian: the grid shape and one boundary condition per direction."""
 
-    factors: tuple[Laplacian1D, ...]
+    shape: Shape
+    bcs: tuple[BoundaryCondition, ...]
 
     @property
     def ndim(self) -> int:
-        return len(self.factors)
-
-    @property
-    def shape(self) -> Shape:
-        return tuple(f.n for f in self.factors)
-
-    @property
-    def bcs(self) -> tuple[BoundaryCondition, ...]:
-        return tuple(f.bc for f in self.factors)
+        return len(self.shape)
 
 
 def poisson_operator(
@@ -73,7 +66,9 @@ def poisson_operator(
         raise ValueError(f"grid must be 2D or 3D, got {len(dims)} dims")
     if len(bcs) != len(dims):
         raise ValueError("need one boundary condition per direction")
-    return PoissonOperator(tuple(build(n, bc) for n, bc in zip(dims, bcs)))
+    if min(dims) < 3:
+        raise ValueError(f"every direction needs n >= 3, got {tuple(dims)}")
+    return PoissonOperator(tuple(dims), tuple(BoundaryCondition(bc) for bc in bcs))
 
 
 def apply(
@@ -98,8 +93,8 @@ def apply(
     if x.shape != op.shape:
         raise ValueError(f"tensor shape {x.shape} does not match grid {op.shape}")
     out = np.multiply(x, 2.0 * op.ndim, out=out)
-    for axis, f in enumerate(op.factors):
-        add_offdiagonal(f, x, out, axis)
+    for axis, bc in enumerate(op.bcs):
+        add_offdiagonal(bc, x, out, axis)
     if ops is not None:
         ops.add(6 * x.size * op.ndim)
     return out
@@ -107,7 +102,7 @@ def apply(
 
 def spectra(op: PoissonOperator) -> list[SpectralDecomposition]:
     """Closed-form eigendecompositions of the 1D factors, one per direction."""
-    return [analytic_spectrum(f.n, f.bc) for f in op.factors]
+    return [analytic_spectrum(n, bc) for n, bc in zip(op.shape, op.bcs)]
 
 
 def spectrum_sums(
@@ -122,18 +117,15 @@ def spectrum_sums(
     """
     if decomps is None:
         decomps = spectra(op)
-    value_lists = [np.asarray(d.values, dtype=float) for d in decomps]
+    value_lists = [d.values for d in decomps]
     if len(value_lists) != op.ndim:
         raise ValueError("need one decomposition per direction")
-    out = value_lists[0]
-    for vals in value_lists[1:]:
-        out = np.add.outer(out, vals)
-    return out
+    return outer_sum(value_lists)
 
 
 def is_singular(op: PoissonOperator) -> bool:
     """True iff every direction is singular (then the constants are the null space)."""
-    return all(is_singular_1d(f.bc) for f in op.factors)
+    return all(is_singular_1d(bc) for bc in op.bcs)
 
 
 def center(
@@ -175,7 +167,7 @@ class BoundaryData:
 
     ``faces[axis] = (begin, end)``; a ``None`` entry means no update on
     that face.  Which kind a face accepts is dictated by the direction's
-    boundary condition (periodic directions accept none).
+    boundary condition (:func:`kronpcg.laplace1d.face_kinds`).
     """
 
     faces: tuple[tuple[Optional[FaceValue], Optional[FaceValue]], ...]
@@ -183,16 +175,6 @@ class BoundaryData:
     @classmethod
     def none(cls, ndim: int) -> "BoundaryData":
         return cls(tuple((None, None) for _ in range(ndim)))
-
-
-# Expected (begin, end) face kinds per boundary condition; None = face closed.
-_FACE_KINDS: dict[BoundaryCondition, tuple[Optional[str], Optional[str]]] = {
-    BoundaryCondition.PERIODIC: (None, None),
-    BoundaryCondition.DIRICHLET: ("potential", "potential"),
-    BoundaryCondition.NEUMANN: ("field", "field"),
-    BoundaryCondition.DIRICHLET_NEUMANN: ("potential", "field"),
-    BoundaryCondition.NEUMANN_DIRICHLET: ("field", "potential"),
-}
 
 
 def apply_bc_updates(
@@ -209,11 +191,9 @@ def apply_bc_updates(
     if len(data.faces) != h.ndim or len(bcs) != h.ndim:
         raise ValueError("boundary data and conditions must cover every direction")
     for axis, (bc, (begin, end)) in enumerate(zip(bcs, data.faces)):
-        allowed = _FACE_KINDS[BoundaryCondition(bc)]
-        for pos, face in (("begin", begin), ("end", end)):
+        for pos, face, expected in zip(("begin", "end"), (begin, end), face_kinds(bc)):
             if face is None:
                 continue
-            expected = allowed[0] if pos == "begin" else allowed[1]
             if expected is None:
                 raise ValueError(
                     f"direction {axis} ({BoundaryCondition(bc).value}) accepts no "

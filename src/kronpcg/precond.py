@@ -26,7 +26,8 @@ import numpy as np
 
 from . import operators as op_mod
 from .counting import OpCounter
-from .tensors import NULL_MODE_TOL, frobenius_norm, hadamard_pinv, linear_transform
+from .laplace1d import diagonal
+from .tensors import frobenius_norm, hadamard_pinv, linear_transform, outer_sum
 
 __all__ = [
     "Preconditioner",
@@ -37,7 +38,6 @@ __all__ = [
     "make_preconditioner",
     "StationaryResult",
     "jacobi_standalone",
-    "NULL_MODE_TOL",
 ]
 
 
@@ -73,16 +73,16 @@ class IdentityPreconditioner(Preconditioner):
 class JacobiPreconditioner(Preconditioner):
     """``p`` damped-Jacobi sweeps on the splitting ``L = omega*D + O``.
 
-    The weighted diagonal of the grid operator is the tensor of
-    per-direction diagonal sums scaled by ``omega``; the off part per
+    The weighted diagonal of the grid operator is the Kronecker sum of the
+    per-direction diagonals scaled by ``omega``; the off part per
     direction is ``O(L) = L - omega*diag(L)``, so a sweep reuses the
     stencil apply:
 
         ``x_j = Dhat^-1 (r - apply(op, x_{j-1}) + Dhat x_{j-1})``
 
     with ``x_0 = 0`` (the first sweep collapses to ``Dhat^-1 r``).
-    ``omega < 1`` is rejected; ``omega`` slightly above 1 trades speed per
-    sweep for robustness.  Each sweep after the first counts
+    ``omega`` must be finite and at least 1; ``omega`` slightly above 1
+    trades speed per sweep for robustness.  Each sweep after the first counts
     ``6*N*ndim + 4*N`` elementary ops, the first counts ``N``.  The sweeps
     run in place in the returned array and one scratch buffer owned by the
     instance, so one instance serves one solve at a time.
@@ -93,16 +93,12 @@ class JacobiPreconditioner(Preconditioner):
     def __init__(self, op, p: int = 1, omega: float = 1.0):
         if p < 1:
             raise ValueError(f"jacobi needs p >= 1 sweeps, got {p}")
-        if omega < 1.0:
-            raise ValueError(f"jacobi damping needs omega >= 1, got {omega}")
+        if not (np.isfinite(omega) and omega >= 1.0):
+            raise ValueError(f"jacobi damping needs a finite omega >= 1, got {omega}")
         self.op = op
         self.p = int(p)
         self.omega = float(omega)
-        diag_sum = np.zeros(op.shape)
-        for axis, f in enumerate(op.factors):
-            shape = [1] * op.ndim
-            shape[axis] = f.n
-            diag_sum = diag_sum + f.diagonal().reshape(shape)
+        diag_sum = outer_sum([diagonal(n, bc) for n, bc in zip(op.shape, op.bcs)])
         self.dhat = self.omega * diag_sum
         self.dhat_inv = 1.0 / self.dhat
         self._work = np.empty(op.shape)  # sweep scratch, reused by every apply
@@ -118,14 +114,22 @@ class JacobiPreconditioner(Preconditioner):
             ops.add(r.size)
         f = self._work
         for _ in range(self.p - 1):
-            # f = r - L x + Dhat x, then x = Dhat^-1 f, all in place.
             op_mod.apply(self.op, x, ops, out=f)
             np.subtract(r, f, out=f)
-            f += np.multiply(self.dhat, x, out=x)
-            np.multiply(self.dhat_inv, f, out=x)
-            if ops is not None:
-                ops.add(4 * r.size)
+            self.relax(x, f, ops)
         return x
+
+    def relax(self, x: np.ndarray, res: np.ndarray, ops: Optional[OpCounter] = None) -> None:
+        """One relaxation step in place, given the residual ``res = r - L x``.
+
+        ``x <- Dhat^-1 (res + Dhat x)``, charged ``4*N`` ops together with
+        the subtraction that formed ``res``.
+        """
+        x *= self.dhat
+        x += res
+        x *= self.dhat_inv
+        if ops is not None:
+            ops.add(4 * x.size)
 
 
 class PinvPreconditioner(Preconditioner):
@@ -270,23 +274,19 @@ def jacobi_standalone(
     """
     if iters < 0:
         raise ValueError("iters must be nonnegative")
-    sweep = JacobiPreconditioner(op, p=1, omega=omega)
+    jacobi = JacobiPreconditioner(op, p=1, omega=omega)
     h = np.asarray(h, dtype=float)
     x = np.zeros(op.shape)
     r = np.empty(op.shape)
     ops = OpCounter()
-    ops.add(sweep.init_cost)
+    ops.add(jacobi.init_cost)
     res = StationaryResult(x=x)
     np.subtract(h, op_mod.apply(op, x, out=r), out=r)
     res0 = frobenius_norm(r)
     res.residuals.append(res0)
     res.ops_cum.append(ops.count)
     for _ in range(iters):
-        # x = Dhat^-1 (h - L x + Dhat x), in place.
-        x *= sweep.dhat
-        x += r
-        x *= sweep.dhat_inv
-        ops.add(4 * x.size)
+        jacobi.relax(x, r, ops)
         np.subtract(h, op_mod.apply(op, x, ops, out=r), out=r)
         res_norm = frobenius_norm(r)
         res.residuals.append(res_norm)

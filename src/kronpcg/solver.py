@@ -39,13 +39,11 @@ from typing import Optional
 import numpy as np
 
 from . import operators as op_mod
-from .counting import OpCounter, cost_model
+from .counting import OpCounter
 from .precond import IdentityPreconditioner, Preconditioner
 from .tensors import frobenius_norm, inner
 
 __all__ = [
-    "OpCounter",
-    "cost_model",
     "SolverConfig",
     "IterationRecord",
     "ConvergenceLog",
@@ -82,6 +80,8 @@ class SolverConfig:
     def __post_init__(self) -> None:
         if self.max_iter < 0:
             raise ValueError("max_iter must be nonnegative")
+        if self.stop_tol is not None and not (np.isfinite(self.stop_tol) and self.stop_tol > 0):
+            raise ValueError(f"stop_tol must be finite and positive, got {self.stop_tol}")
 
 
 @dataclass
@@ -222,7 +222,7 @@ def pcg(
             )
 
     ops = OpCounter()
-    ops.add(getattr(precond, "init_cost", 0))
+    ops.add(precond.init_cost)
 
     u = np.zeros(op.shape) if u0 is None else np.array(u0, dtype=float, order="C")
     if u.shape != op.shape:

@@ -20,6 +20,7 @@ __all__ = [
     "Shape",
     "mode_product",
     "linear_transform",
+    "outer_sum",
     "inner",
     "frobenius_norm",
     "hadamard_pinv",
@@ -78,6 +79,18 @@ def linear_transform(mats: Sequence[np.ndarray], t: np.ndarray) -> np.ndarray:
     out = t
     for axis, m in enumerate(mats):
         out = mode_product(m, axis + 1, out)
+    return out
+
+
+def outer_sum(vectors: Sequence[np.ndarray]) -> np.ndarray:
+    """Kronecker-sum tensor of per-direction vectors: ``a[i] + b[j] (+ c[k])``.
+
+    Entry ``(i, j[, k])`` sums the ``i``-th, ``j``-th (and ``k``-th) entries;
+    the sums are taken left to right.
+    """
+    out = np.asarray(vectors[0], dtype=float)
+    for v in vectors[1:]:
+        out = np.add.outer(out, v)
     return out
 
 

@@ -42,20 +42,19 @@ def kron_assemble(factors):
     return reduce(np.kron, [np.asarray(f, dtype=float) for f in factors])
 
 
-def dense_1d(lap):
-    """The full ``n x n`` matrix of a 1D factor."""
-    n = lap.n
+def dense_1d(n, bc):
+    """The full ``n x n`` matrix of the 1D factor with boundary condition ``bc``."""
     m = 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
-    first, last, corner = CORNER_TRIPLES[lap.bc]
+    first, last, corner = CORNER_TRIPLES[bc]
     m[0, 0] = first
     m[n - 1, n - 1] = last
     m[0, n - 1] = m[n - 1, 0] = corner
     return m
 
 
-def numeric_spectrum(lap):
+def numeric_spectrum(n, bc):
     """Dense symmetric eigendecomposition of a 1D factor (ascending, orthonormal)."""
-    values, vectors = np.linalg.eigh(dense_1d(lap))
+    values, vectors = np.linalg.eigh(dense_1d(n, bc))
     return SpectralDecomposition(values=values, vectors=vectors)
 
 
@@ -64,11 +63,11 @@ def assemble_dense(op):
     size = int(np.prod(op.shape))
     if size > ASSEMBLE_LIMIT:
         raise ValueError(f"refusing to assemble a {size} x {size} dense operator")
-    eyes = [np.eye(f.n) for f in op.factors]
+    eyes = [np.eye(n) for n in op.shape]
     total = np.zeros((size, size))
-    for axis, f in enumerate(op.factors):
+    for axis, (n, bc) in enumerate(zip(op.shape, op.bcs)):
         # Kronecker order is last factor leftmost under first-index-fastest vec.
-        mats = [dense_1d(f) if d == axis else eyes[d] for d in range(op.ndim)]
+        mats = [dense_1d(n, bc) if d == axis else eyes[d] for d in range(op.ndim)]
         total += kron_assemble(mats[::-1])
     return total
 

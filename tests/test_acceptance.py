@@ -13,7 +13,7 @@ import pytest
 
 from conftest import ALL_BCS, assemble_dense, dense_pcg, numeric_spectrum, random_operator
 from kronpcg.counting import OpCounter
-from kronpcg.laplace1d import BoundaryCondition, analytic_spectrum, build
+from kronpcg.laplace1d import BoundaryCondition, analytic_spectrum
 from kronpcg.operators import (
     apply as apply_operator,
     nullspace_component,
@@ -46,7 +46,7 @@ def test_criterion_01_analytic_spectra_match_numeric():
     for bc in ALL_BCS:
         for n in (3, 5, 8, 50, 200):
             ana = analytic_spectrum(n, bc)
-            num = numeric_spectrum(build(n, bc))
+            num = numeric_spectrum(n, bc)
             worst = max(worst, float(np.max(np.abs(ana.values - num.values))))
             lo = min(lo, float(ana.values[0]))
             hi = max(hi, float(ana.values[-1]))

@@ -143,6 +143,26 @@ def test_solve_rejects_a_non_finite_rhs_with_exit_one(tmp_path, capsys, gen, siz
     assert "not finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flag",
+    [
+        "--tol=nan",
+        "--tol=inf",
+        "--tol=-1",
+        "--tol=0",
+        "--precond=jacobi:omega=nan",
+        "--precond=jacobi:omega=inf",
+    ],
+)
+def test_solve_rejects_bad_numbers_with_exit_one(tmp_path, capsys, flag):
+    _, h = gen_problem1(6, 8)
+    rhs = tmp_path / "rhs.kten"
+    write_tensor(str(rhs), h)
+    argv = ["solve", "--input", str(rhs), "--bc", "x=periodic,y=periodic", "--max-iter", "5"]
+    assert cli.main(argv + [flag]) == 1
+    capsys.readouterr()
+
+
 def test_solve_reports_breakdown_with_exit_two(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(
         cli, "make_preconditioner", lambda op, spec: Negated(make_preconditioner(op, spec))

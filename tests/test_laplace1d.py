@@ -7,7 +7,6 @@ from kronpcg.laplace1d import (
     BoundaryCondition,
     add_offdiagonal,
     analytic_spectrum,
-    build,
     is_singular_1d,
 )
 from kronpcg.operators import poisson_operator
@@ -16,17 +15,17 @@ from kronpcg.precond import PinvPreconditioner
 BC = BoundaryCondition
 
 
-def _stencil(lap, x, axis):
-    """``lap`` applied along ``axis`` through the in-place stencil kernel."""
+def _stencil(bc, x, axis):
+    """The 1D operator of ``bc`` applied along ``axis`` through the in-place stencil kernel."""
     out = 2.0 * x
-    add_offdiagonal(lap, x, out, axis)
+    add_offdiagonal(bc, x, out, axis)
     return out
 
 
 @pytest.mark.parametrize("bc", ALL_BCS)
 def test_dense_structure(bc):
     n = 6
-    m = dense_1d(build(n, bc))
+    m = dense_1d(n, bc)
     alpha, beta, gamma = CORNER_TRIPLES[bc]
     assert np.array_equal(m, m.T)
     assert m[0, 0] == alpha
@@ -45,25 +44,24 @@ def test_dense_structure(bc):
 def test_build_rejects_small_grids():
     for n in (0, 1, 2):
         with pytest.raises(ValueError):
-            build(n, BC.DIRICHLET)
+            poisson_operator((n, 5), (BC.DIRICHLET, BC.DIRICHLET))
 
 
 @pytest.mark.parametrize("bc", ALL_BCS)
 def test_apply_matches_dense_matvec(bc):
     rng = np.random.default_rng(3)
-    lap = build(9, bc)
     x = rng.standard_normal(9)
-    assert np.allclose(_stencil(lap, x, 0), dense_1d(lap) @ x, atol=1e-14)
+    assert np.allclose(_stencil(bc, x, 0), dense_1d(9, bc) @ x, atol=1e-14)
 
 
 @pytest.mark.parametrize("axis", [0, 1, 2])
 def test_stencil_hits_one_direction_of_a_tensor(axis):
     rng = np.random.default_rng(5)
     shape = (4, 5, 6)
-    lap = build(shape[axis], BC.NEUMANN_DIRICHLET)
+    bc = BC.NEUMANN_DIRICHLET
     x = rng.standard_normal(shape)
-    got = _stencil(lap, x, axis)
-    want = np.apply_along_axis(lambda fiber: dense_1d(lap) @ fiber, axis, x)
+    got = _stencil(bc, x, axis)
+    want = np.apply_along_axis(lambda fiber: dense_1d(shape[axis], bc) @ fiber, axis, x)
     assert np.allclose(got, want, atol=1e-13)
 
 
@@ -72,10 +70,10 @@ def test_stencil_hits_one_direction_of_a_tensor(axis):
 def test_analytic_spectrum_matches_numeric(bc, n):
     """Closed forms and the dense eigensolver must agree to near rounding."""
     ana = analytic_spectrum(n, bc)
-    num = numeric_spectrum(build(n, bc))
+    num = numeric_spectrum(n, bc)
     assert np.allclose(ana.values, num.values, atol=1e-12)
     # Same operator either way.
-    dense = dense_1d(build(n, bc))
+    dense = dense_1d(n, bc)
     recon = (ana.vectors * ana.values) @ ana.vectors.T
     assert np.allclose(recon, dense, atol=1e-13)
     # Orthonormal columns, ascending values.
@@ -121,7 +119,7 @@ def test_periodic_odd_grid_has_no_alternating_mode(n):
 
 @pytest.mark.parametrize("bc", ALL_BCS)
 def test_singularity_flag_matches_spectrum(bc):
-    values = numeric_spectrum(build(10, bc)).values
+    values = numeric_spectrum(10, bc).values
     has_null = bool(np.abs(values).min() < 1e-12)
     assert is_singular_1d(bc) == has_null
     if has_null:

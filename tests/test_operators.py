@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import ASSEMBLE_LIMIT, assemble_dense, random_operator, unvec, vec
+from conftest import ASSEMBLE_LIMIT, assemble_dense, dense_1d, random_operator, unvec, vec
 from kronpcg.counting import OpCounter
 from kronpcg.laplace1d import BoundaryCondition
 from kronpcg.operators import (
@@ -159,6 +159,24 @@ def test_apply_bc_updates_validates_kinds():
     closed_face = BoundaryData(((None, None), (FaceValue("potential", 1.0), None)))
     with pytest.raises(ValueError):
         apply_bc_updates(h, bcs, closed_face)
+
+
+@pytest.mark.parametrize("bc", list(BC))
+def test_each_end_takes_the_face_kind_its_matrix_row_implies(bc):
+    """Wrap entry: no face value; end row sum 1: a potential; end row sum 0: a field."""
+    m = dense_1d(5, bc)
+    h = np.zeros((5, 4))
+    for end, row in ((0, m[0]), (-1, m[-1])):
+        expected = None if m[0, -1] != 0.0 else {1.0: "potential", 0.0: "field"}[row.sum()]
+        for kind in ("potential", "field"):
+            faces = (FaceValue(kind, 1.0), None) if end == 0 else (None, FaceValue(kind, 1.0))
+            data = BoundaryData((faces, (None, None)))
+            if kind == expected:
+                out = apply_bc_updates(h, (bc, BC.PERIODIC), data)
+                assert np.all(out[end] == 1.0) and out.sum() == 4.0
+            else:
+                with pytest.raises(ValueError):
+                    apply_bc_updates(h, (bc, BC.PERIODIC), data)
 
 
 def test_apply_bc_updates_needs_full_coverage():

@@ -34,13 +34,13 @@ def _periodic_op(n, q):
 
 SPECTRUM_SOURCES = {
     "numeric": numeric_spectrum,
-    "analytic": lambda f: analytic_spectrum(f.n, f.bc),
+    "analytic": analytic_spectrum,
 }
 
 
 def _kron_spectral_pinv(op, spectrum):
     """Dense pseudoinverse assembled from per-direction eigenpairs."""
-    decomps = [spectrum(f) for f in op.factors]
+    decomps = [spectrum(n, bc) for n, bc in zip(op.shape, op.bcs)]
     v = kron_assemble([d.vectors for d in reversed(decomps)])
     return (v * hadamard_pinv(vec(spectrum_sums(op, decomps)))) @ v.T
 
@@ -110,8 +110,9 @@ class TestJacobi:
         op = _periodic_op(4, 5)
         with pytest.raises(ValueError):
             JacobiPreconditioner(op, p=0)
-        with pytest.raises(ValueError):
-            JacobiPreconditioner(op, omega=0.9)
+        for omega in (0.9, np.nan, np.inf):
+            with pytest.raises(ValueError):
+                JacobiPreconditioner(op, omega=omega)
 
     def test_sweep_op_costs(self):
         op = _periodic_op(5, 6)

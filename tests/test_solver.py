@@ -110,6 +110,12 @@ def test_shape_validation():
         SolverConfig(max_iter=-1)
 
 
+@pytest.mark.parametrize("stop_tol", [np.nan, np.inf, -1.0, 0.0])
+def test_stop_tol_must_be_finite_and_positive(stop_tol):
+    with pytest.raises(ValueError, match="stop_tol"):
+        SolverConfig(max_iter=5, stop_tol=stop_tol)
+
+
 @pytest.mark.parametrize(
     "h_bad, u0_bad",
     [(np.nan, None), (np.inf, None), (None, np.nan)],
