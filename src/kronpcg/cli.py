@@ -235,9 +235,9 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     try:
         u, log = pcg(op, h, precond, config=cfg)
     except PCGBreakdown as exc:
-        u, log = exc.u, exc.log
+        u, log = exc.log.u, exc.log
         code = 2
-    log.meta.update(problem=os.path.basename(args.input), seed=None)
+    log.problem = os.path.basename(args.input)
     log.warnings[:0] = notes
 
     if args.log:
@@ -277,11 +277,11 @@ def _run_to_files(
             _, log = pcg(op, h, precond, config=SolverConfig(max_iter=budget))
         except PCGBreakdown as exc:  # the partial log is kept, noting the breakdown
             log = exc.log
-        log.meta.update(problem=name, seed=spec.seed)
+        log.problem, log.seed = name, spec.seed
         formats.write_run_log(f"{stem}.json", log)
         ops_cum = [rec.ops_cum for rec in log.records]
         residuals = [rec.true_res for rec in log.records]
-        label = log.meta["preconditioner"]
+        label = log.preconditioner
     h_norm = frobenius_norm(h)
     title = f"{name} {label}: cumulative ops vs true residual"
     formats.write_gnuplot_series(f"{stem}.dat", ops_cum, residuals, title)

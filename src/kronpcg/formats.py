@@ -4,13 +4,17 @@ A ``.kten`` file is one ASCII header line ``KTEN <ndim> <d1> <d2> [<d3>]``
 followed by the raw float64 little-endian payload in first-index-fastest
 order; round-trips are bitwise, and a payload holding NaN or Inf is
 refused on read.  Run logs are JSON documents matching
-:data:`RUN_LOG_SCHEMA`.  All writers go through a temp file and an atomic
-rename so a crash never leaves a half-written artifact.
+:data:`RUN_LOG_SCHEMA`; :func:`log_to_dict` derives the document from the
+log's dataclasses in :mod:`kronpcg.solver`, and every ``required`` list of
+the schema is derived from its object's ``properties``.  All writers go
+through a temp file and an atomic rename so a crash never leaves a
+half-written artifact.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -85,119 +89,79 @@ def read_tensor(path: str) -> np.ndarray:
 
 _NUMBER_OR_NULL = {"type": ["number", "null"]}
 
+
+def _object(optional: tuple = (), /, **properties) -> dict:
+    """A schema object requiring every one of its ``properties`` but ``optional``."""
+    required = [key for key in properties if key not in optional]
+    return {"type": "object", "required": required, "properties": properties}
+
+
 RUN_LOG_SCHEMA: dict = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "required": [
-        "problem",
-        "shape",
-        "bcs",
-        "preconditioner",
-        "seed",
-        "config",
-        "iterations",
-        "warnings",
-        "final_norms",
-    ],
-    "properties": {
-        "problem": {"type": ["string", "null"]},
-        "shape": {"type": "array", "items": {"type": "integer", "minimum": 1}},
-        "bcs": {"type": "array", "items": {"type": "string"}},
-        "preconditioner": {"type": "string"},
-        "seed": {"type": ["integer", "null"]},
-        "config": {
-            "type": "object",
-            "required": ["max_iter", "stop_tol"],
-            "properties": {
-                "max_iter": {"type": "integer", "minimum": 0},
-                "stop_tol": _NUMBER_OR_NULL,
-            },
-        },
-        "iterations": {
+    **_object(
+        ("breakdown",),
+        problem={"type": ["string", "null"]},
+        shape={"type": "array", "items": {"type": "integer", "minimum": 1}},
+        bcs={"type": "array", "items": {"type": "string"}},
+        preconditioner={"type": "string"},
+        seed={"type": ["integer", "null"]},
+        config=_object(
+            max_iter={"type": "integer", "minimum": 0},
+            stop_tol=_NUMBER_OR_NULL,
+        ),
+        iterations={
             "type": "array",
-            "items": {
-                "type": "object",
-                "required": [
-                    "s",
-                    "alpha",
-                    "beta",
-                    "rho",
-                    "computed_res",
-                    "true_res",
-                    "kappa",
-                    "eta_scaled",
-                    "null_norm",
-                    "ops_cum",
-                ],
-                "properties": {
-                    "s": {"type": "integer", "minimum": 0},
-                    "alpha": _NUMBER_OR_NULL,
-                    "beta": _NUMBER_OR_NULL,
-                    "rho": {"type": "number"},
-                    "computed_res": {"type": "number"},
-                    "true_res": _NUMBER_OR_NULL,
-                    "kappa": {"type": "number"},
-                    "eta_scaled": _NUMBER_OR_NULL,
-                    "null_norm": {"type": "number"},
-                    "ops_cum": {"type": "integer", "minimum": 0},
-                },
-            },
+            "items": _object(
+                s={"type": "integer", "minimum": 0},
+                alpha=_NUMBER_OR_NULL,
+                beta=_NUMBER_OR_NULL,
+                rho={"type": "number"},
+                computed_res={"type": "number"},
+                true_res=_NUMBER_OR_NULL,
+                kappa={"type": "number"},
+                eta_scaled=_NUMBER_OR_NULL,
+                null_norm={"type": "number"},
+                ops_cum={"type": "integer", "minimum": 0},
+            ),
         },
-        "warnings": {"type": "array", "items": {"type": "string"}},
-        "breakdown": {"type": ["string", "null"]},
-        "final_norms": {
-            "type": "object",
-            "required": ["h", "u", "true_residual", "relative_true_residual"],
-            "properties": {
-                "h": {"type": "number"},
-                "u": _NUMBER_OR_NULL,
-                "true_residual": _NUMBER_OR_NULL,
-                "relative_true_residual": _NUMBER_OR_NULL,
-            },
-        },
-    },
+        warnings={"type": "array", "items": {"type": "string"}},
+        breakdown={"type": ["string", "null"]},
+        final_norms=_object(
+            h={"type": "number"},
+            u=_NUMBER_OR_NULL,
+            true_residual=_NUMBER_OR_NULL,
+            relative_true_residual=_NUMBER_OR_NULL,
+        ),
+    ),
 }
 
 
+def _plain(value):
+    """A log field as JSON data: dataclasses become dicts, lists are copied."""
+    if isinstance(value, list):
+        return [_plain(item) for item in value]
+    return dataclasses.asdict(value) if dataclasses.is_dataclass(value) else value
+
+
 def log_to_dict(log: ConvergenceLog) -> dict:
-    """Flatten a convergence log (its run, config and metadata) to a JSON document."""
-    meta = log.meta
+    """The run-log document: the log's fields in declaration order (see
+    :class:`~kronpcg.solver.ConvergenceLog`), then the computed ``final_norms``."""
+    doc = {}
+    for f in dataclasses.fields(log):
+        key = f.metadata.get("json", f.name)
+        if key is not None:
+            doc[key] = _plain(getattr(log, f.name))
     final_true = log.records[-1].true_res if log.records else None
     rel = None
     if final_true is not None and log.h_norm > 0.0:
         rel = final_true / log.h_norm
-    cfg = log.config
-    return {
-        "problem": meta.get("problem"),
-        "shape": list(meta.get("shape", [])),
-        "bcs": list(meta.get("bcs", [])),
-        "preconditioner": meta.get("preconditioner", "identity"),
-        "seed": meta.get("seed"),
-        "config": {"max_iter": cfg.max_iter, "stop_tol": cfg.stop_tol},
-        "iterations": [
-            {
-                "s": rec.s,
-                "alpha": rec.alpha,
-                "beta": rec.beta,
-                "rho": rec.rho,
-                "computed_res": rec.computed_res,
-                "true_res": rec.true_res,
-                "kappa": rec.kappa,
-                "eta_scaled": rec.eta_scaled,
-                "null_norm": rec.null_norm,
-                "ops_cum": rec.ops_cum,
-            }
-            for rec in log.records
-        ],
-        "warnings": list(log.warnings),
-        "breakdown": log.breakdown,
-        "final_norms": {
-            "h": log.h_norm,
-            "u": None if log.u is None else float(np.linalg.norm(log.u)),
-            "true_residual": final_true,
-            "relative_true_residual": rel,
-        },
+    doc["final_norms"] = {
+        "h": log.h_norm,
+        "u": None if log.u is None else float(np.linalg.norm(log.u)),
+        "true_residual": final_true,
+        "relative_true_residual": rel,
     }
+    return doc
 
 
 def write_run_log(path: str, log: ConvergenceLog) -> None:

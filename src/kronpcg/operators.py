@@ -15,6 +15,7 @@ fold inhomogeneous boundary values into ``H``.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -61,14 +62,18 @@ class PoissonOperator:
 def poisson_operator(
     dims: Sequence[int], bcs: Sequence[BoundaryCondition]
 ) -> PoissonOperator:
-    """Build the grid operator for ``dims`` (2 or 3 directions, each >= 3)."""
+    """Build the grid operator for ``dims`` (2 or 3 integer directions, each >= 3)."""
     if len(dims) not in (2, 3):
         raise ValueError(f"grid must be 2D or 3D, got {len(dims)} dims")
     if len(bcs) != len(dims):
         raise ValueError("need one boundary condition per direction")
-    if min(dims) < 3:
-        raise ValueError(f"every direction needs n >= 3, got {tuple(dims)}")
-    return PoissonOperator(tuple(dims), tuple(BoundaryCondition(bc) for bc in bcs))
+    try:
+        shape = tuple(operator.index(n) for n in dims)
+    except TypeError:
+        raise ValueError(f"grid extents must be integers, got {tuple(dims)}") from None
+    if min(shape) < 3:
+        raise ValueError(f"every direction needs n >= 3, got {shape}")
+    return PoissonOperator(shape, tuple(BoundaryCondition(bc) for bc in bcs))
 
 
 def apply(

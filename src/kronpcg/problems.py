@@ -22,7 +22,7 @@ can be recovered.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -58,13 +58,12 @@ P3_VARIANTS: dict[str, tuple[int, ...]] = {
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """What was generated: grid, boundary handling, parameters, scaling."""
+    """What was generated: grid, boundary handling, seed, scaling."""
 
     name: str
     shape: tuple[int, ...]
     bcs: tuple[BoundaryCondition, ...]
     seed: Optional[int] = None
-    params: dict = field(default_factory=dict)
     scale: float = 1.0
     boundary: Optional[BoundaryData] = None
 
@@ -109,7 +108,6 @@ def gen_problem1(
         name="p1",
         shape=(n, q),
         bcs=(BoundaryCondition.PERIODIC, BoundaryCondition.PERIODIC),
-        params={"period": period},
         scale=scale,
     )
     return spec, h
@@ -147,7 +145,6 @@ def gen_problem2(
         name="p2",
         shape=(n, q),
         bcs=bcs,
-        params={"band_width": band_width, "band_start": start},
         scale=scale,
         boundary=boundary,
     )
@@ -186,11 +183,6 @@ def gen_problem3(
         shape=dims,
         bcs=tuple(BoundaryCondition.PERIODIC for _ in dims),
         seed=seed,
-        params={
-            "variant": variant,
-            "pos_stripe": [pos_start, wide],
-            "neg_stripe": [neg_start, narrow],
-        },
         scale=scale,
     )
     return spec, h

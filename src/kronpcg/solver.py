@@ -29,6 +29,11 @@ preconditioned inner product once the recursive residual has fallen to
 ``eps * |r_0|``, noted once in ``log.warnings``.  The same sign failure
 above the floor is a breakdown (an indefinite operator or preconditioner)
 and raises :class:`PCGBreakdown` carrying the partial log.
+
+The log's dataclasses are the one definition of the run-log document:
+:func:`kronpcg.formats.log_to_dict` writes their fields in declaration
+order, so a new record or header field is one line here plus its type in
+:data:`kronpcg.formats.RUN_LOG_SCHEMA`.
 """
 
 from __future__ import annotations
@@ -86,7 +91,11 @@ class SolverConfig:
 
 @dataclass
 class IterationRecord:
-    """Per-iteration ledger entry (s=0 is the initial state)."""
+    """Per-iteration ledger entry (s=0 is the initial state).
+
+    The fields, in order, are the keys of one ``iterations`` entry of the
+    run log.
+    """
 
     s: int
     alpha: Optional[float]
@@ -95,27 +104,34 @@ class IterationRecord:
     computed_res: float
     true_res: float
     kappa: float
+    eta_scaled: Optional[float]
     null_norm: float
     ops_cum: int
-    eta_scaled: Optional[float] = None
 
 
 @dataclass
 class ConvergenceLog:
     """Full run history plus the final iterate.
 
-    :func:`pcg` fills ``config`` and ``meta`` (``shape``, ``bcs``,
-    ``preconditioner``) with what it ran; callers may add ``problem`` and
-    ``seed``.
+    The fields, in order, are the keys of the run-log document, except
+    where ``metadata["json"]`` renames one (``records`` is written as
+    ``iterations``) or, being ``None``, leaves it out (``u`` and
+    ``h_norm`` enter only through the computed ``final_norms``).
+    :func:`pcg` fills ``shape``, ``bcs``, ``preconditioner`` and
+    ``config`` with what it ran; callers may set ``problem`` and ``seed``.
     """
 
-    records: list[IterationRecord] = field(default_factory=list)
-    warnings: list[str] = field(default_factory=list)
-    u: Optional[np.ndarray] = None
-    h_norm: float = 0.0
-    breakdown: Optional[str] = None
+    problem: Optional[str] = None
+    shape: list[int] = field(default_factory=list)
+    bcs: list[str] = field(default_factory=list)
+    preconditioner: str = "identity"
+    seed: Optional[int] = None
     config: SolverConfig = field(default_factory=SolverConfig)
-    meta: dict = field(default_factory=dict)
+    records: list[IterationRecord] = field(default_factory=list, metadata={"json": "iterations"})
+    warnings: list[str] = field(default_factory=list)
+    breakdown: Optional[str] = None
+    u: Optional[np.ndarray] = field(default=None, metadata={"json": None})
+    h_norm: float = field(default=0.0, metadata={"json": None})
 
     @property
     def iterations(self) -> int:
@@ -124,12 +140,12 @@ class ConvergenceLog:
 
 
 class PCGBreakdown(Exception):
-    """Iteration stopped on a nonpositive inner product; carries the partial log."""
+    """Iteration stopped on a nonpositive inner product; carries the partial
+    log, whose ``u`` is the iterate reached."""
 
-    def __init__(self, reason: str, log: ConvergenceLog, u: np.ndarray):
+    def __init__(self, reason: str, log: ConvergenceLog):
         self.reason = reason
         self.log = log
-        self.u = u
         super().__init__(f"conjugate-gradient breakdown: {reason}")
 
 
@@ -231,13 +247,11 @@ def pcg(
         raise ValueError("initial guess has non-finite entries")
 
     log = ConvergenceLog(
-        h_norm=h_norm,
+        shape=list(op.shape),
+        bcs=[bc.value for bc in op.bcs],
+        preconditioner=precond.describe(),
         config=cfg,
-        meta={
-            "shape": list(op.shape),
-            "bcs": [bc.value for bc in op.bcs],
-            "preconditioner": precond.describe(),
-        },
+        h_norm=h_norm,
     )
     # Buffers of the in-place loop (p is copied from the first z below).
     r = np.empty(op.shape)
@@ -264,6 +278,7 @@ def pcg(
                 computed_res=r_norm,
                 true_res=tr,
                 kappa=kappa,
+                eta_scaled=None,
                 null_norm=op_mod.nullspace_component(u),
                 ops_cum=ops.count,
             )
@@ -323,5 +338,5 @@ def pcg(
     log.u = u
     if stop in _BREAKDOWNS:
         log.breakdown = stop
-        raise PCGBreakdown(_BREAKDOWNS[stop][1], log, u)
+        raise PCGBreakdown(_BREAKDOWNS[stop][1], log)
     return u, log

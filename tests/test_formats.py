@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields
 
 import jsonschema
 import numpy as np
@@ -16,7 +17,7 @@ from kronpcg.formats import (
 )
 from kronpcg.precond import PinvPreconditioner
 from kronpcg.problems import gen_problem1
-from kronpcg.solver import SolverConfig, pcg
+from kronpcg.solver import IterationRecord, SolverConfig, pcg
 
 
 @pytest.mark.parametrize("shape", [(3, 4), (4, 5, 6)])
@@ -80,14 +81,14 @@ def _sample_log(max_iter=5, stop_tol=None):
     spec, h = gen_problem1(5, 10)
     op = spec.operator()
     _, log = pcg(op, h, PinvPreconditioner(op), config=SolverConfig(max_iter, stop_tol))
-    log.meta.update(problem=spec.name, seed=spec.seed)
+    log.problem, log.seed = spec.name, spec.seed
     return log
 
 
 def _sample_row(log):
     ops_cum = [rec.ops_cum for rec in log.records]
     residuals = [rec.true_res for rec in log.records]
-    return summary_row("p1", log.meta["preconditioner"], ops_cum, residuals, log.h_norm)
+    return summary_row("p1", log.preconditioner, ops_cum, residuals, log.h_norm)
 
 
 def test_log_document_validates_against_the_schema():
@@ -119,6 +120,54 @@ def test_log_with_the_old_centering_key_still_validates():
     for old_value in (None, True, False):
         doc["config"]["center_each_iter"] = old_value
         jsonschema.validate(doc, RUN_LOG_SCHEMA)
+
+
+# Every object of the run-log schema: its schema node and its instances in a document.
+_SCHEMA_OBJECTS = {
+    "log": (lambda schema: schema, lambda doc: [doc]),
+    "config": (lambda schema: schema["properties"]["config"], lambda doc: [doc["config"]]),
+    "record": (
+        lambda schema: schema["properties"]["iterations"]["items"],
+        lambda doc: doc["iterations"],
+    ),
+    "final_norms": (
+        lambda schema: schema["properties"]["final_norms"],
+        lambda doc: [doc["final_norms"]],
+    ),
+}
+
+
+@pytest.mark.parametrize("obj", sorted(_SCHEMA_OBJECTS))
+def test_document_keys_are_the_schema_properties_in_order(obj):
+    node, instances = _SCHEMA_OBJECTS[obj]
+    keys = list(node(RUN_LOG_SCHEMA)["properties"])
+    for instance in instances(log_to_dict(_sample_log())):
+        assert list(instance) == keys
+
+
+@pytest.mark.parametrize("cls, obj", [(IterationRecord, "record"), (SolverConfig, "config")])
+def test_dataclass_fields_are_the_schema_properties_in_order(cls, obj):
+    node, _ = _SCHEMA_OBJECTS[obj]
+    assert [f.name for f in fields(cls)] == list(node(RUN_LOG_SCHEMA)["properties"])
+
+
+@pytest.mark.parametrize(
+    "obj, key",
+    [
+        (obj, key)
+        for obj, (node, _) in sorted(_SCHEMA_OBJECTS.items())
+        for key in node(RUN_LOG_SCHEMA)["properties"]
+    ],
+)
+def test_every_key_but_the_breakdown_is_required(obj, key):
+    doc = log_to_dict(_sample_log())
+    first_instance = _SCHEMA_OBJECTS[obj][1](doc)[0]
+    del first_instance[key]
+    if (obj, key) == ("log", "breakdown"):
+        jsonschema.validate(doc, RUN_LOG_SCHEMA)
+    else:
+        with pytest.raises(jsonschema.ValidationError, match="required"):
+            jsonschema.validate(doc, RUN_LOG_SCHEMA)
 
 
 def test_write_run_log_round_trips_through_json(tmp_path):

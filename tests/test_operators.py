@@ -1,8 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
 from conftest import ASSEMBLE_LIMIT, assemble_dense, dense_1d, random_operator, unvec, vec
 from kronpcg.counting import OpCounter
+from kronpcg.formats import write_run_log
 from kronpcg.laplace1d import BoundaryCondition
 from kronpcg.operators import (
     BoundaryData,
@@ -15,6 +18,7 @@ from kronpcg.operators import (
     poisson_operator,
     spectrum_sums,
 )
+from kronpcg.solver import SolverConfig, pcg
 
 BC = BoundaryCondition
 
@@ -113,6 +117,31 @@ def test_poisson_operator_validates_arguments():
         poisson_operator((5, 5, 5, 5), (BC.PERIODIC,) * 4)
     with pytest.raises(ValueError):
         poisson_operator((5, 5), (BC.PERIODIC,))
+
+
+@pytest.mark.parametrize(
+    "dims, integral",
+    [
+        ((3.5, 4), False),
+        ((6.0, 8), False),
+        (np.array([6.0, 8.0]), False),
+        (np.array([6, 8]), True),
+        ((np.int32(6), np.uint8(8)), True),
+    ],
+)
+def test_grid_extents_must_be_integers(tmp_path, dims, integral):
+    """Extents are checked as integers up front and stored as plain ints,
+    so the run log of a numpy-sized grid is still JSON."""
+    bcs = (BC.DIRICHLET, BC.DIRICHLET)
+    if not integral:
+        with pytest.raises(ValueError, match="integers"):
+            poisson_operator(dims, bcs)
+        return
+    op = poisson_operator(dims, bcs)
+    assert op.shape == (6, 8) and all(type(n) is int for n in op.shape)
+    _, log = pcg(op, np.ones(op.shape), config=SolverConfig(max_iter=2))
+    write_run_log(str(tmp_path / "run.json"), log)
+    assert json.loads((tmp_path / "run.json").read_text())["shape"] == [6, 8]
 
 
 def test_center_removes_the_mean_and_counts():
