@@ -95,17 +95,24 @@ def outer_sum(vectors: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def inner(x: np.ndarray, y: np.ndarray) -> float:
-    """Frobenius inner product: sum of entrywise products."""
+    """Frobenius inner product: sum of entrywise products.
+
+    Summed by ``einsum``, which calls no BLAS: a BLAS ``ddot`` splits a long
+    sum over its threads, so its digits change with the thread count, and
+    waking those threads several times per solver step makes a run's time
+    depend on what else holds the CPUs.
+    """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape:
         raise ValueError(f"shape mismatch in inner product: {x.shape} vs {y.shape}")
-    return float(np.vdot(x, y))
+    return float(np.einsum("i,i->", x.reshape(-1), y.reshape(-1)))
 
 
 def frobenius_norm(x: np.ndarray) -> float:
-    """Frobenius norm (entrywise 2-norm) of a tensor."""
-    return float(np.linalg.norm(np.asarray(x, dtype=float)))
+    """Frobenius norm (entrywise 2-norm) of a tensor, summed as :func:`inner`."""
+    x = np.asarray(x, dtype=float).reshape(-1)
+    return float(np.sqrt(np.einsum("i,i->", x, x)))
 
 
 def hadamard_pinv(x: np.ndarray) -> np.ndarray:

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -87,6 +92,38 @@ def test_inner_and_norm_agree_with_numpy():
     assert inner(x, y) == pytest.approx(float(np.sum(x * y)), rel=1e-14)
     assert frobenius_norm(x) == pytest.approx(float(np.linalg.norm(x)), rel=1e-14)
     assert inner(x, x) == pytest.approx(frobenius_norm(x) ** 2, rel=1e-13)
+
+
+# Reductions long enough for a BLAS dot to split them over its threads, and
+# a Jacobi solve, whose only reductions they are.
+_THREAD_PROBE = """
+import numpy as np
+from kronpcg import SolverConfig, frobenius_norm, gen_problem1, inner, make_preconditioner, pcg
+rng = np.random.default_rng(3)
+x, y = rng.standard_normal((2, 512, 1024))
+spec, h = gen_problem1(50, 100)
+op = spec.operator()
+_, log = pcg(op, h, make_preconditioner(op, "jacobi:p=3,omega=1.3"), config=SolverConfig(max_iter=60))
+print(repr(inner(x, y)), repr(frobenius_norm(x)), [r.true_res for r in log.records])
+"""
+
+
+def test_reductions_do_not_depend_on_the_blas_thread_count():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", _THREAD_PROBE],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        outputs.add(done.stdout)
+    assert len(outputs) == 1
 
 
 def test_inner_rejects_shape_mismatch():
