@@ -11,10 +11,11 @@ input error, 2 solver breakdown.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from . import formats
 from .laplace1d import BoundaryCondition, analytic_spectrum
@@ -38,14 +39,14 @@ from .problems import (
     gen_problem2,
     gen_problem3,
 )
-from .solver import PCGBreakdown, SolverConfig, pcg
+from .solver import ConvergenceLog, PCGBreakdown, SolverConfig, pcg
 from .tensors import frobenius_norm
 
 _AXES = "xyz"
 
 
-class UsageError(Exception):
-    """Bad flags or inconsistent inputs; maps to exit code 1."""
+class UsageError(ValueError):
+    """Bad flags or inconsistent inputs; maps to exit code 1 like any ``ValueError``."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -65,57 +66,59 @@ def _parse_size(text: str, want_ndim: Optional[int] = None) -> tuple[int, ...]:
     return dims
 
 
-def _parse_bcs(text: str, ndim: int) -> tuple[BoundaryCondition, ...]:
-    seen: dict[int, BoundaryCondition] = {}
-    for part in text.split(","):
-        axis_name, sep, value = part.partition("=")
+def _axis_entries(
+    flag: str, entries: Sequence[str], ndim: int, parse: Callable, found: dict
+) -> dict:
+    """Add ``<axis>=<value>`` entries of ``--flag`` to ``found`` as
+    ``{axis: parse(value)}``; an axis already in ``found`` is refused."""
+    for entry in entries:
+        axis_name, sep, value = entry.partition("=")
         axis_name = axis_name.strip().lower()
         if not sep or axis_name not in _AXES[:ndim]:
             raise UsageError(
-                f"bad --bc entry {part!r}; expected <axis>=<condition> with axis in "
+                f"bad --{flag} entry {entry!r}; expected <axis>=<value> with axis in "
                 f"{{{', '.join(_AXES[:ndim])}}}"
             )
         axis = _AXES.index(axis_name)
-        if axis in seen:
-            raise UsageError(f"duplicate --bc entry for axis {axis_name}")
+        if axis in found:
+            raise UsageError(f"bad --{flag} entry {entry!r}; axis {axis_name} is already set")
         try:
-            seen[axis] = BoundaryCondition(value.strip().lower())
-        except ValueError:
-            raise UsageError(
-                f"unknown boundary condition {value.strip()!r}; choose from "
-                f"{', '.join(bc.value for bc in BoundaryCondition)}"
-            )
-    if sorted(seen) != list(range(ndim)):
+            found[axis] = parse(value.strip())
+        except ValueError as exc:
+            raise UsageError(f"bad --{flag} entry {entry!r}: {exc}") from None
+    return found
+
+
+def _condition(text: str) -> BoundaryCondition:
+    try:
+        return BoundaryCondition(text.strip().lower())
+    except ValueError:
+        raise UsageError(
+            f"unknown boundary condition {text.strip()!r}; choose from "
+            f"{', '.join(bc.value for bc in BoundaryCondition)}"
+        ) from None
+
+
+def _parse_bcs(text: str, ndim: int) -> tuple[BoundaryCondition, ...]:
+    bcs = _axis_entries("bc", text.split(","), ndim, _condition, {})
+    if len(bcs) != ndim:
         raise UsageError(f"--bc must cover every axis {tuple(_AXES[:ndim])} exactly once")
-    return tuple(seen[a] for a in range(ndim))
+    return tuple(bcs[a] for a in range(ndim))
 
 
 def _parse_face_flags(args: argparse.Namespace, ndim: int) -> BoundaryData:
-    faces: list[list[Optional[FaceValue]]] = [[None, None] for _ in range(ndim)]
-    flag_map = [
-        ("uB", "potential", 0),
-        ("uE", "potential", 1),
-        ("eB", "field", 0),
-        ("eE", "field", 1),
-    ]
-    for flag, kind, slot in flag_map:
-        for entry in getattr(args, flag) or []:
-            axis_name, sep, value = entry.partition("=")
-            axis_name = axis_name.strip().lower()
-            if not sep or axis_name not in _AXES[:ndim]:
-                raise UsageError(f"bad --{flag} entry {entry!r}; expected <axis>=<value>")
-            axis = _AXES.index(axis_name)
-            try:
-                number = float(value)
-            except ValueError:
-                raise UsageError(f"bad --{flag} value {value!r}; expected a number")
-            if faces[axis][slot] is not None:
-                raise UsageError(
-                    f"conflicting boundary values for axis {axis_name} "
-                    f"({'begin' if slot == 0 else 'end'} face)"
-                )
-            faces[axis][slot] = FaceValue(kind, number)
-    return BoundaryData(tuple((b, e) for b, e in faces))
+    """The four face flags as boundary data; each face of an axis takes one value."""
+    begin: dict[int, FaceValue] = {}
+    end: dict[int, FaceValue] = {}
+    for flag, kind, face in [
+        ("uB", "potential", begin),
+        ("uE", "potential", end),
+        ("eB", "field", begin),
+        ("eE", "field", end),
+    ]:
+        entries = getattr(args, flag) or []
+        _axis_entries(flag, entries, ndim, lambda value: FaceValue(kind, float(value)), face)
+    return BoundaryData(tuple((begin.get(a), end.get(a)) for a in range(ndim)))
 
 
 def _slug(precond_spec: str) -> str:
@@ -133,6 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--variant", choices=sorted(P3_VARIANTS), help="grid variant for p3")
     gen.add_argument("--seed", type=int, default=0, help="RNG seed for p3")
     gen.add_argument("--out", required=True, help="output .kten path")
+    gen.set_defaults(run=_cmd_gen)
 
     solve = sub.add_parser("solve", help="solve L u = h from a KTEN file")
     solve.add_argument("--input", required=True, help="right-hand side .kten")
@@ -151,17 +155,20 @@ def build_parser() -> argparse.ArgumentParser:
         ("eE", "end-face field, e.g. x=-0.5"),
     ]:
         solve.add_argument(f"--{flag}", action="append", metavar="AXIS=VALUE", help=text)
+    solve.set_defaults(run=_cmd_solve)
 
     exp = sub.add_parser("experiment", help="run a packaged experiment suite")
     exp.add_argument("--name", required=True, choices=sorted(EXPERIMENTS))
     exp.add_argument("--outdir", required=True)
     exp.add_argument("--seed", type=int, default=0, help="seed for the random problems")
+    exp.set_defaults(run=_cmd_experiment)
 
     spec = sub.add_parser("spectrum", help="print operator eigenvalues")
     spec.add_argument("--n", type=int, help="1D size (with a single --bc value)")
     spec.add_argument("--bc", required=True, help="one condition, or x=...,y=... with --size")
     spec.add_argument("--size", help="grid extents for the sum-spectrum form")
     spec.add_argument("--sums", action="store_true", help="print sum-spectrum extrema")
+    spec.set_defaults(run=_cmd_spectrum)
 
     return parser
 
@@ -173,11 +180,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         n, q = _parse_size(args.size, want_ndim=2)
         spec, h = gen_problem1(n, q, period=args.period)
     elif args.problem == "p2":
-        if args.size:
-            n, q = _parse_size(args.size, want_ndim=2)
-            spec, h = gen_problem2(n, q)
-        else:
-            spec, h = gen_problem2()
+        spec, h = gen_problem2(*(_parse_size(args.size, want_ndim=2) if args.size else ()))
     else:
         if not args.variant:
             raise UsageError(f"p3 needs --variant (one of {', '.join(sorted(P3_VARIANTS))})")
@@ -191,12 +194,8 @@ def _cmd_gen(args: argparse.Namespace) -> int:
             "bcs": [bc.value for bc in spec.bcs],
             "applied": True,
             "faces": [
-                {
-                    "axis": _AXES[axis],
-                    "begin": None if b is None else {"kind": b.kind, "value": b.value},
-                    "end": None if e is None else {"kind": e.kind, "value": e.value},
-                }
-                for axis, (b, e) in enumerate(spec.boundary.faces)
+                {"axis": _AXES[axis], "begin": b, "end": e}
+                for axis, (b, e) in enumerate(dataclasses.asdict(spec.boundary)["faces"])
             ],
             "scale": spec.scale,
         }
@@ -204,6 +203,15 @@ def _cmd_gen(args: argparse.Namespace) -> int:
             json.dump(doc, fh, indent=1)
         print(f"boundary data (already folded into h) recorded in {sidecar}")
     return 0
+
+
+def _solve(op, h, pspec: str, config: SolverConfig) -> ConvergenceLog:
+    """Run ``pcg`` with the preconditioner spelled ``pspec`` and return its
+    log; after a breakdown that is the partial log, which names it."""
+    try:
+        return pcg(op, h, make_preconditioner(op, pspec), config=config)[1]
+    except PCGBreakdown as exc:
+        return exc.log
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
@@ -228,35 +236,28 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         h = center(h)
         notes.append("right-hand side centered (singular operator)")
 
-    cfg = SolverConfig(max_iter=args.max_iter, stop_tol=args.tol)
-    precond = make_preconditioner(op, args.precond)
-
-    code = 0
-    try:
-        u, log = pcg(op, h, precond, config=cfg)
-    except PCGBreakdown as exc:
-        u, log = exc.log.u, exc.log
-        code = 2
+    log = _solve(op, h, args.precond, SolverConfig(max_iter=args.max_iter, stop_tol=args.tol))
     log.problem = os.path.basename(args.input)
     log.warnings[:0] = notes
 
     if args.log:
         formats.write_run_log(args.log, log)
     if args.solution:
-        formats.write_tensor(args.solution, u)
+        formats.write_tensor(args.solution, log.u)
 
     last = log.records[-1]
     rel = "n/a"
     if log.h_norm > 0.0:
         rel = f"{last.true_res / log.h_norm:.3e}"
-    status = "breakdown after" if code == 2 else "done:"
+    status = "breakdown after" if log.breakdown else "done:"
     print(
-        f"{status} {log.iterations} iterations with {precond.describe()}, "
+        f"{status} {log.iterations} iterations with {log.preconditioner}, "
         f"relative true residual {rel}, {last.ops_cum} elementary ops"
     )
-    if code == 2:
+    if log.breakdown:
         print(f"breakdown: {log.breakdown} (partial results written)", file=sys.stderr)
-    return code
+        return 2
+    return 0
 
 
 def _run_to_files(
@@ -272,11 +273,7 @@ def _run_to_files(
         ops_cum, residuals = result.ops_cum, result.residuals
         label = f"jacobi-standalone(omega={float(omega):g})"
     else:
-        precond = make_preconditioner(op, pspec)
-        try:
-            _, log = pcg(op, h, precond, config=SolverConfig(max_iter=budget))
-        except PCGBreakdown as exc:  # the partial log is kept, noting the breakdown
-            log = exc.log
+        log = _solve(op, h, pspec, SolverConfig(max_iter=budget))
         log.problem, log.seed = name, spec.seed
         formats.write_run_log(f"{stem}.json", log)
         ops_cum = [rec.ops_cum for rec in log.records]
@@ -319,32 +316,17 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
         return 0
     if not args.n:
         raise UsageError("spectrum needs either --n with a single --bc, or --size")
-    try:
-        bc = BoundaryCondition(args.bc.strip().lower())
-    except ValueError:
-        raise UsageError(f"unknown boundary condition {args.bc!r}")
+    values = analytic_spectrum(args.n, _condition(args.bc)).values
     print("k,eigenvalue")
-    for k, value in enumerate(analytic_spectrum(args.n, bc).values, start=1):
+    for k, value in enumerate(values, start=1):
         print(f"{k},{value:.15g}")
     return 0
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.command == "gen":
-            return _cmd_gen(args)
-        if args.command == "solve":
-            return _cmd_solve(args)
-        if args.command == "experiment":
-            return _cmd_experiment(args)
-        if args.command == "spectrum":
-            return _cmd_spectrum(args)
-        raise UsageError(f"unknown command {args.command!r}")
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        args = build_parser().parse_args(argv)
+        return args.run(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -23,6 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .solver import ConvergenceLog
+from .tensors import frobenius_norm
 
 __all__ = [
     "write_tensor",
@@ -157,7 +158,7 @@ def log_to_dict(log: ConvergenceLog) -> dict:
         rel = final_true / log.h_norm
     doc["final_norms"] = {
         "h": log.h_norm,
-        "u": None if log.u is None else float(np.linalg.norm(log.u)),
+        "u": None if log.u is None else frobenius_norm(log.u),
         "true_residual": final_true,
         "relative_true_residual": rel,
     }
@@ -169,27 +170,23 @@ def write_run_log(path: str, log: ConvergenceLog) -> None:
     _atomic_write_bytes(path, json.dumps(doc, indent=1).encode("ascii"))
 
 
+_SUMMARY_COLUMNS = ("problem", "preconditioner", "iters_to_1e-9", "final_true_res", "ops_cum")
+
+
 def summary_row(
     problem: str, preconditioner: str, ops_cum: Sequence, residuals: Sequence, h_norm: float
 ) -> dict:
     """One CSV row of a run's series: the first step whose true residual is
     at most ``1e-9 * h_norm`` (empty if none), the final residual and ops."""
     reach = 1e-9 * h_norm
-    return {
-        "problem": problem,
-        "preconditioner": preconditioner,
-        "iters_to_1e-9": next((s for s, r in enumerate(residuals) if r <= reach), ""),
-        "final_true_res": repr(residuals[-1]),
-        "ops_cum": ops_cum[-1],
-    }
+    crossing = next((s for s, r in enumerate(residuals) if r <= reach), "")
+    values = (problem, preconditioner, crossing, repr(residuals[-1]), ops_cum[-1])
+    return dict(zip(_SUMMARY_COLUMNS, values))
 
 
 def write_csv_summary(path: str, rows: Sequence[dict]) -> None:
     buf = io.StringIO()
-    writer = csv.DictWriter(
-        buf,
-        fieldnames=["problem", "preconditioner", "iters_to_1e-9", "final_true_res", "ops_cum"],
-    )
+    writer = csv.DictWriter(buf, fieldnames=_SUMMARY_COLUMNS)
     writer.writeheader()
     for row in rows:
         writer.writerow(row)

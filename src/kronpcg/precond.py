@@ -205,44 +205,43 @@ class LowRankPreconditioner(Preconditioner):
         return z
 
 
+# Family -> (constructor taking the operator, {spec key: (keyword, type)});
+# a parameter is optional exactly when the constructor defaults its keyword.
+_FAMILIES = {
+    "none": (lambda op: IdentityPreconditioner(), {}),
+    "pinv": (PinvPreconditioner, {}),
+    "jacobi": (JacobiPreconditioner, {"p": ("p", int), "omega": ("omega", float)}),
+    "lowrank": (LowRankPreconditioner, {"r": ("rank", int)}),
+}
+_FAMILIES["identity"] = _FAMILIES["none"]
+
+
 def make_preconditioner(op, spec: str) -> Preconditioner:
     """Build a preconditioner from its command-line spelling.
 
     Grammar: ``none`` | ``pinv`` | ``jacobi:p=3,omega=1.3`` | ``lowrank:r=3``
-    (parameters optional for jacobi, required rank for lowrank).
+    (parameters optional for jacobi, required rank for lowrank); a
+    parameter may be given once.
     """
     head, _, tail = spec.strip().partition(":")
     head = head.strip().lower()
-    params: dict[str, str] = {}
-    if tail:
-        for item in tail.split(","):
-            key, sep, value = item.partition("=")
-            if not sep or not key.strip() or not value.strip():
-                raise ValueError(f"malformed preconditioner parameter {item!r} in {spec!r}")
-            params[key.strip()] = value.strip()
+    if head not in _FAMILIES:
+        raise ValueError(f"unknown preconditioner {head!r}")
+    build, params = _FAMILIES[head]
+    kwargs: dict = {}
     try:
-        if head in ("none", "identity"):
-            if params:
-                raise ValueError(f"{head} takes no parameters")
-            return IdentityPreconditioner()
-        if head == "pinv":
-            if params:
-                raise ValueError("pinv takes no parameters")
-            return PinvPreconditioner(op)
-        if head == "jacobi":
-            unknown = set(params) - {"p", "omega"}
-            if unknown:
-                raise ValueError(f"unknown jacobi parameters {sorted(unknown)}")
-            return JacobiPreconditioner(
-                op, p=int(params.get("p", 1)), omega=float(params.get("omega", 1.0))
-            )
-        if head == "lowrank":
-            if "r" not in params or set(params) - {"r"}:
-                raise ValueError("lowrank needs exactly one parameter r, e.g. lowrank:r=3")
-            return LowRankPreconditioner(op, rank=int(params["r"]))
+        for item in tail.split(",") if tail else []:
+            key, sep, value = (part.strip() for part in item.partition("="))
+            if not sep or key not in params:
+                takes = ", ".join(params) or "no parameters"
+                raise ValueError(f"bad parameter {item!r}; {head} takes {takes}")
+            keyword, kind = params[key]
+            if keyword in kwargs:
+                raise ValueError(f"parameter {key!r} is given twice")
+            kwargs[keyword] = kind(value)
+        return build(op, **kwargs)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"bad preconditioner spec {spec!r}: {exc}") from exc
-    raise ValueError(f"unknown preconditioner {head!r}")
 
 
 @dataclass

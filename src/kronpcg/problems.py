@@ -34,6 +34,7 @@ from .operators import (
     PoissonOperator,
     apply_bc_updates,
     center,
+    is_singular,
     poisson_operator,
 )
 from .tensors import frobenius_norm
@@ -83,6 +84,19 @@ def _normalized(h: np.ndarray) -> tuple[np.ndarray, float]:
     return h * scale, scale
 
 
+def _finish(
+    name: str,
+    op: PoissonOperator,
+    h: np.ndarray,
+    seed: Optional[int] = None,
+    boundary: Optional[BoundaryData] = None,
+) -> tuple[ProblemSpec, np.ndarray]:
+    """Center ``h`` if ``op`` is singular, normalize it, and describe it."""
+    h, scale = _normalized(center(h) if is_singular(op) else h)
+    spec = ProblemSpec(name, op.shape, op.bcs, seed=seed, scale=scale, boundary=boundary)
+    return spec, h
+
+
 def gen_problem1(
     n: int, q: int, period: int = 12
 ) -> tuple[ProblemSpec, np.ndarray]:
@@ -97,20 +111,12 @@ def gen_problem1(
     conjugate-gradient stress test (a wrap-aligned period excites only a
     few well-conditioned modes and converges in a handful of steps).
     """
-    if n < 3 or q < 3:
-        raise ValueError("grid needs n, q >= 3")
+    op = poisson_operator((n, q), [BoundaryCondition.PERIODIC] * 2)
     if period < 2 or period % 2 != 0:
         raise ValueError(f"period must be even and >= 2, got {period}")
     phase = np.add.outer(np.arange(n), 2 * np.arange(q)) % period
     h = np.where(phase == 0, 1.0, 0.0) + np.where(phase == period // 2, -1.0, 0.0)
-    h, scale = _normalized(center(h))
-    spec = ProblemSpec(
-        name="p1",
-        shape=(n, q),
-        bcs=(BoundaryCondition.PERIODIC, BoundaryCondition.PERIODIC),
-        scale=scale,
-    )
-    return spec, h
+    return _finish("p1", op, h)
 
 
 def gen_problem2(
@@ -125,11 +131,10 @@ def gen_problem2(
     directly; dividing by ``spec.scale`` recovers the physical system in
     which the potential really drops at rate 1/2 off the far edge.
     """
-    if n < 3 or q < 3:
-        raise ValueError("grid needs n, q >= 3")
+    bcs = (BoundaryCondition.DIRICHLET_NEUMANN, BoundaryCondition.PERIODIC)
+    op = poisson_operator((n, q), bcs)
     if not 1 <= band_width <= n:
         raise ValueError(f"band width must be in [1, {n}], got {band_width}")
-    bcs = (BoundaryCondition.DIRICHLET_NEUMANN, BoundaryCondition.PERIODIC)
     boundary = BoundaryData(
         (
             (FaceValue("potential", 0.0), FaceValue("field", -0.5)),
@@ -139,16 +144,7 @@ def gen_problem2(
     h = np.zeros((n, q))
     start = max(0, n // 3 - band_width // 2)
     h[start : start + band_width, :] = 1.0
-    h = apply_bc_updates(h, bcs, boundary)
-    h, scale = _normalized(h)
-    spec = ProblemSpec(
-        name="p2",
-        shape=(n, q),
-        bcs=bcs,
-        scale=scale,
-        boundary=boundary,
-    )
-    return spec, h
+    return _finish("p2", op, apply_bc_updates(h, bcs, boundary), boundary=boundary)
 
 
 def gen_problem3(
@@ -166,6 +162,7 @@ def gen_problem3(
             f"unknown variant {variant!r}; choose one of {sorted(P3_VARIANTS)}"
         )
     dims = P3_VARIANTS[variant]
+    op = poisson_operator(dims, [BoundaryCondition.PERIODIC] * len(dims))
     rng = np.random.default_rng(seed)
     n = dims[0]
     wide = max(2, -(-n // 8))  # ceil(n/8)
@@ -177,15 +174,7 @@ def gen_problem3(
     pos_sum = float(h.sum())
     neg_sum = float(neg.sum())
     h[neg_start : neg_start + narrow] = neg * (pos_sum / -neg_sum)
-    h, scale = _normalized(center(h))
-    spec = ProblemSpec(
-        name=f"p3_{variant}",
-        shape=dims,
-        bcs=tuple(BoundaryCondition.PERIODIC for _ in dims),
-        seed=seed,
-        scale=scale,
-    )
-    return spec, h
+    return _finish(f"p3_{variant}", op, h, seed=seed)
 
 
 _SWEEP = [f"jacobi:p={p},omega={w:g}" for p in (1, 3, 5) for w in (1.0, 1.15, 1.3)]

@@ -1,7 +1,12 @@
-"""End-to-end command-line coverage via cli.main (no subprocesses)."""
+"""End-to-end command-line coverage via cli.main, and the process exit
+status of ``python -m kronpcg``."""
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -307,3 +312,37 @@ def test_experiment_entry_keeps_the_log_of_a_breakdown(tmp_path, monkeypatch):
     assert doc["breakdown"] == "indefinite"
     assert (doc["problem"], doc["shape"], doc["bcs"]) == ("p1_50x100", [50, 100], ["periodic"] * 2)
     assert 0 < len(doc["iterations"]) - 1 < 50
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["spectrum", "--n", "5", "--bc", "dirichlet"], 0),
+        (["spectrum", "--n", "5", "--bc", "sideways"], 1),
+        (["spectrum", "--n", "2", "--bc", "dirichlet"], 1),
+        (["solve", "--input", "{rhs}", "--bc", "x=periodic,y=sideways"], 1),
+        (["solve", "--input", "{rhs}", "--bc", "x=periodic,y=periodic", "--precond", "bogus"], 1),
+    ],
+    ids=["spectrum", "spectrum-bad-bc", "spectrum-too-small", "solve-bad-bc", "unknown-precond"],
+)
+def test_module_entry_exit_status(tmp_path, argv, code):
+    """``python -m kronpcg`` exits with the status ``main`` returns; a
+    failed command writes its error to stderr and nothing to stdout."""
+    rhs = tmp_path / "rhs.kten"
+    write_tensor(str(rhs), gen_problem1(6, 8)[1])
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "kronpcg", *(arg.format(rhs=rhs) for arg in argv)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == code, done.stderr
+    if code:
+        assert done.stderr.startswith("error: ")
+        assert done.stdout == ""
+    else:
+        assert done.stdout.startswith("k,eigenvalue\n")

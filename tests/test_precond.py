@@ -70,7 +70,15 @@ class TestMakePreconditioner:
 
     @pytest.mark.parametrize(
         "spec",
-        ["bogus", "jacobi:q=1", "jacobi:p=zero", "lowrank", "lowrank:r=0", "pinv:r=1"],
+        [
+            "bogus",
+            "jacobi:q=1",
+            "jacobi:p=zero",
+            "lowrank",
+            "lowrank:r=0",
+            "pinv:r=1",
+            "jacobi:p=1,p=3",
+        ],
     )
     def test_rejects_malformed_specs(self, spec):
         with pytest.raises(ValueError):

@@ -45,6 +45,8 @@ class TestProblem1:
             gen_problem1(10, 10, period=7)
         with pytest.raises(ValueError):
             gen_problem1(10, 10, period=0)
+        with pytest.raises(ValueError):
+            gen_problem1(3.5, 10)
 
 
 class TestProblem2:
@@ -85,6 +87,8 @@ class TestProblem2:
             gen_problem2(band_width=0)
         with pytest.raises(ValueError):
             gen_problem2(n=10, band_width=11)
+        with pytest.raises(ValueError):
+            gen_problem2(40.5)
 
     def test_physical_potential_drops_at_the_prescribed_rate(self):
         """Undoing the normalization, the solved potential must fall off the

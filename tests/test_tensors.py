@@ -99,12 +99,15 @@ def test_inner_and_norm_agree_with_numpy():
 _THREAD_PROBE = """
 import numpy as np
 from kronpcg import SolverConfig, frobenius_norm, gen_problem1, inner, make_preconditioner, pcg
+from kronpcg.formats import log_to_dict
 rng = np.random.default_rng(3)
 x, y = rng.standard_normal((2, 512, 1024))
 spec, h = gen_problem1(50, 100)
 op = spec.operator()
 _, log = pcg(op, h, make_preconditioner(op, "jacobi:p=3,omega=1.3"), config=SolverConfig(max_iter=60))
 print(repr(inner(x, y)), repr(frobenius_norm(x)), [r.true_res for r in log.records])
+log.u = x
+print(repr(log_to_dict(log)["final_norms"]["u"]))
 """
 
 
