@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
 from typing import Callable, Optional, Sequence
@@ -132,9 +131,9 @@ def build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("gen", help="generate a benchmark right-hand side")
     gen.add_argument("--problem", required=True, choices=["p1", "p2", "p3"])
     gen.add_argument("--size", help="grid extents, e.g. 50x100 (p1; optional for p2)")
-    gen.add_argument("--period", type=int, default=12, help="stripe period for p1")
+    gen.add_argument("--period", type=int, help="stripe period for p1 (default 12)")
     gen.add_argument("--variant", choices=sorted(P3_VARIANTS), help="grid variant for p3")
-    gen.add_argument("--seed", type=int, default=0, help="RNG seed for p3")
+    gen.add_argument("--seed", type=int, help="RNG seed for p3 (default 0)")
     gen.add_argument("--out", required=True, help="output .kten path")
     gen.set_defaults(run=_cmd_gen)
 
@@ -173,18 +172,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Problem -> its ``gen`` flags besides --problem and --out.
+_GEN_FLAGS = {"p1": {"size", "period"}, "p2": {"size"}, "p3": {"variant", "seed"}}
+
+
 def _cmd_gen(args: argparse.Namespace) -> int:
+    given = {f for f in ("size", "period", "variant", "seed") if getattr(args, f) is not None}
+    stray = sorted(given - _GEN_FLAGS[args.problem])
+    if stray:
+        raise UsageError(f"{args.problem} does not take {', '.join('--' + f for f in stray)}")
+    keywords = {f: getattr(args, f) for f in given & {"period", "seed"}}
     if args.problem == "p1":
         if not args.size:
             raise UsageError("p1 needs --size, e.g. --size 50x100")
         n, q = _parse_size(args.size, want_ndim=2)
-        spec, h = gen_problem1(n, q, period=args.period)
+        spec, h = gen_problem1(n, q, **keywords)
     elif args.problem == "p2":
         spec, h = gen_problem2(*(_parse_size(args.size, want_ndim=2) if args.size else ()))
     else:
         if not args.variant:
             raise UsageError(f"p3 needs --variant (one of {', '.join(sorted(P3_VARIANTS))})")
-        spec, h = gen_problem3(args.variant, seed=args.seed)
+        spec, h = gen_problem3(args.variant, **keywords)
     formats.write_tensor(args.out, h)
     print(f"wrote {spec.name} {'x'.join(map(str, spec.shape))} to {args.out} "
           f"(|h| = {frobenius_norm(h):.6e})")
@@ -199,8 +207,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
             ],
             "scale": spec.scale,
         }
-        with open(sidecar, "w", encoding="ascii") as fh:
-            json.dump(doc, fh, indent=1)
+        formats.write_json(sidecar, doc)
         print(f"boundary data (already folded into h) recorded in {sidecar}")
     return 0
 
@@ -316,6 +323,8 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
         return 0
     if not args.n:
         raise UsageError("spectrum needs either --n with a single --bc, or --size")
+    if args.sums:
+        raise UsageError("--sums needs --size: a single --n has no sum spectrum")
     values = analytic_spectrum(args.n, _condition(args.bc)).values
     print("k,eigenvalue")
     for k, value in enumerate(values, start=1):

@@ -43,9 +43,6 @@ class OpCounter:
     def add(self, n: int) -> None:
         self.count += int(n)
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"OpCounter(count={self.count})"
-
 
 def cost_model(shape: Shape, phase: str) -> int:
     """Closed-form operation budgets for the conjugate-gradient pieces.
@@ -57,8 +54,7 @@ def cost_model(shape: Shape, phase: str) -> int:
     - ``"iter"``: one loop pass (one apply, two inner products, three
       scaled additions),
     - ``"pinv_apply"``: one application of the spectral pseudoinverse
-      preconditioner (two full multi-mode transforms plus a Hadamard),
-    - ``"center"``: one mean-centering pass.
+      preconditioner (two full multi-mode transforms plus a Hadamard).
     """
     if len(shape) not in (2, 3):
         raise ValueError(f"shape must be 2D or 3D, got {shape}")
@@ -72,6 +68,4 @@ def cost_model(shape: Shape, phase: str) -> int:
         return 6 * size * ndim + 10 * size
     if phase == "pinv_apply":
         return 4 * size * extent_sum + size
-    if phase == "center":
-        return 3 * size
     raise ValueError(f"unknown phase {phase!r}")

@@ -30,6 +30,7 @@ __all__ = [
     "read_tensor",
     "RUN_LOG_SCHEMA",
     "log_to_dict",
+    "write_json",
     "write_run_log",
     "summary_row",
     "write_csv_summary",
@@ -165,9 +166,13 @@ def log_to_dict(log: ConvergenceLog) -> dict:
     return doc
 
 
-def write_run_log(path: str, log: ConvergenceLog) -> None:
-    doc = log_to_dict(log)
+def write_json(path: str, doc) -> None:
+    """Write a JSON document, indented one space per level, in ASCII."""
     _atomic_write_bytes(path, json.dumps(doc, indent=1).encode("ascii"))
+
+
+def write_run_log(path: str, log: ConvergenceLog) -> None:
+    write_json(path, log_to_dict(log))
 
 
 _SUMMARY_COLUMNS = ("problem", "preconditioner", "iters_to_1e-9", "final_true_res", "ops_cum")

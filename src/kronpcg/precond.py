@@ -51,14 +51,11 @@ def _spectral_setup(op) -> tuple[list[np.ndarray], np.ndarray]:
 class Preconditioner:
     """Base: a symmetric map from residual tensors to search-direction seeds."""
 
-    name = "base"
+    name = "base"  # the label a run log records
     init_cost = 0
 
     def apply(self, r: np.ndarray, ops: Optional[OpCounter] = None) -> np.ndarray:
         raise NotImplementedError
-
-    def describe(self) -> str:
-        return self.name
 
 
 class IdentityPreconditioner(Preconditioner):
@@ -88,8 +85,6 @@ class JacobiPreconditioner(Preconditioner):
     instance, so one instance serves one solve at a time.
     """
 
-    name = "jacobi"
-
     def __init__(self, op, p: int = 1, omega: float = 1.0):
         if p < 1:
             raise ValueError(f"jacobi needs p >= 1 sweeps, got {p}")
@@ -98,15 +93,13 @@ class JacobiPreconditioner(Preconditioner):
         self.op = op
         self.p = int(p)
         self.omega = float(omega)
+        self.name = f"jacobi(p={self.p}, omega={self.omega:g})"
         diag_sum = outer_sum([diagonal(n, bc) for n, bc in zip(op.shape, op.bcs)])
         self.dhat = self.omega * diag_sum
         self.dhat_inv = 1.0 / self.dhat
         self._work = np.empty(op.shape)  # sweep scratch, reused by every apply
         # Building the weighted diagonal: ndim-1 adds, a scaling, a reciprocal.
         self.init_cost = (op.ndim + 1) * int(np.prod(op.shape))
-
-    def describe(self) -> str:
-        return f"jacobi(p={self.p}, omega={self.omega:g})"
 
     def apply(self, r: np.ndarray, ops: Optional[OpCounter] = None) -> np.ndarray:
         x = self.dhat_inv * r
@@ -145,7 +138,6 @@ class PinvPreconditioner(Preconditioner):
     name = "pinv"
 
     def __init__(self, op):
-        self.op = op
         self.bases, self.ghat = _spectral_setup(op)
         # Eigenvalue-sum tensor and its reciprocal: (ndim-1)+1 ops per entry.
         self.init_cost = op.ndim * int(np.prod(op.shape))
@@ -157,7 +149,7 @@ class PinvPreconditioner(Preconditioner):
         f *= self.ghat
         z = linear_transform(self.bases, f)
         if ops is not None:
-            ops.add(4 * r.size * sum(self.op.shape) + r.size)
+            ops.add(4 * r.size * sum(r.shape) + r.size)
         return z
 
 
@@ -176,24 +168,19 @@ class LowRankPreconditioner(Preconditioner):
     and is deliberately not provided.
     """
 
-    name = "lowrank"
-
     def __init__(self, op, rank: int):
         if op.ndim != 2:
             raise ValueError("low-rank preconditioner supports 2D grids only")
         n, q = op.shape
         if not 1 <= rank <= min(n, q):
             raise ValueError(f"rank must be in [1, {min(n, q)}], got {rank}")
-        self.op = op
         self.rank = int(rank)
+        self.name = f"lowrank(r={self.rank})"
         (vn, vq), ghat = _spectral_setup(op)
         a, sigma, bt = np.linalg.svd(ghat)
         self.left = [vn @ np.diag(sigma[i] * a[:, i]) @ vn.T for i in range(rank)]
         self.right = [vq @ np.diag(bt[i, :]) @ vq.T for i in range(rank)]
         self.init_cost = op.ndim * int(np.prod(op.shape))
-
-    def describe(self) -> str:
-        return f"lowrank(r={self.rank})"
 
     def apply(self, r: np.ndarray, ops: Optional[OpCounter] = None) -> np.ndarray:
         n, q = r.shape
@@ -205,13 +192,13 @@ class LowRankPreconditioner(Preconditioner):
         return z
 
 
-# Family -> (constructor taking the operator, {spec key: (keyword, type)});
-# a parameter is optional exactly when the constructor defaults its keyword.
+# Family -> (constructor taking the operator, {spec key: (keyword, type)},
+# required spec keys: those whose keyword the constructor does not default).
 _FAMILIES = {
-    "none": (lambda op: IdentityPreconditioner(), {}),
-    "pinv": (PinvPreconditioner, {}),
-    "jacobi": (JacobiPreconditioner, {"p": ("p", int), "omega": ("omega", float)}),
-    "lowrank": (LowRankPreconditioner, {"r": ("rank", int)}),
+    "none": (lambda op: IdentityPreconditioner(), {}, ()),
+    "pinv": (PinvPreconditioner, {}, ()),
+    "jacobi": (JacobiPreconditioner, {"p": ("p", int), "omega": ("omega", float)}, ()),
+    "lowrank": (LowRankPreconditioner, {"r": ("rank", int)}, ("r",)),
 }
 _FAMILIES["identity"] = _FAMILIES["none"]
 
@@ -220,14 +207,14 @@ def make_preconditioner(op, spec: str) -> Preconditioner:
     """Build a preconditioner from its command-line spelling.
 
     Grammar: ``none`` | ``pinv`` | ``jacobi:p=3,omega=1.3`` | ``lowrank:r=3``
-    (parameters optional for jacobi, required rank for lowrank); a
+    (parameters optional for jacobi, required ``r`` for lowrank); a
     parameter may be given once.
     """
     head, _, tail = spec.strip().partition(":")
     head = head.strip().lower()
     if head not in _FAMILIES:
         raise ValueError(f"unknown preconditioner {head!r}")
-    build, params = _FAMILIES[head]
+    build, params, required = _FAMILIES[head]
     kwargs: dict = {}
     try:
         for item in tail.split(",") if tail else []:
@@ -239,6 +226,9 @@ def make_preconditioner(op, spec: str) -> Preconditioner:
             if keyword in kwargs:
                 raise ValueError(f"parameter {key!r} is given twice")
             kwargs[keyword] = kind(value)
+        for key in required:
+            if params[key][0] not in kwargs:
+                raise ValueError(f"missing parameter {key!r}; {head} takes {', '.join(params)}")
         return build(op, **kwargs)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"bad preconditioner spec {spec!r}: {exc}") from exc
@@ -266,21 +256,21 @@ def jacobi_standalone(
     Records the true residual norm after every step.  One operator apply
     per step serves both: ``h - L x`` is the residual recorded for the
     new iterate and the right-hand side of the next step, so a run of
-    ``iters`` steps applies the operator ``iters + 1`` times, and each
-    step is charged one apply and ``4*N`` update ops.  If the residual
-    blows past ``1e12`` times its initial value the run is flagged as
-    diverged and stops early; that is a reportable outcome, not an error.
+    ``iters`` steps applies the operator ``iters`` times (the zero start's
+    residual is ``h`` itself), and each step is charged one apply and
+    ``4*N`` update ops.  If the residual blows past ``1e12`` times its
+    initial value the run is flagged as diverged and stops early; that is
+    a reportable outcome, not an error.
     """
     if iters < 0:
         raise ValueError("iters must be nonnegative")
     jacobi = JacobiPreconditioner(op, p=1, omega=omega)
     h = np.asarray(h, dtype=float)
     x = np.zeros(op.shape)
-    r = np.empty(op.shape)
+    r = h.copy()  # the residual h - L*0
     ops = OpCounter()
     ops.add(jacobi.init_cost)
     res = StationaryResult(x=x)
-    np.subtract(h, op_mod.apply(op, x, out=r), out=r)
     res0 = frobenius_norm(r)
     res.residuals.append(res0)
     res.ops_cum.append(ops.count)

@@ -49,6 +49,8 @@ __all__ = [
     "experiment_runs",
 ]
 
+_P2_BAND_WIDTH = 5  # rows of unit charge in the p2 band
+
 P3_VARIANTS: dict[str, tuple[int, ...]] = {
     "2d_512x256": (512, 256),
     "3d_128x64x8": (128, 64, 8),
@@ -119,22 +121,21 @@ def gen_problem1(
     return _finish("p1", op, h)
 
 
-def gen_problem2(
-    n: int = 40, q: int = 120, band_width: int = 5
-) -> tuple[ProblemSpec, np.ndarray]:
+def gen_problem2(n: int = 40, q: int = 120) -> tuple[ProblemSpec, np.ndarray]:
     """A positive charge band between a grounded and a field-driven edge.
 
     The first grid direction runs from a zero-potential edge to an edge
     with prescribed outward field -1/2; the second direction is periodic.
-    A band of unit charge sits a third of the way in.  Boundary updates
-    are folded into H before normalization, so the stored side solves
-    directly; dividing by ``spec.scale`` recovers the physical system in
-    which the potential really drops at rate 1/2 off the far edge.
+    A band of five rows of unit charge sits a third of the way in, so
+    ``n`` must be at least 5.  Boundary updates are folded into H before
+    normalization, so the stored side solves directly; dividing by
+    ``spec.scale`` recovers the physical system in which the potential
+    really drops at rate 1/2 off the far edge.
     """
     bcs = (BoundaryCondition.DIRICHLET_NEUMANN, BoundaryCondition.PERIODIC)
     op = poisson_operator((n, q), bcs)
-    if not 1 <= band_width <= n:
-        raise ValueError(f"band width must be in [1, {n}], got {band_width}")
+    if n < _P2_BAND_WIDTH:
+        raise ValueError(f"p2 needs n >= {_P2_BAND_WIDTH} (the band width), got {n}")
     boundary = BoundaryData(
         (
             (FaceValue("potential", 0.0), FaceValue("field", -0.5)),
@@ -142,8 +143,8 @@ def gen_problem2(
         )
     )
     h = np.zeros((n, q))
-    start = max(0, n // 3 - band_width // 2)
-    h[start : start + band_width, :] = 1.0
+    start = max(0, n // 3 - _P2_BAND_WIDTH // 2)
+    h[start : start + _P2_BAND_WIDTH, :] = 1.0
     return _finish("p2", op, apply_bc_updates(h, bcs, boundary), boundary=boundary)
 
 

@@ -21,7 +21,7 @@ true residual ``h - Lu`` in the same buffer.
 The loop updates the iterate, the residual and the search direction in
 buffers allocated once per solve, with one more work buffer for ``Lp``
 and ``Lu``; the preconditioner's output is the only grid array a step
-makes.  The caller's ``h`` and ``u0`` are never written to.
+makes.  A run starts from zero and never writes to the caller's ``h``.
 
 The run stops at its budget, at the optional true-residual tolerance, or
 at the rounding floor: a nonpositive or non-finite curvature or
@@ -202,22 +202,21 @@ def pcg(
     op,
     h: np.ndarray,
     precond: Optional[Preconditioner] = None,
-    u0: Optional[np.ndarray] = None,
     config: Optional[SolverConfig] = None,
 ) -> tuple[np.ndarray, ConvergenceLog]:
     """Run preconditioned conjugate gradients for ``L u = h``.
 
-    Returns the final iterate and the convergence log.  For a singular
-    operator the right-hand side must arrive centered (the constant
-    component of the solution is not determined); pass it through
-    :func:`kronpcg.operators.center` first or let the CLI do it.  The
-    operator alone decides centering: on a singular grid the recursive
-    residual is mean-centered every iteration and the returned iterate
-    once at the end; a nonsingular grid is never centered.  A
-    non-finite right-hand side or initial guess raises ``ValueError``.
-    The iteration works in place on its own copies; per step it applies
-    the operator once to the search direction and once more for the
-    logged record, which always carries the true residual.
+    Starts from ``u = 0``; returns the final iterate and the convergence
+    log.  For a singular operator the right-hand side must arrive
+    centered (the constant component of the solution is not determined);
+    pass it through :func:`kronpcg.operators.center` first or let the CLI
+    do it.  The operator alone decides centering: on a singular grid the
+    recursive residual is mean-centered every iteration and the returned
+    iterate once at the end; a nonsingular grid is never centered.  A
+    non-finite right-hand side raises ``ValueError``.  The iteration
+    works in place on its own buffers; per step it applies the operator
+    once to the search direction and once more for the logged record,
+    which always carries the true residual.
     """
     cfg = config if config is not None else SolverConfig()
     precond = precond if precond is not None else IdentityPreconditioner()
@@ -240,20 +239,15 @@ def pcg(
     ops = OpCounter()
     ops.add(precond.init_cost)
 
-    u = np.zeros(op.shape) if u0 is None else np.array(u0, dtype=float, order="C")
-    if u.shape != op.shape:
-        raise ValueError(f"initial guess shape {u.shape} does not match grid {op.shape}")
-    if not np.isfinite(u).all():
-        raise ValueError("initial guess has non-finite entries")
-
     log = ConvergenceLog(
         shape=list(op.shape),
         bcs=[bc.value for bc in op.bcs],
-        preconditioner=precond.describe(),
+        preconditioner=precond.name,
         config=cfg,
         h_norm=h_norm,
     )
-    # Buffers of the in-place loop (p is copied from the first z below).
+    # Zero start and buffers of the in-place loop (p is copied from the first z).
+    u = np.zeros(op.shape)
     r = np.empty(op.shape)
     w = np.empty(op.shape)
 
@@ -286,6 +280,7 @@ def pcg(
         return cfg.stop_tol is not None and tr <= cfg.stop_tol * max(h_norm, _EPS)
 
     # Initialization: residual, preconditioned residual, first direction.
+    # ``r = h - L*0`` keeps its apply, which the "init" cost model charges.
     np.subtract(h, op_mod.apply(op, u, ops, out=r), out=r)
     ops.add(2 * h.size)
     if singular:

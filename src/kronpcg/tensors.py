@@ -110,9 +110,8 @@ def inner(x: np.ndarray, y: np.ndarray) -> float:
 
 
 def frobenius_norm(x: np.ndarray) -> float:
-    """Frobenius norm (entrywise 2-norm) of a tensor, summed as :func:`inner`."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    return float(np.sqrt(np.einsum("i,i->", x, x)))
+    """Frobenius norm (entrywise 2-norm) of a tensor, summed by :func:`inner`."""
+    return float(np.sqrt(inner(x, x)))
 
 
 def hadamard_pinv(x: np.ndarray) -> np.ndarray:

@@ -13,11 +13,11 @@ import numpy as np
 import pytest
 
 from conftest import Negated
-from kronpcg import cli
+from kronpcg import cli, formats
 from kronpcg.formats import RUN_LOG_SCHEMA, read_tensor, write_tensor
 from kronpcg.laplace1d import BoundaryCondition, analytic_spectrum
 from kronpcg.precond import make_preconditioner
-from kronpcg.problems import gen_problem1, gen_problem2
+from kronpcg.problems import gen_problem1, gen_problem2, gen_problem3
 
 
 def test_gen_then_solve_round_trip(tmp_path, capsys):
@@ -57,6 +57,54 @@ def test_gen_p2_writes_the_boundary_sidecar(tmp_path):
     assert sidecar["applied"] is True
     assert sidecar["faces"][0]["end"] == {"kind": "field", "value": -0.5}
     assert sidecar["scale"] > 0.0
+
+
+def test_gen_writes_the_sidecar_through_the_atomic_writer(tmp_path, monkeypatch):
+    written = []
+    real = formats._atomic_write_bytes
+
+    def recorded(path, payload):
+        written.append(path)
+        real(path, payload)
+
+    monkeypatch.setattr(formats, "_atomic_write_bytes", recorded)
+    rhs = str(tmp_path / "p2.kten")
+    assert cli.main(["gen", "--problem", "p2", "--out", rhs]) == 0
+    assert written == [rhs, rhs + ".bc.json"]
+    text = (tmp_path / "p2.kten.bc.json").read_text(encoding="ascii")
+    assert text == json.dumps(json.loads(text), indent=1)
+    assert sorted(os.listdir(tmp_path)) == ["p2.kten", "p2.kten.bc.json"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--problem", "p3", "--variant", "2d_512x256", "--size", "3x3", "--period", "7"],
+        ["--problem", "p1", "--size", "5x10", "--variant", "2d_512x256"],
+        ["--problem", "p1", "--size", "5x10", "--seed", "1"],
+        ["--problem", "p2", "--seed", "1"],
+        ["--problem", "p2", "--period", "12"],
+        ["--problem", "p3", "--variant", "2d_512x256", "--size", "512x256"],
+        ["--problem", "p3", "--variant", "2d_512x256", "--period", "12"],
+    ],
+    ids=["p3-size-period", "p1-variant", "p1-seed", "p2-seed", "p2-period", "p3-size", "p3-period"],
+)
+def test_gen_refuses_a_flag_of_another_problem(tmp_path, capsys, argv):
+    out = tmp_path / "x.kten"
+    assert cli.main(["gen", *argv, "--out", str(out)]) == 1
+    assert "does not take" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_gen_passes_period_and_seed_to_the_generator(tmp_path):
+    p1, p3 = str(tmp_path / "p1.kten"), str(tmp_path / "p3.kten")
+    p1_argv = ["gen", "--problem", "p1", "--size", "6x8", "--out", p1, "--period"]
+    assert cli.main([*p1_argv, "4"]) == 0
+    assert np.array_equal(read_tensor(p1), gen_problem1(6, 8, period=4)[1])
+    assert cli.main([*p1_argv, "7"]) == 1  # an odd period reaches the generator's check
+    p3_argv = ["gen", "--problem", "p3", "--variant", "2d_512x256", "--seed", "3", "--out", p3]
+    assert cli.main(p3_argv) == 0
+    assert np.array_equal(read_tensor(p3), gen_problem3("2d_512x256", seed=3)[1])
 
 
 def test_gen_p3_variant(tmp_path):
@@ -222,6 +270,13 @@ def test_spectrum_one_dimensional_output(capsys):
     got = [float(line.split(",")[1]) for line in lines[1:]]
     want = analytic_spectrum(5, BoundaryCondition.DIRICHLET).values
     assert np.allclose(got, want, atol=1e-12)
+
+
+def test_spectrum_one_dimensional_form_refuses_sums(capsys):
+    assert cli.main(["spectrum", "--n", "5", "--bc", "dirichlet", "--sums"]) == 1
+    captured = capsys.readouterr()
+    assert "--sums needs --size" in captured.err
+    assert captured.out == ""
 
 
 def test_spectrum_grid_form_with_sums(capsys):

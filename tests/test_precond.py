@@ -84,6 +84,22 @@ class TestMakePreconditioner:
         with pytest.raises(ValueError):
             make_preconditioner(_periodic_op(4, 5), spec)
 
+    def test_missing_required_parameter_is_named_by_its_spec_key(self):
+        with pytest.raises(ValueError, match="missing parameter 'r'") as info:
+            make_preconditioner(_periodic_op(4, 5), "lowrank")
+        assert "'rank'" not in str(info.value)
+
+    def test_name_is_the_log_label(self):
+        op = _periodic_op(4, 5)
+        specs = ["none", "pinv", "jacobi:p=3,omega=1.3", "jacobi", "lowrank:r=2"]
+        assert [make_preconditioner(op, s).name for s in specs] == [
+            "identity",
+            "pinv",
+            "jacobi(p=3, omega=1.3)",
+            "jacobi(p=1, omega=1)",
+            "lowrank(r=2)",
+        ]
+
 
 class TestJacobi:
     def test_one_sweep_is_the_scaled_diagonal(self):
@@ -246,7 +262,7 @@ class TestJacobiStandalone:
         monkeypatch.setattr(op_mod, "apply", counted_apply)
         result = jacobi_standalone(op, h, omega=1.3, iters=25)
         assert result.iterations == 25
-        assert len(calls) == 25 + 1
+        assert len(calls) == 25  # the zero start's residual is h itself
         step = result.ops_cum[1] - result.ops_cum[0]
         assert step == 6 * h.size * op.ndim + 4 * h.size
         assert np.diff(result.ops_cum).tolist() == [step] * 25

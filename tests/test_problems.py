@@ -83,10 +83,9 @@ class TestProblem2:
         assert spec.boundary.faces[1] == (None, None)
 
     def test_rejects_bad_band(self):
-        with pytest.raises(ValueError):
-            gen_problem2(band_width=0)
-        with pytest.raises(ValueError):
-            gen_problem2(n=10, band_width=11)
+        with pytest.raises(ValueError, match="band width"):
+            gen_problem2(n=4)
+        gen_problem2(n=5)  # exactly one band of rows fits
         with pytest.raises(ValueError):
             gen_problem2(40.5)
 
