@@ -310,6 +310,8 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
     if args.size:
+        if args.n is not None:
+            raise UsageError("--n is the 1D form's size; with --size give the extents there")
         dims = _parse_size(args.size)
         bcs = _parse_bcs(args.bc, len(dims))
         op = poisson_operator(dims, bcs)

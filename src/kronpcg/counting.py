@@ -15,12 +15,15 @@ Diagnostics (true-residual recomputation, error indicators, null-norm
 bookkeeping) are free; an explicitly requested stopping-tolerance check is
 counted.  Both diagnostics of a logged record come from one operator
 apply, which with the residual's subtraction and norm is what a
-stopping-tolerance check is charged: ``6*N*ndim + 4*N`` per record.  On a
-singular grid the final projection of the returned iterate onto the
-mean-free tensors is free, like the right-hand-side centering the
-caller does before the solve; the per-iteration residual centering is
-counted.  Under these rules the closed-form budgets below are exact, so
-instrumented counters reproduce them identity-for-identity.
+stopping-tolerance check is charged: ``6*N*ndim + 4*N`` per record after
+record 0, whose true residual is ``|h|`` from the zero start.  The zero
+start itself costs nothing but the preconditioner's ``init_cost`` and, on
+a singular grid, the residual's centering.  On a singular grid the final
+projection of the returned iterate onto the mean-free tensors is free,
+like the right-hand-side centering the caller does before the solve; the
+per-iteration residual centering is counted.  Under these rules the
+closed-form budgets below are exact, so instrumented counters reproduce
+them identity-for-identity.
 """
 
 from __future__ import annotations
@@ -49,8 +52,6 @@ def cost_model(shape: Shape, phase: str) -> int:
 
     ``phase`` selects what is being costed:
 
-    - ``"init"``: everything before the loop (one operator apply, one
-      subtraction, one inner product),
     - ``"iter"``: one loop pass (one apply, two inner products, three
       scaled additions),
     - ``"pinv_apply"``: one application of the spectral pseudoinverse
@@ -62,8 +63,6 @@ def cost_model(shape: Shape, phase: str) -> int:
     extent_sum = sum(shape)
     ndim = len(shape)
 
-    if phase == "init":
-        return 6 * size * ndim + 4 * size
     if phase == "iter":
         return 6 * size * ndim + 10 * size
     if phase == "pinv_apply":

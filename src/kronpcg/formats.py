@@ -117,7 +117,7 @@ RUN_LOG_SCHEMA: dict = {
                 s={"type": "integer", "minimum": 0},
                 alpha=_NUMBER_OR_NULL,
                 beta=_NUMBER_OR_NULL,
-                rho={"type": "number"},
+                rho=_NUMBER_OR_NULL,
                 computed_res={"type": "number"},
                 true_res=_NUMBER_OR_NULL,
                 kappa={"type": "number"},

@@ -15,8 +15,12 @@ scalar coefficients, recursive and true residual norms, the quadratic-form
 error indicator ``kappa`` and its scaled square-root series ``eta``, the
 null-space component of the iterate, and the cumulative elementary-op
 count under the accounting rules documented in :mod:`kronpcg.counting`.
-A record costs one operator apply: ``Lu`` gives ``kappa`` and then the
-true residual ``h - Lu`` in the same buffer.
+Record 0 is the zero start (``r = h``, ``kappa = 0``) and costs no apply;
+each later record costs one: ``Lu`` gives ``kappa`` and then the true
+residual ``h - Lu`` in the same buffer.  Each step follows the PCG
+template of Barrett et al. (SIAM 1994, Fig. 2.5): precondition, pair, set
+the direction, apply, update, then log the new record, whose true
+residual is tested before any further preconditioner solve.
 
 The loop updates the iterate, the residual and the search direction in
 buffers allocated once per solve, with one more work buffer for ``Lp``
@@ -94,13 +98,16 @@ class IterationRecord:
     """Per-iteration ledger entry (s=0 is the initial state).
 
     The fields, in order, are the keys of one ``iterations`` entry of the
-    run log.
+    run log.  ``rho`` and ``beta`` of record ``s`` are filled when the next
+    step preconditions ``r_s``, so a tolerance stop or a zero start residual
+    leaves them ``None`` on the last record; ``beta`` is also ``None`` on
+    record 0 and after a stop on ``<r, z>``.
     """
 
     s: int
     alpha: Optional[float]
     beta: Optional[float]
-    rho: float
+    rho: Optional[float]
     computed_res: float
     true_res: float
     kappa: float
@@ -214,9 +221,10 @@ def pcg(
     recursive residual is mean-centered every iteration and the returned
     iterate once at the end; a nonsingular grid is never centered.  A
     non-finite right-hand side raises ``ValueError``.  The iteration
-    works in place on its own buffers; per step it applies the operator
-    once to the search direction and once more for the logged record,
-    which always carries the true residual.
+    works in place on its own buffers; per step it preconditions the last
+    record's residual and applies the operator once to the search
+    direction and once for the new record, which always carries the true
+    residual.
     """
     cfg = config if config is not None else SolverConfig()
     precond = precond if precond is not None else IdentityPreconditioner()
@@ -246,56 +254,58 @@ def pcg(
         config=cfg,
         h_norm=h_norm,
     )
-    # Zero start and buffers of the in-place loop (p is copied from the first z).
+    # Zero start: ``r = h - L*0`` is ``h``, and p starts at zero so the first
+    # direction is ``z``.
     u = np.zeros(op.shape)
-    r = np.empty(op.shape)
+    r = h.copy()
+    p = np.zeros(op.shape)
     w = np.empty(op.shape)
+    counted = ops if cfg.stop_tol is not None else None
 
-    def record(s, alpha, beta, r_norm) -> bool:
-        """Log iteration ``s``; report whether the tolerance stop is met.
-
-        One operator apply into ``w`` serves both diagnostics: ``kappa``
-        reads ``Lu``, then ``w`` becomes the true residual ``h - Lu``.
-        The apply, subtraction and norm are counted only when a stopping
-        tolerance asks for them.
-        """
-        counted = ops if cfg.stop_tol is not None else None
-        lu = op_mod.apply(op, u, counted, out=w)
-        kappa = inner(u, lu) - 2.0 * inner(u, h)
-        tr = _counted_true_residual(h, lu, counted)
+    def record(s, alpha, r_norm, true_res, kappa, null_norm) -> bool:
+        """Log iteration ``s``; report whether the tolerance stop is met."""
         log.records.append(
             IterationRecord(
                 s=s,
                 alpha=alpha,
-                beta=beta,
-                rho=rho,
+                beta=None,
+                rho=None,
                 computed_res=r_norm,
-                true_res=tr,
+                true_res=true_res,
                 kappa=kappa,
                 eta_scaled=None,
-                null_norm=op_mod.nullspace_component(u),
+                null_norm=null_norm,
                 ops_cum=ops.count,
             )
         )
-        return cfg.stop_tol is not None and tr <= cfg.stop_tol * max(h_norm, _EPS)
+        return cfg.stop_tol is not None and true_res <= cfg.stop_tol * max(h_norm, _EPS)
 
-    # Initialization: residual, preconditioned residual, first direction.
-    # ``r = h - L*0`` keeps its apply, which the "init" cost model charges.
-    np.subtract(h, op_mod.apply(op, u, ops, out=r), out=r)
-    ops.add(2 * h.size)
     if singular:
         op_mod.center(r, ops, out=r)
-    z = precond.apply(r, ops)
-    rho = inner(r, z)
-    ops.add(2 * h.size)
-    p = z.copy()  # its own buffer: z may be r itself
-    del z  # dropped once used, so two outputs never coexist (peak memory)
     r_norm = r0_norm = frobenius_norm(r)
-    done = record(0, None, None, r_norm) or r_norm == 0.0
+    done = record(0, None, r_norm, h_norm, 0.0, 0.0) or r_norm == 0.0
 
     stop: Optional[str] = None  # "floor" or a breakdown kind
     s = 0
-    while not done and s < cfg.max_iter:
+    beta = 0.0
+    while not done:
+        z = precond.apply(r, ops)
+        rho_next = inner(r, z)
+        ops.add(2 * h.size)
+        last = log.records[-1]
+        last.rho = rho_next
+        if s > 0:  # <r_0, z_0> is not judged
+            stop = _judge(log, s, "indefinite", rho_next, r_norm, r0_norm)
+            if stop is not None:
+                break
+            beta = last.beta = rho_next / rho if rho != 0.0 else 0.0
+        if s == cfg.max_iter:
+            break
+        rho = rho_next
+        p *= beta
+        p += z  # z + beta*p
+        ops.add(2 * h.size)
+        del z  # dropped once used, so two outputs never coexist (peak memory)
         s += 1
         op_mod.apply(op, p, ops, out=w)
         wp = inner(w, p)
@@ -309,20 +319,14 @@ def pcg(
         ops.add(4 * h.size)
         if singular:
             op_mod.center(r, ops, out=r)
-        z = precond.apply(r, ops)
-        rho_next = inner(r, z)
-        ops.add(2 * h.size)
         r_norm = frobenius_norm(r)
-        stop = _judge(log, s, "indefinite", rho_next, r_norm, r0_norm)
-        beta = None
-        if stop is None:
-            beta = rho_next / rho if rho != 0.0 else 0.0
-            p *= beta
-            p += z  # z + beta*p
-            ops.add(2 * h.size)
-        del z
-        rho = rho_next
-        done = record(s, alpha, beta, r_norm) or stop is not None
+        # One apply into ``w`` serves both diagnostics: ``kappa`` reads
+        # ``Lu``, then ``w`` becomes the true residual ``h - Lu``.  They are
+        # counted only when a stopping tolerance reads them.
+        lu = op_mod.apply(op, u, counted, out=w)
+        kappa = inner(u, lu) - 2.0 * inner(u, h)
+        true_res = _counted_true_residual(h, lu, counted)
+        done = record(s, alpha, r_norm, true_res, kappa, op_mod.nullspace_component(u))
 
     if singular:
         op_mod.center(u, out=u)  # free, like the caller's centering of h

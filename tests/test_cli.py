@@ -279,6 +279,14 @@ def test_spectrum_one_dimensional_form_refuses_sums(capsys):
     assert captured.out == ""
 
 
+def test_spectrum_grid_form_refuses_n(capsys):
+    argv = ["spectrum", "--size", "6x8", "--n", "5", "--bc", "x=periodic,y=dirichlet"]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "--n" in captured.err
+    assert captured.out == ""
+
+
 def test_spectrum_grid_form_with_sums(capsys):
     code = cli.main(
         ["spectrum", "--size", "6x8", "--bc", "x=periodic,y=dirichlet", "--sums"]
