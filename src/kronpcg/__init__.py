@@ -4,10 +4,10 @@ The package solves finite-difference Poisson equations on 2D/3D
 rectangular grids without ever assembling the system matrix: the operator
 is the grid shape plus one boundary condition per direction, applied as
 in-place three-point stencils, and the spectral preconditioners work
-through tensor mode products.  Five boundary treatments per direction, three structure-aware
-preconditioner families, hardware-independent operation accounting, and a
-CLI for generating benchmark problems and reproducing the packaged
-experiments.
+through per-axis linear transforms.  Five boundary treatments per
+direction, three structure-aware preconditioner families,
+hardware-independent operation accounting, and a CLI for generating
+benchmark problems and reproducing the packaged experiments.
 """
 
 from .counting import OpCounter, cost_model
@@ -57,7 +57,6 @@ from .tensors import (
     hadamard_pinv,
     inner,
     linear_transform,
-    mode_product,
 )
 
 __version__ = "0.1.0"

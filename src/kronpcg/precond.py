@@ -143,8 +143,9 @@ class PinvPreconditioner(Preconditioner):
         self.init_cost = op.ndim * int(np.prod(op.shape))
 
     def apply(self, r: np.ndarray, ops: Optional[OpCounter] = None) -> np.ndarray:
-        # The bases are C-ordered, so their transposes are F-ordered views
-        # that GEMM reads in place: no transposed copies are kept.
+        # One plain GEMM per axis (a rotation on 3D grids); the bases are
+        # C-ordered, so their transposes are F-ordered views that GEMM reads
+        # in place: no transposed copies are kept.
         f = linear_transform([v.T for v in self.bases], r)
         f *= self.ghat
         z = linear_transform(self.bases, f)

@@ -67,8 +67,9 @@ def test_a_traced_solve_records_the_true_residual_span(layertrace):
     assert stats["operators.apply"].calls == records - 1 + log.iterations
 
 
-def test_the_benchmark_harness_solves_a_workload():
-    argv = ["--workload", "p2-2d-mixed-pinv", "--seed", "0", "--seconds", "0", "--trace", "0"]
+@pytest.mark.parametrize("workload", ["p2-2d-mixed-pinv", "p3-3d-1m-pinv"])
+def test_the_benchmark_harness_solves_a_workload(workload):
+    argv = ["--workload", workload, "--seed", "0", "--seconds", "0", "--trace", "0"]
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", *argv],
         cwd=ROOT,

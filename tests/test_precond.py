@@ -1,3 +1,9 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -183,6 +189,48 @@ class TestPinv:
         assert ops.count == 4 * n * (5 + 6 + 4) + n
         assert ops.count == cost_model(op.shape, "pinv_apply")
         assert p.init_cost == 3 * n
+
+
+# A 3D pinv solve (rotated per-axis transforms) to 1e-9; the iterate goes
+# to the .npy path given as the first argument.
+_PINV_3D_PROBE = """
+import json, sys
+import numpy as np
+from kronpcg import SolverConfig, gen_problem3, make_preconditioner, pcg
+spec, h = gen_problem3("3d_128x64x8", 0)
+op = spec.operator()
+u, log = pcg(op, h, make_preconditioner(op, "pinv"), config=SolverConfig(max_iter=20, stop_tol=1e-9))
+np.save(sys.argv[1], u)
+print(json.dumps({
+    "iterations": log.iterations,
+    "ops_cum": [r.ops_cum for r in log.records],
+    "tolerance_stop": log.records[-1].true_res <= 1e-9 * log.h_norm,
+    "breakdown": log.breakdown,
+    "warnings": log.warnings,
+}))
+"""
+
+
+def test_3d_pinv_solve_does_not_depend_on_the_blas_thread_count(tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    runs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        path = tmp_path / f"u{threads}.npy"
+        done = subprocess.run(
+            [sys.executable, "-c", _PINV_3D_PROBE, str(path)],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        runs.append((json.loads(done.stdout), np.load(path)))
+    (summary_1, u_1), (summary_2, u_2) = runs
+    assert summary_1 == summary_2
+    assert summary_1["tolerance_stop"]
+    assert np.linalg.norm(u_1 - u_2) <= 1e-12 * np.linalg.norm(u_1)
 
 
 class TestLowRank:

@@ -1,13 +1,20 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import kron_assemble, unvec, vec
-from kronpcg.tensors import frobenius_norm, hadamard_pinv, inner, linear_transform, mode_product
+from kronpcg.tensors import (
+    NULL_MODE_TOL,
+    frobenius_norm,
+    hadamard_pinv,
+    inner,
+    linear_transform,
+)
 
 
 def test_vec_is_first_index_fastest():
@@ -32,23 +39,26 @@ def test_unvec_rejects_wrong_length():
         unvec(np.zeros(7), (2, 3))
 
 
-def test_mode_product_matches_einsum():
+@pytest.mark.parametrize(
+    "mode, subscripts", [(0, "ia,ajk->ijk"), (1, "ja,iak->ijk"), (2, "ka,ija->ijk")]
+)
+def test_linear_transform_on_one_mode_matches_einsum(mode, subscripts):
+    """A rectangular matrix on one mode, identities on the others."""
     rng = np.random.default_rng(11)
     t = rng.standard_normal((3, 4, 5))
-    a = rng.standard_normal((6, 3))
-    b = rng.standard_normal((2, 4))
-    c = rng.standard_normal((7, 5))
-    assert np.allclose(mode_product(a, 1, t), np.einsum("ia,ajk->ijk", a, t))
-    assert np.allclose(mode_product(b, 2, t), np.einsum("ja,iak->ijk", b, t))
-    assert np.allclose(mode_product(c, 3, t), np.einsum("ka,ija->ijk", c, t))
+    m = rng.standard_normal((t.shape[mode] + 3, t.shape[mode]))
+    mats = [np.eye(n) for n in t.shape]
+    mats[mode] = m
+    assert np.allclose(linear_transform(mats, t), np.einsum(subscripts, m, t))
 
 
-def test_mode_product_validates_mode_and_shape():
-    t = np.zeros((3, 4))
-    with pytest.raises(ValueError):
-        mode_product(np.zeros((3, 3)), 3, t)
-    with pytest.raises(ValueError):
-        mode_product(np.zeros((3, 5)), 1, t)
+@pytest.mark.parametrize("shape", [(3, 4), (3, 4, 5)])
+def test_linear_transform_validates_each_matrix_shape(shape):
+    for mode, extent in enumerate(shape):
+        mats = [np.eye(n) for n in shape]
+        mats[mode] = np.zeros((extent, extent + 1))
+        with pytest.raises(ValueError, match=f"along mode {mode + 1}"):
+            linear_transform(mats, np.zeros(shape))
 
 
 def test_linear_transform_matches_kron_on_vec():
@@ -141,6 +151,21 @@ def test_hadamard_and_pinv():
     assert g[1, 0] == -2.0
     assert g[0, 1] == 0.0
     assert g[1, 1] == 0.0  # below the threshold counts as a null mode
+
+
+def test_hadamard_pinv_equals_the_mask_formula_without_warnings():
+    tol = NULL_MODE_TOL
+    above = np.nextafter(tol, 1.0)
+    x = np.array(
+        [[0.0, -0.0, tol, -tol], [above, -above, 2.0 * tol, -3.5], [1e-300, 7.0, -1e-14, 0.25]]
+    )
+    want = np.zeros_like(x)
+    mask = np.abs(x) > tol
+    want[mask] = 1.0 / x[mask]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = hadamard_pinv(x)
+    assert np.array_equal(got, want)
 
 
 def test_kron_assemble_order():
