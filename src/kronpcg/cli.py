@@ -269,16 +269,20 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 def _run_to_files(
     outdir: str, name: str, spec, h, pspec: str, budget: int
-) -> tuple[dict, float]:
+) -> tuple[dict, float, str]:
     """Run one experiment entry and write its series (and run log) under
-    ``name``; return its summary row and final relative true residual."""
+    ``name``; return its summary row, final relative true residual and a
+    note for its printed line (empty unless the run diverged)."""
     stem = os.path.join(outdir, f"{name}_{_slug(pspec)}")
     op = spec.operator()
     head, _, omega = pspec.partition(":omega=")
+    note = ""
     if head == "jacobi-standalone":
         result = jacobi_standalone(op, h, omega=float(omega), iters=budget)
         ops_cum, residuals = result.ops_cum, result.residuals
         label = f"jacobi-standalone(omega={float(omega):g})"
+        if result.diverged:
+            note = f", diverged at sweep {result.iterations}"
     else:
         log = _solve(op, h, pspec, SolverConfig(max_iter=budget))
         log.problem, log.seed = name, spec.seed
@@ -289,19 +293,21 @@ def _run_to_files(
     h_norm = frobenius_norm(h)
     title = f"{name} {label}: cumulative ops vs true residual"
     formats.write_gnuplot_series(f"{stem}.dat", ops_cum, residuals, title)
-    return formats.summary_row(name, label, ops_cum, residuals, h_norm), residuals[-1] / h_norm
+    row = formats.summary_row(name, label, ops_cum, residuals, h_norm)
+    return row, residuals[-1] / h_norm, note
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
     os.makedirs(args.outdir, exist_ok=True)
     rows: list[dict] = []
     for name, spec, h, pspec, budget in experiment_runs(args.name, seed=args.seed):
-        row, rel = _run_to_files(args.outdir, name, spec, h, pspec, budget)
+        row, rel, note = _run_to_files(args.outdir, name, spec, h, pspec, budget)
         rows.append(row)
         reached = row["iters_to_1e-9"]
         print(
             f"{name} {row['preconditioner']}: iterations to 1e-9 = "
             f"{'not reached' if reached == '' else reached}, final relative residual {rel:.3e}"
+            f"{note}"
         )
     formats.write_csv_summary(os.path.join(args.outdir, "summary.csv"), rows)
     print(f"summary written to {os.path.join(args.outdir, 'summary.csv')}")

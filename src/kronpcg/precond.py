@@ -45,16 +45,39 @@ def _spectral_setup(op) -> tuple[list[np.ndarray], np.ndarray]:
     """Per-direction eigenbases and the entrywise pseudoinverse of the sums."""
     decomps = op_mod.spectra(op)
     sums = op_mod.spectrum_sums(op, decomps)
-    return [d.vectors for d in decomps], hadamard_pinv(sums)
+    return [d.vectors for d in decomps], hadamard_pinv(sums, out=sums)
+
+
+def _checked_out(r: np.ndarray, out: Optional[np.ndarray]) -> np.ndarray:
+    """``out`` once it is known to fit ``r``, or a new array when it is omitted."""
+    if out is None:
+        return np.empty(r.shape)
+    if out.shape != r.shape or out.dtype != float or not out.flags.c_contiguous:
+        raise ValueError(
+            f"preconditioner output must be a C-contiguous float array of shape {r.shape}"
+        )
+    if np.may_share_memory(out, r):
+        raise ValueError("preconditioner output must not overlap its input")
+    return out
 
 
 class Preconditioner:
-    """Base: a symmetric map from residual tensors to search-direction seeds."""
+    """Base: a symmetric map from residual tensors to search-direction seeds.
+
+    ``apply(r, ops, out)`` returns ``M r`` and never modifies ``r``.  Given
+    ``out``, a C-contiguous float array of ``r``'s shape that does not
+    overlap ``r`` (else ``ValueError``), the result is written there and
+    ``out`` is returned, so a solver can hand over a work buffer and an
+    apply makes no grid-sized array; the identity returns ``r`` itself.
+    Without ``out`` the result is a new array.
+    """
 
     name = "base"  # the label a run log records
     init_cost = 0
 
-    def apply(self, r: np.ndarray, ops: Optional[OpCounter] = None) -> np.ndarray:
+    def apply(
+        self, r: np.ndarray, ops: Optional[OpCounter] = None, out: Optional[np.ndarray] = None
+    ) -> np.ndarray:
         raise NotImplementedError
 
 
@@ -63,7 +86,11 @@ class IdentityPreconditioner(Preconditioner):
 
     name = "identity"
 
-    def apply(self, r: np.ndarray, ops: Optional[OpCounter] = None) -> np.ndarray:
+    def apply(
+        self, r: np.ndarray, ops: Optional[OpCounter] = None, out: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        if out is not None:
+            _checked_out(r, out)
         return r
 
 
@@ -101,8 +128,10 @@ class JacobiPreconditioner(Preconditioner):
         # Building the weighted diagonal: ndim-1 adds, a scaling, a reciprocal.
         self.init_cost = (op.ndim + 1) * int(np.prod(op.shape))
 
-    def apply(self, r: np.ndarray, ops: Optional[OpCounter] = None) -> np.ndarray:
-        x = self.dhat_inv * r
+    def apply(
+        self, r: np.ndarray, ops: Optional[OpCounter] = None, out: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        x = np.multiply(self.dhat_inv, r, out=_checked_out(r, out))
         if ops is not None:
             ops.add(r.size)
         f = self._work
@@ -132,26 +161,36 @@ class PinvPreconditioner(Preconditioner):
     entrywise pseudoinverse of the eigenvalue-sum tensor, zeroing sums
     within ``NULL_MODE_TOL`` of zero (for an all-periodic or all-Neumann
     grid exactly the constant mode drops out).  Application is transform,
-    Hadamard, transform back: ``4*N*(n+q[+t]) + N`` elementary ops.
+    Hadamard, transform back: ``4*N*(n+q[+t]) + N`` elementary ops.  Its
+    GEMMs write in turn into one scratch array owned by the instance and
+    into the output, so one instance serves one solve at a time.
     """
 
     name = "pinv"
 
     def __init__(self, op):
         self.bases, self.ghat = _spectral_setup(op)
+        self._work = np.empty(op.shape)  # transform scratch, reused by every apply
         # Eigenvalue-sum tensor and its reciprocal: (ndim-1)+1 ops per entry.
         self.init_cost = op.ndim * int(np.prod(op.shape))
 
-    def apply(self, r: np.ndarray, ops: Optional[OpCounter] = None) -> np.ndarray:
+    def apply(
+        self, r: np.ndarray, ops: Optional[OpCounter] = None, out: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        out = _checked_out(r, out)
         # One plain GEMM per axis (a rotation on 3D grids); the bases are
         # C-ordered, so their transposes are F-ordered views that GEMM reads
-        # in place: no transposed copies are kept.
-        f = linear_transform([v.T for v in self.bases], r)
+        # in place: no transposed copies are kept.  The 2*ndim GEMMs
+        # alternate between the scratch array and ``out``: the forward
+        # transform ends in the scratch array on 3D grids and in ``out`` on
+        # 2D grids, so the back transform starts in the other and ends in ``out``.
+        pair = (self._work, out)
+        f = linear_transform([v.T for v in self.bases], r, pair)
         f *= self.ghat
-        z = linear_transform(self.bases, f)
+        linear_transform(self.bases, f, pair[::-1] if r.ndim == 3 else pair)
         if ops is not None:
             ops.add(4 * r.size * sum(r.shape) + r.size)
-        return z
+        return out
 
 
 class LowRankPreconditioner(Preconditioner):
@@ -163,7 +202,9 @@ class LowRankPreconditioner(Preconditioner):
     applied left and right of the residual.  At ``r = min(n, q)`` this
     reproduces the pseudoinverse; small ``r`` can go indefinite, which
     :func:`kronpcg.solver.pcg` reports as a breakdown.  Each application
-    costs ``r*(2*N*(n+q) + N)`` elementary ops.
+    costs ``r*(2*N*(n+q) + N)`` elementary ops; its congruences run in two
+    scratch arrays owned by the instance, so one instance serves one solve
+    at a time.
 
     A 3D analogue would need a tensor decomposition in place of the SVD
     and is deliberately not provided.
@@ -181,13 +222,17 @@ class LowRankPreconditioner(Preconditioner):
         a, sigma, bt = np.linalg.svd(ghat)
         self.left = [vn @ np.diag(sigma[i] * a[:, i]) @ vn.T for i in range(rank)]
         self.right = [vq @ np.diag(bt[i, :]) @ vq.T for i in range(rank)]
+        self._work = (np.empty(op.shape), np.empty(op.shape))  # congruence scratch
         self.init_cost = op.ndim * int(np.prod(op.shape))
 
-    def apply(self, r: np.ndarray, ops: Optional[OpCounter] = None) -> np.ndarray:
+    def apply(
+        self, r: np.ndarray, ops: Optional[OpCounter] = None, out: Optional[np.ndarray] = None
+    ) -> np.ndarray:
         n, q = r.shape
-        z = np.zeros_like(r)
+        z = _checked_out(r, out)
+        z.fill(0.0)
         for ml, mr in zip(self.left, self.right):
-            z += ml @ r @ mr.T
+            z += linear_transform([ml, mr], r, self._work)
         if ops is not None:
             ops.add(self.rank * (2 * r.size * (n + q) + r.size))
         return z

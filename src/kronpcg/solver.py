@@ -23,9 +23,10 @@ the direction, apply, update, then log the new record, whose true
 residual is tested before any further preconditioner solve.
 
 The loop updates the iterate, the residual and the search direction in
-buffers allocated once per solve, with one more work buffer for ``Lp``
-and ``Lu``; the preconditioner's output is the only grid array a step
-makes.  A run starts from zero and never writes to the caller's ``h``.
+buffers allocated once per solve, with one more work buffer that holds
+the preconditioner's output ``z``, then ``Lp``, then ``Lu``; a step makes
+no grid-sized array.  A run starts from zero and never writes to the
+caller's ``h``.
 
 The run stops at its budget, at the optional true-residual tolerance, or
 at the rounding floor: a nonpositive or non-finite curvature or
@@ -289,7 +290,7 @@ def pcg(
     s = 0
     beta = 0.0
     while not done:
-        z = precond.apply(r, ops)
+        z = precond.apply(r, ops, out=w)  # w is free until Lp; z is spent by then
         rho_next = inner(r, z)
         ops.add(2 * h.size)
         last = log.records[-1]
@@ -305,7 +306,6 @@ def pcg(
         p *= beta
         p += z  # z + beta*p
         ops.add(2 * h.size)
-        del z  # dropped once used, so two outputs never coexist (peak memory)
         s += 1
         op_mod.apply(op, p, ops, out=w)
         wp = inner(w, p)

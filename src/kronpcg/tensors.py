@@ -10,7 +10,7 @@ the test suite's dense references check exactly that.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -30,7 +30,11 @@ __all__ = [
 NULL_MODE_TOL = 1e-13
 
 
-def linear_transform(mats: Sequence[np.ndarray], t: np.ndarray) -> np.ndarray:
+def linear_transform(
+    mats: Sequence[np.ndarray],
+    t: np.ndarray,
+    work: Optional[tuple[np.ndarray, np.ndarray]] = None,
+) -> np.ndarray:
     """Apply one matrix per mode: ``(A, B[, C] | t)``.
 
     ``mats[l]`` acts along mode ``l+1`` and its column count must match the
@@ -43,6 +47,13 @@ def linear_transform(mats: Sequence[np.ndarray], t: np.ndarray) -> np.ndarray:
     view that BLAS reads in place, so there is no transposed copy and no
     batched product over a middle mode, whose many small GEMMs run at a
     fraction of the speed of one large one.
+
+    Without ``work`` each product is a new array.  With ``work``, a pair of
+    C-contiguous float arrays each the size of every product (square
+    matrices), product ``i`` is written into ``work[i % 2]`` and the result
+    is a view of the one that holds the last; ``t`` may be ``work[1]``,
+    whose content the first product consumes, but must not overlap
+    ``work[0]``.
     """
     t = np.ascontiguousarray(t, dtype=float)
     if t.ndim not in (2, 3):
@@ -55,11 +66,22 @@ def linear_transform(mats: Sequence[np.ndarray], t: np.ndarray) -> np.ndarray:
             raise ValueError(
                 f"matrix shape {m.shape} does not act on tensor extent {extent} along mode {mode}"
             )
+    if work is not None:
+        if not all(b.flags.c_contiguous and b.dtype == float for b in work):
+            raise ValueError("work buffers must be C-contiguous float arrays")
+        if np.may_share_memory(t, work[0]) or np.may_share_memory(*work):
+            raise ValueError("the first work buffer must not overlap the input or the second")
+
+    def product(i, a, b):
+        if work is None:
+            return a @ b
+        return np.matmul(a, b, out=work[i % 2].reshape(a.shape[0], b.shape[1]))
+
     if t.ndim == 2:
-        return mats[0] @ t @ mats[1].T
+        return product(1, product(0, mats[0], t), mats[1].T)
     out = t
-    for m in mats:
-        out = out.reshape(m.shape[1], -1).T @ m.T
+    for i, m in enumerate(mats):
+        out = product(i, out.reshape(m.shape[1], -1).T, m.T)
     return out.reshape(tuple(m.shape[0] for m in mats))
 
 
@@ -95,7 +117,14 @@ def frobenius_norm(x: np.ndarray) -> float:
     return float(np.sqrt(inner(x, x)))
 
 
-def hadamard_pinv(x: np.ndarray) -> np.ndarray:
-    """Entrywise pseudoinverse: ``1/x`` where ``|x| > NULL_MODE_TOL``, else 0."""
+def hadamard_pinv(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Entrywise pseudoinverse: ``1/x`` where ``|x| > NULL_MODE_TOL``, else 0.
+
+    Written into ``out`` when given (``out=x`` inverts in place).
+    """
     x = np.asarray(x, dtype=float)
-    return np.divide(1.0, x, out=np.zeros_like(x), where=np.abs(x) > NULL_MODE_TOL)
+    null = ~(np.abs(x) > NULL_MODE_TOL)  # NaN included; taken before ``out`` overwrites ``x``
+    with np.errstate(divide="ignore"):
+        out = np.divide(1.0, x, out=out)
+    out[null] = 0.0
+    return out

@@ -164,5 +164,5 @@ class Negated(Preconditioner):
     def __init__(self, inner_precond):
         self.inner = inner_precond
 
-    def apply(self, r, ops=None):
-        return -self.inner.apply(r, ops)
+    def apply(self, r, ops=None, out=None):
+        return -self.inner.apply(r, ops, out)

@@ -16,7 +16,7 @@ from conftest import Negated
 from kronpcg import cli, formats
 from kronpcg.formats import RUN_LOG_SCHEMA, read_tensor, write_tensor
 from kronpcg.laplace1d import BoundaryCondition, analytic_spectrum
-from kronpcg.precond import make_preconditioner
+from kronpcg.precond import StationaryResult, make_preconditioner
 from kronpcg.problems import gen_problem1, gen_problem2, gen_problem3
 
 
@@ -314,6 +314,26 @@ def test_experiment_exp1_compares_cg_with_stationary_jacobi(tmp_path, capsys):
     for row in rows[1:]:
         assert float(row["final_true_res"]) > cg
     assert (outdir / "p1_50x100_none.dat").exists()
+
+
+def test_experiment_reports_a_diverged_stationary_run(tmp_path, capsys, monkeypatch):
+    """A stand-alone Jacobi run that stopped on divergence says so on its line."""
+    calls = []
+
+    def diverging(op, h, omega=1.0, iters=100):
+        calls.append(omega)
+        return StationaryResult(
+            x=np.zeros(op.shape), residuals=[1.0, 1e3, 1e13], ops_cum=[0, 7, 14], diverged=True
+        )
+
+    monkeypatch.setattr(cli, "jacobi_standalone", diverging)
+    assert cli.main(["experiment", "--name", "exp1", "--outdir", str(tmp_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(calls) == 3
+    standalone = [line for line in lines if "jacobi-standalone" in line]
+    assert len(standalone) == 3
+    assert all(line.endswith(", diverged at sweep 2") for line in standalone)
+    assert not any("diverged" in line for line in lines if line not in standalone)
 
 
 def test_experiment_exp2_sweeps_preconditioners(tmp_path, capsys):

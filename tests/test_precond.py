@@ -60,6 +60,50 @@ def test_identity_returns_input_for_free():
     assert p.init_cost == 0
 
 
+# (spec, grid shape, boundary conditions): every family, pinv in 2D and 3D.
+_FAMILY_CASES = {
+    "identity": ("none", (6, 9), (BC.PERIODIC, BC.NEUMANN)),
+    "jacobi": ("jacobi:p=3,omega=1.3", (6, 9), (BC.DIRICHLET, BC.PERIODIC)),
+    "pinv-2d": ("pinv", (6, 9), (BC.PERIODIC, BC.NEUMANN_DIRICHLET)),
+    "pinv-3d": ("pinv", (5, 6, 4), (BC.PERIODIC, BC.DIRICHLET, BC.NEUMANN)),
+    "lowrank": ("lowrank:r=3", (6, 9), (BC.PERIODIC, BC.PERIODIC)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_FAMILY_CASES))
+def test_apply_into_out_matches_a_fresh_apply(case):
+    """``apply(r, out=buf)`` writes the fresh result into ``buf`` bitwise and
+    returns it (the identity returns ``r``); ``r`` is never modified."""
+    spec, shape, bcs = _FAMILY_CASES[case]
+    precond = make_preconditioner(poisson_operator(shape, bcs), spec)
+    r = np.random.default_rng(21).standard_normal(shape)
+    r_copy = r.copy()
+    want = precond.apply(r).copy()
+    buf = np.full(shape, np.nan)
+    ops = OpCounter()
+    got = precond.apply(r, ops, out=buf)
+    assert got is (r if case == "identity" else buf)
+    assert np.array_equal(got, want)
+    assert np.array_equal(r, r_copy)
+    fresh = OpCounter()
+    precond.apply(r, fresh)
+    assert ops.count == fresh.count
+
+
+@pytest.mark.parametrize("case", sorted(_FAMILY_CASES))
+def test_apply_refuses_an_out_that_overlaps_r(case):
+    spec, shape, bcs = _FAMILY_CASES[case]
+    precond = make_preconditioner(poisson_operator(shape, bcs), spec)
+    r = np.random.default_rng(22).standard_normal(shape)
+    r_copy = r.copy()
+    for out in (r, r.reshape(-1).reshape(shape)):
+        with pytest.raises(ValueError, match="overlap"):
+            precond.apply(r, out=out)
+    with pytest.raises(ValueError, match="C-contiguous"):
+        precond.apply(r, out=np.empty(shape[::-1]).T)
+    assert np.array_equal(r, r_copy)
+
+
 class TestMakePreconditioner:
     def test_grammar(self):
         op = _periodic_op(4, 5)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,7 @@ from kronpcg.precond import (
     PinvPreconditioner,
     Preconditioner,
 )
-from kronpcg.problems import gen_problem1
+from kronpcg.problems import gen_problem1, gen_problem3
 from kronpcg.solver import ConvergenceLog, PCGBreakdown, SolverConfig, eta_series, pcg
 
 BC = BoundaryCondition
@@ -37,7 +39,7 @@ def _mixed_rhs(op, seed=0):
 class _ConstantOnes(Preconditioner):
     name = "ones"
 
-    def apply(self, r, ops=None):
+    def apply(self, r, ops=None, out=None):
         return np.ones_like(r)
 
 
@@ -312,6 +314,45 @@ class TestInPlaceIteration:
         assert np.array_equal(h, h_copy)
         assert u is not h
         assert log.records[-1].true_res < log.records[0].true_res
+
+    def test_a_jacobi_step_makes_no_grid_array(self):
+        """A solve holds four grid arrays (``u``, ``r``, ``p``, ``w``); the
+        preconditioner writes into ``w``, so the traced peak of a 20-step
+        run stays below a fifth array and exceeds that of a 2-step run only
+        by the log's records."""
+        spec, h = gen_problem1(50, 100)
+        op = spec.operator()
+        precond = JacobiPreconditioner(op, p=3, omega=1.3)
+        grid = h.size * h.itemsize
+        peaks = []
+        for budget in (2, 20):
+            tracemalloc.start()
+            try:
+                _, log = pcg(op, h, precond, config=SolverConfig(max_iter=budget))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert log.iterations == budget
+        assert all(4 * grid <= peak < 4.5 * grid for peak in peaks)
+        assert 0 <= peaks[1] - peaks[0] < 0.25 * grid
+
+    def test_a_3d_pinv_solve_holds_no_transform_temporaries(self):
+        """The pinv GEMMs run in the preconditioner's scratch array and the
+        solver's ``w``: the traced ``pcg`` peak is the four solver arrays
+        plus the stencil's two face copies on the extent-8 axis."""
+        spec, h = gen_problem3("3d_128x64x8", 0)
+        op = spec.operator()
+        precond = PinvPreconditioner(op)
+        grid = h.size * h.itemsize
+        faces = 2 * grid // op.shape[-1]
+        tracemalloc.start()
+        try:
+            _, log = pcg(op, h, precond, config=SolverConfig(max_iter=20, stop_tol=1e-9))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert log.records[-1].true_res <= 1e-9 * log.h_norm
+        assert 4 * grid <= peak <= 4 * grid + faces + 16 * 1024
 
     @pytest.mark.parametrize("singular", [True, False], ids=["singular", "nonsingular"])
     @pytest.mark.parametrize(

@@ -168,6 +168,39 @@ def test_hadamard_pinv_equals_the_mask_formula_without_warnings():
     assert np.array_equal(got, want)
 
 
+def test_hadamard_pinv_inverts_in_place():
+    rng = np.random.default_rng(13)
+    x = rng.standard_normal((4, 5, 3))
+    x[0, 0, 0], x[1, 2, 0], x[3, 4, 2] = 0.0, -0.0, NULL_MODE_TOL
+    want = hadamard_pinv(x)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = hadamard_pinv(x, out=x)
+    assert got is x
+    assert want.tobytes() == got.tobytes()  # signs of zeros included
+
+
+@pytest.mark.parametrize("shape", [(4, 6), (4, 6, 3)])
+def test_linear_transform_into_a_work_pair_matches_the_fresh_products(shape):
+    """Products alternate between the two buffers; the input may be the
+    second, and the first must overlap neither the input nor the second."""
+    rng = np.random.default_rng(17)
+    t = rng.standard_normal(shape)
+    mats = [rng.standard_normal((n, n)) for n in shape]
+    want = linear_transform(mats, t)
+    work = (np.empty(shape), np.empty(shape))
+    got = linear_transform(mats, t, work)
+    last = work[(len(shape) - 1) % 2]
+    assert np.shares_memory(got, last)
+    assert np.array_equal(got, want)
+    # The second buffer as the input: the first product consumes it.
+    work[1][...] = t
+    assert np.array_equal(linear_transform(mats, work[1], work), want)
+    for bad in ((t, work[1]), (work[0], work[0]), (work[0], np.empty(shape).T)):
+        with pytest.raises(ValueError):
+            linear_transform(mats, t, bad)
+
+
 def test_kron_assemble_order():
     a = np.array([[1.0, 2.0]])  # 1 x 2
     b = np.array([[3.0], [4.0]])  # 2 x 1
