@@ -19,6 +19,7 @@ from typing import Callable, Optional, Sequence
 from . import formats
 from .laplace1d import BoundaryCondition, analytic_spectrum
 from .operators import (
+    NULL_SHARE_TOL,
     BoundaryData,
     FaceValue,
     apply_bc_updates,
@@ -231,10 +232,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         h = apply_bc_updates(h, bcs, boundary)
         notes.append("boundary face values folded into the right-hand side")
 
-    singular = is_singular(op)
-    h_norm = frobenius_norm(h)
-    uncentered = singular and h_norm > 0.0 and nullspace_component(h) > 1e-10 * h_norm
-    if uncentered:
+    if is_singular(op) and nullspace_component(h) > NULL_SHARE_TOL * frobenius_norm(h):
         if args.center == "off":
             raise UsageError(
                 "the operator is singular and h has a null-space component; "

@@ -110,8 +110,8 @@ def add_offdiagonal(bc: BoundaryCondition, x: np.ndarray, out: np.ndarray, axis:
     flat arrays, so each neighbour term is one long shifted-slice
     subtraction.  The shift also reaches across from each block's first
     (last) face into the block before (after); those faces are saved
-    beforehand and written back with their corner terms.  Only face-sized
-    copies are made.
+    beforehand and written back with their corner terms, each 0 or -1
+    times a face (``CORNER_TRIPLES``).  Only face-sized copies are made.
     """
     if x.shape != out.shape or not (x.flags.c_contiguous and out.flags.c_contiguous):
         raise ValueError("stencil input and output must be C-contiguous, of one shape")
@@ -127,8 +127,6 @@ def add_offdiagonal(bc: BoundaryCondition, x: np.ndarray, out: np.ndarray, axis:
         for coef, col in corners:
             if coef == -1.0:
                 saved -= x[at(col)]
-            elif coef != 0.0:
-                saved += coef * x[at(col)]
         out[at(face)] = saved
 
     first_corner, last_corner, corner = CORNER_TRIPLES[bc]

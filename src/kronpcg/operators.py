@@ -41,10 +41,15 @@ __all__ = [
     "is_singular",
     "center",
     "nullspace_component",
+    "NULL_SHARE_TOL",
     "FaceValue",
     "BoundaryData",
     "apply_bc_updates",
 ]
+
+# Largest null share ``nullspace_component(h) / |h|`` of a right-hand side on
+# a singular grid taken as centered: above it the CLI centers, ``pcg`` refuses.
+NULL_SHARE_TOL = 1e-10
 
 
 @dataclass(frozen=True)

@@ -181,13 +181,13 @@ class PinvPreconditioner(Preconditioner):
         # One plain GEMM per axis (a rotation on 3D grids); the bases are
         # C-ordered, so their transposes are F-ordered views that GEMM reads
         # in place: no transposed copies are kept.  The 2*ndim GEMMs
-        # alternate between the scratch array and ``out``: the forward
-        # transform ends in the scratch array on 3D grids and in ``out`` on
-        # 2D grids, so the back transform starts in the other and ends in ``out``.
+        # alternate between the scratch array and ``out``: an odd number of
+        # forward GEMMs ends in the scratch array, an even number in ``out``,
+        # so the back transform starts in the other and ends in ``out``.
         pair = (self._work, out)
         f = linear_transform([v.T for v in self.bases], r, pair)
         f *= self.ghat
-        linear_transform(self.bases, f, pair[::-1] if r.ndim == 3 else pair)
+        linear_transform(self.bases, f, pair[::-1] if r.ndim % 2 else pair)
         if ops is not None:
             ops.add(4 * r.size * sum(r.shape) + r.size)
         return out
@@ -220,8 +220,8 @@ class LowRankPreconditioner(Preconditioner):
         self.name = f"lowrank(r={self.rank})"
         (vn, vq), ghat = _spectral_setup(op)
         a, sigma, bt = np.linalg.svd(ghat)
-        self.left = [vn @ np.diag(sigma[i] * a[:, i]) @ vn.T for i in range(rank)]
-        self.right = [vq @ np.diag(bt[i, :]) @ vq.T for i in range(rank)]
+        self.left = [(vn * (sigma[i] * a[:, i])) @ vn.T for i in range(rank)]
+        self.right = [(vq * bt[i, :]) @ vq.T for i in range(rank)]
         self._work = (np.empty(op.shape), np.empty(op.shape))  # congruence scratch
         self.init_cost = op.ndim * int(np.prod(op.shape))
 
@@ -246,7 +246,6 @@ _FAMILIES = {
     "jacobi": (JacobiPreconditioner, {"p": ("p", int), "omega": ("omega", float)}, ()),
     "lowrank": (LowRankPreconditioner, {"r": ("rank", int)}, ("r",)),
 }
-_FAMILIES["identity"] = _FAMILIES["none"]
 
 
 def make_preconditioner(op, spec: str) -> Preconditioner:

@@ -19,8 +19,7 @@ Record 0 is the zero start (``r = h``, ``kappa = 0``) and costs no apply;
 each later record costs one: ``Lu`` gives ``kappa`` and then the true
 residual ``h - Lu`` in the same buffer.  Each step follows the PCG
 template of Barrett et al. (SIAM 1994, Fig. 2.5): precondition, pair, set
-the direction, apply, update, then log the new record, whose true
-residual is tested before any further preconditioner solve.
+the direction, apply, update, then log the new record.
 
 The loop updates the iterate, the residual and the search direction in
 buffers allocated once per solve, with one more work buffer that holds
@@ -28,12 +27,15 @@ the preconditioner's output ``z``, then ``Lp``, then ``Lu``; a step makes
 no grid-sized array.  A run starts from zero and never writes to the
 caller's ``h``.
 
-The run stops at its budget, at the optional true-residual tolerance, or
-at the rounding floor: a nonpositive or non-finite curvature or
-preconditioned inner product once the recursive residual has fallen to
-``eps * |r_0|``, noted once in ``log.warnings``.  The same sign failure
-above the floor is a breakdown (an indefinite operator or preconditioner)
-and raises :class:`PCGBreakdown` carrying the partial log.
+Logging a record names a tolerance stop (true residual within the
+optional ``stop_tol``) or a budget stop (record ``max_iter``); one sign
+rule judges every ``<r, z>``, ``<r_0, z_0>`` too, and every ``<Lp, p>``.
+A nonpositive or non-finite value once the recursive residual is at most
+``eps * |r_0|`` (a zero start included) is the rounding floor, noted once
+in ``log.warnings``; above it, it is a breakdown (an indefinite operator
+or preconditioner) and raises :class:`PCGBreakdown` carrying the partial
+log.  So a tolerance or budget stop applies the preconditioner
+``iterations`` times, any other stop once more.
 
 The log's dataclasses are the one definition of the run-log document:
 :func:`kronpcg.formats.log_to_dict` writes their fields in declaration
@@ -100,9 +102,9 @@ class IterationRecord:
 
     The fields, in order, are the keys of one ``iterations`` entry of the
     run log.  ``rho`` and ``beta`` of record ``s`` are filled when the next
-    step preconditions ``r_s``, so a tolerance stop or a zero start residual
-    leaves them ``None`` on the last record; ``beta`` is also ``None`` on
-    record 0 and after a stop on ``<r, z>``.
+    step preconditions ``r_s``, so a tolerance or budget stop leaves them
+    ``None`` on the last record; ``beta`` is also ``None`` on record 0 and
+    after a stop on ``<r, z>``.
     """
 
     s: int
@@ -188,10 +190,9 @@ def _judge(
 ) -> Optional[str]:
     """Classify one sign check of iteration ``s``; ``None`` lets the run go on.
 
-    A nonpositive or non-finite pairing once the recursive residual has
-    fallen to ``eps * |r_0|`` (or underflowed to zero) is the rounding
-    floor, a normal stop; above the floor it is the breakdown ``kind``.
-    Either way the verdict is noted in ``log.warnings``.
+    A nonpositive or non-finite pairing is the rounding floor once the
+    recursive residual is at most ``eps * |r_0|``, else the breakdown
+    ``kind``; either verdict is noted in ``log.warnings``.
     """
     if 0.0 < value < np.inf:
         return None
@@ -216,16 +217,17 @@ def pcg(
 
     Starts from ``u = 0``; returns the final iterate and the convergence
     log.  For a singular operator the right-hand side must arrive
-    centered (the constant component of the solution is not determined);
-    pass it through :func:`kronpcg.operators.center` first or let the CLI
-    do it.  The operator alone decides centering: on a singular grid the
-    recursive residual is mean-centered every iteration and the returned
-    iterate once at the end; a nonsingular grid is never centered.  A
-    non-finite right-hand side raises ``ValueError``.  The iteration
-    works in place on its own buffers; per step it preconditions the last
-    record's residual and applies the operator once to the search
-    direction and once for the new record, which always carries the true
-    residual.
+    centered (the constant component of the solution is not determined):
+    a null share above :data:`kronpcg.operators.NULL_SHARE_TOL` raises
+    ``ValueError``; pass it through :func:`kronpcg.operators.center`
+    first or let the CLI do it.  The operator alone decides centering: on
+    a singular grid the recursive residual is mean-centered every
+    iteration and the returned iterate once at the end; a nonsingular grid
+    is never centered.  A non-finite right-hand side raises ``ValueError``.
+    The iteration works in place on its own buffers; per step it
+    preconditions the last record's residual and applies the operator once
+    to the search direction and once for the new record, which always
+    carries the true residual.
     """
     cfg = config if config is not None else SolverConfig()
     precond = precond if precond is not None else IdentityPreconditioner()
@@ -237,13 +239,12 @@ def pcg(
     if not np.isfinite(h_norm):
         raise ValueError(f"right-hand side is not finite (|h| = {h_norm})")
     singular = op_mod.is_singular(op)
-    if singular and h_norm > 0.0:
-        rel_null = op_mod.nullspace_component(h) / h_norm
-        if rel_null > 1e-8:
-            raise ValueError(
-                "singular operator with uncentered right-hand side "
-                f"(null component {rel_null:.2e} of |h|); center h first"
-            )
+    rel_null = op_mod.nullspace_component(h) / h_norm if singular and h_norm > 0.0 else 0.0
+    if rel_null > op_mod.NULL_SHARE_TOL:
+        raise ValueError(
+            "singular operator with uncentered right-hand side "
+            f"(null component {rel_null:.2e} of |h|); center h first"
+        )
 
     ops = OpCounter()
     ops.add(precond.init_cost)
@@ -263,8 +264,8 @@ def pcg(
     w = np.empty(op.shape)
     counted = ops if cfg.stop_tol is not None else None
 
-    def record(s, alpha, r_norm, true_res, kappa, null_norm) -> bool:
-        """Log iteration ``s``; report whether the tolerance stop is met."""
+    def record(s, alpha, r_norm, true_res, kappa, null_norm) -> Optional[str]:
+        """Log iteration ``s``; name its tolerance or budget stop, if any."""
         log.records.append(
             IterationRecord(
                 s=s,
@@ -279,31 +280,28 @@ def pcg(
                 ops_cum=ops.count,
             )
         )
-        return cfg.stop_tol is not None and true_res <= cfg.stop_tol * max(h_norm, _EPS)
+        if cfg.stop_tol is not None and true_res <= cfg.stop_tol * max(h_norm, _EPS):
+            return "tolerance"
+        return "budget" if s == cfg.max_iter else None
 
     if singular:
         op_mod.center(r, ops, out=r)
     r_norm = r0_norm = frobenius_norm(r)
-    done = record(0, None, r_norm, h_norm, 0.0, 0.0) or r_norm == 0.0
+    stop = record(0, None, r_norm, h_norm, 0.0, 0.0)
 
-    stop: Optional[str] = None  # "floor" or a breakdown kind
     s = 0
-    beta = 0.0
-    while not done:
+    while stop is None:
         z = precond.apply(r, ops, out=w)  # w is free until Lp; z is spent by then
-        rho_next = inner(r, z)
-        ops.add(2 * h.size)
         last = log.records[-1]
-        last.rho = rho_next
-        if s > 0:  # <r_0, z_0> is not judged
-            stop = _judge(log, s, "indefinite", rho_next, r_norm, r0_norm)
-            if stop is not None:
-                break
-            beta = last.beta = rho_next / rho if rho != 0.0 else 0.0
-        if s == cfg.max_iter:
+        last.rho = inner(r, z)
+        ops.add(2 * h.size)
+        stop = _judge(log, s, "indefinite", last.rho, r_norm, r0_norm)
+        if stop is not None:
             break
-        rho = rho_next
-        p *= beta
+        if s > 0:  # p is still zero at s = 0
+            last.beta = last.rho / rho
+            p *= last.beta
+        rho = last.rho
         p += z  # z + beta*p
         ops.add(2 * h.size)
         s += 1
@@ -326,7 +324,7 @@ def pcg(
         lu = op_mod.apply(op, u, counted, out=w)
         kappa = inner(u, lu) - 2.0 * inner(u, h)
         true_res = _counted_true_residual(h, lu, counted)
-        done = record(s, alpha, r_norm, true_res, kappa, op_mod.nullspace_component(u))
+        stop = record(s, alpha, r_norm, true_res, kappa, op_mod.nullspace_component(u))
 
     if singular:
         op_mod.center(u, out=u)  # free, like the caller's centering of h

@@ -157,12 +157,16 @@ def random_operator(rng, ndim=2, lo=3, hi=7, nonsingular=None):
 
 
 class Negated(Preconditioner):
-    """A deliberately indefinite wrapper: applies minus the inner preconditioner."""
+    """A deliberately indefinite wrapper: applies minus the inner
+    preconditioner, after its first ``after`` applies pass through."""
 
     name = "negated"
 
-    def __init__(self, inner_precond):
+    def __init__(self, inner_precond, after=0):
         self.inner = inner_precond
+        self.after = after
 
     def apply(self, r, ops=None, out=None):
-        return -self.inner.apply(r, ops, out)
+        z = self.inner.apply(r, ops, out)
+        self.after -= 1
+        return z if self.after >= 0 else -z

@@ -383,18 +383,21 @@ def test_experiment_exp3_keeps_every_run_apart(exp3_dir):
 
 
 def test_experiment_entry_keeps_the_log_of_a_breakdown(tmp_path, monkeypatch):
-    """An indefinite preconditioner does not abort the suite: the entry
-    writes its partial log, marked as a breakdown."""
+    """A preconditioner that turns indefinite mid-run does not abort the
+    suite: the entry writes its partial log, marked as a breakdown."""
     monkeypatch.setattr(
-        cli, "make_preconditioner", lambda op, spec: Negated(make_preconditioner(op, spec))
+        cli,
+        "make_preconditioner",
+        lambda op, spec: Negated(make_preconditioner(op, spec), after=1),
     )
     spec, h = gen_problem1(50, 100)
-    cli._run_to_files(str(tmp_path), "p1_50x100", spec, h, "pinv", 50)
-    doc = json.loads((tmp_path / "p1_50x100_pinv.json").read_text())
+    cli._run_to_files(str(tmp_path), "p1_50x100", spec, h, "jacobi", 50)
+    doc = json.loads((tmp_path / "p1_50x100_jacobi.json").read_text())
     jsonschema.validate(doc, RUN_LOG_SCHEMA)
     assert doc["breakdown"] == "indefinite"
     assert (doc["problem"], doc["shape"], doc["bcs"]) == ("p1_50x100", [50, 100], ["periodic"] * 2)
-    assert 0 < len(doc["iterations"]) - 1 < 50
+    assert len(doc["iterations"]) == 2
+    assert doc["iterations"][0]["rho"] > 0.0 > doc["iterations"][1]["rho"]
 
 
 @pytest.mark.parametrize(

@@ -106,9 +106,9 @@ def test_log_records_the_config_of_its_run():
     assert doc["config"] == {"max_iter": 3, "stop_tol": 1e-6}
 
 
-def test_only_a_tolerance_stop_leaves_the_last_rho_null():
-    """A tolerance stop never preconditions its last residual, so that
-    record has no ``rho`` or ``beta``; a budget stop keeps them."""
+def test_a_tolerance_or_budget_stop_leaves_the_last_rho_null():
+    """Neither stop preconditions its last residual, so that record has no
+    ``rho`` or ``beta``; every earlier record has its ``rho``."""
     log = _sample_log(max_iter=5, stop_tol=1e-9)
     assert log.iterations < 5
     doc = log_to_dict(log)
@@ -117,7 +117,8 @@ def test_only_a_tolerance_stop_leaves_the_last_rho_null():
     for max_iter in (0, 1, 5):
         records = _sample_log(max_iter=max_iter).records
         assert len(records) == max_iter + 1
-        assert all(isinstance(rec.rho, float) for rec in records)
+        assert all(isinstance(rec.rho, float) for rec in records[:-1])
+        assert (records[-1].rho, records[-1].beta) == (None, None)
 
 
 def test_log_without_metadata_still_validates():

@@ -41,6 +41,13 @@ def test_dense_structure(bc):
     assert np.count_nonzero(inner) == 3 * (n - 2) - 2
 
 
+@pytest.mark.parametrize("bc", list(CORNER_TRIPLES))
+def test_every_corner_coefficient_is_zero_or_minus_one(bc):
+    """The stencil's corner terms are face subtractions or nothing."""
+    first, last, corner = CORNER_TRIPLES[bc]
+    assert {first - 2.0, last - 2.0, corner} <= {0.0, -1.0}
+
+
 def test_build_rejects_small_grids():
     for n in (0, 1, 2):
         with pytest.raises(ValueError):

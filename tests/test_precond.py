@@ -108,7 +108,6 @@ class TestMakePreconditioner:
     def test_grammar(self):
         op = _periodic_op(4, 5)
         assert isinstance(make_preconditioner(op, "none"), IdentityPreconditioner)
-        assert isinstance(make_preconditioner(op, "identity"), IdentityPreconditioner)
         assert isinstance(make_preconditioner(op, "pinv"), PinvPreconditioner)
         j = make_preconditioner(op, "jacobi:p=3,omega=1.3")
         assert isinstance(j, JacobiPreconditioner)
@@ -117,6 +116,8 @@ class TestMakePreconditioner:
         lr = make_preconditioner(op, "lowrank:r=2")
         assert isinstance(lr, LowRankPreconditioner)
         assert lr.rank == 2
+        with pytest.raises(ValueError, match="unknown preconditioner 'identity'"):
+            make_preconditioner(op, "identity")
 
     @pytest.mark.parametrize(
         "spec",

@@ -16,12 +16,7 @@ from kronpcg import operators as op_mod
 from kronpcg.counting import cost_model
 from kronpcg.laplace1d import BoundaryCondition
 from kronpcg.operators import center, nullspace_component, poisson_operator
-from kronpcg.precond import (
-    IdentityPreconditioner,
-    JacobiPreconditioner,
-    PinvPreconditioner,
-    Preconditioner,
-)
+from kronpcg.precond import IdentityPreconditioner, JacobiPreconditioner, PinvPreconditioner
 from kronpcg.problems import gen_problem1, gen_problem3
 from kronpcg.solver import ConvergenceLog, PCGBreakdown, SolverConfig, eta_series, pcg
 
@@ -34,13 +29,6 @@ def _mixed_op():
 
 def _mixed_rhs(op, seed=0):
     return np.random.default_rng(seed).standard_normal(op.shape)
-
-
-class _ConstantOnes(Preconditioner):
-    name = "ones"
-
-    def apply(self, r, ops=None, out=None):
-        return np.ones_like(r)
 
 
 @pytest.mark.parametrize("precond_kind", ["identity", "pinv", "jacobi"])
@@ -71,10 +59,14 @@ def test_scalars_match_dense_reference(precond_kind):
         assert rec.alpha == pytest.approx(alphas[s - 1], rel=1e-9)
         compared += 1
         # beta and the post-step residual carry information only while the
-        # step's own residual is still above the comparison floor.
+        # step's own residual is still above the comparison floor; beta is
+        # logged only while a step follows.
         if res[s] > 1e-8 * h_norm:
-            assert rec.beta == pytest.approx(betas[s - 1], rel=1e-9)
             assert rec.computed_res == pytest.approx(res[s], rel=1e-9)
+            if s < iters:
+                assert rec.beta == pytest.approx(betas[s - 1], rel=1e-9)
+            else:
+                assert rec.beta is None
     assert compared >= 1
 
 
@@ -100,6 +92,12 @@ def test_uncentered_rhs_on_singular_operator_is_refused():
     op = poisson_operator((4, 5), (BC.PERIODIC, BC.PERIODIC))
     with pytest.raises(ValueError, match="center"):
         pcg(op, np.ones(op.shape))
+    # A null share the CLI would center is refused too, not solved to the floor.
+    spec, h = gen_problem1(50, 100)
+    h = h + 5e-9 * np.linalg.norm(h) / np.sqrt(h.size)
+    assert nullspace_component(h) / np.linalg.norm(h) == pytest.approx(5e-9, rel=1e-6)
+    with pytest.raises(ValueError, match="null component 5.00e-09"):
+        pcg(spec.operator(), h, config=SolverConfig(stop_tol=1e-9))
 
 
 def test_shape_validation():
@@ -126,10 +124,12 @@ def test_non_finite_input_is_refused(h_bad):
 
 
 def test_zero_rhs_short_circuits():
+    """A zero start residual is the rounding floor: ``<r_0, z_0> = 0``."""
     op = poisson_operator((4, 5), (BC.PERIODIC, BC.PERIODIC))
     u, log = pcg(op, np.zeros(op.shape), config=SolverConfig(max_iter=50))
     assert log.iterations == 0
     assert np.all(u == 0.0)
+    assert len(log.warnings) == 1 and "residual floor" in log.warnings[0]
 
 
 def test_stop_tol_halts_early():
@@ -151,19 +151,31 @@ def test_indefinite_preconditioner_breaks_down():
     exc = excinfo.value
     assert "preconditioned inner product" in str(exc)
     assert exc.log.breakdown == "indefinite"
+    assert exc.log.iterations == 0
     assert exc.log.records[0].rho < 0.0
     assert exc.log.records[-1].beta is None
-    assert exc.log.u.shape == op.shape
+    assert exc.log.u.shape == op.shape and np.all(exc.log.u == 0.0)
     assert any("not positive" in w for w in exc.log.warnings)
 
 
-def test_null_direction_breaks_down_on_curvature():
+def test_negative_curvature_breaks_down(monkeypatch):
+    """An operator applied as ``-L`` fails the curvature check of step 1."""
     op = poisson_operator((4, 6), (BC.PERIODIC, BC.PERIODIC))
     rng = np.random.default_rng(9)
     h = center(rng.standard_normal(op.shape))
-    with pytest.raises(PCGBreakdown) as excinfo:
-        pcg(op, h, _ConstantOnes(), config=SolverConfig(max_iter=5))
-    assert excinfo.value.log.breakdown == "curvature"
+    real_apply = op_mod.apply
+
+    def negated_apply(op, x, ops=None, out=None):
+        lx = real_apply(op, x, ops, out=out)
+        return np.negative(lx, out=lx)
+
+    monkeypatch.setattr(op_mod, "apply", negated_apply)
+    with pytest.raises(PCGBreakdown, match="nonpositive curvature") as excinfo:
+        pcg(op, h, config=SolverConfig(max_iter=5))
+    log = excinfo.value.log
+    assert log.breakdown == "curvature"
+    assert log.iterations == 0 and log.records[0].rho > 0.0
+    assert len(log.warnings) == 1 and log.warnings[0].startswith("iteration 1: curvature")
 
 
 def test_exact_preconditioner_completes_a_fixed_budget():
@@ -174,8 +186,9 @@ def test_exact_preconditioner_completes_a_fixed_budget():
     u, log = pcg(op, h, PinvPreconditioner(op), config=SolverConfig(max_iter=10))
     assert log.breakdown is None
     assert log.iterations == 10
-    for rec in log.records:
+    for rec in log.records[:-1]:
         assert np.isfinite(rec.rho) and np.isfinite(rec.computed_res)
+    assert (log.records[-1].rho, log.records[-1].beta) == (None, None)
     assert log.records[-1].true_res <= 1e-12 * log.h_norm
 
 
@@ -390,16 +403,23 @@ class TestInPlaceIteration:
             calls.append(1)
             return real_apply(*args, **kwargs)
 
+        precond_calls = []
+        real_precond_apply = precond.apply
+
+        def counted_precond_apply(*args, **kwargs):
+            precond_calls.append(1)
+            return real_precond_apply(*args, **kwargs)
+
         monkeypatch.setattr(op_mod, "apply", counted_apply)
+        monkeypatch.setattr(precond, "apply", counted_precond_apply)
         _, log = pcg(op, h, precond, config=SolverConfig(max_iter=30, stop_tol=stop_tol))
-        # A tolerance stop does not precondition its last residual; a budget stop does.
         if stop_tol is None:
             assert log.iterations == 30
-            precond_applies = log.iterations + 1
         else:
             assert log.iterations < 30
             assert log.records[-1].true_res <= stop_tol * log.h_norm
-            precond_applies = log.iterations
+        # Neither a tolerance nor a budget stop preconditions its last residual.
+        assert len(precond_calls) == log.iterations
         # One L p per step, one L u per record after the zero start.
-        expected = log.iterations + (len(log.records) - 1) + (sweeps - 1) * precond_applies
+        expected = log.iterations + (len(log.records) - 1) + (sweeps - 1) * log.iterations
         assert len(calls) == expected
