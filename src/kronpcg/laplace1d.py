@@ -109,35 +109,28 @@ def add_offdiagonal(bc: BoundaryCondition, x: np.ndarray, out: np.ndarray, axis:
     memory.  Neighbours along ``axis`` sit ``step`` entries apart in the
     flat arrays, so each neighbour term is one long shifted-slice
     subtraction.  The shift also reaches across from each block's first
-    (last) face into the block before (after); those faces are saved
-    beforehand and written back with their corner terms, each 0 or -1
-    times a face (``CORNER_TRIPLES``).  Only face-sized copies are made.
+    (last) face into the block before (after); that face is saved
+    beforehand and written back with its corner terms, each 0 or -1 times
+    a face (``CORNER_TRIPLES``).  One face-sized buffer serves both ends.
     """
     if x.shape != out.shape or not (x.flags.c_contiguous and out.flags.c_contiguous):
         raise ValueError("stencil input and output must be C-contiguous, of one shape")
     if np.may_share_memory(x, out):
         raise ValueError("stencil output must not overlap its input")
-
-    def at(index):
-        key = [slice(None)] * x.ndim
-        key[axis] = index
-        return tuple(key)
-
-    def put_back(face, saved, corners):
-        for coef, col in corners:
-            if coef == -1.0:
-                saved -= x[at(col)]
-        out[at(face)] = saved
-
     first_corner, last_corner, corner = CORNER_TRIPLES[bc]
-    step = prod(x.shape[axis + 1 :])
+    n, step = x.shape[axis], prod(x.shape[axis + 1 :])
     xf, of = x.reshape(-1), out.reshape(-1)
-    first = out[at(0)].copy()
-    of[step:] -= xf[:-step]
-    put_back(0, first, ((first_corner - 2.0, 0), (corner, -1)))
-    last = out[at(-1)].copy()
-    of[:-step] -= xf[step:]
-    put_back(-1, last, ((last_corner - 2.0, -1), (corner, 0)))
+    xb, ob = x.reshape(-1, n, step), out.reshape(-1, n, step)  # (block, axis, face)
+    saved = np.empty_like(ob[:, 0])
+    ends = ((0, first_corner, of[step:], xf[:-step]), (-1, last_corner, of[:-step], xf[step:]))
+    for end, end_corner, dst, src in ends:
+        np.copyto(saved, ob[:, end])
+        dst -= src
+        if end_corner == 1.0:  # a Neumann end: its own face
+            saved -= xb[:, end]
+        if corner == -1.0:  # a periodic line: the face at the other end
+            saved -= xb[:, -1 - end]
+        ob[:, end] = saved
 
 
 @dataclass(frozen=True)

@@ -30,12 +30,13 @@ from .laplace1d import (
     is_singular_1d,
 )
 from .counting import OpCounter
-from .tensors import Shape, outer_sum
+from .tensors import Shape, frobenius_norm, outer_sum
 
 __all__ = [
     "PoissonOperator",
     "poisson_operator",
     "apply",
+    "checked_rhs",
     "spectra",
     "spectrum_sums",
     "is_singular",
@@ -108,6 +109,20 @@ def apply(
     if ops is not None:
         ops.add(6 * x.size * op.ndim)
     return out
+
+
+def checked_rhs(op: PoissonOperator, h: np.ndarray) -> tuple[np.ndarray, float]:
+    """``h`` as a C-contiguous float array and its norm, once it fits the grid and is finite.
+
+    Raises ``ValueError`` on a shape other than the grid's or a non-finite ``|h|``.
+    """
+    h = np.ascontiguousarray(h, dtype=float)
+    if h.shape != op.shape:
+        raise ValueError(f"right-hand side shape {h.shape} does not match grid {op.shape}")
+    h_norm = frobenius_norm(h)
+    if not np.isfinite(h_norm):
+        raise ValueError(f"right-hand side is not finite (|h| = {h_norm})")
+    return h, h_norm
 
 
 def spectra(op: PoissonOperator) -> list[SpectralDecomposition]:

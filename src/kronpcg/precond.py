@@ -107,9 +107,13 @@ class JacobiPreconditioner(Preconditioner):
     with ``x_0 = 0`` (the first sweep collapses to ``Dhat^-1 r``).
     ``omega`` must be finite and at least 1; ``omega`` slightly above 1
     trades speed per sweep for robustness.  Each sweep after the first counts
-    ``6*N*ndim + 4*N`` elementary ops, the first counts ``N``.  The sweeps
-    run in place in the returned array and one scratch buffer owned by the
-    instance, so one instance serves one solve at a time.
+    ``6*N*ndim + 4*N`` elementary ops, the first counts ``N``.  ``dhat`` and
+    ``dhat_inv`` hold only what varies: they have extent 1 along each
+    periodic or Dirichlet direction, whose diagonal is constant, and
+    broadcast against the grid (shape ``(1, 1)`` on an all-periodic grid).
+    The sweeps run in place in the returned array and, for ``p > 1``, one
+    scratch buffer owned by the instance, so one instance serves one solve
+    at a time.
     """
 
     def __init__(self, op, p: int = 1, omega: float = 1.0):
@@ -121,11 +125,14 @@ class JacobiPreconditioner(Preconditioner):
         self.p = int(p)
         self.omega = float(omega)
         self.name = f"jacobi(p={self.p}, omega={self.omega:g})"
-        diag_sum = outer_sum([diagonal(n, bc) for n, bc in zip(op.shape, op.bcs)])
-        self.dhat = self.omega * diag_sum
+        diags = [diagonal(n, bc) for n, bc in zip(op.shape, op.bcs)]
+        # A direction whose corners are both 2 (periodic, Dirichlet) has a
+        # constant diagonal and enters with length 1: the tensors broadcast.
+        self.dhat = self.omega * outer_sum([d[:1] if d[0] == d[-1] == 2.0 else d for d in diags])
         self.dhat_inv = 1.0 / self.dhat
-        self._work = np.empty(op.shape)  # sweep scratch, reused by every apply
-        # Building the weighted diagonal: ndim-1 adds, a scaling, a reciprocal.
+        self._work = np.empty(op.shape) if self.p > 1 else None  # sweep scratch
+        # The cost model charges the full weighted diagonal, whatever its stored
+        # shape: ndim-1 adds, a scaling, a reciprocal per entry.
         self.init_cost = (op.ndim + 1) * int(np.prod(op.shape))
 
     def apply(
@@ -305,18 +312,19 @@ def jacobi_standalone(
     residual is ``h`` itself), and each step is charged one apply and
     ``4*N`` update ops.  If the residual blows past ``1e12`` times its
     initial value the run is flagged as diverged and stops early; that is
-    a reportable outcome, not an error.
+    a reportable outcome, not an error.  Like :func:`kronpcg.solver.pcg`
+    it refuses, with ``ValueError``, an ``h`` that does not fit the grid or
+    is not finite.
     """
     if iters < 0:
         raise ValueError("iters must be nonnegative")
+    h, res0 = op_mod.checked_rhs(op, h)
     jacobi = JacobiPreconditioner(op, p=1, omega=omega)
-    h = np.asarray(h, dtype=float)
     x = np.zeros(op.shape)
     r = h.copy()  # the residual h - L*0
     ops = OpCounter()
     ops.add(jacobi.init_cost)
     res = StationaryResult(x=x)
-    res0 = frobenius_norm(r)
     res.residuals.append(res0)
     res.ops_cum.append(ops.count)
     for _ in range(iters):

@@ -231,13 +231,7 @@ def pcg(
     """
     cfg = config if config is not None else SolverConfig()
     precond = precond if precond is not None else IdentityPreconditioner()
-    h = np.ascontiguousarray(h, dtype=float)  # one layout for every pairing
-    if h.shape != op.shape:
-        raise ValueError(f"right-hand side shape {h.shape} does not match grid {op.shape}")
-
-    h_norm = frobenius_norm(h)
-    if not np.isfinite(h_norm):
-        raise ValueError(f"right-hand side is not finite (|h| = {h_norm})")
+    h, h_norm = op_mod.checked_rhs(op, h)  # one layout for every pairing
     singular = op_mod.is_singular(op)
     rel_null = op_mod.nullspace_component(h) / h_norm if singular and h_norm > 0.0 else 0.0
     if rel_null > op_mod.NULL_SHARE_TOL:

@@ -123,7 +123,8 @@ def hadamard_pinv(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray
     Written into ``out`` when given (``out=x`` inverts in place).
     """
     x = np.asarray(x, dtype=float)
-    null = ~(np.abs(x) > NULL_MODE_TOL)  # NaN included; taken before ``out`` overwrites ``x``
+    # NaN included; taken before ``out`` overwrites ``x``, with no float temporary.
+    null = ~((x > NULL_MODE_TOL) | (x < -NULL_MODE_TOL))
     with np.errstate(divide="ignore"):
         out = np.divide(1.0, x, out=out)
     out[null] = 0.0

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -52,6 +53,22 @@ def test_apply_refuses_an_aliased_or_misshapen_output():
     for out in (x, np.empty((2, 4, 5)), np.empty((5, 4)).T):
         with pytest.raises(ValueError):
             apply(op, x, out=out)
+
+
+def test_apply_into_a_buffer_holds_one_face_at_a_time():
+    """The stencil saves one face per end and reuses its buffer: on a 3D grid
+    the traced peak is one face of the extent-8 axis (64 KiB) plus change."""
+    op = poisson_operator((128, 64, 8), (BC.PERIODIC,) * 3)
+    x = np.random.default_rng(6).standard_normal(op.shape)
+    out = np.empty(op.shape)
+    face = x.nbytes // op.shape[-1]
+    tracemalloc.start()
+    try:
+        apply(op, x, out=out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= face + 8 * 1024
 
 
 def test_center_in_place_matches_the_allocating_path():

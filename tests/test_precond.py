@@ -1,7 +1,9 @@
+import itertools
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +21,7 @@ from conftest import (
 )
 from kronpcg import operators as op_mod
 from kronpcg.counting import OpCounter, cost_model
-from kronpcg.laplace1d import BoundaryCondition, analytic_spectrum
+from kronpcg.laplace1d import BoundaryCondition, analytic_spectrum, diagonal
 from kronpcg.operators import poisson_operator, spectrum_sums
 from kronpcg.precond import (
     IdentityPreconditioner,
@@ -29,7 +31,7 @@ from kronpcg.precond import (
     jacobi_standalone,
     make_preconditioner,
 )
-from kronpcg.tensors import hadamard_pinv, inner
+from kronpcg.tensors import hadamard_pinv, inner, outer_sum
 
 BC = BoundaryCondition
 
@@ -188,6 +190,45 @@ class TestJacobi:
         for omega in (0.9, np.nan, np.inf):
             with pytest.raises(ValueError):
                 JacobiPreconditioner(op, omega=omega)
+
+    @pytest.mark.parametrize(
+        "shape, bcs",
+        [((6, 7), pair) for pair in itertools.product(BC, repeat=2)]
+        + [
+            ((5, 4, 6), (BC.PERIODIC, BC.NEUMANN, BC.DIRICHLET)),
+            ((4, 5, 3), (BC.DIRICHLET_NEUMANN, BC.PERIODIC, BC.NEUMANN_DIRICHLET)),
+        ],
+        ids=lambda v: ",".join(getattr(e, "value", str(e)) for e in v),
+    )
+    def test_weighted_diagonal_holds_only_what_varies(self, shape, bcs):
+        """``dhat`` has extent 1 along each direction whose diagonal is
+        constant (both corners 2), and the sweeps through it are bitwise
+        those through the full ``omega * outer_sum(diagonals)`` tensor."""
+        op = poisson_operator(shape, bcs)
+        constant = [bc in (BC.PERIODIC, BC.DIRICHLET) for bc in bcs]
+        want_shape = tuple(1 if c else n for n, c in zip(shape, constant))
+        full = 1.3 * outer_sum([diagonal(n, bc) for n, bc in zip(shape, bcs)])
+        r = np.random.default_rng(sum(shape)).standard_normal(shape)
+        for p in (1, 2, 3):
+            j = JacobiPreconditioner(op, p=p, omega=1.3)
+            assert j.dhat.shape == j.dhat_inv.shape == want_shape
+            got = j.apply(r).copy()
+            j.dhat, j.dhat_inv = full, 1.0 / full
+            assert np.array_equal(got, j.apply(r))
+
+    def test_one_sweep_keeps_no_grid_sized_state(self):
+        """On an all-periodic grid a ``p = 1`` instance holds a 1x1 diagonal,
+        its reciprocal and no sweep buffer."""
+        op = _periodic_op(200, 400)
+        grid = 8 * 200 * 400
+        tracemalloc.start()
+        try:
+            j = JacobiPreconditioner(op, p=1, omega=1.3)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert j.dhat.shape == (1, 1)
+        assert peak < 0.05 * grid and held < 0.05 * grid
 
     def test_sweep_op_costs(self):
         op = _periodic_op(5, 6)
@@ -359,6 +400,16 @@ class TestJacobiStandalone:
         step = result.ops_cum[1] - result.ops_cum[0]
         assert step == 6 * h.size * op.ndim + 4 * h.size
         assert np.diff(result.ops_cum).tolist() == [step] * 25
+
+    def test_refuses_a_misshapen_or_non_finite_rhs(self):
+        op = poisson_operator((5, 6), (BC.DIRICHLET, BC.NEUMANN))
+        with pytest.raises(ValueError, match="does not match grid"):
+            jacobi_standalone(op, np.ones((6, 5)), iters=3)
+        for bad in (np.nan, np.inf):
+            h = np.ones(op.shape)
+            h[2, 3] = bad
+            with pytest.raises(ValueError, match="not finite"):
+                jacobi_standalone(op, h, iters=3)
 
     def test_zero_iterations_only_records_the_start(self):
         op = poisson_operator((4, 4), (BC.DIRICHLET, BC.DIRICHLET))

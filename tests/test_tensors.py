@@ -157,7 +157,12 @@ def test_hadamard_pinv_equals_the_mask_formula_without_warnings():
     tol = NULL_MODE_TOL
     above = np.nextafter(tol, 1.0)
     x = np.array(
-        [[0.0, -0.0, tol, -tol], [above, -above, 2.0 * tol, -3.5], [1e-300, 7.0, -1e-14, 0.25]]
+        [
+            [0.0, -0.0, tol, -tol],
+            [above, -above, 2.0 * tol, -3.5],
+            [1e-300, 7.0, -1e-14, 0.25],
+            [np.inf, -np.inf, 1.0, -1.0],
+        ]
     )
     want = np.zeros_like(x)
     mask = np.abs(x) > tol
