@@ -17,7 +17,7 @@ import sys
 from typing import Callable, Optional, Sequence
 
 from . import formats
-from .laplace1d import BoundaryCondition, analytic_spectrum
+from .laplace1d import BoundaryCondition, eigenvalues
 from .operators import (
     NULL_SHARE_TOL,
     BoundaryData,
@@ -27,7 +27,6 @@ from .operators import (
     is_singular,
     nullspace_component,
     poisson_operator,
-    spectra,
     spectrum_sums,
 )
 from .precond import jacobi_standalone, make_preconditioner
@@ -319,19 +318,18 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
         dims = _parse_size(args.size)
         bcs = _parse_bcs(args.bc, len(dims))
         op = poisson_operator(dims, bcs)
-        decomps = spectra(op)
-        for axis, (n, bc, dec) in enumerate(zip(op.shape, op.bcs, decomps)):
-            values = ",".join(f"{v:.12g}" for v in dec.values)
+        for axis, (n, bc) in enumerate(zip(op.shape, op.bcs)):
+            values = ",".join(f"{v:.12g}" for v in eigenvalues(n, bc))
             print(f"axis {_AXES[axis]} ({bc.value}, n={n}): {values}")
         if args.sums:
-            sums = spectrum_sums(op, decomps)
+            sums = spectrum_sums(op)
             print(f"sum-spectrum min {sums.min():.12g} max {sums.max():.12g}")
         return 0
     if not args.n:
         raise UsageError("spectrum needs either --n with a single --bc, or --size")
     if args.sums:
         raise UsageError("--sums needs --size: a single --n has no sum spectrum")
-    values = analytic_spectrum(args.n, _condition(args.bc)).values
+    values = eigenvalues(args.n, _condition(args.bc))
     print("k,eigenvalue")
     for k, value in enumerate(values, start=1):
         print(f"{k},{value:.15g}")

@@ -33,7 +33,10 @@ first end sets the sampling shift and phase: ``s = 1/2, phi = 0`` after
 a Neumann end, ``s = 0, phi = pi/2`` (a sine) after a Dirichlet end.  A
 periodic line takes ``phi = pi/4``, the Hartley basis ``cos + sin``, in
 which the equal-eigenvalue columns ``k`` and ``n - k`` are orthogonal.
-The test suite checks the rule against a dense symmetric eigensolver.
+Each angle is ``pi*a/D`` with integer ``a``, ``D``: the basis is gathered
+from one cosine table 64 rows at a time, each row's indices ``4*a`` past
+the last's, and its column norms summed row after row.  :func:`eigenvalues`
+gives the spectrum alone.  Tests check the rule against a dense eigensolver.
 """
 
 from __future__ import annotations
@@ -51,6 +54,7 @@ __all__ = [
     "is_singular_1d",
     "face_kinds",
     "diagonal",
+    "eigenvalues",
     "SpectralDecomposition",
     "analytic_spectrum",
 ]
@@ -74,6 +78,8 @@ CORNER_TRIPLES: dict[BoundaryCondition, tuple[float, float, float]] = {
     BoundaryCondition.DIRICHLET_NEUMANN: (2.0, 1.0, 0.0),
     BoundaryCondition.NEUMANN_DIRICHLET: (1.0, 2.0, 0.0),
 }
+
+_ROW_BLOCK = 64  # basis rows gathered per step of analytic_spectrum
 
 
 def is_singular_1d(bc: BoundaryCondition) -> bool:
@@ -141,24 +147,8 @@ class SpectralDecomposition:
     vectors: np.ndarray
 
 
-def analytic_spectrum(n: int, bc: BoundaryCondition) -> SpectralDecomposition:
-    """Closed-form eigendecomposition of the 1D operator, by one rule.
-
-    With ``d`` Dirichlet ends the angles are ``theta_k = pi*(k + d/2)/(n + d/2)``,
-    on a periodic line ``theta_k = 2*pi*k/n``; the eigenvalues are
-    ``2 - 2*cos(theta_k)`` and column ``k`` is ``cos(theta_k*(j - s) - phi)``
-    for ``j = 1..n``, normalized.  ``s = 1/2`` after a Neumann first end and
-    0 otherwise; ``phi = pi/2`` after a Dirichlet first end, 0 after a
-    Neumann one, and ``pi/4`` on a periodic line, where it gives the Hartley
-    basis ``cos + sin``: columns ``k`` and ``n - k`` share an eigenvalue and
-    are orthogonal with no extra pass.
-
-    Every angle is ``pi*a/D`` for integers ``a`` and ``D``, so every phase
-    is an integer multiple of ``pi/(4*D)`` and all entries are gathered
-    from one table of cosines.  Columns are built in ascending eigenvalue
-    order (periodic: ``k = 0, n-1, 1, n-2, 2, ...``) and come out
-    C-contiguous.
-    """
+def _angle_rule(n: int, bc: BoundaryCondition) -> tuple[np.ndarray, int, int, int]:
+    """Column ``k``: angle ``pi*a[k]/denom``, samples at ``j - shift2/2``, phase ``phase4*pi/4``."""
     if n < 3:
         raise ValueError(f"1D operator needs n >= 3, got n={n}")
     first, last, corner = CORNER_TRIPLES[BoundaryCondition(bc)]
@@ -166,19 +156,54 @@ def analytic_spectrum(n: int, bc: BoundaryCondition) -> SpectralDecomposition:
     if corner == -1.0:
         # Column pairs k = n - a/2, a/2 share the eigenvalue of a = 2*min(k, n-k);
         # the angle of k = n - a/2 is that of -a, modulo the period.
-        a_value = 2 * ((m + 1) // 2)
-        a_column = np.where(m % 2 == 1, -a_value, a_value)
-        denom, shift2, phase4 = n, 0, 1
-    else:
-        dirichlet_ends = int(first == 2.0) + int(last == 2.0)
-        a_value = a_column = 2 * m + dirichlet_ends
-        denom = 2 * n + dirichlet_ends
-        shift2 = int(first == 1.0)  # 2*s
-        phase4 = 2 * int(first == 2.0)  # phi in units of pi/4
+        a = 2 * ((m + 1) // 2)
+        return np.where(m % 2 == 1, -a, a), n, 0, 1
+    dirichlet_ends = int(first == 2.0) + int(last == 2.0)
+    return 2 * m + dirichlet_ends, 2 * n + dirichlet_ends, int(first == 1.0), 2 * int(first == 2.0)
+
+
+def eigenvalues(n: int, bc: BoundaryCondition) -> np.ndarray:
+    """The eigenvalues ``2 - 2*cos(theta_k)`` alone, ascending; no basis is built."""
+    a, denom, _, _ = _angle_rule(n, bc)
+    return 2.0 - 2.0 * np.cos(np.abs(4 * a) * np.pi / (4 * denom))
+
+
+def analytic_spectrum(n: int, bc: BoundaryCondition) -> SpectralDecomposition:
+    """Closed-form eigendecomposition of the 1D operator, by one rule.
+
+    With ``d`` Dirichlet ends the angles are ``theta_k = pi*(k + d/2)/(n + d/2)``,
+    on a periodic line ``theta_k = 2*pi*k/n``; the eigenvalues are
+    ``2 - 2*cos(theta_k)`` (:func:`eigenvalues`) and column ``k`` is
+    ``cos(theta_k*(j - s) - phi)`` for ``j = 1..n``, normalized.  ``s = 1/2``
+    after a Neumann first end and 0 otherwise; ``phi = pi/2`` after a
+    Dirichlet first end, 0 after a Neumann one, and ``pi/4`` on a periodic
+    line, where it gives the Hartley basis ``cos + sin``: columns ``k`` and
+    ``n - k`` share an eigenvalue and are orthogonal with no extra pass.
+
+    Every angle is ``pi*a/D`` for integers ``a`` and ``D``, so every entry
+    is gathered from one period of ``8*D`` table cosines.  Consecutive rows'
+    table indices differ by ``4*a``, so a block of ``_ROW_BLOCK`` rows takes
+    its first row's indices plus fixed offsets ``k*4*a``, each reduced
+    modulo the period: below two periods, one wrap in ``np.take``.  The
+    column sums of squares run row after row, the order of
+    ``np.linalg.norm(axis=0)``, so the basis is bitwise that of one
+    whole-grid gather, with only block-sized scratch beside it.  Columns
+    are built in ascending eigenvalue order (periodic: ``k = 0, n-1, 1,
+    n-2, ...``) and come out C-contiguous.
+    """
+    a, denom, shift2, phase4 = _angle_rule(n, bc)
     period = 8 * denom
     cosines = np.cos(np.arange(period) * np.pi / (4 * denom))
-    values = 2.0 - 2.0 * cosines[4 * a_value]
-    j2 = 2 * np.arange(1, n + 1) - shift2
-    vectors = cosines[(np.outer(j2, 2 * a_column) - phase4 * denom) % period]
-    vectors /= np.linalg.norm(vectors, axis=0)
-    return SpectralDecomposition(values=values, vectors=vectors)
+    ahead = np.arange(_ROW_BLOCK)[:, None] * (4 * a % period) % period
+    index = np.empty_like(ahead)
+    scratch = np.zeros((_ROW_BLOCK + 1, n))  # row 0: running column sums of squares
+    vectors = np.empty((n, n))
+    for j in range(0, n, _ROW_BLOCK):
+        rows = min(_ROW_BLOCK, n - j)
+        first_row = (2 * (2 * j + 2 - shift2) * a - phase4 * denom) % period
+        np.add(first_row, ahead[:rows], out=index[:rows])
+        block = np.take(cosines, index[:rows], out=vectors[j : j + rows], mode="wrap")
+        np.square(block, out=scratch[1 : rows + 1])
+        scratch[0] = np.add.reduce(scratch[: rows + 1], axis=0)
+    vectors /= np.sqrt(scratch[0])
+    return SpectralDecomposition(values=eigenvalues(n, bc), vectors=vectors)

@@ -26,6 +26,7 @@ from .laplace1d import (
     SpectralDecomposition,
     add_offdiagonal,
     analytic_spectrum,
+    eigenvalues,
     face_kinds,
     is_singular_1d,
 )
@@ -138,11 +139,12 @@ def spectrum_sums(
 
     Entry ``(i, j[, k])`` is the eigenvalue attached to the product of the
     ``i``-th, ``j``-th (and ``k``-th) per-direction eigenvectors, each list
-    taken in ascending order.  ``decomps`` defaults to :func:`spectra`.
+    taken in ascending order.  Without ``decomps`` no eigenbasis is built.
     """
     if decomps is None:
-        decomps = spectra(op)
-    value_lists = [d.values for d in decomps]
+        value_lists = [eigenvalues(n, bc) for n, bc in zip(op.shape, op.bcs)]
+    else:
+        value_lists = [d.values for d in decomps]
     if len(value_lists) != op.ndim:
         raise ValueError("need one decomposition per direction")
     return outer_sum(value_lists)

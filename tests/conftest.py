@@ -5,6 +5,7 @@ eigendecompositions, textbook recurrences on flat vectors.  The package
 must agree with these on problems small enough to afford them.
 """
 
+import tracemalloc
 from functools import reduce
 
 import numpy as np
@@ -56,6 +57,43 @@ def numeric_spectrum(n, bc):
     """Dense symmetric eigendecomposition of a 1D factor (ascending, orthonormal)."""
     values, vectors = np.linalg.eigh(dense_1d(n, bc))
     return SpectralDecomposition(values=values, vectors=vectors)
+
+
+def one_shot_spectrum(n, bc):
+    """The closed-form eigenpairs in one whole-grid gather and one ``np.linalg.norm``.
+
+    The plain form of :func:`kronpcg.laplace1d.analytic_spectrum`: an
+    ``n x n`` index table, a modulo on every entry, then the column norms.
+    """
+    first, last, corner = CORNER_TRIPLES[BoundaryCondition(bc)]
+    m = np.arange(n)
+    if corner == -1.0:
+        a_value = 2 * ((m + 1) // 2)
+        a_column = np.where(m % 2 == 1, -a_value, a_value)
+        denom, shift2, phase4 = n, 0, 1
+    else:
+        dirichlet_ends = int(first == 2.0) + int(last == 2.0)
+        a_value = a_column = 2 * m + dirichlet_ends
+        denom = 2 * n + dirichlet_ends
+        shift2 = int(first == 1.0)  # 2*s
+        phase4 = 2 * int(first == 2.0)  # phi in units of pi/4
+    period = 8 * denom
+    cosines = np.cos(np.arange(period) * np.pi / (4 * denom))
+    values = 2.0 - 2.0 * cosines[4 * a_value]
+    j2 = 2 * np.arange(1, n + 1) - shift2
+    vectors = cosines[(np.outer(j2, 2 * a_column) - phase4 * denom) % period]
+    vectors /= np.linalg.norm(vectors, axis=0)
+    return SpectralDecomposition(values=values, vectors=vectors)
+
+
+def traced_peak(fn, *args, **kwargs):
+    """``fn(*args, **kwargs)`` and the peak bytes traced by ``tracemalloc`` during the call."""
+    tracemalloc.start()
+    try:
+        result = fn(*args, **kwargs)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def assemble_dense(op):

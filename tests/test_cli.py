@@ -12,7 +12,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from conftest import Negated
+from conftest import Negated, traced_peak
 from kronpcg import cli, formats
 from kronpcg.formats import RUN_LOG_SCHEMA, read_tensor, write_tensor
 from kronpcg.laplace1d import BoundaryCondition, analytic_spectrum
@@ -270,6 +270,16 @@ def test_spectrum_one_dimensional_output(capsys):
     got = [float(line.split(",")[1]) for line in lines[1:]]
     want = analytic_spectrum(5, BoundaryCondition.DIRICHLET).values
     assert np.allclose(got, want, atol=1e-12)
+
+
+def test_spectrum_one_dimensional_form_builds_no_basis(capsys):
+    """A 2048-point periodic spectrum used to build its 32 MiB basis first."""
+    code, peak = traced_peak(cli.main, ["spectrum", "--n", "2048", "--bc", "periodic"])
+    assert code == 0
+    assert peak < 1024 * 1024
+    want = analytic_spectrum(2048, BoundaryCondition.PERIODIC).values
+    lines = ["k,eigenvalue", *(f"{k},{v:.15g}" for k, v in enumerate(want, start=1))]
+    assert capsys.readouterr().out == "\n".join(lines) + "\n"
 
 
 def test_spectrum_one_dimensional_form_refuses_sums(capsys):

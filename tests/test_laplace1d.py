@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from conftest import ALL_BCS, dense_1d, numeric_spectrum
+from conftest import ALL_BCS, dense_1d, numeric_spectrum, one_shot_spectrum, traced_peak
 from kronpcg.laplace1d import (
     CORNER_TRIPLES,
     BoundaryCondition,
     add_offdiagonal,
     analytic_spectrum,
+    eigenvalues,
     is_singular_1d,
 )
 from kronpcg.operators import poisson_operator
@@ -90,6 +91,27 @@ def test_analytic_spectrum_matches_numeric(bc, n):
 
 
 @pytest.mark.parametrize("bc", ALL_BCS)
+def test_row_blocks_give_the_one_shot_basis_bitwise(bc):
+    """Row-block gathers and row-order norm sums change no bit of the eigenpairs.
+
+    The sizes cross one, two, four and sixteen blocks of 64 rows, with a
+    partial last block on either side of each boundary.
+    """
+    for n in [*range(3, 71), 127, 128, 129, 255, 256, 257, 511, 512, 513, 1023, 1024, 1025]:
+        got, want = analytic_spectrum(n, bc), one_shot_spectrum(n, bc)
+        assert np.array_equal(got.values, want.values), n
+        assert np.array_equal(eigenvalues(n, bc), want.values), n
+        assert np.array_equal(got.vectors, want.vectors), n
+        assert got.vectors.flags.c_contiguous, n
+
+
+def test_basis_build_holds_little_beside_the_basis():
+    """The one-shot gather peaked at about two bases (index table plus modulo result)."""
+    _, peak = traced_peak(analytic_spectrum, 1024, BC.PERIODIC)
+    assert peak < 1.3 * 8 * 1024 * 1024
+
+
+@pytest.mark.parametrize("bc", ALL_BCS)
 def test_spectrum_bounds(bc):
     values = analytic_spectrum(12, bc).values
     assert values.min() >= -1e-13
@@ -138,3 +160,5 @@ def test_singularity_flag_matches_spectrum(bc):
 def test_analytic_spectrum_rejects_small_grids():
     with pytest.raises(ValueError):
         analytic_spectrum(2, BC.PERIODIC)
+    with pytest.raises(ValueError):
+        eigenvalues(2, BC.DIRICHLET)

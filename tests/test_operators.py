@@ -1,10 +1,17 @@
 import json
-import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import ASSEMBLE_LIMIT, assemble_dense, dense_1d, random_operator, unvec, vec
+from conftest import (
+    ASSEMBLE_LIMIT,
+    assemble_dense,
+    dense_1d,
+    random_operator,
+    traced_peak,
+    unvec,
+    vec,
+)
 from kronpcg.counting import OpCounter
 from kronpcg.formats import write_run_log
 from kronpcg.laplace1d import BoundaryCondition
@@ -17,6 +24,7 @@ from kronpcg.operators import (
     is_singular,
     nullspace_component,
     poisson_operator,
+    spectra,
     spectrum_sums,
 )
 from kronpcg.solver import SolverConfig, pcg
@@ -62,12 +70,7 @@ def test_apply_into_a_buffer_holds_one_face_at_a_time():
     x = np.random.default_rng(6).standard_normal(op.shape)
     out = np.empty(op.shape)
     face = x.nbytes // op.shape[-1]
-    tracemalloc.start()
-    try:
-        apply(op, x, out=out)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(apply, op, x, out=out)
     assert peak <= face + 8 * 1024
 
 
@@ -106,6 +109,13 @@ def test_spectrum_sums_match_dense_eigenvalues(ndim):
         sums = np.sort(spectrum_sums(op).ravel())
         dense_vals = np.linalg.eigvalsh(assemble_dense(op))
         assert np.allclose(sums, dense_vals, atol=1e-8)
+
+
+def test_spectrum_sums_alone_build_no_basis():
+    op = poisson_operator((2048, 3), (BC.PERIODIC, BC.DIRICHLET))
+    sums, peak = traced_peak(spectrum_sums, op)
+    assert np.array_equal(sums, spectrum_sums(op, spectra(op)))
+    assert peak < 1024 * 1024
 
 
 @pytest.mark.parametrize(

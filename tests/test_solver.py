@@ -10,6 +10,7 @@ from conftest import (
     dense_pcg,
     dense_pseudoinverse,
     kappa_indicator,
+    traced_peak,
     vec,
 )
 from kronpcg import operators as op_mod
@@ -339,12 +340,8 @@ class TestInPlaceIteration:
         grid = h.size * h.itemsize
         peaks = []
         for budget in (2, 20):
-            tracemalloc.start()
-            try:
-                _, log = pcg(op, h, precond, config=SolverConfig(max_iter=budget))
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
+            (_, log), peak = traced_peak(pcg, op, h, precond, config=SolverConfig(max_iter=budget))
+            peaks.append(peak)
             assert log.iterations == budget
         assert all(4 * grid <= peak < 4.5 * grid for peak in peaks)
         assert 0 <= peaks[1] - peaks[0] < 0.25 * grid
@@ -374,12 +371,8 @@ class TestInPlaceIteration:
         precond = PinvPreconditioner(op)
         grid = h.size * h.itemsize
         face = grid // op.shape[-1]
-        tracemalloc.start()
-        try:
-            _, log = pcg(op, h, precond, config=SolverConfig(max_iter=20, stop_tol=1e-9))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        config = SolverConfig(max_iter=20, stop_tol=1e-9)
+        (_, log), peak = traced_peak(pcg, op, h, precond, config=config)
         assert log.records[-1].true_res <= 1e-9 * log.h_norm
         assert 4 * grid <= peak <= 4 * grid + face + 16 * 1024
 
