@@ -27,7 +27,6 @@ from .operators import (
     is_singular,
     nullspace_component,
     poisson_operator,
-    spectrum_sums,
 )
 from .precond import jacobi_standalone, make_preconditioner
 from .problems import (
@@ -39,7 +38,7 @@ from .problems import (
     gen_problem3,
 )
 from .solver import ConvergenceLog, PCGBreakdown, SolverConfig, pcg
-from .tensors import frobenius_norm
+from .tensors import frobenius_norm, outer_sum
 
 _AXES = "xyz"
 
@@ -318,11 +317,12 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
         dims = _parse_size(args.size)
         bcs = _parse_bcs(args.bc, len(dims))
         op = poisson_operator(dims, bcs)
-        for axis, (n, bc) in enumerate(zip(op.shape, op.bcs)):
-            values = ",".join(f"{v:.12g}" for v in eigenvalues(n, bc))
-            print(f"axis {_AXES[axis]} ({bc.value}, n={n}): {values}")
+        value_lists = [eigenvalues(n, bc) for n, bc in zip(op.shape, op.bcs)]
+        for axis, (n, bc, values) in enumerate(zip(op.shape, op.bcs, value_lists)):
+            listed = ",".join(f"{v:.12g}" for v in values)
+            print(f"axis {_AXES[axis]} ({bc.value}, n={n}): {listed}")
         if args.sums:
-            sums = spectrum_sums(op)
+            sums = outer_sum(value_lists)
             print(f"sum-spectrum min {sums.min():.12g} max {sums.max():.12g}")
         return 0
     if not args.n:

@@ -34,8 +34,8 @@ a Neumann end, ``s = 0, phi = pi/2`` (a sine) after a Dirichlet end.  A
 periodic line takes ``phi = pi/4``, the Hartley basis ``cos + sin``, in
 which the equal-eigenvalue columns ``k`` and ``n - k`` are orthogonal.
 Each angle is ``pi*a/D`` with integer ``a``, ``D``: the basis is gathered
-from one cosine table 64 rows at a time, each row's indices ``4*a`` past
-the last's, and its column norms summed row after row.  :func:`eigenvalues`
+from one cosine table a fixed block of rows at a time, each row's indices
+``4*a`` past the last's, and its column norms summed row after row.  :func:`eigenvalues`
 gives the spectrum alone.  Tests check the rule against a dense eigensolver.
 """
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -131,23 +131,14 @@ def spectra(op: PoissonOperator) -> list[SpectralDecomposition]:
     return [analytic_spectrum(n, bc) for n, bc in zip(op.shape, op.bcs)]
 
 
-def spectrum_sums(
-    op: PoissonOperator,
-    decomps: Optional[Iterable[SpectralDecomposition]] = None,
-) -> np.ndarray:
+def spectrum_sums(op: PoissonOperator) -> np.ndarray:
     """Tensor of all sums of per-direction eigenvalues (operator spectrum).
 
     Entry ``(i, j[, k])`` is the eigenvalue attached to the product of the
     ``i``-th, ``j``-th (and ``k``-th) per-direction eigenvectors, each list
-    taken in ascending order.  Without ``decomps`` no eigenbasis is built.
+    taken in ascending order.  No eigenbasis is built.
     """
-    if decomps is None:
-        value_lists = [eigenvalues(n, bc) for n, bc in zip(op.shape, op.bcs)]
-    else:
-        value_lists = [d.values for d in decomps]
-    if len(value_lists) != op.ndim:
-        raise ValueError("need one decomposition per direction")
-    return outer_sum(value_lists)
+    return outer_sum([eigenvalues(n, bc) for n, bc in zip(op.shape, op.bcs)])
 
 
 def is_singular(op: PoissonOperator) -> bool:

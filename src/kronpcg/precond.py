@@ -43,9 +43,8 @@ __all__ = [
 
 def _spectral_setup(op) -> tuple[list[np.ndarray], np.ndarray]:
     """Per-direction eigenbases and the entrywise pseudoinverse of the sums."""
-    decomps = op_mod.spectra(op)
-    sums = op_mod.spectrum_sums(op, decomps)
-    return [d.vectors for d in decomps], hadamard_pinv(sums, out=sums)
+    sums = op_mod.spectrum_sums(op)
+    return [d.vectors for d in op_mod.spectra(op)], hadamard_pinv(sums, out=sums)
 
 
 def _checked_out(r: np.ndarray, out: Optional[np.ndarray]) -> np.ndarray:
