@@ -322,8 +322,9 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
             listed = ",".join(f"{v:.12g}" for v in values)
             print(f"axis {_AXES[axis]} ({bc.value}, n={n}): {listed}")
         if args.sums:
-            sums = outer_sum(value_lists)
-            print(f"sum-spectrum min {sums.min():.12g} max {sums.max():.12g}")
+            # Rounded addition is monotone: extreme sums are sums of per-axis extremes.
+            low, high = (outer_sum([pick(v) for v in value_lists]) for pick in (min, max))
+            print(f"sum-spectrum min {low:.12g} max {high:.12g}")
         return 0
     if not args.n:
         raise UsageError("spectrum needs either --n with a single --bc, or --size")

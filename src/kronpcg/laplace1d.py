@@ -80,6 +80,7 @@ CORNER_TRIPLES: dict[BoundaryCondition, tuple[float, float, float]] = {
 }
 
 _ROW_BLOCK = 64  # basis rows gathered per step of analytic_spectrum
+_GROUP_ENTRIES = 1 << 17  # stencil output (1 MiB) per group of whole blocks in add_offdiagonal
 
 
 def is_singular_1d(bc: BoundaryCondition) -> bool:
@@ -112,12 +113,15 @@ def add_offdiagonal(bc: BoundaryCondition, x: np.ndarray, out: np.ndarray, axis:
 
     With the ``2x`` diagonal already in ``out`` this completes the stencil.
     ``x`` and ``out`` must be C-contiguous, of one shape, and apart in
-    memory.  Neighbours along ``axis`` sit ``step`` entries apart in the
-    flat arrays, so each neighbour term is one long shifted-slice
-    subtraction.  The shift also reaches across from each block's first
-    (last) face into the block before (after); that face is saved
-    beforehand and written back with its corner terms, each 0 or -1 times
-    a face (``CORNER_TRIPLES``).  One face-sized buffer serves both ends.
+    memory.  Blocks along ``axis`` go in groups of about ``_GROUP_ENTRIES``
+    entries, each in cache through its passes.  Neighbours along ``axis``
+    sit ``step`` entries apart in a group's flat arrays, so each neighbour
+    term is one shifted-slice subtraction.  The shift also reaches across
+    from each block's first (last) face into the block before (after);
+    that face is saved beforehand and written back with its corner terms,
+    each 0 or -1 times a face (``CORNER_TRIPLES``).  One buffer of a group's
+    faces serves every group and both ends; each entry gets a whole-grid
+    pass's operations in its order, so the result is bitwise the same.
     """
     if x.shape != out.shape or not (x.flags.c_contiguous and out.flags.c_contiguous):
         raise ValueError("stencil input and output must be C-contiguous, of one shape")
@@ -125,18 +129,21 @@ def add_offdiagonal(bc: BoundaryCondition, x: np.ndarray, out: np.ndarray, axis:
         raise ValueError("stencil output must not overlap its input")
     first_corner, last_corner, corner = CORNER_TRIPLES[bc]
     n, step = x.shape[axis], prod(x.shape[axis + 1 :])
-    xf, of = x.reshape(-1), out.reshape(-1)
-    xb, ob = x.reshape(-1, n, step), out.reshape(-1, n, step)  # (block, axis, face)
-    saved = np.empty_like(ob[:, 0])
-    ends = ((0, first_corner, of[step:], xf[:-step]), (-1, last_corner, of[:-step], xf[step:]))
-    for end, end_corner, dst, src in ends:
-        np.copyto(saved, ob[:, end])
-        dst -= src
-        if end_corner == 1.0:  # a Neumann end: its own face
-            saved -= xb[:, end]
-        if corner == -1.0:  # a periodic line: the face at the other end
-            saved -= xb[:, -1 - end]
-        ob[:, end] = saved
+    xg, og = x.reshape(-1, n, step), out.reshape(-1, n, step)  # (block, axis, face)
+    group = max(1, _GROUP_ENTRIES // (n * step))
+    faces = np.empty((min(group, len(og)), step))
+    for g in range(0, len(og), group):
+        xb, ob = xg[g : g + group], og[g : g + group]
+        xf, of, saved = xb.reshape(-1), ob.reshape(-1), faces[: len(ob)]
+        ends = ((0, first_corner, of[step:], xf[:-step]), (-1, last_corner, of[:-step], xf[step:]))
+        for end, end_corner, dst, src in ends:
+            np.copyto(saved, ob[:, end])
+            dst -= src
+            if end_corner == 1.0:  # a Neumann end: its own face
+                saved -= xb[:, end]
+            if corner == -1.0:  # a periodic line: the face at the other end
+                saved -= xb[:, -1 - end]
+            ob[:, end] = saved
 
 
 @dataclass(frozen=True)

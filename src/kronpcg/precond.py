@@ -26,7 +26,7 @@ import numpy as np
 
 from . import operators as op_mod
 from .counting import OpCounter
-from .laplace1d import diagonal
+from .laplace1d import diagonal, eigenvalues
 from .tensors import frobenius_norm, hadamard_pinv, linear_transform, outer_sum
 
 __all__ = [
@@ -40,11 +40,30 @@ __all__ = [
     "jacobi_standalone",
 ]
 
+_GHAT_ROWS = 32  # leading rows of ghat summed and inverted per pass
+
 
 def _spectral_setup(op) -> tuple[list[np.ndarray], np.ndarray]:
-    """Per-direction eigenbases and the entrywise pseudoinverse of the sums."""
-    sums = op_mod.spectrum_sums(op)
-    return [d.vectors for d in op_mod.spectra(op)], hadamard_pinv(sums, out=sums)
+    """Per-direction eigenbases and ``ghat``, bitwise ``hadamard_pinv(spectrum_sums(op))``.
+
+    ``ghat`` is built ``_GHAT_ROWS`` leading rows at a time, each block summed
+    and inverted while it is in cache.  Each trailing direction's eigenvalues
+    are laid out once along the flattened trailing axes, so every sum keeps
+    its order ``(a_i + b_j) + c_k`` and each add runs along whole rows.
+    """
+    values = [eigenvalues(n, bc) for n, bc in zip(op.shape, op.bcs)]
+    tail = [v.reshape((-1,) + (1,) * (op.ndim - 1 - d)) for d, v in enumerate(values[1:], 1)]
+    lines = [np.broadcast_to(v, op.shape[1:]).reshape(-1) for v in tail]
+    ghat = np.empty(op.shape)
+    rows = ghat.reshape(op.shape[0], -1)
+    for i in range(0, op.shape[0], _GHAT_ROWS):
+        block = rows[i : i + _GHAT_ROWS]
+        np.copyto(block, lines[0])  # then add the column: faster than np.add(column, row, out=)
+        block += values[0][i : i + _GHAT_ROWS, None]
+        for line in lines[1:]:
+            block += line
+        hadamard_pinv(block, out=block)
+    return [d.vectors for d in op_mod.spectra(op)], ghat
 
 
 def _checked_out(r: np.ndarray, out: Optional[np.ndarray]) -> np.ndarray:
@@ -208,9 +227,10 @@ class LowRankPreconditioner(Preconditioner):
     applied left and right of the residual.  At ``r = min(n, q)`` this
     reproduces the pseudoinverse; small ``r`` can go indefinite, which
     :func:`kronpcg.solver.pcg` reports as a breakdown.  Each application
-    costs ``r*(2*N*(n+q) + N)`` elementary ops; its congruences run in two
-    scratch arrays owned by the instance, so one instance serves one solve
-    at a time.
+    costs ``r*(2*N*(n+q) + N)`` elementary ops.  The congruences are built
+    and applied by ``einsum``, which calls no BLAS, so no digit depends on
+    the BLAS thread count; they run in two scratch arrays owned by the
+    instance, so one instance serves one solve at a time.
 
     A 3D analogue would need a tensor decomposition in place of the SVD
     and is deliberately not provided.
@@ -226,8 +246,8 @@ class LowRankPreconditioner(Preconditioner):
         self.name = f"lowrank(r={self.rank})"
         (vn, vq), ghat = _spectral_setup(op)
         a, sigma, bt = np.linalg.svd(ghat)
-        self.left = [(vn * (sigma[i] * a[:, i])) @ vn.T for i in range(rank)]
-        self.right = [(vq * bt[i, :]) @ vq.T for i in range(rank)]
+        self.left = [np.einsum("ij,kj->ik", vn * (sigma[i] * a[:, i]), vn) for i in range(rank)]
+        self.right = [np.einsum("ij,kj->ik", vq * bt[i, :], vq) for i in range(rank)]
         self._work = (np.empty(op.shape), np.empty(op.shape))  # congruence scratch
         self.init_cost = op.ndim * int(np.prod(op.shape))
 
@@ -238,7 +258,8 @@ class LowRankPreconditioner(Preconditioner):
         z = _checked_out(r, out)
         z.fill(0.0)
         for ml, mr in zip(self.left, self.right):
-            z += linear_transform([ml, mr], r, self._work)
+            left = np.einsum("ij,jk->ik", ml, r, out=self._work[0])
+            z += np.einsum("ij,kj->ik", left, mr, out=self._work[1])
         if ops is not None:
             ops.add(self.rank * (2 * r.size * (n + q) + r.size))
         return z

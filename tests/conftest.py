@@ -7,6 +7,7 @@ must agree with these on problems small enough to afford them.
 
 import tracemalloc
 from functools import reduce
+from math import prod
 
 import numpy as np
 
@@ -18,6 +19,12 @@ from kronpcg.tensors import inner
 ALL_BCS = tuple(BoundaryCondition)
 SINGULAR_BCS = (BoundaryCondition.PERIODIC, BoundaryCondition.NEUMANN)
 ASSEMBLE_LIMIT = 10_000
+
+
+def rotated_bcs(first, ndim):
+    """One condition per direction, ``first`` and then the next ones in ``ALL_BCS``."""
+    start = ALL_BCS.index(first)
+    return tuple(ALL_BCS[(start + d) % len(ALL_BCS)] for d in range(ndim))
 
 
 def vec(t):
@@ -84,6 +91,36 @@ def one_shot_spectrum(n, bc):
     vectors = cosines[(np.outer(j2, 2 * a_column) - phase4 * denom) % period]
     vectors /= np.linalg.norm(vectors, axis=0)
     return SpectralDecomposition(values=values, vectors=vectors)
+
+
+def whole_grid_offdiagonal(bc, x, out, axis):
+    """:func:`kronpcg.laplace1d.add_offdiagonal` as one pass over the whole grid.
+
+    Every block at once: one shifted-slice subtraction per end across the
+    flat arrays, with one buffer for a face of the whole grid.
+    """
+    first_corner, last_corner, corner = CORNER_TRIPLES[bc]
+    n, step = x.shape[axis], prod(x.shape[axis + 1 :])
+    xf, of = x.reshape(-1), out.reshape(-1)
+    xb, ob = x.reshape(-1, n, step), out.reshape(-1, n, step)  # (block, axis, face)
+    saved = np.empty_like(ob[:, 0])
+    ends = ((0, first_corner, of[step:], xf[:-step]), (-1, last_corner, of[:-step], xf[step:]))
+    for end, end_corner, dst, src in ends:
+        np.copyto(saved, ob[:, end])
+        dst -= src
+        if end_corner == 1.0:  # a Neumann end: its own face
+            saved -= xb[:, end]
+        if corner == -1.0:  # a periodic line: the face at the other end
+            saved -= xb[:, -1 - end]
+        ob[:, end] = saved
+
+
+def whole_grid_apply(op, x):
+    """:func:`kronpcg.operators.apply` with every direction in one whole-grid pass."""
+    out = np.multiply(x, 2.0 * op.ndim)
+    for axis, bc in enumerate(op.bcs):
+        whole_grid_offdiagonal(bc, x, out, axis)
+    return out
 
 
 def traced_peak(fn, *args, **kwargs):

@@ -16,6 +16,7 @@ from conftest import Negated, traced_peak
 from kronpcg import cli, formats
 from kronpcg.formats import RUN_LOG_SCHEMA, read_tensor, write_tensor
 from kronpcg.laplace1d import BoundaryCondition, analytic_spectrum
+from kronpcg.operators import poisson_operator, spectrum_sums
 from kronpcg.precond import StationaryResult, make_preconditioner
 from kronpcg.problems import gen_problem1, gen_problem2, gen_problem3
 
@@ -308,6 +309,32 @@ def test_spectrum_grid_form_with_sums(capsys):
     assert "sum-spectrum min" in out
 
 
+@pytest.mark.parametrize(
+    "size, bcs",
+    [
+        ("6x8", "x=periodic,y=dirichlet"),
+        ("7x5x4", "x=neumann,y=dirichlet-neumann,z=neumann-dirichlet"),
+    ],
+)
+def test_spectrum_sum_line_is_the_extremes_of_the_sum_tensor(capsys, size, bcs):
+    assert cli.main(["spectrum", "--size", size, "--bc", bcs, "--sums"]) == 0
+    dims = [int(n) for n in size.split("x")]
+    conditions = [BoundaryCondition(entry.split("=")[1]) for entry in bcs.split(",")]
+    sums = spectrum_sums(poisson_operator(dims, conditions))
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert last == f"sum-spectrum min {sums.min():.12g} max {sums.max():.12g}"
+
+
+def test_spectrum_sums_build_no_grid_tensor(capsys):
+    """The extremes of the 512x256x8 sum spectrum come from the per-axis
+    extremes; the 8 MiB tensor of all sums is never built."""
+    argv = ["spectrum", "--size", "512x256x8", "--bc", "x=periodic,y=periodic,z=periodic", "--sums"]
+    code, peak = traced_peak(cli.main, argv)
+    assert code == 0
+    assert "sum-spectrum min 0 max 12" in capsys.readouterr().out
+    assert peak < 1024 * 1024
+
+
 def _read_summary(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
@@ -408,6 +435,32 @@ def test_experiment_entry_keeps_the_log_of_a_breakdown(tmp_path, monkeypatch):
     assert (doc["problem"], doc["shape"], doc["bcs"]) == ("p1_50x100", [50, 100], ["periodic"] * 2)
     assert len(doc["iterations"]) == 2
     assert doc["iterations"][0]["rho"] > 0.0 > doc["iterations"][1]["rho"]
+
+
+def test_lowrank_run_logs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """exp2's low-rank solves write byte-identical run logs under 1 and 2
+    BLAS threads: their congruences are built and applied without BLAS."""
+    rhs = tmp_path / "p1.kten"
+    write_tensor(str(rhs), gen_problem1(50, 100)[1])
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    for rank in (1, 3):
+        logs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            log = tmp_path / f"r{rank}_t{threads}.json"
+            argv = ["solve", "--input", str(rhs), "--bc", "x=periodic,y=periodic",
+                    "--precond", f"lowrank:r={rank}", "--max-iter", "800", "--log", str(log)]
+            done = subprocess.run(
+                [sys.executable, "-m", "kronpcg", *argv],
+                env=env,
+                capture_output=True,
+                text=True,
+                timeout=300,
+            )
+            assert done.returncode == 0, done.stderr
+            logs.append(log.read_bytes())
+        assert logs[0] == logs[1], f"lowrank:r={rank}"
 
 
 @pytest.mark.parametrize(

@@ -16,6 +16,8 @@ from conftest import (
     kron_assemble,
     numeric_spectrum,
     random_operator,
+    rotated_bcs,
+    traced_peak,
     unvec,
     vec,
 )
@@ -24,10 +26,12 @@ from kronpcg.counting import OpCounter, cost_model
 from kronpcg.laplace1d import BoundaryCondition, analytic_spectrum, diagonal
 from kronpcg.operators import poisson_operator
 from kronpcg.precond import (
+    _GHAT_ROWS,
     IdentityPreconditioner,
     JacobiPreconditioner,
     LowRankPreconditioner,
     PinvPreconditioner,
+    _spectral_setup,
     jacobi_standalone,
     make_preconditioner,
 )
@@ -259,6 +263,26 @@ class TestPinv:
             ):
                 want = unvec(m @ vec(r), op.shape)
                 assert np.linalg.norm(z - want) <= 1e-10 * np.linalg.norm(r)
+
+    @pytest.mark.parametrize("first", list(BC))
+    def test_ghat_is_bitwise_the_pseudoinverse_of_the_sums(self, first):
+        """The blocked build equals ``hadamard_pinv(spectrum_sums(op))``:
+        trailing extents 3-9, a leading extent that is not a multiple of
+        the block height, and the 512x256x8 grid; each direction takes a
+        different condition."""
+        lead = 2 * _GHAT_ROWS + 5
+        shapes = [(lead, t) for t in range(3, 10)] + [(lead, 4, t) for t in range(3, 10)]
+        for shape in shapes + [(512, 256, 8)]:
+            op = poisson_operator(shape, rotated_bcs(first, len(shape)))
+            _, ghat = _spectral_setup(op)
+            assert np.array_equal(ghat, hadamard_pinv(op_mod.spectrum_sums(op)))
+
+    def test_setup_holds_no_grid_sized_scratch(self):
+        """On the 512x256x8 grid the setup traces under 1 MiB beyond the
+        bases and ``ghat`` it returns: no whole sum tensor, no whole mask."""
+        op = poisson_operator((512, 256, 8), (BC.PERIODIC,) * 3)
+        (bases, ghat), peak = traced_peak(_spectral_setup, op)
+        assert peak <= ghat.nbytes + sum(b.nbytes for b in bases) + 1024 * 1024
 
     def test_annihilates_the_constant_on_singular_grids(self):
         op = _periodic_op(5, 7)
