@@ -48,6 +48,8 @@ from typing import Optional
 
 import numpy as np
 
+from .tensors import checked_out
+
 __all__ = [
     "BoundaryCondition",
     "CORNER_TRIPLES",
@@ -111,9 +113,9 @@ def diagonal(n: int, bc: BoundaryCondition) -> np.ndarray:
 def add_offdiagonal(bc: BoundaryCondition, x: np.ndarray, out: np.ndarray, axis: int) -> None:
     """Add ``(L - 2I) x`` along ``axis`` into ``out``, in place, for the 1D ``L`` of ``bc``.
 
-    With the ``2x`` diagonal already in ``out`` this completes the stencil.
-    ``x`` and ``out`` must be C-contiguous, of one shape, and apart in
-    memory.  Blocks along ``axis`` go in groups of about ``_GROUP_ENTRIES``
+    With the ``2x`` diagonal already in ``out`` this completes the stencil;
+    ``out`` must fit ``x`` (:func:`kronpcg.tensors.checked_out`).  Blocks
+    along ``axis`` go in groups of about ``_GROUP_ENTRIES``
     entries, each in cache through its passes.  Neighbours along ``axis``
     sit ``step`` entries apart in a group's flat arrays, so each neighbour
     term is one shifted-slice subtraction.  The shift also reaches across
@@ -123,10 +125,7 @@ def add_offdiagonal(bc: BoundaryCondition, x: np.ndarray, out: np.ndarray, axis:
     faces serves every group and both ends; each entry gets a whole-grid
     pass's operations in its order, so the result is bitwise the same.
     """
-    if x.shape != out.shape or not (x.flags.c_contiguous and out.flags.c_contiguous):
-        raise ValueError("stencil input and output must be C-contiguous, of one shape")
-    if np.may_share_memory(x, out):
-        raise ValueError("stencil output must not overlap its input")
+    checked_out(x, out)
     first_corner, last_corner, corner = CORNER_TRIPLES[bc]
     n, step = x.shape[axis], prod(x.shape[axis + 1 :])
     xg, og = x.reshape(-1, n, step), out.reshape(-1, n, step)  # (block, axis, face)

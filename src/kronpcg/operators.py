@@ -23,22 +23,19 @@ import numpy as np
 
 from .laplace1d import (
     BoundaryCondition,
-    SpectralDecomposition,
     add_offdiagonal,
-    analytic_spectrum,
     eigenvalues,
     face_kinds,
     is_singular_1d,
 )
 from .counting import OpCounter
-from .tensors import Shape, frobenius_norm, outer_sum
+from .tensors import Shape, checked_out, frobenius_norm, outer_sum
 
 __all__ = [
     "PoissonOperator",
     "poisson_operator",
     "apply",
     "checked_rhs",
-    "spectra",
     "spectrum_sums",
     "is_singular",
     "center",
@@ -94,9 +91,9 @@ def apply(
     The diagonal ``2*ndim*x`` is written once; each direction then
     subtracts its two shifted neighbours and adds its corner terms in
     place (:func:`kronpcg.laplace1d.add_offdiagonal`), so no temporary of
-    the grid's size is made.  ``out`` must be C-contiguous and must not
-    overlap ``x``; the result is ``out`` itself, or a new array when it is
-    omitted.
+    the grid's size is made.  ``out`` must fit ``x``
+    (:func:`kronpcg.tensors.checked_out`); the result is ``out`` itself, or
+    a new array when it is omitted.
 
     Counts 6 elementary operations per entry per direction (3 multiplies
     and 3 adds), i.e. 12nq in 2D and 18nqt in 3D.
@@ -104,7 +101,7 @@ def apply(
     x = np.ascontiguousarray(x, dtype=float)
     if x.shape != op.shape:
         raise ValueError(f"tensor shape {x.shape} does not match grid {op.shape}")
-    out = np.multiply(x, 2.0 * op.ndim, out=out)
+    out = np.multiply(x, 2.0 * op.ndim, out=checked_out(x, out))
     for axis, bc in enumerate(op.bcs):
         add_offdiagonal(bc, x, out, axis)
     if ops is not None:
@@ -124,11 +121,6 @@ def checked_rhs(op: PoissonOperator, h: np.ndarray) -> tuple[np.ndarray, float]:
     if not np.isfinite(h_norm):
         raise ValueError(f"right-hand side is not finite (|h| = {h_norm})")
     return h, h_norm
-
-
-def spectra(op: PoissonOperator) -> list[SpectralDecomposition]:
-    """Closed-form eigendecompositions of the 1D factors, one per direction."""
-    return [analytic_spectrum(n, bc) for n, bc in zip(op.shape, op.bcs)]
 
 
 def spectrum_sums(op: PoissonOperator) -> np.ndarray:

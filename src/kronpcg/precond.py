@@ -26,8 +26,8 @@ import numpy as np
 
 from . import operators as op_mod
 from .counting import OpCounter
-from .laplace1d import diagonal, eigenvalues
-from .tensors import frobenius_norm, hadamard_pinv, linear_transform, outer_sum
+from .laplace1d import analytic_spectrum, diagonal
+from .tensors import checked_out, frobenius_norm, hadamard_pinv, linear_transform, outer_sum
 
 __all__ = [
     "Preconditioner",
@@ -51,7 +51,8 @@ def _spectral_setup(op) -> tuple[list[np.ndarray], np.ndarray]:
     are laid out once along the flattened trailing axes, so every sum keeps
     its order ``(a_i + b_j) + c_k`` and each add runs along whole rows.
     """
-    values = [eigenvalues(n, bc) for n, bc in zip(op.shape, op.bcs)]
+    decomps = [analytic_spectrum(n, bc) for n, bc in zip(op.shape, op.bcs)]
+    values = [d.values for d in decomps]
     tail = [v.reshape((-1,) + (1,) * (op.ndim - 1 - d)) for d, v in enumerate(values[1:], 1)]
     lines = [np.broadcast_to(v, op.shape[1:]).reshape(-1) for v in tail]
     ghat = np.empty(op.shape)
@@ -63,31 +64,17 @@ def _spectral_setup(op) -> tuple[list[np.ndarray], np.ndarray]:
         for line in lines[1:]:
             block += line
         hadamard_pinv(block, out=block)
-    return [d.vectors for d in op_mod.spectra(op)], ghat
-
-
-def _checked_out(r: np.ndarray, out: Optional[np.ndarray]) -> np.ndarray:
-    """``out`` once it is known to fit ``r``, or a new array when it is omitted."""
-    if out is None:
-        return np.empty(r.shape)
-    if out.shape != r.shape or out.dtype != float or not out.flags.c_contiguous:
-        raise ValueError(
-            f"preconditioner output must be a C-contiguous float array of shape {r.shape}"
-        )
-    if np.may_share_memory(out, r):
-        raise ValueError("preconditioner output must not overlap its input")
-    return out
+    return [d.vectors for d in decomps], ghat
 
 
 class Preconditioner:
     """Base: a symmetric map from residual tensors to search-direction seeds.
 
     ``apply(r, ops, out)`` returns ``M r`` and never modifies ``r``.  Given
-    ``out``, a C-contiguous float array of ``r``'s shape that does not
-    overlap ``r`` (else ``ValueError``), the result is written there and
-    ``out`` is returned, so a solver can hand over a work buffer and an
-    apply makes no grid-sized array; the identity returns ``r`` itself.
-    Without ``out`` the result is a new array.
+    ``out``, which must fit ``r`` (:func:`kronpcg.tensors.checked_out`), the
+    result is written there and ``out`` is returned, so a solver can hand
+    over a work buffer and an apply makes no grid-sized array; the identity
+    returns ``r`` itself.  Without ``out`` the result is a new array.
     """
 
     name = "base"  # the label a run log records
@@ -108,7 +95,7 @@ class IdentityPreconditioner(Preconditioner):
         self, r: np.ndarray, ops: Optional[OpCounter] = None, out: Optional[np.ndarray] = None
     ) -> np.ndarray:
         if out is not None:
-            _checked_out(r, out)
+            checked_out(r, out)
         return r
 
 
@@ -156,7 +143,7 @@ class JacobiPreconditioner(Preconditioner):
     def apply(
         self, r: np.ndarray, ops: Optional[OpCounter] = None, out: Optional[np.ndarray] = None
     ) -> np.ndarray:
-        x = np.multiply(self.dhat_inv, r, out=_checked_out(r, out))
+        x = np.multiply(self.dhat_inv, r, out=checked_out(r, out))
         if ops is not None:
             ops.add(r.size)
         f = self._work
@@ -202,7 +189,7 @@ class PinvPreconditioner(Preconditioner):
     def apply(
         self, r: np.ndarray, ops: Optional[OpCounter] = None, out: Optional[np.ndarray] = None
     ) -> np.ndarray:
-        out = _checked_out(r, out)
+        out = checked_out(r, out)
         # One plain GEMM per axis (a rotation on 3D grids); the bases are
         # C-ordered, so their transposes are F-ordered views that GEMM reads
         # in place: no transposed copies are kept.  The 2*ndim GEMMs
@@ -255,7 +242,7 @@ class LowRankPreconditioner(Preconditioner):
         self, r: np.ndarray, ops: Optional[OpCounter] = None, out: Optional[np.ndarray] = None
     ) -> np.ndarray:
         n, q = r.shape
-        z = _checked_out(r, out)
+        z = checked_out(r, out)
         z.fill(0.0)
         for ml, mr in zip(self.left, self.right):
             left = np.einsum("ij,jk->ik", ml, r, out=self._work[0])
@@ -310,7 +297,6 @@ def make_preconditioner(op, spec: str) -> Preconditioner:
 class StationaryResult:
     """History of a stand-alone stationary run (index 0 = initial state)."""
 
-    x: np.ndarray
     residuals: list[float] = field(default_factory=list)
     ops_cum: list[int] = field(default_factory=list)
     diverged: bool = False
@@ -344,7 +330,7 @@ def jacobi_standalone(
     r = h.copy()  # the residual h - L*0
     ops = OpCounter()
     ops.add(jacobi.init_cost)
-    res = StationaryResult(x=x)
+    res = StationaryResult()
     res.residuals.append(res0)
     res.ops_cum.append(ops.count)
     for _ in range(iters):

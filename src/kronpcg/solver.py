@@ -45,6 +45,7 @@ order, so a new record or header field is one line here plus its type in
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -90,6 +91,10 @@ class SolverConfig:
     stop_tol: Optional[float] = None
 
     def __post_init__(self) -> None:
+        try:
+            self.max_iter = operator.index(self.max_iter)
+        except TypeError:
+            raise ValueError(f"max_iter must be an integer, got {self.max_iter!r}") from None
         if self.max_iter < 0:
             raise ValueError("max_iter must be nonnegative")
         if self.stop_tol is not None and not (np.isfinite(self.stop_tol) and self.stop_tol > 0):

@@ -6,6 +6,13 @@ entry ``(i, j, k)`` sits at flat position ``i + n*j + n*q*k``, which is
 numpy's Fortran order.  Under it, a per-axis linear transform flattens to
 the matching Kronecker product of its matrices times the flattened ``T``;
 the test suite's dense references check exactly that.
+
+A kernel that reads ``x`` while it writes a grid-sized result takes an
+optional ``out`` and passes it through :func:`checked_out` before its first
+write: ``out`` must be a C-contiguous float array of ``x``'s shape that does
+not overlap ``x``, else ``ValueError``.  Elementwise kernels
+(:func:`hadamard_pinv`, :func:`kronpcg.operators.center`) need no such rule
+and also run in place with ``out=x``.
 """
 
 from __future__ import annotations
@@ -18,6 +25,7 @@ Shape = tuple[int, ...]
 
 __all__ = [
     "Shape",
+    "checked_out",
     "linear_transform",
     "outer_sum",
     "inner",
@@ -28,6 +36,17 @@ __all__ = [
 
 # Eigenvalue sums at or below this magnitude count as null modes.
 NULL_MODE_TOL = 1e-13
+
+
+def checked_out(x: np.ndarray, out: Optional[np.ndarray]) -> np.ndarray:
+    """``out`` once it is known to fit ``x``, or a new array when it is omitted."""
+    if out is None:
+        return np.empty(x.shape)
+    if out.shape != x.shape or out.dtype != float or not out.flags.c_contiguous:
+        raise ValueError(f"output must be a C-contiguous float array of shape {x.shape}")
+    if np.may_share_memory(out, x):
+        raise ValueError("output must not overlap its input")
+    return out
 
 
 def linear_transform(
@@ -48,12 +67,11 @@ def linear_transform(
     batched product over a middle mode, whose many small GEMMs run at a
     fraction of the speed of one large one.
 
-    Without ``work`` each product is a new array.  With ``work``, a pair of
-    C-contiguous float arrays each the size of every product (square
-    matrices), product ``i`` is written into ``work[i % 2]`` and the result
-    is a view of the one that holds the last; ``t`` may be ``work[1]``,
-    whose content the first product consumes, but must not overlap
-    ``work[0]``.
+    Without ``work`` each product is a new array.  With ``work`` (square
+    matrices only), ``work[0]`` must fit ``t`` and ``work[1]`` must fit
+    ``work[0]`` (:func:`checked_out`); product ``i`` is written into
+    ``work[i % 2]`` and the result is a view of the one that holds the
+    last.  ``t`` may be ``work[1]``, whose content the first product consumes.
     """
     t = np.ascontiguousarray(t, dtype=float)
     if t.ndim not in (2, 3):
@@ -67,10 +85,8 @@ def linear_transform(
                 f"matrix shape {m.shape} does not act on tensor extent {extent} along mode {mode}"
             )
     if work is not None:
-        if not all(b.flags.c_contiguous and b.dtype == float for b in work):
-            raise ValueError("work buffers must be C-contiguous float arrays")
-        if np.may_share_memory(t, work[0]) or np.may_share_memory(*work):
-            raise ValueError("the first work buffer must not overlap the input or the second")
+        checked_out(t, work[0])
+        checked_out(work[0], work[1])
 
     def product(i, a, b):
         if work is None:

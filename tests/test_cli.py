@@ -359,9 +359,7 @@ def test_experiment_reports_a_diverged_stationary_run(tmp_path, capsys, monkeypa
 
     def diverging(op, h, omega=1.0, iters=100):
         calls.append(omega)
-        return StationaryResult(
-            x=np.zeros(op.shape), residuals=[1.0, 1e3, 1e13], ops_cum=[0, 7, 14], diverged=True
-        )
+        return StationaryResult(residuals=[1.0, 1e3, 1e13], ops_cum=[0, 7, 14], diverged=True)
 
     monkeypatch.setattr(cli, "jacobi_standalone", diverging)
     assert cli.main(["experiment", "--name", "exp1", "--outdir", str(tmp_path)]) == 0

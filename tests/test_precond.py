@@ -105,8 +105,9 @@ def test_apply_refuses_an_out_that_overlaps_r(case):
     for out in (r, r.reshape(-1).reshape(shape)):
         with pytest.raises(ValueError, match="overlap"):
             precond.apply(r, out=out)
-    with pytest.raises(ValueError, match="C-contiguous"):
-        precond.apply(r, out=np.empty(shape[::-1]).T)
+    for out in (np.empty(shape[::-1]).T, np.empty(shape, dtype=np.float32)):
+        with pytest.raises(ValueError, match="C-contiguous"):
+            precond.apply(r, out=out)
     assert np.array_equal(r, r_copy)
 
 

@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -15,6 +16,7 @@ from conftest import (
 )
 from kronpcg import operators as op_mod
 from kronpcg.counting import cost_model
+from kronpcg.formats import write_run_log
 from kronpcg.laplace1d import BoundaryCondition
 from kronpcg.operators import center, nullspace_component, poisson_operator
 from kronpcg.precond import IdentityPreconditioner, JacobiPreconditioner, PinvPreconditioner
@@ -107,6 +109,22 @@ def test_shape_validation():
         pcg(op, np.zeros((6, 5)))
     with pytest.raises(ValueError):
         SolverConfig(max_iter=-1)
+
+
+def test_max_iter_must_be_an_integer():
+    """A fractional budget would never be met by the step count."""
+    with pytest.raises(ValueError, match="integer"):
+        SolverConfig(max_iter=2.5)
+
+
+def test_a_numpy_integer_max_iter_is_stored_as_an_int(tmp_path):
+    """So the run log that records the budget is still JSON."""
+    op = _mixed_op()
+    cfg = SolverConfig(max_iter=np.int64(3))
+    assert type(cfg.max_iter) is int
+    _, log = pcg(op, _mixed_rhs(op), config=cfg)
+    write_run_log(str(tmp_path / "run.json"), log)
+    assert json.loads((tmp_path / "run.json").read_text())["config"]["max_iter"] == 3
 
 
 @pytest.mark.parametrize("stop_tol", [np.nan, np.inf, -1.0, 0.0])

@@ -10,6 +10,7 @@ import pytest
 from conftest import kron_assemble, unvec, vec
 from kronpcg.tensors import (
     NULL_MODE_TOL,
+    checked_out,
     frobenius_norm,
     hadamard_pinv,
     inner,
@@ -183,6 +184,22 @@ def test_hadamard_pinv_inverts_in_place():
         got = hadamard_pinv(x, out=x)
     assert got is x
     assert want.tobytes() == got.tobytes()  # signs of zeros included
+
+
+def test_checked_out_refuses_each_bad_buffer_and_allocates_for_none():
+    flat = np.zeros(25)
+    x = flat[:20].reshape(4, 5)
+    fresh = checked_out(x, None)
+    assert fresh.shape == x.shape and fresh.dtype == float and fresh.flags.c_contiguous
+    assert not np.shares_memory(fresh, x)
+    good = np.empty((4, 5))
+    assert checked_out(x, good) is good
+    for bad in (np.empty((5, 4)), np.empty((4, 5), dtype=np.float32), np.empty((5, 4)).T):
+        with pytest.raises(ValueError, match="C-contiguous"):
+            checked_out(x, bad)
+    for bad in (x, flat[5:].reshape(4, 5)):
+        with pytest.raises(ValueError, match="overlap"):
+            checked_out(x, bad)
 
 
 @pytest.mark.parametrize("shape", [(4, 6), (4, 6, 3)])
