@@ -82,7 +82,6 @@ CORNER_TRIPLES: dict[BoundaryCondition, tuple[float, float, float]] = {
 }
 
 _ROW_BLOCK = 64  # basis rows gathered per step of analytic_spectrum
-_GROUP_ENTRIES = 1 << 17  # stencil output (1 MiB) per group of whole blocks in add_offdiagonal
 
 
 def is_singular_1d(bc: BoundaryCondition) -> bool:
@@ -114,35 +113,44 @@ def add_offdiagonal(bc: BoundaryCondition, x: np.ndarray, out: np.ndarray, axis:
     """Add ``(L - 2I) x`` along ``axis`` into ``out``, in place, for the 1D ``L`` of ``bc``.
 
     With the ``2x`` diagonal already in ``out`` this completes the stencil;
-    ``out`` must fit ``x`` (:func:`kronpcg.tensors.checked_out`).  Blocks
-    along ``axis`` go in groups of about ``_GROUP_ENTRIES``
-    entries, each in cache through its passes.  Neighbours along ``axis``
-    sit ``step`` entries apart in a group's flat arrays, so each neighbour
-    term is one shifted-slice subtraction.  The shift also reaches across
-    from each block's first (last) face into the block before (after);
-    that face is saved beforehand and written back with its corner terms,
-    each 0 or -1 times a face (``CORNER_TRIPLES``).  One buffer of a group's
-    faces serves every group and both ends; each entry gets a whole-grid
-    pass's operations in its order, so the result is bitwise the same.
+    ``out`` must fit ``x`` (:func:`kronpcg.tensors.checked_out`).
+    Neighbours along ``axis`` sit ``step`` entries apart in the flat
+    arrays, so each neighbour term is one shifted-slice subtraction.  The
+    shift also reaches across from each block's first (last) face into the
+    block before (after); that face is saved beforehand and written back
+    with its corner terms, each 0 or -1 times a face.  One buffer of faces
+    serves both ends; :func:`kronpcg.operators.apply` passes one slab at a time.
     """
     checked_out(x, out)
-    first_corner, last_corner, corner = CORNER_TRIPLES[bc]
     n, step = x.shape[axis], prod(x.shape[axis + 1 :])
-    xg, og = x.reshape(-1, n, step), out.reshape(-1, n, step)  # (block, axis, face)
-    group = max(1, _GROUP_ENTRIES // (n * step))
-    faces = np.empty((min(group, len(og)), step))
-    for g in range(0, len(og), group):
-        xb, ob = xg[g : g + group], og[g : g + group]
-        xf, of, saved = xb.reshape(-1), ob.reshape(-1), faces[: len(ob)]
-        ends = ((0, first_corner, of[step:], xf[:-step]), (-1, last_corner, of[:-step], xf[step:]))
-        for end, end_corner, dst, src in ends:
-            np.copyto(saved, ob[:, end])
-            dst -= src
-            if end_corner == 1.0:  # a Neumann end: its own face
-                saved -= xb[:, end]
-            if corner == -1.0:  # a periodic line: the face at the other end
-                saved -= xb[:, -1 - end]
-            ob[:, end] = saved
+    xf, of = x.reshape(-1), out.reshape(-1)
+    xb, ob = x.reshape(-1, n, step), out.reshape(-1, n, step)  # (block, axis, face)
+    saved = np.empty((len(ob), step))
+    for end, dst, src in ((0, of[step:], xf[:-step]), (-1, of[:-step], xf[step:])):
+        np.copyto(saved, ob[:, end])
+        dst -= src
+        _subtract_corner_terms(bc, end, saved, xb[:, end], xb[:, -1 - end])
+        ob[:, end] = saved
+
+
+def add_leading_offdiagonal(bc: BoundaryCondition, x, out, rows: slice) -> None:
+    """:func:`add_offdiagonal` along axis 0, into ``out[rows]`` only (reads ``x`` beside them)."""
+    lo, hi, n = rows.start, rows.stop, len(x)
+    out[max(lo, 1) : hi] -= x[max(lo, 1) - 1 : hi - 1]
+    if lo == 0:
+        _subtract_corner_terms(bc, 0, out[0], x[0], x[-1])
+    out[lo : min(hi, n - 1)] -= x[lo + 1 : min(hi, n - 1) + 1]
+    if hi == n:
+        _subtract_corner_terms(bc, -1, out[-1], x[-1], x[0])
+
+
+def _subtract_corner_terms(bc, end, face, own, other) -> None:
+    """Subtract from ``face`` the corner terms of ``bc``'s first (``end`` 0) or last (-1) row."""
+    first, last, corner = CORNER_TRIPLES[bc]
+    if (first, last)[end] == 1.0:  # a Neumann end: its own face
+        face -= own
+    if corner == -1.0:  # a periodic line: the face at the other end
+        face -= other
 
 
 @dataclass(frozen=True)
@@ -187,10 +195,11 @@ def analytic_spectrum(n: int, bc: BoundaryCondition) -> SpectralDecomposition:
     ``n - k`` share an eigenvalue and are orthogonal with no extra pass.
 
     Every angle is ``pi*a/D`` for integers ``a`` and ``D``, so every entry
-    is gathered from one period of ``8*D`` table cosines.  Consecutive rows'
-    table indices differ by ``4*a``, so a block of ``_ROW_BLOCK`` rows takes
-    its first row's indices plus fixed offsets ``k*4*a``, each reduced
-    modulo the period: below two periods, one wrap in ``np.take``.  The
+    is gathered from a table of ``8*D`` cosines, one period, stored twice.
+    Consecutive rows' table indices differ by ``4*a``, so a block of
+    ``_ROW_BLOCK`` rows takes its first row's indices plus fixed offsets
+    ``k*4*a``, each reduced modulo the period: their sums lie below two
+    periods, inside the doubled table, so ``np.take`` needs no wrap.  The
     column sums of squares run row after row, the order of
     ``np.linalg.norm(axis=0)``, so the basis is bitwise that of one
     whole-grid gather, with only block-sized scratch beside it.  Columns
@@ -200,6 +209,7 @@ def analytic_spectrum(n: int, bc: BoundaryCondition) -> SpectralDecomposition:
     a, denom, shift2, phase4 = _angle_rule(n, bc)
     period = 8 * denom
     cosines = np.cos(np.arange(period) * np.pi / (4 * denom))
+    cosines = np.concatenate([cosines, cosines])
     ahead = np.arange(_ROW_BLOCK)[:, None] * (4 * a % period) % period
     index = np.empty_like(ahead)
     scratch = np.zeros((_ROW_BLOCK + 1, n))  # row 0: running column sums of squares
@@ -208,7 +218,7 @@ def analytic_spectrum(n: int, bc: BoundaryCondition) -> SpectralDecomposition:
         rows = min(_ROW_BLOCK, n - j)
         first_row = (2 * (2 * j + 2 - shift2) * a - phase4 * denom) % period
         np.add(first_row, ahead[:rows], out=index[:rows])
-        block = np.take(cosines, index[:rows], out=vectors[j : j + rows], mode="wrap")
+        block = np.take(cosines, index[:rows], out=vectors[j : j + rows], mode="clip")
         np.square(block, out=scratch[1 : rows + 1])
         scratch[0] = np.add.reduce(scratch[: rows + 1], axis=0)
     vectors /= np.sqrt(scratch[0])

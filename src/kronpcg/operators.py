@@ -5,8 +5,9 @@ time: each 1D factor acts along its own tensor mode and the results are
 summed.  In matrix form that is ``(I x L1) + (L2 x I)`` in 2D and the
 three-term analogue in 3D, but the operator is never assembled:
 :func:`apply` stays with the three-point stencils, summed in place in one
-output array.  A factor is fixed by its extent and boundary condition, so
-an operator is just the grid shape and one condition per direction.
+output array, a slab of leading rows at a time.  A factor is fixed by its
+extent and boundary condition, so an operator is just the grid shape and
+one condition per direction.
 
 Also here: the null-space utilities (mean-centering and the size of the
 component along the constant tensor) and the right-hand-side updates that
@@ -23,6 +24,7 @@ import numpy as np
 
 from .laplace1d import (
     BoundaryCondition,
+    add_leading_offdiagonal,
     add_offdiagonal,
     eigenvalues,
     face_kinds,
@@ -45,6 +47,8 @@ __all__ = [
     "BoundaryData",
     "apply_bc_updates",
 ]
+
+_SLAB_ENTRIES = 3 << 15  # per slab in apply (768 KiB): x's and out's fit a 2 MiB L2 together
 
 # Largest null share ``nullspace_component(h) / |h|`` of a right-hand side on
 # a singular grid taken as centered: above it the CLI centers, ``pcg`` refuses.
@@ -88,12 +92,14 @@ def apply(
 ) -> np.ndarray:
     """Apply the operator with the Kronecker-sum stencil, into ``out`` if given.
 
-    The diagonal ``2*ndim*x`` is written once; each direction then
-    subtracts its two shifted neighbours and adds its corner terms in
-    place (:func:`kronpcg.laplace1d.add_offdiagonal`), so no temporary of
-    the grid's size is made.  ``out`` must fit ``x``
-    (:func:`kronpcg.tensors.checked_out`); the result is ``out`` itself, or
-    a new array when it is omitted.
+    The grid goes in slabs of about ``_SLAB_ENTRIES`` entries (at least one
+    leading row), each in cache through all its passes: the diagonal
+    ``2*ndim*x``, then each direction's neighbours and corner terms,
+    subtracted in place (:mod:`kronpcg.laplace1d`); axis 0 reads the rows
+    of ``x`` beside the slab.  Each entry gets a whole-grid pass's
+    operations in their order, so the result is bitwise the same.  ``out``
+    must fit ``x`` (:func:`kronpcg.tensors.checked_out`); the result is
+    ``out`` itself, or a new array when it is omitted.
 
     Counts 6 elementary operations per entry per direction (3 multiplies
     and 3 adds), i.e. 12nq in 2D and 18nqt in 3D.
@@ -101,9 +107,15 @@ def apply(
     x = np.ascontiguousarray(x, dtype=float)
     if x.shape != op.shape:
         raise ValueError(f"tensor shape {x.shape} does not match grid {op.shape}")
-    out = np.multiply(x, 2.0 * op.ndim, out=checked_out(x, out))
-    for axis, bc in enumerate(op.bcs):
-        add_offdiagonal(bc, x, out, axis)
+    out = checked_out(x, out)
+    n = len(x)
+    rows = max(1, _SLAB_ENTRIES // (x.size // n))
+    for lo in range(0, n, rows):
+        slab = slice(lo, min(lo + rows, n))
+        np.multiply(x[slab], 2.0 * op.ndim, out=out[slab])
+        add_leading_offdiagonal(op.bcs[0], x, out, slab)
+        for axis, bc in enumerate(op.bcs[1:], start=1):
+            add_offdiagonal(bc, x[slab], out[slab], axis)
     if ops is not None:
         ops.add(6 * x.size * op.ndim)
     return out

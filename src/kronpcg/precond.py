@@ -19,7 +19,9 @@ baseline in the experiments.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
+from numbers import Real
 from typing import Optional
 
 import numpy as np
@@ -41,6 +43,14 @@ __all__ = [
 ]
 
 _GHAT_ROWS = 32  # leading rows of ghat summed and inverted per pass
+
+
+def checked_integer(name: str, value) -> int:
+    """``value`` as an ``int`` by ``operator.index``, else ``ValueError`` naming the knob."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _spectral_setup(op) -> tuple[list[np.ndarray], np.ndarray]:
@@ -122,12 +132,12 @@ class JacobiPreconditioner(Preconditioner):
     """
 
     def __init__(self, op, p: int = 1, omega: float = 1.0):
-        if p < 1:
+        self.p = checked_integer("jacobi sweep count p", p)
+        if self.p < 1:
             raise ValueError(f"jacobi needs p >= 1 sweeps, got {p}")
-        if not (np.isfinite(omega) and omega >= 1.0):
-            raise ValueError(f"jacobi damping needs a finite omega >= 1, got {omega}")
+        if not (isinstance(omega, Real) and np.isfinite(omega) and omega >= 1.0):
+            raise ValueError(f"jacobi damping needs a finite omega >= 1, got {omega!r}")
         self.op = op
-        self.p = int(p)
         self.omega = float(omega)
         self.name = f"jacobi(p={self.p}, omega={self.omega:g})"
         diags = [diagonal(n, bc) for n, bc in zip(op.shape, op.bcs)]
@@ -227,9 +237,9 @@ class LowRankPreconditioner(Preconditioner):
         if op.ndim != 2:
             raise ValueError("low-rank preconditioner supports 2D grids only")
         n, q = op.shape
-        if not 1 <= rank <= min(n, q):
+        self.rank = checked_integer("rank", rank)
+        if not 1 <= self.rank <= min(n, q):
             raise ValueError(f"rank must be in [1, {min(n, q)}], got {rank}")
-        self.rank = int(rank)
         self.name = f"lowrank(r={self.rank})"
         (vn, vq), ghat = _spectral_setup(op)
         a, sigma, bt = np.linalg.svd(ghat)
@@ -322,6 +332,7 @@ def jacobi_standalone(
     it refuses, with ``ValueError``, an ``h`` that does not fit the grid or
     is not finite.
     """
+    iters = checked_integer("iters", iters)
     if iters < 0:
         raise ValueError("iters must be nonnegative")
     h, res0 = op_mod.checked_rhs(op, h)

@@ -45,15 +45,15 @@ order, so a new record or header field is one line here plus its type in
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
+from numbers import Real
 from typing import Optional
 
 import numpy as np
 
 from . import operators as op_mod
 from .counting import OpCounter
-from .precond import IdentityPreconditioner, Preconditioner
+from .precond import IdentityPreconditioner, Preconditioner, checked_integer
 from .tensors import frobenius_norm, inner
 
 __all__ = [
@@ -91,14 +91,12 @@ class SolverConfig:
     stop_tol: Optional[float] = None
 
     def __post_init__(self) -> None:
-        try:
-            self.max_iter = operator.index(self.max_iter)
-        except TypeError:
-            raise ValueError(f"max_iter must be an integer, got {self.max_iter!r}") from None
+        self.max_iter = checked_integer("max_iter", self.max_iter)
         if self.max_iter < 0:
             raise ValueError("max_iter must be nonnegative")
-        if self.stop_tol is not None and not (np.isfinite(self.stop_tol) and self.stop_tol > 0):
-            raise ValueError(f"stop_tol must be finite and positive, got {self.stop_tol}")
+        tol = self.stop_tol
+        if tol is not None and not (isinstance(tol, Real) and np.isfinite(tol) and tol > 0):
+            raise ValueError(f"stop_tol must be a finite positive number, got {tol!r}")
 
 
 @dataclass
@@ -255,10 +253,10 @@ def pcg(
         config=cfg,
         h_norm=h_norm,
     )
-    # Zero start: ``r = h - L*0`` is ``h``, and p starts at zero so the first
-    # direction is ``z``.
+    # Zero start: ``r = h - L*0`` is ``h``, centered on a singular grid in the
+    # pass that copies it, and p starts at zero so the first direction is ``z``.
     u = np.zeros(op.shape)
-    r = h.copy()
+    r = op_mod.center(h, ops) if singular else h.copy()
     p = np.zeros(op.shape)
     w = np.empty(op.shape)
     counted = ops if cfg.stop_tol is not None else None
@@ -283,8 +281,6 @@ def pcg(
             return "tolerance"
         return "budget" if s == cfg.max_iter else None
 
-    if singular:
-        op_mod.center(r, ops, out=r)
     r_norm = r0_norm = frobenius_norm(r)
     stop = record(0, None, r_norm, h_norm, 0.0, 0.0)
 

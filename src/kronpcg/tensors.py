@@ -5,7 +5,8 @@ The linearization convention throughout the package is first-index-fastest:
 entry ``(i, j, k)`` sits at flat position ``i + n*j + n*q*k``, which is
 numpy's Fortran order.  Under it, a per-axis linear transform flattens to
 the matching Kronecker product of its matrices times the flattened ``T``;
-the test suite's dense references check exactly that.
+the test suite's dense references check exactly that (in 3D the trailing
+axis is contracted first).
 
 A kernel that reads ``x`` while it writes a grid-sized result takes an
 optional ``out`` and passes it through :func:`checked_out` before its first
@@ -59,13 +60,12 @@ def linear_transform(
     ``mats[l]`` acts along mode ``l+1`` and its column count must match the
     tensor's extent there; exactly one matrix per tensor dimension is
     required.  A 2D tensor gets the congruence ``A T B^T`` as two GEMMs.
-    A 3D tensor is rotated (de Boor, ACM TOMS 5, 1979): each step contracts
-    the leading axis with one 2D GEMM whose result puts the new axis last,
-    ``(n,q,t) -> (q,t,n') -> (t,n',q') -> (n',q',t')``, so after three steps
-    the axes are back in order.  The operand of each step is a transposed
-    view that BLAS reads in place, so there is no transposed copy and no
-    batched product over a middle mode, whose many small GEMMs run at a
-    fraction of the speed of one large one.
+    A 3D tensor is rotated (de Boor, ACM TOMS 5, 1979): each step is one NT
+    GEMM, the C-ordered matrix times a transposed view that contracts the
+    trailing axis, and puts the new axis first, ``(n,q,t) -> (t',n,q) ->
+    (q',t',n) -> (n',q',t')``.  BLAS reads the view in place, so there is
+    no transposed copy and no batched product over a middle mode, whose
+    many small GEMMs run at a fraction of the speed of one large one.
 
     Without ``work`` each product is a new array.  With ``work`` (square
     matrices only), ``work[0]`` must fit ``t`` and ``work[1]`` must fit
@@ -96,8 +96,8 @@ def linear_transform(
     if t.ndim == 2:
         return product(1, product(0, mats[0], t), mats[1].T)
     out = t
-    for i, m in enumerate(mats):
-        out = product(i, out.reshape(m.shape[1], -1).T, m.T)
+    for i, m in enumerate(reversed(mats)):
+        out = product(i, m, out.reshape(-1, m.shape[1]).T)
     return out.reshape(tuple(m.shape[0] for m in mats))
 
 

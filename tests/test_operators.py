@@ -16,8 +16,9 @@ from conftest import (
 )
 from kronpcg.counting import OpCounter
 from kronpcg.formats import write_run_log
-from kronpcg.laplace1d import _GROUP_ENTRIES, BoundaryCondition, eigenvalues
+from kronpcg.laplace1d import BoundaryCondition, eigenvalues
 from kronpcg.operators import (
+    _SLAB_ENTRIES,
     BoundaryData,
     FaceValue,
     apply,
@@ -90,23 +91,28 @@ def test_apply_into_a_buffer_holds_one_face_at_a_time():
 
 @pytest.mark.parametrize("first", list(BC))
 @pytest.mark.parametrize(
-    "shape", [(600, 80, t) for t in range(3, 10)] + [(300, 1000), (17, 4097, 5)], ids=str
+    "shape",
+    [(600, 80, t) for t in range(3, 10)]
+    + [(300, 1000), (17, 4097, 5), (3, 400, 400), (2 * (_SLAB_ENTRIES // 1000) + 1, 1000)],
+    ids=str,
 )
 def test_apply_in_groups_of_blocks_is_bitwise_the_whole_grid_pass(shape, first):
-    """Trailing extents 3-9, and axes whose block count is not a multiple
-    of the group: every condition, each direction a different one."""
+    """Trailing extents 3-9, and grids whose row count is not a multiple of
+    the slab: every condition, each direction a different one.  On
+    ``(3, 400, 400)`` each slab is one row, so the middle slab holds
+    neither end of axis 0; the last shape ends in a slab of one row."""
     op = poisson_operator(shape, rotated_bcs(first, len(shape)))
     x = np.random.default_rng(len(shape)).standard_normal(shape)
     assert np.array_equal(apply(op, x), whole_grid_apply(op, x))
 
 
 def test_apply_into_a_buffer_on_the_p3_grid_holds_one_group_of_faces():
-    """The extent-8 axis of the 512x256x8 grid saves the faces of one group
-    of blocks at a time, not a face of the whole grid (1 MiB)."""
+    """The extent-8 axis of the 512x256x8 grid saves the faces of one slab
+    at a time, not a face of the whole grid (1 MiB)."""
     op = poisson_operator((512, 256, 8), (BC.PERIODIC,) * 3)
     x = np.random.default_rng(7).standard_normal(op.shape)
     _, peak = traced_peak(apply, op, x, out=np.empty(op.shape))
-    assert peak <= _GROUP_ENTRIES // 8 * x.itemsize + 16 * 1024
+    assert peak <= _SLAB_ENTRIES // 8 * x.itemsize + 16 * 1024
 
 
 def test_center_in_place_matches_the_allocating_path():

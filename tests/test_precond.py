@@ -196,6 +196,14 @@ class TestJacobi:
             with pytest.raises(ValueError):
                 JacobiPreconditioner(op, omega=omega)
 
+    def test_rejects_a_fractional_sweep_count_or_a_text_omega(self):
+        """``p=2.5`` is not truncated to 2 sweeps, and ``omega`` must be a number."""
+        op = poisson_operator((5, 6), (BC.DIRICHLET, BC.NEUMANN))
+        with pytest.raises(ValueError, match="integer"):
+            JacobiPreconditioner(op, p=2.5)
+        with pytest.raises(ValueError, match="omega"):
+            JacobiPreconditioner(op, omega="1.3")
+
     @pytest.mark.parametrize(
         "shape, bcs",
         [((6, 7), pair) for pair in itertools.product(BC, repeat=2)]
@@ -394,6 +402,11 @@ class TestLowRank:
         with pytest.raises(ValueError):
             LowRankPreconditioner(op, rank=6)
 
+    def test_rejects_a_fractional_rank(self):
+        op = poisson_operator((5, 6), (BC.DIRICHLET, BC.NEUMANN))
+        with pytest.raises(ValueError, match="integer"):
+            LowRankPreconditioner(op, rank=2.5)
+
 
 class TestJacobiStandalone:
     def test_converges_on_a_definite_problem(self):
@@ -442,3 +455,8 @@ class TestJacobiStandalone:
         assert result.iterations == 0
         with pytest.raises(ValueError):
             jacobi_standalone(op, np.ones(op.shape), iters=-1)
+
+    def test_rejects_a_fractional_step_count(self):
+        op = poisson_operator((5, 6), (BC.DIRICHLET, BC.NEUMANN))
+        with pytest.raises(ValueError, match="integer"):
+            jacobi_standalone(op, np.ones(op.shape), iters=2.5)

@@ -133,6 +133,12 @@ def test_stop_tol_must_be_finite_and_positive(stop_tol):
         SolverConfig(max_iter=5, stop_tol=stop_tol)
 
 
+def test_stop_tol_must_be_a_number():
+    """Text is refused with ``ValueError``, not numpy's ``TypeError`` from ``isfinite``."""
+    with pytest.raises(ValueError, match="stop_tol"):
+        SolverConfig(max_iter=5, stop_tol="1e-9")
+
+
 @pytest.mark.parametrize("h_bad", [np.nan, np.inf], ids=["nan_h", "inf_h"])
 def test_non_finite_input_is_refused(h_bad):
     op = _mixed_op()

@@ -72,6 +72,17 @@ def test_linear_transform_matches_kron_on_vec():
     assert np.allclose(vec(out), big @ vec(t), atol=1e-12)
 
 
+def test_linear_transform_with_three_different_rectangular_matrices_matches_kron():
+    """Every step changes an extent, one shrinking to 1: a wrong axis order
+    in the rotation would not even give the right shape."""
+    rng = np.random.default_rng(23)
+    t = rng.standard_normal((3, 4, 5))
+    mats = [rng.standard_normal(s) for s in ((2, 3), (6, 4), (1, 5))]
+    out = linear_transform(mats, t)
+    assert out.shape == (2, 6, 1)
+    assert np.allclose(vec(out), kron_assemble(mats[::-1]) @ vec(t), atol=1e-12)
+
+
 def test_linear_transform_2d_is_congruence():
     rng = np.random.default_rng(17)
     u = rng.standard_normal((4, 6))
