@@ -28,7 +28,7 @@ import numpy as np
 
 from . import operators as op_mod
 from .counting import OpCounter
-from .laplace1d import analytic_spectrum, diagonal
+from .laplace1d import analytic_spectrum, diagonal, eigenvalues
 from .tensors import checked_out, frobenius_norm, hadamard_pinv, linear_transform, outer_sum
 
 __all__ = [
@@ -120,15 +120,16 @@ class JacobiPreconditioner(Preconditioner):
         ``x_j = Dhat^-1 (r - apply(op, x_{j-1}) + Dhat x_{j-1})``
 
     with ``x_0 = 0`` (the first sweep collapses to ``Dhat^-1 r``).
-    ``omega`` must be finite and at least 1; ``omega`` slightly above 1
-    trades speed per sweep for robustness.  Each sweep after the first counts
-    ``6*N*ndim + 4*N`` elementary ops, the first counts ``N``.  ``dhat`` and
-    ``dhat_inv`` hold only what varies: they have extent 1 along each
-    periodic or Dirichlet direction, whose diagonal is constant, and
-    broadcast against the grid (shape ``(1, 1)`` on an all-periodic grid).
-    The sweeps run in place in the returned array and, for ``p > 1``, one
-    scratch buffer owned by the instance, so one instance serves one solve
-    at a time.
+    ``omega`` must be finite and at least 1; slightly above 1 it trades
+    speed per sweep for robustness.  An even ``p`` that gives ``M L`` an
+    eigenvalue ``<= 0`` on a constant diagonal is refused at setup.  Each
+    sweep after the first counts ``6*N*ndim + 4*N`` elementary ops, the
+    first counts ``N``.  ``dhat`` and ``dhat_inv`` hold only what varies:
+    they have extent 1 along each periodic or Dirichlet direction, whose
+    diagonal is constant, and broadcast against the grid (shape ``(1, 1)``
+    on an all-periodic grid).  The sweeps run in place in the returned
+    array and, for ``p > 1``, one scratch buffer owned by the instance, so
+    one instance serves one solve at a time.
     """
 
     def __init__(self, op, p: int = 1, omega: float = 1.0):
@@ -145,6 +146,14 @@ class JacobiPreconditioner(Preconditioner):
         # constant diagonal and enters with length 1: the tensors broadcast.
         self.dhat = self.omega * outer_sum([d[:1] if d[0] == d[-1] == 2.0 else d for d in diags])
         self.dhat_inv = 1.0 / self.dhat
+        if self.p % 2 == 0 and self.dhat.size == 1:  # M L: 1 - (1 - s/dhat)^p over the sums s
+            s_max = sum(eigenvalues(n, bc)[-1] for n, bc in zip(op.shape, op.bcs))
+            lowest = 1.0 - (1.0 - s_max / self.dhat.item()) ** self.p  # even p: least at s_max
+            if lowest <= 0.0:
+                raise ValueError(
+                    f"jacobi p={self.p}, omega={self.omega:g} gives M L the eigenvalue "
+                    f"{lowest:.3g} <= 0; use an odd p or omega > 1"
+                )
         self._work = np.empty(op.shape) if self.p > 1 else None  # sweep scratch
         # The cost model charges the full weighted diagonal, whatever its stored
         # shape: ndim-1 adds, a scaling, a reciprocal per entry.
@@ -253,10 +262,11 @@ class LowRankPreconditioner(Preconditioner):
     ) -> np.ndarray:
         n, q = r.shape
         z = checked_out(r, out)
-        z.fill(0.0)
-        for ml, mr in zip(self.left, self.right):
+        for i, (ml, mr) in enumerate(zip(self.left, self.right)):
             left = np.einsum("ij,jk->ik", ml, r, out=self._work[0])
-            z += np.einsum("ij,kj->ik", left, mr, out=self._work[1])
+            term = np.einsum("ij,kj->ik", left, mr, out=self._work[1] if i else z)
+            if i:  # the first congruence is written into z, the others added
+                z += term
         if ops is not None:
             ops.add(self.rank * (2 * r.size * (n + q) + r.size))
         return z

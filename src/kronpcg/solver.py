@@ -21,11 +21,13 @@ residual ``h - Lu`` in the same buffer.  Each step follows the PCG
 template of Barrett et al. (SIAM 1994, Fig. 2.5): precondition, pair, set
 the direction, apply, update, then log the new record.
 
-The loop updates the iterate, the residual and the search direction in
-buffers allocated once per solve, with one more work buffer that holds
-the preconditioner's output ``z``, then ``Lp``, then ``Lu``; a step makes
-no grid-sized array.  A run starts from zero and never writes to the
-caller's ``h``.
+The loop keeps the residual and two direction buffers, allocated once per
+solve, and the iterate, written ``u = alpha*p`` by the first update.  The
+direction buffers swap roles each step: the preconditioner writes ``z``
+into the free one, which is the direction at the first step and takes
+``z + beta*p`` later; the other then holds ``Lp``, then ``Lu``.  A step
+makes no grid-sized array.  A run starts from zero and never writes to
+the caller's ``h``.
 
 Logging a record names a tolerance stop (true residual within the
 optional ``stop_tol``) or a budget stop (record ``max_iter``); one sign
@@ -227,7 +229,9 @@ def pcg(
     a singular grid the recursive residual is mean-centered every
     iteration and the returned iterate once at the end; a nonsingular grid
     is never centered.  A non-finite right-hand side raises ``ValueError``.
-    The iteration works in place on its own buffers; per step it
+    The iteration works in place on its own buffers: a direction and a free
+    buffer swap roles each step, and ``u`` is written by the first update
+    (a stop before it returns a new zero array).  Per step it
     preconditions the last record's residual and applies the operator once
     to the search direction and once for the new record, which always
     carries the true residual.
@@ -236,7 +240,9 @@ def pcg(
     precond = precond if precond is not None else IdentityPreconditioner()
     h, h_norm = op_mod.checked_rhs(op, h)  # one layout for every pairing
     singular = op_mod.is_singular(op)
-    rel_null = op_mod.nullspace_component(h) / h_norm if singular and h_norm > 0.0 else 0.0
+    root_n = float(np.sqrt(h.size))  # |null part| = |sum| / sqrt(N), as nullspace_component
+    h_sum = float(h.sum()) if singular else 0.0  # serves the refusal and the centered start
+    rel_null = abs(h_sum) / root_n / h_norm if h_norm > 0.0 else 0.0
     if rel_null > op_mod.NULL_SHARE_TOL:
         raise ValueError(
             "singular operator with uncentered right-hand side "
@@ -253,12 +259,13 @@ def pcg(
         config=cfg,
         h_norm=h_norm,
     )
-    # Zero start: ``r = h - L*0`` is ``h``, centered on a singular grid in the
-    # pass that copies it, and p starts at zero so the first direction is ``z``.
-    u = np.zeros(op.shape)
-    r = op_mod.center(h, ops) if singular else h.copy()
-    p = np.zeros(op.shape)
-    w = np.empty(op.shape)
+    # Zero start: ``r = h - L*0`` is ``h``, centered on a singular grid in the pass
+    # that copies it (charged as ``op_mod.center``); ``p`` and ``w`` swap roles.
+    r = np.subtract(h, h_sum / h.size) if singular else h.copy()
+    ops.add(3 * h.size if singular else 0)
+    r0_norm = frobenius_norm(r) if singular else h_norm
+    u = None  # written by the first update
+    p, w = np.empty(op.shape), np.empty(op.shape)
     counted = ops if cfg.stop_tol is not None else None
 
     def record(s, alpha, r_norm, true_res, kappa, null_norm) -> Optional[str]:
@@ -281,24 +288,26 @@ def pcg(
             return "tolerance"
         return "budget" if s == cfg.max_iter else None
 
-    r_norm = r0_norm = frobenius_norm(r)
+    r_norm = r0_norm
     stop = record(0, None, r_norm, h_norm, 0.0, 0.0)
 
     s = 0
     while stop is None:
-        z = precond.apply(r, ops, out=w)  # w is free until Lp; z is spent by then
+        z = precond.apply(r, ops, out=w)  # the free buffer; the identity returns r
         last = log.records[-1]
         last.rho = inner(r, z)
         ops.add(2 * h.size)
         stop = _judge(log, s, "indefinite", last.rho, r_norm, r0_norm)
         if stop is not None:
             break
-        if s > 0:  # p is still zero at s = 0
+        if s > 0:  # z + beta*p into the free buffer; at s = 0 the direction is z
             last.beta = last.rho / rho
-            p *= last.beta
+            np.add(z, np.multiply(p, last.beta, out=p), out=w)
+        elif z is r:  # the identity's z, which the update of r would overwrite
+            np.copyto(w, r)
         rho = last.rho
-        p += z  # z + beta*p
         ops.add(2 * h.size)
+        p, w = w, p
         s += 1
         op_mod.apply(op, p, ops, out=w)
         wp = inner(w, p)
@@ -308,7 +317,10 @@ def pcg(
             break
         alpha = rho / wp
         r += np.multiply(w, -alpha, out=w)  # r - alpha*Lp
-        u += np.multiply(p, alpha, out=w)  # u + alpha*p
+        if u is None:
+            u = np.multiply(p, alpha)  # the first iterate, written
+        else:
+            u += np.multiply(p, alpha, out=w)  # u + alpha*p
         ops.add(4 * h.size)
         if singular:
             op_mod.center(r, ops, out=r)
@@ -319,10 +331,13 @@ def pcg(
         lu = op_mod.apply(op, u, counted, out=w)
         kappa = inner(u, lu) - 2.0 * inner(u, h)
         true_res = _counted_true_residual(h, lu, counted)
-        stop = record(s, alpha, r_norm, true_res, kappa, op_mod.nullspace_component(u))
+        u_sum = float(u.sum())  # u keeps this sum until the next update
+        stop = record(s, alpha, r_norm, true_res, kappa, abs(u_sum) / root_n)
 
-    if singular:
-        op_mod.center(u, out=u)  # free, like the caller's centering of h
+    if u is None:  # a stop before the first update: the zero start
+        u = np.zeros(op.shape)
+    elif singular:  # free, like the caller's centering of h
+        np.subtract(u, u_sum / u.size, out=u)
     first_res = log.records[1].true_res if len(log.records) > 1 else None
     etas = eta_series([rec.kappa for rec in log.records], first_res)
     for rec, e in zip(log.records, etas):

@@ -11,10 +11,20 @@ from math import prod
 
 import numpy as np
 
+from kronpcg import operators as op_mod
+from kronpcg.counting import OpCounter
 from kronpcg.laplace1d import CORNER_TRIPLES, BoundaryCondition, SpectralDecomposition
 from kronpcg.operators import apply, poisson_operator
 from kronpcg.precond import Preconditioner
-from kronpcg.tensors import inner
+from kronpcg.solver import (
+    _BREAKDOWNS,
+    ConvergenceLog,
+    IterationRecord,
+    _counted_true_residual,
+    _judge,
+    eta_series,
+)
+from kronpcg.tensors import frobenius_norm, inner
 
 ALL_BCS = tuple(BoundaryCondition)
 SINGULAR_BCS = (BoundaryCondition.PERIODIC, BoundaryCondition.NEUMANN)
@@ -202,6 +212,78 @@ def dense_pcg(a, b, m=None, iters=50):
         if res[-1] == 0.0:
             break
     return x, alphas, betas, res
+
+
+def zero_start_pcg(op, h, precond, config):
+    """:func:`kronpcg.solver.pcg` as a plain loop from zero-filled ``u`` and ``p``.
+
+    Every step adds ``z`` into ``p`` (zero at ``s = 0``) and ``alpha*p``
+    into ``u``; ``h``, ``r`` and ``u`` are centered and their null parts
+    measured by the public ``center`` and ``nullspace_component``.  Returns
+    ``(u, log)``; a breakdown is left in ``log.breakdown``, not raised.
+    """
+    h = np.ascontiguousarray(h, dtype=float)
+    h_norm = frobenius_norm(h)
+    singular = op_mod.is_singular(op)
+    ops = OpCounter()
+    ops.add(precond.init_cost)
+    log = ConvergenceLog(config=config, h_norm=h_norm)
+    u = np.zeros(op.shape)
+    r = op_mod.center(h, ops) if singular else h.copy()
+    p = np.zeros(op.shape)
+    counted = ops if config.stop_tol is not None else None
+
+    def record(s, alpha, r_norm, true_res, kappa, null_norm):
+        log.records.append(
+            IterationRecord(s, alpha, None, None, r_norm, true_res, kappa, None, null_norm, ops.count)
+        )
+        if config.stop_tol is not None and true_res <= config.stop_tol * max(h_norm, 2.0**-52):
+            return "tolerance"
+        return "budget" if s == config.max_iter else None
+
+    r_norm = r0_norm = frobenius_norm(r)
+    stop = record(0, None, r_norm, h_norm, 0.0, 0.0)
+    s = 0
+    while stop is None:
+        z = precond.apply(r, ops)
+        last = log.records[-1]
+        last.rho = inner(r, z)
+        ops.add(2 * h.size)
+        stop = _judge(log, s, "indefinite", last.rho, r_norm, r0_norm)
+        if stop is not None:
+            break
+        if s > 0:
+            last.beta = last.rho / rho
+            p *= last.beta
+        rho = last.rho
+        p += z
+        ops.add(2 * h.size)
+        s += 1
+        w = op_mod.apply(op, p, ops)
+        wp = inner(w, p)
+        ops.add(2 * h.size)
+        stop = _judge(log, s, "curvature", wp, r_norm, r0_norm)
+        if stop is not None:
+            break
+        alpha = rho / wp
+        r += w * -alpha
+        u += p * alpha
+        ops.add(4 * h.size)
+        if singular:
+            op_mod.center(r, ops, out=r)
+        r_norm = frobenius_norm(r)
+        lu = op_mod.apply(op, u, counted)
+        kappa = inner(u, lu) - 2.0 * inner(u, h)
+        true_res = _counted_true_residual(h, lu, counted)
+        stop = record(s, alpha, r_norm, true_res, kappa, op_mod.nullspace_component(u))
+    if singular:
+        op_mod.center(u, out=u)
+    first_res = log.records[1].true_res if len(log.records) > 1 else None
+    for rec, e in zip(log.records, eta_series([rec.kappa for rec in log.records], first_res)):
+        rec.eta_scaled = float(e)
+    log.u = u
+    log.breakdown = stop if stop in _BREAKDOWNS else None
+    return u, log
 
 
 def dense_jacobi_matrix(a, p, omega):

@@ -217,6 +217,18 @@ def test_solve_rejects_bad_numbers_with_exit_one(tmp_path, capsys, flag):
     capsys.readouterr()
 
 
+def test_solve_refuses_an_even_jacobi_polynomial_that_vanishes_with_exit_one(tmp_path, capsys):
+    """On the even periodic p1 grid ``jacobi:p=2,omega=1`` broke down at
+    iteration 94; setup now refuses it before the first iteration."""
+    _, h = gen_problem1(50, 100)
+    rhs = tmp_path / "rhs.kten"
+    write_tensor(str(rhs), h)
+    argv = ["solve", "--input", str(rhs), "--bc", "x=periodic,y=periodic"]
+    assert cli.main(argv + ["--precond", "jacobi:p=2,omega=1"]) == 1
+    assert "p=2, omega=1" in capsys.readouterr().err
+    assert cli.main(argv + ["--precond", "jacobi:p=2,omega=1.01", "--tol", "1e-9"]) == 0
+
+
 def test_solve_reports_breakdown_with_exit_two(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(
         cli, "make_preconditioner", lambda op, spec: Negated(make_preconditioner(op, spec))

@@ -24,7 +24,7 @@ from conftest import (
 from kronpcg import operators as op_mod
 from kronpcg.counting import OpCounter, cost_model
 from kronpcg.laplace1d import BoundaryCondition, analytic_spectrum, diagonal
-from kronpcg.operators import poisson_operator
+from kronpcg.operators import center, poisson_operator
 from kronpcg.precond import (
     _GHAT_ROWS,
     IdentityPreconditioner,
@@ -35,6 +35,7 @@ from kronpcg.precond import (
     jacobi_standalone,
     make_preconditioner,
 )
+from kronpcg.solver import SolverConfig, pcg
 from kronpcg.tensors import hadamard_pinv, inner, outer_sum
 
 BC = BoundaryCondition
@@ -195,6 +196,32 @@ class TestJacobi:
         for omega in (0.9, np.nan, np.inf):
             with pytest.raises(ValueError):
                 JacobiPreconditioner(op, omega=omega)
+
+    @pytest.mark.parametrize("p", [2, 4])
+    @pytest.mark.parametrize(
+        "shape, bcs",
+        [((50, 100), (BC.PERIODIC,) * 2), ((4, 6, 8), (BC.PERIODIC,) * 3)],
+        ids=["2d", "3d"],
+    )
+    def test_rejects_an_even_polynomial_that_vanishes_on_the_spectrum(self, p, shape, bcs):
+        """On a constant diagonal with the checkerboard sum ``s = 4*ndim``
+        (even periodic extents), ``1 - (1 - s/(2*ndim))^p`` is 0 for even ``p``."""
+        op = poisson_operator(shape, bcs)
+        with pytest.raises(ValueError, match=rf"p={p}, omega=1 .* eigenvalue 0 <= 0"):
+            JacobiPreconditioner(op, p=p, omega=1.0)
+
+    @pytest.mark.parametrize(
+        "shape, p, omega",
+        [((50, 100), 3, 1.0), ((50, 100), 1, 1.0), ((50, 100), 2, 1.01), ((51, 100), 2, 1.0)],
+        ids=["odd_p", "one_sweep", "omega_above_one", "odd_periodic_extent"],
+    )
+    def test_accepts_a_polynomial_positive_on_the_spectrum(self, shape, p, omega):
+        """What the closed form accepts runs to 1e-9 without a breakdown."""
+        op = _periodic_op(*shape)
+        h = center(np.random.default_rng(p).standard_normal(shape))
+        precond = JacobiPreconditioner(op, p=p, omega=omega)
+        _, log = pcg(op, h, precond, config=SolverConfig(max_iter=3000, stop_tol=1e-9))
+        assert log.breakdown is None and log.records[-1].true_res <= 1e-9 * log.h_norm
 
     def test_rejects_a_fractional_sweep_count_or_a_text_omega(self):
         """``p=2.5`` is not truncated to 2 sweeps, and ``omega`` must be a number."""

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import tracemalloc
 
@@ -13,13 +14,19 @@ from conftest import (
     kappa_indicator,
     traced_peak,
     vec,
+    zero_start_pcg,
 )
 from kronpcg import operators as op_mod
 from kronpcg.counting import cost_model
 from kronpcg.formats import write_run_log
 from kronpcg.laplace1d import BoundaryCondition
 from kronpcg.operators import center, nullspace_component, poisson_operator
-from kronpcg.precond import IdentityPreconditioner, JacobiPreconditioner, PinvPreconditioner
+from kronpcg.precond import (
+    IdentityPreconditioner,
+    JacobiPreconditioner,
+    PinvPreconditioner,
+    make_preconditioner,
+)
 from kronpcg.problems import gen_problem1, gen_problem3
 from kronpcg.solver import ConvergenceLog, PCGBreakdown, SolverConfig, eta_series, pcg
 
@@ -148,13 +155,86 @@ def test_non_finite_input_is_refused(h_bad):
         pcg(op, h)
 
 
+class Recording:
+    """A preconditioner that passes through and keeps every array it was handed."""
+
+    def __init__(self, inner_precond):
+        self.inner, self.seen = inner_precond, []
+        self.name, self.init_cost = inner_precond.name, inner_precond.init_cost
+
+    def apply(self, r, ops=None, out=None):
+        self.seen += [r, out]
+        return self.inner.apply(r, ops, out)
+
+
+def _assert_fresh_zero_iterate(u, op, h, handed=()):
+    """A stop before the first update returns a zero array of its own."""
+    assert u.shape == op.shape and np.all(u == 0.0)
+    assert u.flags.writeable and u.flags.c_contiguous and u.flags.owndata
+    assert not any(np.shares_memory(u, a) for a in (h, *handed) if a is not None)
+
+
 def test_zero_rhs_short_circuits():
     """A zero start residual is the rounding floor: ``<r_0, z_0> = 0``."""
     op = poisson_operator((4, 5), (BC.PERIODIC, BC.PERIODIC))
-    u, log = pcg(op, np.zeros(op.shape), config=SolverConfig(max_iter=50))
+    h = np.zeros(op.shape)
+    precond = Recording(IdentityPreconditioner())
+    u, log = pcg(op, h, precond, config=SolverConfig(max_iter=50))
     assert log.iterations == 0
-    assert np.all(u == 0.0)
     assert len(log.warnings) == 1 and "residual floor" in log.warnings[0]
+    _assert_fresh_zero_iterate(u, op, h, precond.seen)
+
+
+@pytest.mark.parametrize("singular", [True, False], ids=["singular", "nonsingular"])
+def test_a_zero_budget_returns_the_zero_start(singular):
+    op = poisson_operator((5, 6), (BC.PERIODIC, BC.NEUMANN)) if singular else _mixed_op()
+    h = center(_mixed_rhs(op, seed=3)) if singular else _mixed_rhs(op, seed=3)
+    u, log = pcg(op, h, PinvPreconditioner(op), config=SolverConfig(max_iter=0))
+    assert log.iterations == 0 and log.records[0].rho is None
+    _assert_fresh_zero_iterate(u, op, h)
+
+
+_REFERENCE_GRIDS = {
+    "2d_singular": ((7, 9), (BC.PERIODIC, BC.NEUMANN)),
+    "2d_nonsingular": ((6, 8), (BC.DIRICHLET, BC.NEUMANN_DIRICHLET)),
+    "3d_singular": ((4, 5, 6), (BC.PERIODIC, BC.PERIODIC, BC.NEUMANN)),
+    "3d_nonsingular": ((5, 4, 6), (BC.DIRICHLET_NEUMANN, BC.PERIODIC, BC.NEUMANN)),
+}
+
+
+@pytest.mark.parametrize(
+    "spec, grid",
+    [
+        (spec, grid)
+        for spec in ("none", "jacobi:p=3,omega=1.3", "pinv", "lowrank:r=2")
+        for grid in _REFERENCE_GRIDS
+        if not (spec.startswith("lowrank") and grid.startswith("3d"))  # low rank is 2-D only
+    ],
+)
+@pytest.mark.parametrize(
+    "cfg", [SolverConfig(max_iter=12), SolverConfig(max_iter=60, stop_tol=1e-10)],
+    ids=["budget", "stop_tol"],
+)
+def test_iterates_and_records_are_bitwise_the_zero_start_loop(spec, grid, cfg):
+    """The rotating direction buffers, the written first iterate and the
+    shared null-space sums change no bit of ``u`` or of any record field."""
+    shape, bcs = _REFERENCE_GRIDS[grid]
+    op = poisson_operator(shape, bcs)
+    h = np.random.default_rng(len(spec) + sum(shape)).standard_normal(shape)
+    if op_mod.is_singular(op):
+        h = center(h)
+    precond = make_preconditioner(op, spec)
+    want_u, want = zero_start_pcg(op, h, precond, cfg)
+    try:
+        u, log = pcg(op, h, precond, config=cfg)
+    except PCGBreakdown as exc:
+        u, log = exc.log.u, exc.log
+    assert log.iterations >= 1
+    assert u.tobytes() == want_u.tobytes()
+    assert [dataclasses.astuple(r) for r in log.records] == [
+        dataclasses.astuple(r) for r in want.records
+    ]
+    assert (log.warnings, log.breakdown) == (want.warnings, want.breakdown)
 
 
 def test_stop_tol_halts_early():
@@ -170,7 +250,7 @@ def test_stop_tol_halts_early():
 def test_indefinite_preconditioner_breaks_down():
     op = _mixed_op()
     h = _mixed_rhs(op, seed=5)
-    bad = Negated(PinvPreconditioner(op))
+    bad = Recording(Negated(PinvPreconditioner(op)))
     with pytest.raises(PCGBreakdown) as excinfo:
         pcg(op, h, bad, config=SolverConfig(max_iter=20))
     exc = excinfo.value
@@ -179,7 +259,7 @@ def test_indefinite_preconditioner_breaks_down():
     assert exc.log.iterations == 0
     assert exc.log.records[0].rho < 0.0
     assert exc.log.records[-1].beta is None
-    assert exc.log.u.shape == op.shape and np.all(exc.log.u == 0.0)
+    _assert_fresh_zero_iterate(exc.log.u, op, h, bad.seen)
     assert any("not positive" in w for w in exc.log.warnings)
 
 
