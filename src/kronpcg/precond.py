@@ -83,8 +83,8 @@ class Preconditioner:
     ``apply(r, ops, out)`` returns ``M r`` and never modifies ``r``.  Given
     ``out``, which must fit ``r`` (:func:`kronpcg.tensors.checked_out`), the
     result is written there and ``out`` is returned, so a solver can hand
-    over a work buffer and an apply makes no grid-sized array; the identity
-    returns ``r`` itself.  Without ``out`` the result is a new array.
+    over a work buffer and an apply makes no grid-sized array.  Without
+    ``out`` the result is a new array.
     """
 
     name = "base"  # the label a run log records
@@ -97,16 +97,16 @@ class Preconditioner:
 
 
 class IdentityPreconditioner(Preconditioner):
-    """No preconditioning; application is free."""
+    """No preconditioning: a copy of ``r``, charged 0 ops."""
 
     name = "identity"
 
     def apply(
         self, r: np.ndarray, ops: Optional[OpCounter] = None, out: Optional[np.ndarray] = None
     ) -> np.ndarray:
-        if out is not None:
-            checked_out(r, out)
-        return r
+        out = checked_out(r, out)
+        np.copyto(out, r)
+        return out
 
 
 class JacobiPreconditioner(Preconditioner):

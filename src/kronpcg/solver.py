@@ -293,7 +293,7 @@ def pcg(
 
     s = 0
     while stop is None:
-        z = precond.apply(r, ops, out=w)  # the free buffer; the identity returns r
+        z = precond.apply(r, ops, out=w)  # the free buffer
         last = log.records[-1]
         last.rho = inner(r, z)
         ops.add(2 * h.size)
@@ -302,9 +302,7 @@ def pcg(
             break
         if s > 0:  # z + beta*p into the free buffer; at s = 0 the direction is z
             last.beta = last.rho / rho
-            np.add(z, np.multiply(p, last.beta, out=p), out=w)
-        elif z is r:  # the identity's z, which the update of r would overwrite
-            np.copyto(w, r)
+            z += np.multiply(p, last.beta, out=p)
         rho = last.rho
         ops.add(2 * h.size)
         p, w = w, p

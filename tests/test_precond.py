@@ -58,11 +58,21 @@ def _kron_spectral_pinv(op, spectrum):
     return (v * hadamard_pinv(vec(outer_sum([d.values for d in decomps])))) @ v.T
 
 
-def test_identity_returns_input_for_free():
+def test_identity_copies_into_out_for_free():
+    """The identity keeps the one ``apply`` contract: given ``out`` it copies
+    ``r`` there and returns ``out``; without it a new array.  ``r`` is never
+    modified and the copy is charged 0 ops."""
     p = IdentityPreconditioner()
     r = np.arange(12.0).reshape(3, 4)
+    r_copy = r.copy()
+    buf = np.full(r.shape, np.nan)
     ops = OpCounter()
-    assert p.apply(r, ops) is r
+    assert p.apply(r, ops, out=buf) is buf
+    assert np.array_equal(buf, r)
+    fresh = p.apply(r, ops)
+    assert not np.may_share_memory(fresh, r)
+    assert np.array_equal(fresh, r)
+    assert np.array_equal(r, r_copy)
     assert ops.count == 0
     assert p.init_cost == 0
 
@@ -80,7 +90,7 @@ _FAMILY_CASES = {
 @pytest.mark.parametrize("case", sorted(_FAMILY_CASES))
 def test_apply_into_out_matches_a_fresh_apply(case):
     """``apply(r, out=buf)`` writes the fresh result into ``buf`` bitwise and
-    returns it (the identity returns ``r``); ``r`` is never modified."""
+    returns it; ``r`` is never modified."""
     spec, shape, bcs = _FAMILY_CASES[case]
     precond = make_preconditioner(poisson_operator(shape, bcs), spec)
     r = np.random.default_rng(21).standard_normal(shape)
@@ -89,7 +99,7 @@ def test_apply_into_out_matches_a_fresh_apply(case):
     buf = np.full(shape, np.nan)
     ops = OpCounter()
     got = precond.apply(r, ops, out=buf)
-    assert got is (r if case == "identity" else buf)
+    assert got is buf
     assert np.array_equal(got, want)
     assert np.array_equal(r, r_copy)
     fresh = OpCounter()

@@ -433,14 +433,15 @@ class TestInPlaceIteration:
         assert u is not h
         assert log.records[-1].true_res < log.records[0].true_res
 
-    def test_a_jacobi_step_makes_no_grid_array(self):
+    @pytest.mark.parametrize("spec", ["none", "jacobi:p=3,omega=1.3"])
+    def test_a_step_makes_no_grid_array(self, spec):
         """A solve holds four grid arrays (``u``, ``r``, ``p``, ``w``); the
-        preconditioner writes into ``w``, so the traced peak of a 20-step
-        run stays below a fifth array and exceeds that of a 2-step run only
-        by the log's records."""
-        spec, h = gen_problem1(50, 100)
-        op = spec.operator()
-        precond = JacobiPreconditioner(op, p=3, omega=1.3)
+        preconditioner, the identity too, writes into ``w``, so the traced
+        peak of a 20-step run stays below a fifth array and exceeds that of
+        a 2-step run only by the log's records."""
+        problem, h = gen_problem1(50, 100)
+        op = problem.operator()
+        precond = make_preconditioner(op, spec)
         grid = h.size * h.itemsize
         peaks = []
         for budget in (2, 20):
