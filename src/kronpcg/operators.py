@@ -122,10 +122,15 @@ def apply(
 
 
 def checked_rhs(op: PoissonOperator, h: np.ndarray) -> tuple[np.ndarray, float]:
-    """``h`` as a C-contiguous float array and its norm, once it fits the grid and is finite.
+    """``h`` as a C-contiguous float array and its norm, once it is real, fits and is finite.
 
-    Raises ``ValueError`` on a shape other than the grid's or a non-finite ``|h|``.
+    Raises ``ValueError`` on a complex or other non-real ``h``, which a
+    float cast would truncate, on a shape other than the grid's, or on a
+    non-finite ``|h|``.
     """
+    h = np.asarray(h)
+    if h.dtype.kind not in "biuf":
+        raise ValueError(f"right-hand side must be real, got dtype {h.dtype}")
     h = np.ascontiguousarray(h, dtype=float)
     if h.shape != op.shape:
         raise ValueError(f"right-hand side shape {h.shape} does not match grid {op.shape}")

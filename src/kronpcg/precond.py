@@ -80,20 +80,49 @@ def _spectral_setup(op) -> tuple[list[np.ndarray], np.ndarray]:
 class Preconditioner:
     """Base: a symmetric map from residual tensors to search-direction seeds.
 
-    ``apply(r, ops, out)`` returns ``M r`` and never modifies ``r``.  Given
-    ``out``, which must fit ``r`` (:func:`kronpcg.tensors.checked_out`), the
-    result is written there and ``out`` is returned, so a solver can hand
-    over a work buffer and an apply makes no grid-sized array.  Without
-    ``out`` the result is a new array.
+    ``apply(r, ops, out, work)`` returns ``M r`` and never modifies ``r``.
+    Given ``out``, which must fit ``r`` (:func:`kronpcg.tensors.checked_out`),
+    the result is written there and ``out`` is returned, so a solver can
+    hand over a work buffer and an apply makes no grid-sized array.
+    Without ``out`` the result is a new array.  ``work`` is a scratch array
+    the apply may overwrite; it must fit ``r`` the same way and must not
+    overlap ``out``.  Both are checked before the first write.  An apply
+    that needs scratch and gets no ``work`` uses the instance's own array,
+    allocated by the first such apply and kept, so setup allocates no
+    scratch and one instance serves one solve at a time.
     """
 
     name = "base"  # the label a run log records
     init_cost = 0
+    _work = None  # own scratch, for applies that arrive without ``work``
 
     def apply(
-        self, r: np.ndarray, ops: Optional[OpCounter] = None, out: Optional[np.ndarray] = None
+        self,
+        r: np.ndarray,
+        ops: Optional[OpCounter] = None,
+        out: Optional[np.ndarray] = None,
+        work: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         raise NotImplementedError
+
+    def _buffers(
+        self,
+        r: np.ndarray,
+        out: Optional[np.ndarray],
+        work: Optional[np.ndarray],
+        scratch: bool = True,
+    ) -> tuple[np.ndarray, Optional[np.ndarray]]:
+        """``out`` and, if the apply needs ``scratch``, its scratch array, both checked."""
+        out = checked_out(r, out)
+        if work is not None:
+            checked_out(r, work)
+            if np.may_share_memory(work, out):
+                raise ValueError("scratch must not overlap the output")
+        elif scratch:
+            if self._work is None:
+                self._work = np.empty(r.shape)
+            work = self._work
+        return out, work
 
 
 class IdentityPreconditioner(Preconditioner):
@@ -102,9 +131,13 @@ class IdentityPreconditioner(Preconditioner):
     name = "identity"
 
     def apply(
-        self, r: np.ndarray, ops: Optional[OpCounter] = None, out: Optional[np.ndarray] = None
+        self,
+        r: np.ndarray,
+        ops: Optional[OpCounter] = None,
+        out: Optional[np.ndarray] = None,
+        work: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        out = checked_out(r, out)
+        out, _ = self._buffers(r, out, work, scratch=False)
         np.copyto(out, r)
         return out
 
@@ -128,8 +161,8 @@ class JacobiPreconditioner(Preconditioner):
     they have extent 1 along each periodic or Dirichlet direction, whose
     diagonal is constant, and broadcast against the grid (shape ``(1, 1)``
     on an all-periodic grid).  The sweeps run in place in the returned
-    array and, for ``p > 1``, one scratch buffer owned by the instance, so
-    one instance serves one solve at a time.
+    array and, for ``p > 1``, one scratch array: the caller's ``work`` or,
+    without it, the instance's own (:class:`Preconditioner`).
     """
 
     def __init__(self, op, p: int = 1, omega: float = 1.0):
@@ -154,18 +187,21 @@ class JacobiPreconditioner(Preconditioner):
                     f"jacobi p={self.p}, omega={self.omega:g} gives M L the eigenvalue "
                     f"{lowest:.3g} <= 0; use an odd p or omega > 1"
                 )
-        self._work = np.empty(op.shape) if self.p > 1 else None  # sweep scratch
         # The cost model charges the full weighted diagonal, whatever its stored
         # shape: ndim-1 adds, a scaling, a reciprocal per entry.
         self.init_cost = (op.ndim + 1) * int(np.prod(op.shape))
 
     def apply(
-        self, r: np.ndarray, ops: Optional[OpCounter] = None, out: Optional[np.ndarray] = None
+        self,
+        r: np.ndarray,
+        ops: Optional[OpCounter] = None,
+        out: Optional[np.ndarray] = None,
+        work: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        x = np.multiply(self.dhat_inv, r, out=checked_out(r, out))
+        x, f = self._buffers(r, out, work, scratch=self.p > 1)  # f: the sweep residual
+        np.multiply(self.dhat_inv, r, out=x)
         if ops is not None:
             ops.add(r.size)
-        f = self._work
         for _ in range(self.p - 1):
             op_mod.apply(self.op, x, ops, out=f)
             np.subtract(r, f, out=f)
@@ -193,29 +229,33 @@ class PinvPreconditioner(Preconditioner):
     within ``NULL_MODE_TOL`` of zero (for an all-periodic or all-Neumann
     grid exactly the constant mode drops out).  Application is transform,
     Hadamard, transform back: ``4*N*(n+q[+t]) + N`` elementary ops.  Its
-    GEMMs write in turn into one scratch array owned by the instance and
-    into the output, so one instance serves one solve at a time.
+    GEMMs write in turn into one scratch array, the caller's ``work`` or,
+    without it, the instance's own (:class:`Preconditioner`), and into the
+    output.
     """
 
     name = "pinv"
 
     def __init__(self, op):
         self.bases, self.ghat = _spectral_setup(op)
-        self._work = np.empty(op.shape)  # transform scratch, reused by every apply
         # Eigenvalue-sum tensor and its reciprocal: (ndim-1)+1 ops per entry.
         self.init_cost = op.ndim * int(np.prod(op.shape))
 
     def apply(
-        self, r: np.ndarray, ops: Optional[OpCounter] = None, out: Optional[np.ndarray] = None
+        self,
+        r: np.ndarray,
+        ops: Optional[OpCounter] = None,
+        out: Optional[np.ndarray] = None,
+        work: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        out = checked_out(r, out)
+        out, work = self._buffers(r, out, work)
         # One plain GEMM per axis (a rotation on 3D grids); the bases are
         # C-ordered, so their transposes are F-ordered views that GEMM reads
         # in place: no transposed copies are kept.  The 2*ndim GEMMs
         # alternate between the scratch array and ``out``: an odd number of
         # forward GEMMs ends in the scratch array, an even number in ``out``,
         # so the back transform starts in the other and ends in ``out``.
-        pair = (self._work, out)
+        pair = (work, out)
         f = linear_transform([v.T for v in self.bases], r, pair)
         f *= self.ghat
         linear_transform(self.bases, f, pair[::-1] if r.ndim % 2 else pair)
@@ -235,12 +275,16 @@ class LowRankPreconditioner(Preconditioner):
     :func:`kronpcg.solver.pcg` reports as a breakdown.  Each application
     costs ``r*(2*N*(n+q) + N)`` elementary ops.  The congruences are built
     and applied by ``einsum``, which calls no BLAS, so no digit depends on
-    the BLAS thread count; they run in two scratch arrays owned by the
-    instance, so one instance serves one solve at a time.
+    the BLAS thread count.  Each left product goes into one scratch array,
+    the caller's ``work`` or, without it, the instance's own
+    (:class:`Preconditioner`); each term after the first goes into a second
+    array the instance allocates on its first apply at ``r > 1`` and keeps.
 
     A 3D analogue would need a tensor decomposition in place of the SVD
     and is deliberately not provided.
     """
+
+    _term = None  # the rank sum's second scratch array, kept from the first apply
 
     def __init__(self, op, rank: int):
         if op.ndim != 2:
@@ -254,17 +298,22 @@ class LowRankPreconditioner(Preconditioner):
         a, sigma, bt = np.linalg.svd(ghat)
         self.left = [np.einsum("ij,kj->ik", vn * (sigma[i] * a[:, i]), vn) for i in range(rank)]
         self.right = [np.einsum("ij,kj->ik", vq * bt[i, :], vq) for i in range(rank)]
-        self._work = (np.empty(op.shape), np.empty(op.shape))  # congruence scratch
         self.init_cost = op.ndim * int(np.prod(op.shape))
 
     def apply(
-        self, r: np.ndarray, ops: Optional[OpCounter] = None, out: Optional[np.ndarray] = None
+        self,
+        r: np.ndarray,
+        ops: Optional[OpCounter] = None,
+        out: Optional[np.ndarray] = None,
+        work: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         n, q = r.shape
-        z = checked_out(r, out)
+        z, work = self._buffers(r, out, work)
+        if self.rank > 1 and self._term is None:
+            self._term = np.empty(r.shape)
         for i, (ml, mr) in enumerate(zip(self.left, self.right)):
-            left = np.einsum("ij,jk->ik", ml, r, out=self._work[0])
-            term = np.einsum("ij,kj->ik", left, mr, out=self._work[1] if i else z)
+            left = np.einsum("ij,jk->ik", ml, r, out=work)
+            term = np.einsum("ij,kj->ik", left, mr, out=self._term if i else z)
             if i:  # the first congruence is written into z, the others added
                 z += term
         if ops is not None:
@@ -339,8 +388,8 @@ def jacobi_standalone(
     ``4*N`` update ops.  If the residual blows past ``1e12`` times its
     initial value the run is flagged as diverged and stops early; that is
     a reportable outcome, not an error.  Like :func:`kronpcg.solver.pcg`
-    it refuses, with ``ValueError``, an ``h`` that does not fit the grid or
-    is not finite.
+    it refuses, with ``ValueError``, an ``h`` that is not real, does not fit
+    the grid or is not finite.
     """
     iters = checked_integer("iters", iters)
     if iters < 0:

@@ -25,9 +25,13 @@ The loop keeps the residual and two direction buffers, allocated once per
 solve, and the iterate, written ``u = alpha*p`` by the first update.  The
 direction buffers swap roles each step: the preconditioner writes ``z``
 into the free one, which is the direction at the first step and takes
-``z + beta*p`` later; the other then holds ``Lp``, then ``Lu``.  A step
-makes no grid-sized array.  A run starts from zero and never writes to
-the caller's ``h``.
+``z + beta*p`` later; the other then holds ``Lp``, then ``Lu``.  At the
+first step that other buffer holds nothing yet, so it is lent to the
+preconditioner as its scratch (``work``); later steps lend nothing, and a
+preconditioner that needs scratch then uses its own, kept from that apply
+on.  A one-step pinv solve thus holds five grid arrays with the setup's
+``ghat``.  A step makes no grid-sized array.  A run starts from zero and
+never writes to the caller's ``h``.
 
 Logging a record names a tolerance stop (true residual within the
 optional ``stop_tol``) or a budget stop (record ``max_iter``); one sign
@@ -228,7 +232,8 @@ def pcg(
     first or let the CLI do it.  The operator alone decides centering: on
     a singular grid the recursive residual is mean-centered every
     iteration and the returned iterate once at the end; a nonsingular grid
-    is never centered.  A non-finite right-hand side raises ``ValueError``.
+    is never centered.  A right-hand side that is not real or not finite
+    raises ``ValueError``.
     The iteration works in place on its own buffers: a direction and a free
     buffer swap roles each step, and ``u`` is written by the first update
     (a stop before it returns a new zero array).  Per step it
@@ -293,7 +298,7 @@ def pcg(
 
     s = 0
     while stop is None:
-        z = precond.apply(r, ops, out=w)  # the free buffer
+        z = precond.apply(r, ops, out=w, work=p if s == 0 else None)  # p is idle at s = 0
         last = log.records[-1]
         last.rho = inner(r, z)
         ops.add(2 * h.size)

@@ -323,7 +323,7 @@ class Negated(Preconditioner):
         self.inner = inner_precond
         self.after = after
 
-    def apply(self, r, ops=None, out=None):
-        z = self.inner.apply(r, ops, out)
+    def apply(self, r, ops=None, out=None, work=None):
+        z = self.inner.apply(r, ops, out, work)
         self.after -= 1
         return z if self.after >= 0 else -z

@@ -122,6 +122,45 @@ def test_apply_refuses_an_out_that_overlaps_r(case):
     assert np.array_equal(r, r_copy)
 
 
+@pytest.mark.parametrize("case", sorted(_FAMILY_CASES))
+def test_apply_refuses_a_work_that_overlaps_r_or_out_before_writing(case):
+    """``work`` is checked like ``out`` and must also miss ``out``; a refused
+    apply leaves ``r``, ``out`` and ``work`` as they were."""
+    spec, shape, bcs = _FAMILY_CASES[case]
+    precond = make_preconditioner(poisson_operator(shape, bcs), spec)
+    r = np.random.default_rng(23).standard_normal(shape)
+    r_copy = r.copy()
+    buf = np.full(shape, np.nan)
+    flat = np.full(2 * r.size, np.nan)  # out and work sharing half their entries
+    shifted = flat[: r.size].reshape(shape), flat[r.size // 2 : r.size // 2 + r.size].reshape(shape)
+    for out, work in [(buf, r), (buf, r.reshape(-1).reshape(shape)), (buf, buf), shifted]:
+        with pytest.raises(ValueError, match="overlap"):
+            precond.apply(r, out=out, work=work)
+    for work in (np.full(shape[::-1], np.nan).T, np.full(shape, np.nan, dtype=np.float32)):
+        with pytest.raises(ValueError, match="C-contiguous"):
+            precond.apply(r, out=buf, work=work)
+    assert np.array_equal(r, r_copy)
+    assert np.isnan(buf).all() and np.isnan(flat).all()
+
+
+@pytest.mark.parametrize("case", sorted(_FAMILY_CASES))
+def test_applies_handed_work_allocate_no_grid_array(case):
+    """Setup allocates no scratch, and applies that get ``out`` and ``work``
+    trace less than half a grid array; low rank's rank sum keeps one array
+    of its own, allocated by its first apply."""
+    spec, shape, bcs = _FAMILY_CASES[case]
+    shape = tuple(8 * n for n in shape)  # grid arrays well above the trace's noise
+    precond = make_preconditioner(poisson_operator(shape, bcs), spec)
+    assert precond._work is None
+    r = np.random.default_rng(24).standard_normal(shape)
+    out, work = np.empty(shape), np.empty(shape)
+    own = r.nbytes if case == "lowrank" else 0
+    for kept in (own, 0):
+        _, peak = traced_peak(lambda: [precond.apply(r, out=out, work=work) for _ in range(3)])
+        assert kept <= peak < kept + r.nbytes // 2
+    assert precond._work is None
+
+
 class TestMakePreconditioner:
     def test_grammar(self):
         op = _periodic_op(4, 5)
@@ -485,6 +524,12 @@ class TestJacobiStandalone:
             h[2, 3] = bad
             with pytest.raises(ValueError, match="not finite"):
                 jacobi_standalone(op, h, iters=3)
+
+    def test_refuses_a_complex_rhs(self):
+        """It shares the solver's check: the imaginary part is not dropped."""
+        op = poisson_operator((5, 6), (BC.DIRICHLET, BC.NEUMANN))
+        with pytest.raises(ValueError, match="must be real"):
+            jacobi_standalone(op, np.ones(op.shape) + 1j, iters=3)
 
     def test_zero_iterations_only_records_the_start(self):
         op = poisson_operator((4, 4), (BC.DIRICHLET, BC.DIRICHLET))

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from conftest import (
     zero_start_pcg,
 )
 from kronpcg import operators as op_mod
-from kronpcg.counting import cost_model
+from kronpcg.counting import OpCounter, cost_model
 from kronpcg.formats import write_run_log
 from kronpcg.laplace1d import BoundaryCondition
 from kronpcg.operators import center, nullspace_component, poisson_operator
@@ -27,7 +28,7 @@ from kronpcg.precond import (
     PinvPreconditioner,
     make_preconditioner,
 )
-from kronpcg.problems import gen_problem1, gen_problem3
+from kronpcg.problems import gen_problem1, gen_problem2, gen_problem3
 from kronpcg.solver import ConvergenceLog, PCGBreakdown, SolverConfig, eta_series, pcg
 
 BC = BoundaryCondition
@@ -155,6 +156,17 @@ def test_non_finite_input_is_refused(h_bad):
         pcg(op, h)
 
 
+@pytest.mark.parametrize("imag", [1.0, 0.0], ids=["complex", "zero_imaginary"])
+def test_a_complex_rhs_is_refused_not_truncated(imag):
+    """A float cast would solve for the real part alone, with only a warning."""
+    op = _mixed_op()
+    h = _mixed_rhs(op) + 1j * imag
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused before any cast could warn
+        with pytest.raises(ValueError, match="must be real, got dtype complex128"):
+            pcg(op, h, PinvPreconditioner(op))
+
+
 class Recording:
     """A preconditioner that passes through and keeps every array it was handed."""
 
@@ -162,9 +174,9 @@ class Recording:
         self.inner, self.seen = inner_precond, []
         self.name, self.init_cost = inner_precond.name, inner_precond.init_cost
 
-    def apply(self, r, ops=None, out=None):
-        self.seen += [r, out]
-        return self.inner.apply(r, ops, out)
+    def apply(self, r, ops=None, out=None, work=None):
+        self.seen += [r, out, work]
+        return self.inner.apply(r, ops, out, work)
 
 
 def _assert_fresh_zero_iterate(u, op, h, handed=()):
@@ -235,6 +247,30 @@ def test_iterates_and_records_are_bitwise_the_zero_start_loop(spec, grid, cfg):
         dataclasses.astuple(r) for r in want.records
     ]
     assert (log.warnings, log.breakdown) == (want.warnings, want.breakdown)
+
+
+@pytest.mark.parametrize(
+    "spec, grid",
+    [
+        (spec, grid)
+        for spec in ("none", "jacobi:p=3,omega=1.3", "pinv", "lowrank:r=2")
+        for grid in _REFERENCE_GRIDS
+        if not (spec.startswith("lowrank") and grid.startswith("3d"))
+    ],
+)
+def test_an_apply_is_bitwise_the_same_with_or_without_work(spec, grid):
+    """No result depends on the scratch: an apply into a lent ``work`` (NaN
+    on entry) gives the bits and ops of one into the instance's own."""
+    shape, bcs = _REFERENCE_GRIDS[grid]
+    op = poisson_operator(shape, bcs)
+    r = np.random.default_rng(sum(shape)).standard_normal(shape)
+    lent, own = make_preconditioner(op, spec), make_preconditioner(op, spec)
+    lent_ops, own_ops = OpCounter(), OpCounter()
+    got = lent.apply(r, lent_ops, np.empty(shape), np.full(shape, np.nan))
+    for _ in range(2):  # the first apply allocates the own scratch, the second reuses it
+        assert own.apply(r, own_ops).tobytes() == got.tobytes()
+    assert 2 * lent_ops.count == own_ops.count
+    assert lent._work is None
 
 
 def test_stop_tol_halts_early():
@@ -438,10 +474,13 @@ class TestInPlaceIteration:
         """A solve holds four grid arrays (``u``, ``r``, ``p``, ``w``); the
         preconditioner, the identity too, writes into ``w``, so the traced
         peak of a 20-step run stays below a fifth array and exceeds that of
-        a 2-step run only by the log's records."""
+        a 2-step run only by the log's records.  An untraced warm-up solve
+        leaves Jacobi's sweep buffer, allocated by its second apply, outside
+        the traced runs."""
         problem, h = gen_problem1(50, 100)
         op = problem.operator()
         precond = make_preconditioner(op, spec)
+        pcg(op, h, precond, config=SolverConfig(max_iter=2))
         grid = h.size * h.itemsize
         peaks = []
         for budget in (2, 20):
@@ -468,9 +507,9 @@ class TestInPlaceIteration:
         assert 5 * grid <= peak < 5.5 * grid
 
     def test_a_3d_pinv_solve_holds_no_transform_temporaries(self):
-        """The pinv GEMMs run in the preconditioner's scratch array and the
-        solver's ``w``: the traced ``pcg`` peak is the four solver arrays
-        plus the stencil's one face buffer on the extent-8 axis."""
+        """The pinv GEMMs run in the solver's ``p``, idle at the first step,
+        and ``w``: the traced ``pcg`` peak is the four solver arrays plus the
+        stencil's one face buffer on the extent-8 axis."""
         spec, h = gen_problem3("3d_128x64x8", 0)
         op = spec.operator()
         precond = PinvPreconditioner(op)
@@ -480,6 +519,31 @@ class TestInPlaceIteration:
         (_, log), peak = traced_peak(pcg, op, h, precond, config=config)
         assert log.records[-1].true_res <= 1e-9 * log.h_norm
         assert 4 * grid <= peak <= 4 * grid + face + 16 * 1024
+
+    @pytest.mark.parametrize("grid_kind", ["3d", "2d_mixed"])
+    def test_pinv_setup_and_solve_hold_five_grid_arrays(self, grid_kind):
+        """Setup plus a tolerance-stopped pinv solve holds ``ghat`` and the
+        four solver arrays, and no preconditioner scratch: the one apply's
+        GEMMs run in the solver's idle ``p`` and ``w``.  Beyond them the
+        trace holds the 1D bases, one stencil face buffer and 16 KiB."""
+        if grid_kind == "3d":
+            spec, h = gen_problem3("3d_128x64x8", 0)
+        else:  # Dirichlet-Neumann x periodic, p2's conditions
+            spec, h = gen_problem2(128, 256)
+        op = spec.operator()
+        grid = h.size * h.itemsize
+        face = grid // op.shape[-1]
+        bases = sum(n * n for n in op.shape) * h.itemsize
+        config = SolverConfig(max_iter=20, stop_tol=1e-9)
+
+        def setup_and_solve():
+            precond = PinvPreconditioner(op)
+            return precond, pcg(op, h, precond, config=config)[1]
+
+        (precond, log), peak = traced_peak(setup_and_solve)
+        assert log.iterations == 1 and log.records[-1].true_res <= 1e-9 * log.h_norm
+        assert precond._work is None
+        assert 5 * grid <= peak <= 5 * grid + bases + face + 16 * 1024
 
     @pytest.mark.parametrize("singular", [True, False], ids=["singular", "nonsingular"])
     @pytest.mark.parametrize(
