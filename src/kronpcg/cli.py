@@ -19,13 +19,12 @@ from typing import Callable, Optional, Sequence
 from . import formats
 from .laplace1d import BoundaryCondition, eigenvalues
 from .operators import (
-    NULL_SHARE_TOL,
     BoundaryData,
     FaceValue,
     apply_bc_updates,
     center,
-    is_singular,
-    nullspace_component,
+    checked_rhs,
+    null_share,
     poisson_operator,
 )
 from .precond import jacobi_standalone, make_preconditioner
@@ -230,13 +229,10 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         h = apply_bc_updates(h, bcs, boundary)
         notes.append("boundary face values folded into the right-hand side")
 
-    if is_singular(op) and nullspace_component(h) > NULL_SHARE_TOL * frobenius_norm(h):
-        if args.center == "off":
-            raise UsageError(
-                "the operator is singular and h has a null-space component; "
-                "refusing with --center off (drop the flag or center h)"
-            )
-        h = center(h)
+    # Judged by pcg's rule on the array pcg solves; with --center off, pcg refuses it.
+    h, h_norm = checked_rhs(op, h)
+    if args.center == "auto" and null_share(op, h, h_norm)[1] is not None:
+        center(h, out=h)
         notes.append("right-hand side centered (singular operator)")
 
     log = _solve(op, h, args.precond, SolverConfig(max_iter=args.max_iter, stop_tol=args.tol))

@@ -57,7 +57,7 @@ def write_tensor(path: str, t: np.ndarray) -> None:
 
 
 def read_tensor(path: str) -> np.ndarray:
-    """Read a KTEN file back into an array (exact payload bytes).
+    """Read a KTEN file back into a C-contiguous float array (exact payload bytes).
 
     Raises ``ValueError`` for a malformed file or a payload holding NaN or
     Inf, so no reader of KTEN files sees non-finite values.
@@ -83,10 +83,10 @@ def read_tensor(path: str) -> np.ndarray:
         raise ValueError(
             f"{path}: payload is {len(payload)} bytes, header promises {expected}"
         )
-    flat = np.frombuffer(payload, dtype="<f8").astype(float)
-    if not np.isfinite(flat).all():
+    t = np.frombuffer(payload, dtype="<f8").reshape(dims, order="F").astype(float, order="C")
+    if not np.isfinite(t).all():
         raise ValueError(f"{path}: payload is not finite (holds NaN or Inf)")
-    return flat.reshape(dims, order="F")
+    return t
 
 
 _NUMBER_OR_NULL = {"type": ["number", "null"]}

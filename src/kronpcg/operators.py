@@ -9,14 +9,13 @@ output array, a slab of leading rows at a time.  A factor is fixed by its
 extent and boundary condition, so an operator is just the grid shape and
 one condition per direction.
 
-Also here: the null-space utilities (mean-centering and the size of the
-component along the constant tensor) and the right-hand-side updates that
-fold inhomogeneous boundary values into ``H``.
+Also here: the null-space utilities (mean-centering, the component along
+the constant tensor and the rule for a centered right-hand side) and the
+right-hand-side updates that fold inhomogeneous boundary values into ``H``.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -31,7 +30,7 @@ from .laplace1d import (
     is_singular_1d,
 )
 from .counting import OpCounter
-from .tensors import Shape, checked_out, frobenius_norm, outer_sum
+from .tensors import Shape, checked_integer, checked_out, frobenius_norm, outer_sum
 
 __all__ = [
     "PoissonOperator",
@@ -42,6 +41,7 @@ __all__ = [
     "is_singular",
     "center",
     "nullspace_component",
+    "null_share",
     "NULL_SHARE_TOL",
     "FaceValue",
     "BoundaryData",
@@ -50,9 +50,7 @@ __all__ = [
 
 _SLAB_ENTRIES = 3 << 15  # per slab in apply (768 KiB): x's and out's fit a 2 MiB L2 together
 
-# Largest null share ``nullspace_component(h) / |h|`` of a right-hand side on
-# a singular grid taken as centered: above it the CLI centers, ``pcg`` refuses.
-NULL_SHARE_TOL = 1e-10
+NULL_SHARE_TOL = 1e-10  # largest null share of a centered right-hand side (null_share)
 
 
 @dataclass(frozen=True)
@@ -75,10 +73,7 @@ def poisson_operator(
         raise ValueError(f"grid must be 2D or 3D, got {len(dims)} dims")
     if len(bcs) != len(dims):
         raise ValueError("need one boundary condition per direction")
-    try:
-        shape = tuple(operator.index(n) for n in dims)
-    except TypeError:
-        raise ValueError(f"grid extents must be integers, got {tuple(dims)}") from None
+    shape = tuple(checked_integer("a grid extent", n) for n in dims)
     if min(shape) < 3:
         raise ValueError(f"every direction needs n >= 3, got {shape}")
     return PoissonOperator(shape, tuple(BoundaryCondition(bc) for bc in bcs))
@@ -174,6 +169,15 @@ def nullspace_component(x: np.ndarray) -> float:
     """Size of the component along the normalized constant tensor."""
     x = np.asarray(x, dtype=float)
     return abs(float(x.sum())) / float(np.sqrt(x.size))
+
+
+def null_share(op: PoissonOperator, h: np.ndarray, h_norm: float) -> tuple[float, Optional[float]]:
+    """The centering rule, on what :func:`checked_rhs` returns: ``h``'s sum and,
+    above :data:`NULL_SHARE_TOL`, its null share ``nullspace_component(h) / |h|``,
+    else ``None``.  A nonsingular grid, which needs no centering, gives ``(0.0, None)``."""
+    h_sum = float(h.sum()) if is_singular(op) else 0.0
+    share = abs(h_sum) / float(np.sqrt(h.size)) / h_norm if h_norm > 0.0 else 0.0
+    return h_sum, share if share > NULL_SHARE_TOL else None
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,6 @@ baseline in the experiments.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 from numbers import Real
 from typing import Optional
@@ -29,7 +28,8 @@ import numpy as np
 from . import operators as op_mod
 from .counting import OpCounter
 from .laplace1d import analytic_spectrum, diagonal, eigenvalues
-from .tensors import checked_out, frobenius_norm, hadamard_pinv, linear_transform, outer_sum
+from .tensors import checked_integer, checked_out, frobenius_norm, hadamard_pinv
+from .tensors import linear_transform, outer_sum
 
 __all__ = [
     "Preconditioner",
@@ -43,14 +43,6 @@ __all__ = [
 ]
 
 _GHAT_ROWS = 32  # leading rows of ghat summed and inverted per pass
-
-
-def checked_integer(name: str, value) -> int:
-    """``value`` as an ``int`` by ``operator.index``, else ``ValueError`` naming the knob."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _spectral_setup(op) -> tuple[list[np.ndarray], np.ndarray]:
@@ -296,8 +288,9 @@ class LowRankPreconditioner(Preconditioner):
         self.name = f"lowrank(r={self.rank})"
         (vn, vq), ghat = _spectral_setup(op)
         a, sigma, bt = np.linalg.svd(ghat)
-        self.left = [np.einsum("ij,kj->ik", vn * (sigma[i] * a[:, i]), vn) for i in range(rank)]
-        self.right = [np.einsum("ij,kj->ik", vq * bt[i, :], vq) for i in range(rank)]
+        terms = range(self.rank)
+        self.left = [np.einsum("ij,kj->ik", vn * (sigma[i] * a[:, i]), vn) for i in terms]
+        self.right = [np.einsum("ij,kj->ik", vq * bt[i, :], vq) for i in terms]
         self.init_cost = op.ndim * int(np.prod(op.shape))
 
     def apply(
@@ -307,7 +300,6 @@ class LowRankPreconditioner(Preconditioner):
         out: Optional[np.ndarray] = None,
         work: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        n, q = r.shape
         z, work = self._buffers(r, out, work)
         if self.rank > 1 and self._term is None:
             self._term = np.empty(r.shape)
@@ -317,7 +309,7 @@ class LowRankPreconditioner(Preconditioner):
             if i:  # the first congruence is written into z, the others added
                 z += term
         if ops is not None:
-            ops.add(self.rank * (2 * r.size * (n + q) + r.size))
+            ops.add(self.rank * (2 * r.size * sum(r.shape) + r.size))
         return z
 
 
@@ -400,9 +392,7 @@ def jacobi_standalone(
     r = h.copy()  # the residual h - L*0
     ops = OpCounter()
     ops.add(jacobi.init_cost)
-    res = StationaryResult()
-    res.residuals.append(res0)
-    res.ops_cum.append(ops.count)
+    res = StationaryResult(residuals=[res0], ops_cum=[ops.count])
     for _ in range(iters):
         jacobi.relax(x, r, ops)
         np.subtract(h, op_mod.apply(op, x, ops, out=r), out=r)

@@ -59,8 +59,8 @@ import numpy as np
 
 from . import operators as op_mod
 from .counting import OpCounter
-from .precond import IdentityPreconditioner, Preconditioner, checked_integer
-from .tensors import frobenius_norm, inner
+from .precond import IdentityPreconditioner, Preconditioner
+from .tensors import checked_integer, frobenius_norm, inner
 
 __all__ = [
     "SolverConfig",
@@ -227,13 +227,13 @@ def pcg(
     Starts from ``u = 0``; returns the final iterate and the convergence
     log.  For a singular operator the right-hand side must arrive
     centered (the constant component of the solution is not determined):
-    a null share above :data:`kronpcg.operators.NULL_SHARE_TOL` raises
-    ``ValueError``; pass it through :func:`kronpcg.operators.center`
-    first or let the CLI do it.  The operator alone decides centering: on
-    a singular grid the recursive residual is mean-centered every
-    iteration and the returned iterate once at the end; a nonsingular grid
-    is never centered.  A right-hand side that is not real or not finite
-    raises ``ValueError``.
+    one that :func:`kronpcg.operators.null_share` does not count as
+    centered raises ``ValueError``; pass it through
+    :func:`kronpcg.operators.center` first or let the CLI do it.  The
+    operator alone decides centering: on a singular grid the recursive
+    residual is mean-centered every iteration and the returned iterate
+    once at the end; a nonsingular grid is never centered.  A right-hand
+    side that is not real or not finite raises ``ValueError``.
     The iteration works in place on its own buffers: a direction and a free
     buffer swap roles each step, and ``u`` is written by the first update
     (a stop before it returns a new zero array).  Per step it
@@ -245,13 +245,11 @@ def pcg(
     precond = precond if precond is not None else IdentityPreconditioner()
     h, h_norm = op_mod.checked_rhs(op, h)  # one layout for every pairing
     singular = op_mod.is_singular(op)
-    root_n = float(np.sqrt(h.size))  # |null part| = |sum| / sqrt(N), as nullspace_component
-    h_sum = float(h.sum()) if singular else 0.0  # serves the refusal and the centered start
-    rel_null = abs(h_sum) / root_n / h_norm if h_norm > 0.0 else 0.0
-    if rel_null > op_mod.NULL_SHARE_TOL:
+    h_sum, share = op_mod.null_share(op, h, h_norm)  # the sum also gives the centered start
+    if share is not None:
         raise ValueError(
             "singular operator with uncentered right-hand side "
-            f"(null component {rel_null:.2e} of |h|); center h first"
+            f"(null component {share:.2e} of |h|); center h first"
         )
 
     ops = OpCounter()
@@ -272,6 +270,7 @@ def pcg(
     u = None  # written by the first update
     p, w = np.empty(op.shape), np.empty(op.shape)
     counted = ops if cfg.stop_tol is not None else None
+    root_n = float(np.sqrt(h.size))  # |null part| = |sum| / sqrt(N), as nullspace_component
 
     def record(s, alpha, r_norm, true_res, kappa, null_norm) -> Optional[str]:
         """Log iteration ``s``; name its tolerance or budget stop, if any."""

@@ -18,6 +18,7 @@ and also run in place with ``out=x``.
 
 from __future__ import annotations
 
+import operator
 from typing import Optional, Sequence
 
 import numpy as np
@@ -27,6 +28,7 @@ Shape = tuple[int, ...]
 __all__ = [
     "Shape",
     "checked_out",
+    "checked_integer",
     "linear_transform",
     "outer_sum",
     "inner",
@@ -48,6 +50,14 @@ def checked_out(x: np.ndarray, out: Optional[np.ndarray]) -> np.ndarray:
     if np.may_share_memory(out, x):
         raise ValueError("output must not overlap its input")
     return out
+
+
+def checked_integer(name: str, value) -> int:
+    """``value`` as an ``int`` by ``operator.index``, else ``ValueError`` naming it."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} takes only integers, got {value!r}") from None
 
 
 def linear_transform(

@@ -16,9 +16,10 @@ from conftest import Negated, traced_peak
 from kronpcg import cli, formats
 from kronpcg.formats import RUN_LOG_SCHEMA, read_tensor, write_tensor
 from kronpcg.laplace1d import BoundaryCondition, analytic_spectrum
-from kronpcg.operators import poisson_operator, spectrum_sums
+from kronpcg.operators import NULL_SHARE_TOL, poisson_operator, spectrum_sums
 from kronpcg.precond import StationaryResult, make_preconditioner
 from kronpcg.problems import gen_problem1, gen_problem2, gen_problem3
+from kronpcg.solver import SolverConfig, pcg
 
 
 def test_gen_then_solve_round_trip(tmp_path, capsys):
@@ -169,6 +170,48 @@ def test_center_off_on_a_centered_singular_side_solves(tmp_path, capsys):
     doc = json.loads(log_path.read_text())
     assert doc["breakdown"] is None
     assert doc["final_norms"]["relative_true_residual"] <= 1e-11
+
+
+def _threshold_sides(path: str, count: int = 200):
+    """Periodic 37x53 sides whose null share is ``NULL_SHARE_TOL`` to a
+    relative 1e-6, each written to ``path`` and read back."""
+    rng = np.random.default_rng(5)
+    for _ in range(count):
+        base = rng.standard_normal((37, 53))
+        base -= base.mean()
+        shift = NULL_SHARE_TOL * np.linalg.norm(base) / np.sqrt(base.size)
+        write_tensor(path, base + shift * (1 + rng.uniform(-1e-6, 1e-6)))
+        yield read_tensor(path)
+
+
+def test_solve_centers_exactly_the_sides_pcg_refuses(tmp_path, capsys, monkeypatch):
+    """One centering rule: on sides at the threshold, in C or Fortran order,
+    ``solve`` centers a side iff ``pcg`` refuses it as it stands, and the
+    default ``--center auto`` never exits 1."""
+    op = poisson_operator((37, 53), (BoundaryCondition.PERIODIC,) * 2)
+    rhs, log_path = str(tmp_path / "h.kten"), tmp_path / "log.json"
+    argv = ["solve", "--input", rhs, "--bc", "x=periodic,y=periodic", "--precond", "pinv"]
+    argv += ["--max-iter", "1", "--log", str(log_path)]
+    verdicts = set()
+    for i, h in enumerate(_threshold_sides(rhs)):
+        for layout in (np.ascontiguousarray, np.asfortranarray):
+            side = layout(h)
+            try:
+                pcg(op, side, config=SolverConfig(max_iter=0))
+                refused = False
+            except ValueError:
+                refused = True
+            monkeypatch.setattr(formats, "read_tensor", lambda _, side=side: side.copy(order="K"))
+            capsys.readouterr()
+            assert cli.main(argv) == 0, (i, layout.__name__, capsys.readouterr().err)
+            notes = json.loads(log_path.read_text())["warnings"]
+            centered = "right-hand side centered (singular operator)" in notes
+            assert centered == refused, (i, layout.__name__)
+            if refused:
+                assert cli.main(argv + ["--center", "off"]) == 1
+            verdicts.add(refused)
+    capsys.readouterr()
+    assert verdicts == {False, True}
 
 
 def test_center_on_is_not_an_option(tmp_path, capsys):

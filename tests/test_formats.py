@@ -32,6 +32,8 @@ def test_tensor_round_trip_is_bitwise(tmp_path, shape):
     back = read_tensor(str(path))
     assert back.shape == t.shape
     assert np.array_equal(back.view(np.uint64), t.view(np.uint64))
+    # Laid out like the array pcg solves, so no sum over it runs in Fortran order.
+    assert back.flags.c_contiguous and back.flags.writeable and back.dtype == float
 
 
 def test_tensor_header_is_ascii_with_dims(tmp_path):

@@ -19,18 +19,20 @@ from kronpcg.formats import write_run_log
 from kronpcg.laplace1d import BoundaryCondition, eigenvalues
 from kronpcg.operators import (
     _SLAB_ENTRIES,
+    NULL_SHARE_TOL,
     BoundaryData,
     FaceValue,
     apply,
     apply_bc_updates,
     center,
     is_singular,
+    null_share,
     nullspace_component,
     poisson_operator,
     spectrum_sums,
 )
 from kronpcg.solver import SolverConfig, pcg
-from kronpcg.tensors import outer_sum
+from kronpcg.tensors import frobenius_norm, outer_sum
 
 BC = BoundaryCondition
 
@@ -228,6 +230,23 @@ def test_nullspace_component_is_norm_of_constant_part():
     rng = np.random.default_rng(37)
     y = rng.standard_normal((4, 5))
     assert nullspace_component(center(y)) < 1e-14
+
+
+def test_null_share_is_the_centering_rule():
+    """The sum serves the centered start; the share, ``nullspace_component(h)
+    / |h|``, is reported only above ``NULL_SHARE_TOL``."""
+    periodic = poisson_operator((6, 8), (BC.PERIODIC, BC.PERIODIC))
+    h = center(np.random.default_rng(41).standard_normal(periodic.shape))
+    step = NULL_SHARE_TOL * frobenius_norm(h) / np.sqrt(h.size)
+    for scale, over in ((0.0, False), (0.5, False), (2.0, True)):
+        g = h + scale * step
+        g_norm = frobenius_norm(g)
+        g_sum, share = null_share(periodic, g, g_norm)
+        assert g_sum == float(g.sum())
+        assert share == (nullspace_component(g) / g_norm if over else None)
+    assert null_share(periodic, np.zeros(periodic.shape), 0.0) == (0.0, None)
+    mixed = poisson_operator((6, 8), (BC.DIRICHLET, BC.PERIODIC))
+    assert null_share(mixed, np.ones(mixed.shape), np.sqrt(48.0)) == (0.0, None)
 
 
 def test_apply_bc_updates_adds_face_values():
