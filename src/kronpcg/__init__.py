@@ -27,7 +27,6 @@ from .operators import (
     is_singular,
     nullspace_component,
     poisson_operator,
-    spectrum_sums,
 )
 from .precond import (
     IdentityPreconditioner,

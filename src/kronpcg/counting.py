@@ -24,6 +24,11 @@ like the right-hand-side centering the caller does before the solve; the
 per-iteration residual centering is counted.  Under these rules the
 closed-form budgets below are exact, so instrumented counters reproduce
 them identity-for-identity.
+
+The pseudoinverse's eigenvalue sums and reciprocals are charged once, at
+setup (``init_cost = ndim*N``), as in the paper's model, though each apply
+rebuilds them: a ``k``-step pinv solve makes ``(k-1)*ndim*N`` uncharged ops,
+``ndim / (4*(n+q[+t]))`` of an apply's ``4*N*(n+q[+t])``, 0.1% on 512x256x8.
 """
 
 from __future__ import annotations

@@ -17,6 +17,14 @@ neumann-dirichlet      1      2      0
 All five are symmetric positive semidefinite with spectrum inside [0, 4];
 the periodic and pure-Neumann variants are singular with the constant
 vector spanning the null space, the other three are positive definite.
+
+Node placement and face values: on a line of step ``h`` the end node sits
+one step from a Dirichlet face and half a step from a Neumann face.  The
+operator has unit spacing (``h**2`` times the minus-Laplacian), and a face
+value, added to its end row, is the potential on a Dirichlet face and ``h``
+times the potential's outward derivative on a Neumann face (``-h*E.n`` for
+``E = -grad(phi)``).  Under this reading the scheme is second order (manufactured-solution tests).
+
 A 1D operator is just its size ``n`` and its boundary condition, and
 ``CORNER_TRIPLES`` is the one table of what each condition means: the
 stencil, the diagonal, the singularity test (both end rows sum to zero)

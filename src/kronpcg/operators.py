@@ -25,19 +25,17 @@ from .laplace1d import (
     BoundaryCondition,
     add_leading_offdiagonal,
     add_offdiagonal,
-    eigenvalues,
     face_kinds,
     is_singular_1d,
 )
 from .counting import OpCounter
-from .tensors import Shape, checked_integer, checked_out, frobenius_norm, outer_sum
+from .tensors import Shape, checked_integer, checked_out, frobenius_norm
 
 __all__ = [
     "PoissonOperator",
     "poisson_operator",
     "apply",
     "checked_rhs",
-    "spectrum_sums",
     "is_singular",
     "center",
     "nullspace_component",
@@ -133,16 +131,6 @@ def checked_rhs(op: PoissonOperator, h: np.ndarray) -> tuple[np.ndarray, float]:
     if not np.isfinite(h_norm):
         raise ValueError(f"right-hand side is not finite (|h| = {h_norm})")
     return h, h_norm
-
-
-def spectrum_sums(op: PoissonOperator) -> np.ndarray:
-    """Tensor of all sums of per-direction eigenvalues (operator spectrum).
-
-    Entry ``(i, j[, k])`` is the eigenvalue attached to the product of the
-    ``i``-th, ``j``-th (and ``k``-th) per-direction eigenvectors, each list
-    taken in ascending order.  No eigenbasis is built.
-    """
-    return outer_sum([eigenvalues(n, bc) for n, bc in zip(op.shape, op.bcs)])
 
 
 def is_singular(op: PoissonOperator) -> bool:

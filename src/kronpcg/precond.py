@@ -42,31 +42,38 @@ __all__ = [
     "jacobi_standalone",
 ]
 
-_GHAT_ROWS = 32  # leading rows of ghat summed and inverted per pass
+_GHAT_ENTRIES = 1 << 15  # per block of ghat rows (256 KiB): summed and inverted in cache
 
 
-def _spectral_setup(op) -> tuple[list[np.ndarray], np.ndarray]:
-    """Per-direction eigenbases and ``ghat``, bitwise ``hadamard_pinv(spectrum_sums(op))``.
-
-    ``ghat`` is built ``_GHAT_ROWS`` leading rows at a time, each block summed
-    and inverted while it is in cache.  Each trailing direction's eigenvalues
-    are laid out once along the flattened trailing axes, so every sum keeps
-    its order ``(a_i + b_j) + c_k`` and each add runs along whole rows.
-    """
+def _spectral_setup(op) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Each direction's closed-form eigenbasis and eigenvalues."""
     decomps = [analytic_spectrum(n, bc) for n, bc in zip(op.shape, op.bcs)]
-    values = [d.values for d in decomps]
-    tail = [v.reshape((-1,) + (1,) * (op.ndim - 1 - d)) for d, v in enumerate(values[1:], 1)]
-    lines = [np.broadcast_to(v, op.shape[1:]).reshape(-1) for v in tail]
-    ghat = np.empty(op.shape)
-    rows = ghat.reshape(op.shape[0], -1)
-    for i in range(0, op.shape[0], _GHAT_ROWS):
-        block = rows[i : i + _GHAT_ROWS]
+    return [d.vectors for d in decomps], [d.values for d in decomps]
+
+
+def _ghat_blocks(values, scratch=None):
+    """Yield ``(rows, block)``: ``ghat``'s leading ``rows``, flattened past axis 0.
+
+    ``ghat`` is bitwise ``hadamard_pinv`` of the eigenvalue sums, built about
+    ``_GHAT_ENTRIES`` entries (at least one row) at a time at the head of
+    ``scratch`` (a new block-sized array if omitted).  Each sum keeps its
+    order ``(a_i + b_j) + c_k``; each add runs along whole flattened rows.
+    """
+    shape = [len(v) for v in values]
+    tail = [v.reshape((-1,) + (1,) * (len(shape) - 1 - d)) for d, v in enumerate(values[1:], 1)]
+    lines = [np.broadcast_to(v, shape[1:]).reshape(-1) for v in tail]
+    width = lines[0].size
+    height = min(shape[0], max(1, _GHAT_ENTRIES // width))
+    flat = (np.empty(height * width) if scratch is None else scratch).reshape(-1)
+    for lo in range(0, shape[0], height):
+        rows = slice(lo, min(lo + height, shape[0]))
+        block = flat[: (rows.stop - lo) * width].reshape(-1, width)
         np.copyto(block, lines[0])  # then add the column: faster than np.add(column, row, out=)
-        block += values[0][i : i + _GHAT_ROWS, None]
+        block += values[0][rows, None]
         for line in lines[1:]:
             block += line
         hadamard_pinv(block, out=block)
-    return [d.vectors for d in decomps], ghat
+        yield rows, block
 
 
 class Preconditioner:
@@ -81,7 +88,8 @@ class Preconditioner:
     overlap ``out``.  Both are checked before the first write.  An apply
     that needs scratch and gets no ``work`` uses the instance's own array,
     allocated by the first such apply and kept, so setup allocates no
-    scratch and one instance serves one solve at a time.
+    scratch and one instance serves one solve at a time.  Either array, while
+    idle, may also hold block scratch: pinv builds its ``ghat`` blocks there.
     """
 
     name = "base"  # the label a run log records
@@ -153,8 +161,7 @@ class JacobiPreconditioner(Preconditioner):
     they have extent 1 along each periodic or Dirichlet direction, whose
     diagonal is constant, and broadcast against the grid (shape ``(1, 1)``
     on an all-periodic grid).  The sweeps run in place in the returned
-    array and, for ``p > 1``, one scratch array: the caller's ``work`` or,
-    without it, the instance's own (:class:`Preconditioner`).
+    array and, for ``p > 1``, the scratch array (:class:`Preconditioner`).
     """
 
     def __init__(self, op, p: int = 1, omega: float = 1.0):
@@ -167,8 +174,6 @@ class JacobiPreconditioner(Preconditioner):
         self.omega = float(omega)
         self.name = f"jacobi(p={self.p}, omega={self.omega:g})"
         diags = [diagonal(n, bc) for n, bc in zip(op.shape, op.bcs)]
-        # A direction whose corners are both 2 (periodic, Dirichlet) has a
-        # constant diagonal and enters with length 1: the tensors broadcast.
         self.dhat = self.omega * outer_sum([d[:1] if d[0] == d[-1] == 2.0 else d for d in diags])
         self.dhat_inv = 1.0 / self.dhat
         if self.p % 2 == 0 and self.dhat.size == 1:  # M L: 1 - (1 - s/dhat)^p over the sums s
@@ -216,21 +221,20 @@ class JacobiPreconditioner(Preconditioner):
 class PinvPreconditioner(Preconditioner):
     """Spectral (pseudo)inverse through the per-direction eigenbases.
 
-    Setup takes each 1D factor's closed-form eigenpairs and stores the
-    entrywise pseudoinverse of the eigenvalue-sum tensor, zeroing sums
-    within ``NULL_MODE_TOL`` of zero (for an all-periodic or all-Neumann
-    grid exactly the constant mode drops out).  Application is transform,
-    Hadamard, transform back: ``4*N*(n+q[+t]) + N`` elementary ops.  Its
-    GEMMs write in turn into one scratch array, the caller's ``work`` or,
-    without it, the instance's own (:class:`Preconditioner`), and into the
-    output.
+    Setup keeps each 1D factor's closed-form eigenbasis and eigenvalues,
+    nothing grid-sized.  An apply is transform, Hadamard, transform back:
+    ``4*N*(n+q[+t]) + N`` elementary ops.  The Hadamard factor ``ghat``, the
+    entrywise pseudoinverse of the eigenvalue sums (0 for sums within
+    ``NULL_MODE_TOL`` of zero: on an all-periodic or all-Neumann grid just
+    the constant mode), is rebuilt block by block (:func:`_ghat_blocks`) in
+    whichever of ``out`` and the scratch array the forward transform left idle.
     """
 
     name = "pinv"
 
     def __init__(self, op):
-        self.bases, self.ghat = _spectral_setup(op)
-        # Eigenvalue-sum tensor and its reciprocal: (ndim-1)+1 ops per entry.
+        self.bases, self.values = _spectral_setup(op)
+        # Eigenvalue sums and reciprocals, (ndim-1)+1 ops per entry, charged once.
         self.init_cost = op.ndim * int(np.prod(op.shape))
 
     def apply(
@@ -241,16 +245,18 @@ class PinvPreconditioner(Preconditioner):
         work: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         out, work = self._buffers(r, out, work)
-        # One plain GEMM per axis (a rotation on 3D grids); the bases are
-        # C-ordered, so their transposes are F-ordered views that GEMM reads
-        # in place: no transposed copies are kept.  The 2*ndim GEMMs
-        # alternate between the scratch array and ``out``: an odd number of
-        # forward GEMMs ends in the scratch array, an even number in ``out``,
-        # so the back transform starts in the other and ends in ``out``.
+        # One GEMM per axis, reading the C-ordered bases' transposes in place.
+        # The GEMMs alternate between the scratch array and ``out``: the
+        # forward transform ends in the scratch array on 3D grids and in
+        # ``out`` on 2D ones, so the back transform starts in the other, idle
+        # until then, and ends in ``out``.
         pair = (work, out)
+        back = pair[::-1] if r.ndim % 2 else pair
         f = linear_transform([v.T for v in self.bases], r, pair)
-        f *= self.ghat
-        linear_transform(self.bases, f, pair[::-1] if r.ndim % 2 else pair)
+        f_rows = f.reshape(len(f), -1)
+        for rows, block in _ghat_blocks(self.values, back[0]):
+            f_rows[rows] *= block
+        linear_transform(self.bases, f, back)
         if ops is not None:
             ops.add(4 * r.size * sum(r.shape) + r.size)
         return out
@@ -267,9 +273,8 @@ class LowRankPreconditioner(Preconditioner):
     :func:`kronpcg.solver.pcg` reports as a breakdown.  Each application
     costs ``r*(2*N*(n+q) + N)`` elementary ops.  The congruences are built
     and applied by ``einsum``, which calls no BLAS, so no digit depends on
-    the BLAS thread count.  Each left product goes into one scratch array,
-    the caller's ``work`` or, without it, the instance's own
-    (:class:`Preconditioner`); each term after the first goes into a second
+    the BLAS thread count.  Each left product goes into the scratch array
+    (:class:`Preconditioner`), each term after the first into a second
     array the instance allocates on its first apply at ``r > 1`` and keeps.
 
     A 3D analogue would need a tensor decomposition in place of the SVD
@@ -286,7 +291,10 @@ class LowRankPreconditioner(Preconditioner):
         if not 1 <= self.rank <= min(n, q):
             raise ValueError(f"rank must be in [1, {min(n, q)}], got {rank}")
         self.name = f"lowrank(r={self.rank})"
-        (vn, vq), ghat = _spectral_setup(op)
+        (vn, vq), values = _spectral_setup(op)
+        ghat = np.empty(op.shape)
+        for rows, block in _ghat_blocks(values):
+            ghat[rows] = block
         a, sigma, bt = np.linalg.svd(ghat)
         terms = range(self.rank)
         self.left = [np.einsum("ij,kj->ik", vn * (sigma[i] * a[:, i]), vn) for i in terms]

@@ -6,7 +6,7 @@ demonstration experiments:
 - ``p1``: alternating diagonal stripes of positive and negative charge on
   a fully periodic 2D grid (singular system),
 - ``p2``: a single positive band between a grounded edge and an edge with
-  a prescribed outward field, periodic across (nonsingular),
+  a prescribed outward derivative, periodic across (nonsingular),
 - ``p3``: two random-valued stripes, a wide positive one and a narrower
   negative one, on fully periodic 2D/3D grids (singular; seeded RNG).
 
@@ -125,7 +125,8 @@ def gen_problem2(n: int = 40, q: int = 120) -> tuple[ProblemSpec, np.ndarray]:
     """A positive charge band between a grounded and a field-driven edge.
 
     The first grid direction runs from a zero-potential edge to an edge
-    with prescribed outward field -1/2; the second direction is periodic.
+    with face value -1/2, the potential's outward derivative in units of
+    the step (:mod:`kronpcg.laplace1d`); the second direction is periodic.
     A band of five rows of unit charge sits a third of the way in, so
     ``n`` must be at least 5.  Boundary updates are folded into H before
     normalization, so the stored side solves directly; dividing by

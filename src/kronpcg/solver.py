@@ -29,9 +29,9 @@ into the free one, which is the direction at the first step and takes
 first step that other buffer holds nothing yet, so it is lent to the
 preconditioner as its scratch (``work``); later steps lend nothing, and a
 preconditioner that needs scratch then uses its own, kept from that apply
-on.  A one-step pinv solve thus holds five grid arrays with the setup's
-``ghat``.  A step makes no grid-sized array.  A run starts from zero and
-never writes to the caller's ``h``.
+on.  A one-step pinv solve thus holds four grid arrays beside the
+preconditioner's 1D factors.  A step makes no grid-sized array.  A run
+starts from zero and never writes to the caller's ``h``.
 
 Logging a record names a tolerance stop (true residual within the
 optional ``stop_tol``) or a budget stop (record ``max_iter``); one sign
@@ -225,21 +225,12 @@ def pcg(
     """Run preconditioned conjugate gradients for ``L u = h``.
 
     Starts from ``u = 0``; returns the final iterate and the convergence
-    log.  For a singular operator the right-hand side must arrive
-    centered (the constant component of the solution is not determined):
-    one that :func:`kronpcg.operators.null_share` does not count as
-    centered raises ``ValueError``; pass it through
-    :func:`kronpcg.operators.center` first or let the CLI do it.  The
-    operator alone decides centering: on a singular grid the recursive
-    residual is mean-centered every iteration and the returned iterate
-    once at the end; a nonsingular grid is never centered.  A right-hand
-    side that is not real or not finite raises ``ValueError``.
-    The iteration works in place on its own buffers: a direction and a free
-    buffer swap roles each step, and ``u`` is written by the first update
-    (a stop before it returns a new zero array).  Per step it
-    preconditions the last record's residual and applies the operator once
-    to the search direction and once for the new record, which always
-    carries the true residual.
+    log.  On a singular operator the right-hand side must arrive centered
+    (the solution's constant part is not determined): one that
+    :func:`kronpcg.operators.null_share` does not count as centered raises
+    ``ValueError``, as does one that is not real or not finite.  The
+    operator alone decides centering (module docstring).  A stop before the
+    first update returns a new zero array.
     """
     cfg = config if config is not None else SolverConfig()
     precond = precond if precond is not None else IdentityPreconditioner()

@@ -13,7 +13,7 @@ import numpy as np
 
 from kronpcg import operators as op_mod
 from kronpcg.counting import OpCounter
-from kronpcg.laplace1d import CORNER_TRIPLES, BoundaryCondition, SpectralDecomposition
+from kronpcg.laplace1d import CORNER_TRIPLES, BoundaryCondition, SpectralDecomposition, eigenvalues
 from kronpcg.operators import apply, poisson_operator
 from kronpcg.precond import Preconditioner
 from kronpcg.solver import (
@@ -24,7 +24,7 @@ from kronpcg.solver import (
     _judge,
     eta_series,
 )
-from kronpcg.tensors import frobenius_norm, inner
+from kronpcg.tensors import frobenius_norm, inner, outer_sum
 
 ALL_BCS = tuple(BoundaryCondition)
 SINGULAR_BCS = (BoundaryCondition.PERIODIC, BoundaryCondition.NEUMANN)
@@ -74,6 +74,15 @@ def numeric_spectrum(n, bc):
     """Dense symmetric eigendecomposition of a 1D factor (ascending, orthonormal)."""
     values, vectors = np.linalg.eigh(dense_1d(n, bc))
     return SpectralDecomposition(values=values, vectors=vectors)
+
+
+def spectrum_sums(op):
+    """Tensor of all sums of per-direction eigenvalues (the operator spectrum).
+
+    Entry ``(i, j[, k])`` is the eigenvalue of the product of the ``i``-th,
+    ``j``-th (and ``k``-th) per-direction eigenvectors, each list ascending.
+    """
+    return outer_sum([eigenvalues(n, bc) for n, bc in zip(op.shape, op.bcs)])
 
 
 def one_shot_spectrum(n, bc):

@@ -11,14 +11,20 @@ import time
 import numpy as np
 import pytest
 
-from conftest import ALL_BCS, assemble_dense, dense_pcg, numeric_spectrum, random_operator
+from conftest import (
+    ALL_BCS,
+    assemble_dense,
+    dense_pcg,
+    numeric_spectrum,
+    random_operator,
+    spectrum_sums,
+)
 from kronpcg.counting import OpCounter
 from kronpcg.laplace1d import BoundaryCondition, analytic_spectrum
 from kronpcg.operators import (
     apply as apply_operator,
     nullspace_component,
     poisson_operator,
-    spectrum_sums,
 )
 from kronpcg.precond import (
     IdentityPreconditioner,

