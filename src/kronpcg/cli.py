@@ -141,15 +141,13 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--precond", default="none", help="none | pinv | jacobi:p=3,omega=1.3 | lowrank:r=3")
     solve.add_argument("--max-iter", type=int, default=100)
     solve.add_argument("--tol", type=float, default=None, help="relative true-residual stop")
-    solve.add_argument("--center", choices=["auto", "off"], default="auto",
-                       help="uncentered h on a singular grid: auto centers it, off refuses it")
     solve.add_argument("--log", help="write the run log JSON here")
     solve.add_argument("--solution", help="write the final iterate as .kten here")
     for flag, text in [
         ("uB", "begin-face potential, e.g. x=0"),
         ("uE", "end-face potential"),
-        ("eB", "begin-face field"),
-        ("eE", "end-face field, e.g. x=-0.5"),
+        ("eB", "begin-face h times the potential's outward derivative (Neumann)"),
+        ("eE", "end-face h times the potential's outward derivative, e.g. x=-0.5"),
     ]:
         solve.add_argument(f"--{flag}", action="append", metavar="AXIS=VALUE", help=text)
     solve.set_defaults(run=_cmd_solve)
@@ -229,9 +227,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         h = apply_bc_updates(h, bcs, boundary)
         notes.append("boundary face values folded into the right-hand side")
 
-    # Judged by pcg's rule on the array pcg solves; with --center off, pcg refuses it.
-    h, h_norm = checked_rhs(op, h)
-    if args.center == "auto" and null_share(op, h, h_norm)[1] is not None:
+    h, h_norm = checked_rhs(op, h)  # centered exactly where pcg would refuse it
+    if null_share(op, h, h_norm)[1] is not None:
         center(h, out=h)
         notes.append("right-hand side centered (singular operator)")
 
@@ -245,9 +242,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         formats.write_tensor(args.solution, log.u)
 
     last = log.records[-1]
-    rel = "n/a"
-    if log.h_norm > 0.0:
-        rel = f"{last.true_res / log.h_norm:.3e}"
+    rel = f"{last.true_res / log.h_norm:.3e}" if log.h_norm > 0.0 else "n/a"
     status = "breakdown after" if log.breakdown else "done:"
     print(
         f"{status} {log.iterations} iterations with {log.preconditioner}, "
@@ -322,7 +317,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
             low, high = (outer_sum([pick(v) for v in value_lists]) for pick in (min, max))
             print(f"sum-spectrum min {low:.12g} max {high:.12g}")
         return 0
-    if not args.n:
+    if args.n is None:
         raise UsageError("spectrum needs either --n with a single --bc, or --size")
     if args.sums:
         raise UsageError("--sums needs --size: a single --n has no sum spectrum")

@@ -4,11 +4,9 @@ A ``.kten`` file is one ASCII header line ``KTEN <ndim> <d1> <d2> [<d3>]``
 followed by the raw float64 little-endian payload in first-index-fastest
 order; round-trips are bitwise, and a payload holding NaN or Inf is
 refused on read.  Run logs are JSON documents matching
-:data:`RUN_LOG_SCHEMA`; :func:`log_to_dict` derives the document from the
-log's dataclasses in :mod:`kronpcg.solver`, and every ``required`` list of
-the schema is derived from its object's ``properties``.  All writers go
-through a temp file and an atomic rename so a crash never leaves a
-half-written artifact.
+:data:`RUN_LOG_SCHEMA`, derived from the log's dataclasses
+(:mod:`kronpcg.solver`).  All writers go through a temp file and an
+atomic rename so a crash never leaves a half-written artifact.
 """
 
 from __future__ import annotations

@@ -18,33 +18,20 @@ All five are symmetric positive semidefinite with spectrum inside [0, 4];
 the periodic and pure-Neumann variants are singular with the constant
 vector spanning the null space, the other three are positive definite.
 
-Node placement and face values: on a line of step ``h`` the end node sits
-one step from a Dirichlet face and half a step from a Neumann face.  The
-operator has unit spacing (``h**2`` times the minus-Laplacian), and a face
-value, added to its end row, is the potential on a Dirichlet face and ``h``
-times the potential's outward derivative on a Neumann face (``-h*E.n`` for
-``E = -grad(phi)``).  Under this reading the scheme is second order (manufactured-solution tests).
+Face values: on a line of step ``h`` the end node sits one step from a
+Dirichlet face and half a step from a Neumann face.  The operator has unit
+spacing (``h**2`` times the minus-Laplacian), and a face value, added to
+its end row, is the potential on a Dirichlet face and, on a Neumann face,
+``h`` times the potential's outward derivative (``-h*E.n`` for
+``E = -grad(phi)``), the kind named ``"field"``.  Under this reading the
+scheme is second order (manufactured-solution tests).
 
 A 1D operator is just its size ``n`` and its boundary condition, and
 ``CORNER_TRIPLES`` is the one table of what each condition means: the
-stencil, the diagonal, the singularity test (both end rows sum to zero)
-and the face values an end accepts (:func:`face_kinds`) all read it.
-
-One closed-form rule gives the eigenpairs of all five variants
-(:func:`analytic_spectrum`), the package's only source of eigenpairs.
-A corner of 2 is a Dirichlet end, a corner of 1 a Neumann end.  With
-``d`` Dirichlet ends the angles are ``theta_k = pi*(k + d/2)/(n + d/2)``,
-``k = 0..n-1``, and on a periodic line ``theta_k = 2*pi*k/n``.  The
-eigenvalues are ``2 - 2*cos(theta_k)``, and the eigenvectors are the
-sampled cosines ``cos(theta_k*(j - s) - phi)``, ``j = 1..n``, where the
-first end sets the sampling shift and phase: ``s = 1/2, phi = 0`` after
-a Neumann end, ``s = 0, phi = pi/2`` (a sine) after a Dirichlet end.  A
-periodic line takes ``phi = pi/4``, the Hartley basis ``cos + sin``, in
-which the equal-eigenvalue columns ``k`` and ``n - k`` are orthogonal.
-Each angle is ``pi*a/D`` with integer ``a``, ``D``: the basis is gathered
-from one cosine table a fixed block of rows at a time, each row's indices
-``4*a`` past the last's, and its column norms summed row after row.  :func:`eigenvalues`
-gives the spectrum alone.  Tests check the rule against a dense eigensolver.
+stencil, the diagonal, the singularity test (both end rows sum to zero),
+the face values an end accepts (:func:`face_kinds`) and the closed-form
+eigenpairs (:func:`analytic_spectrum`, the package's only source of
+eigenpairs) all read it.
 """
 
 from __future__ import annotations
@@ -101,8 +88,9 @@ def is_singular_1d(bc: BoundaryCondition) -> bool:
 def face_kinds(bc: BoundaryCondition) -> tuple[Optional[str], Optional[str]]:
     """The (begin, end) face-value kinds a direction with this handling accepts.
 
-    A Dirichlet end (corner 2) takes a potential and a Neumann end
-    (corner 1) a field; a periodic line (wrap corner -1) has no faces.
+    A Dirichlet end (corner 2) takes a ``"potential"``, a Neumann end
+    (corner 1) a ``"field"``: ``h`` times the potential's outward derivative
+    (module docstring).  A periodic line (wrap corner -1) has no faces.
     """
     first, last, corner = CORNER_TRIPLES[BoundaryCondition(bc)]
     if corner != 0.0:
@@ -191,16 +179,19 @@ def eigenvalues(n: int, bc: BoundaryCondition) -> np.ndarray:
 
 
 def analytic_spectrum(n: int, bc: BoundaryCondition) -> SpectralDecomposition:
-    """Closed-form eigendecomposition of the 1D operator, by one rule.
+    """Closed-form eigendecomposition of the 1D operator: the one spectrum rule.
 
-    With ``d`` Dirichlet ends the angles are ``theta_k = pi*(k + d/2)/(n + d/2)``,
-    on a periodic line ``theta_k = 2*pi*k/n``; the eigenvalues are
-    ``2 - 2*cos(theta_k)`` (:func:`eigenvalues`) and column ``k`` is
-    ``cos(theta_k*(j - s) - phi)`` for ``j = 1..n``, normalized.  ``s = 1/2``
-    after a Neumann first end and 0 otherwise; ``phi = pi/2`` after a
-    Dirichlet first end, 0 after a Neumann one, and ``pi/4`` on a periodic
-    line, where it gives the Hartley basis ``cos + sin``: columns ``k`` and
-    ``n - k`` share an eigenvalue and are orthogonal with no extra pass.
+    A corner of 2 is a Dirichlet end, a corner of 1 a Neumann end.  With
+    ``d`` Dirichlet ends the angles are ``theta_k = pi*(k + d/2)/(n + d/2)``,
+    ``k = 0..n-1``, on a periodic line ``theta_k = 2*pi*k/n``; the
+    eigenvalues are ``2 - 2*cos(theta_k)`` (:func:`eigenvalues`) and column
+    ``k`` is ``cos(theta_k*(j - s) - phi)`` for ``j = 1..n``, normalized.
+    ``s = 1/2`` after a Neumann first end and 0 otherwise; ``phi = pi/2``
+    (a sine) after a Dirichlet first end, 0 after a Neumann one, and
+    ``pi/4`` on a periodic line, where it gives the Hartley basis
+    ``cos + sin``: columns ``k`` and ``n - k`` share an eigenvalue and are
+    orthogonal with no extra pass.  Tests check the rule against a dense
+    eigensolver.
 
     Every angle is ``pi*a/D`` for integers ``a`` and ``D``, so every entry
     is gathered from a table of ``8*D`` cosines, one period, stored twice.

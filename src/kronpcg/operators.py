@@ -4,13 +4,12 @@ The discrete minus-Laplacian acts on a grid field ``U`` one direction at a
 time: each 1D factor acts along its own tensor mode and the results are
 summed.  In matrix form that is ``(I x L1) + (L2 x I)`` in 2D and the
 three-term analogue in 3D, but the operator is never assembled:
-:func:`apply` stays with the three-point stencils, summed in place in one
-output array, a slab of leading rows at a time.  A factor is fixed by its
-extent and boundary condition, so an operator is just the grid shape and
-one condition per direction.
+:func:`apply` stays with the three-point stencils.  A factor is fixed by
+its extent and boundary condition, so an operator is just the grid shape
+and one condition per direction.
 
 Also here: the null-space utilities (mean-centering, the component along
-the constant tensor and the rule for a centered right-hand side) and the
+the constant tensor and the centering rule, :func:`null_share`) and the
 right-hand-side updates that fold inhomogeneous boundary values into ``H``.
 """
 
@@ -83,19 +82,15 @@ def apply(
     ops: Optional[OpCounter] = None,
     out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Apply the operator with the Kronecker-sum stencil, into ``out`` if given.
+    """Apply the operator with the Kronecker-sum stencil, into ``out`` if given
+    (:func:`kronpcg.tensors.checked_out`).
 
     The grid goes in slabs of about ``_SLAB_ENTRIES`` entries (at least one
     leading row), each in cache through all its passes: the diagonal
     ``2*ndim*x``, then each direction's neighbours and corner terms,
     subtracted in place (:mod:`kronpcg.laplace1d`); axis 0 reads the rows
     of ``x`` beside the slab.  Each entry gets a whole-grid pass's
-    operations in their order, so the result is bitwise the same.  ``out``
-    must fit ``x`` (:func:`kronpcg.tensors.checked_out`); the result is
-    ``out`` itself, or a new array when it is omitted.
-
-    Counts 6 elementary operations per entry per direction (3 multiplies
-    and 3 adds), i.e. 12nq in 2D and 18nqt in 3D.
+    operations in their order, so the result is bitwise the same.
     """
     x = np.ascontiguousarray(x, dtype=float)
     if x.shape != op.shape:
@@ -141,36 +136,46 @@ def is_singular(op: PoissonOperator) -> bool:
 def center(
     x: np.ndarray, ops: Optional[OpCounter] = None, out: Optional[np.ndarray] = None
 ) -> np.ndarray:
-    """Remove the mean: project out the constant-tensor component.
-
-    Writes into ``out`` when given (``out=x`` centers in place).  Counts 3
-    operations per entry (sum, then broadcast subtract, per the package's
-    accounting rules).
-    """
+    """Remove the mean: project out the constant-tensor component, into ``out`` if given."""
     x = np.asarray(x, dtype=float)
     if ops is not None:
         ops.add(3 * x.size)
     return np.subtract(x, x.mean(), out=out)
 
 
+def _null_norm(total: float, size: int) -> float:
+    """Size of the component along the normalized constant tensor of an
+    array of ``size`` entries that sum to ``total``."""
+    return abs(total) / float(np.sqrt(size))
+
+
 def nullspace_component(x: np.ndarray) -> float:
     """Size of the component along the normalized constant tensor."""
     x = np.asarray(x, dtype=float)
-    return abs(float(x.sum())) / float(np.sqrt(x.size))
+    return _null_norm(float(x.sum()), x.size)
 
 
 def null_share(op: PoissonOperator, h: np.ndarray, h_norm: float) -> tuple[float, Optional[float]]:
-    """The centering rule, on what :func:`checked_rhs` returns: ``h``'s sum and,
-    above :data:`NULL_SHARE_TOL`, its null share ``nullspace_component(h) / |h|``,
-    else ``None``.  A nonsingular grid, which needs no centering, gives ``(0.0, None)``."""
+    """The centering rule: ``h``'s sum and, if ``h`` is not centered, its null share.
+
+    On a singular grid a right-hand side counts as centered when its null
+    share ``|sum(h)| / sqrt(N) / |h|`` is at most :data:`NULL_SHARE_TOL`.
+    ``h`` and ``h_norm`` are what :func:`checked_rhs` returns, so the rule
+    reads the C-ordered float array that :func:`kronpcg.solver.pcg` solves:
+    ``pcg`` refuses a side the rule calls uncentered, and ``kronpcg solve``
+    centers exactly those.  A centered side gives ``None`` for its share,
+    and a nonsingular grid, which needs no centering, ``(0.0, None)``.
+    """
     h_sum = float(h.sum()) if is_singular(op) else 0.0
-    share = abs(h_sum) / float(np.sqrt(h.size)) / h_norm if h_norm > 0.0 else 0.0
+    share = _null_norm(h_sum, h.size) / h_norm if h_norm > 0.0 else 0.0
     return h_sum, share if share > NULL_SHARE_TOL else None
 
 
 @dataclass(frozen=True)
 class FaceValue:
-    """One boundary face datum: a prescribed potential or a prescribed field."""
+    """One boundary face value: a ``"potential"`` on a Dirichlet face or, on a
+    Neumann face, a ``"field"``: ``h`` times the potential's outward
+    derivative (:mod:`kronpcg.laplace1d`)."""
 
     kind: str  # "potential" or "field"
     value: float
@@ -190,10 +195,6 @@ class BoundaryData:
     """
 
     faces: tuple[tuple[Optional[FaceValue], Optional[FaceValue]], ...]
-
-    @classmethod
-    def none(cls, ndim: int) -> "BoundaryData":
-        return cls(tuple((None, None) for _ in range(ndim)))
 
 
 def apply_bc_updates(

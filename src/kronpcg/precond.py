@@ -1,25 +1,14 @@
 """Preconditioners exploiting the operator's Kronecker-sum structure.
 
-Three families, all symmetric so conjugate gradients stays valid:
-
-- weighted Jacobi: ``p`` steps of the damped diagonal splitting
-  ``L = omega*D + (L - omega*D)``, applied matrix-free,
-- spectral pseudoinverse: exact (pseudo)inversion through the
-  per-direction eigenbases, a Hadamard division against the tensor of
-  eigenvalue sums with near-null modes zeroed,
-- low-rank (2D only): the pseudoinverse with the reciprocal-eigenvalue
-  matrix replaced by a rank-``r`` SVD truncation, which turns the dense
-  spectral transform into ``r`` cheap congruence pairs.  Truncation can
-  lose positive definiteness; the solver's ``<r, z>`` sign check reports
-  it as a breakdown.
-
-Also here: the stand-alone weighted Jacobi stationary solver used as a
-baseline in the experiments.
+Three families, all symmetric so conjugate gradients stays valid: weighted
+Jacobi, the spectral pseudoinverse and its low-rank truncation.  Also
+here: the stand-alone weighted Jacobi solver, the experiments' baseline.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import isfinite
 from numbers import Real
 from typing import Optional
 
@@ -79,17 +68,14 @@ def _ghat_blocks(values, scratch=None):
 class Preconditioner:
     """Base: a symmetric map from residual tensors to search-direction seeds.
 
-    ``apply(r, ops, out, work)`` returns ``M r`` and never modifies ``r``.
-    Given ``out``, which must fit ``r`` (:func:`kronpcg.tensors.checked_out`),
-    the result is written there and ``out`` is returned, so a solver can
-    hand over a work buffer and an apply makes no grid-sized array.
-    Without ``out`` the result is a new array.  ``work`` is a scratch array
-    the apply may overwrite; it must fit ``r`` the same way and must not
-    overlap ``out``.  Both are checked before the first write.  An apply
-    that needs scratch and gets no ``work`` uses the instance's own array,
-    allocated by the first such apply and kept, so setup allocates no
-    scratch and one instance serves one solve at a time.  Either array, while
-    idle, may also hold block scratch: pinv builds its ``ghat`` blocks there.
+    ``apply(r, ops, out, work)`` returns ``M r``, into ``out`` if given
+    (:func:`kronpcg.tensors.checked_out`), and never modifies ``r``.
+    ``work`` is scratch the apply may overwrite: it must fit ``r`` as an
+    ``out`` does and must not overlap ``out``, checked before the first
+    write.  An apply that needs scratch and gets no ``work`` uses the
+    instance's own array, allocated by the first such apply and kept, so
+    setup allocates no scratch and one instance serves one solve at a
+    time.  Either array, while idle, may also hold block scratch.
     """
 
     name = "base"  # the label a run log records
@@ -153,23 +139,25 @@ class JacobiPreconditioner(Preconditioner):
         ``x_j = Dhat^-1 (r - apply(op, x_{j-1}) + Dhat x_{j-1})``
 
     with ``x_0 = 0`` (the first sweep collapses to ``Dhat^-1 r``).
-    ``omega`` must be finite and at least 1; slightly above 1 it trades
-    speed per sweep for robustness.  An even ``p`` that gives ``M L`` an
-    eigenvalue ``<= 0`` on a constant diagonal is refused at setup.  Each
-    sweep after the first counts ``6*N*ndim + 4*N`` elementary ops, the
-    first counts ``N``.  ``dhat`` and ``dhat_inv`` hold only what varies:
-    they have extent 1 along each periodic or Dirichlet direction, whose
-    diagonal is constant, and broadcast against the grid (shape ``(1, 1)``
-    on an all-periodic grid).  The sweeps run in place in the returned
-    array and, for ``p > 1``, the scratch array (:class:`Preconditioner`).
+    ``omega`` must be at least 1, and small enough that the weighted
+    diagonal, at most ``omega*2*ndim``, is finite; slightly above 1 it
+    trades speed per sweep for robustness.  An even ``p`` that gives ``M L``
+    an eigenvalue ``<= 0`` on a constant diagonal is refused at setup.
+    ``dhat`` and ``dhat_inv`` hold only what varies: they have extent 1
+    along each periodic or Dirichlet direction, whose diagonal is constant,
+    and broadcast against the grid (shape ``(1, 1)`` on an all-periodic
+    grid).  For ``p > 1`` the sweeps need scratch (:class:`Preconditioner`).
     """
 
     def __init__(self, op, p: int = 1, omega: float = 1.0):
         self.p = checked_integer("jacobi sweep count p", p)
         if self.p < 1:
             raise ValueError(f"jacobi needs p >= 1 sweeps, got {p}")
-        if not (isinstance(omega, Real) and np.isfinite(omega) and omega >= 1.0):
-            raise ValueError(f"jacobi damping needs a finite omega >= 1, got {omega!r}")
+        # Python floats: an overflowing product is inf, with no numpy warning.
+        if not (isinstance(omega, Real) and omega >= 1.0 and isfinite(float(omega) * 2 * op.ndim)):
+            raise ValueError(
+                f"jacobi damping needs omega >= 1 with a finite omega*2*ndim, got {omega!r}"
+            )
         self.op = op
         self.omega = float(omega)
         self.name = f"jacobi(p={self.p}, omega={self.omega:g})"
@@ -184,8 +172,7 @@ class JacobiPreconditioner(Preconditioner):
                     f"jacobi p={self.p}, omega={self.omega:g} gives M L the eigenvalue "
                     f"{lowest:.3g} <= 0; use an odd p or omega > 1"
                 )
-        # The cost model charges the full weighted diagonal, whatever its stored
-        # shape: ndim-1 adds, a scaling, a reciprocal per entry.
+        # Charged as the full weighted diagonal, whatever its stored shape (README).
         self.init_cost = (op.ndim + 1) * int(np.prod(op.shape))
 
     def apply(
@@ -222,12 +209,12 @@ class PinvPreconditioner(Preconditioner):
     """Spectral (pseudo)inverse through the per-direction eigenbases.
 
     Setup keeps each 1D factor's closed-form eigenbasis and eigenvalues,
-    nothing grid-sized.  An apply is transform, Hadamard, transform back:
-    ``4*N*(n+q[+t]) + N`` elementary ops.  The Hadamard factor ``ghat``, the
-    entrywise pseudoinverse of the eigenvalue sums (0 for sums within
-    ``NULL_MODE_TOL`` of zero: on an all-periodic or all-Neumann grid just
-    the constant mode), is rebuilt block by block (:func:`_ghat_blocks`) in
-    whichever of ``out`` and the scratch array the forward transform left idle.
+    nothing grid-sized.  An apply is transform, Hadamard, transform back.
+    The Hadamard factor ``ghat``, the entrywise pseudoinverse of the
+    eigenvalue sums (0 for sums within ``NULL_MODE_TOL`` of zero: on an
+    all-periodic or all-Neumann grid just the constant mode), is rebuilt
+    block by block (:func:`_ghat_blocks`) in the idle one of ``out`` and
+    the scratch array.
     """
 
     name = "pinv"
@@ -270,12 +257,12 @@ class LowRankPreconditioner(Preconditioner):
     small congruences ``(Vn diag(sigma_rho a_rho) Vn^T,  Vq diag(b_rho) Vq^T)``
     applied left and right of the residual.  At ``r = min(n, q)`` this
     reproduces the pseudoinverse; small ``r`` can go indefinite, which
-    :func:`kronpcg.solver.pcg` reports as a breakdown.  Each application
-    costs ``r*(2*N*(n+q) + N)`` elementary ops.  The congruences are built
-    and applied by ``einsum``, which calls no BLAS, so no digit depends on
-    the BLAS thread count.  Each left product goes into the scratch array
-    (:class:`Preconditioner`), each term after the first into a second
-    array the instance allocates on its first apply at ``r > 1`` and keeps.
+    :func:`kronpcg.solver.pcg` reports as a breakdown.  The congruences are
+    built and applied by ``einsum``, which calls no BLAS, so no digit
+    depends on the BLAS thread count.  Each left product goes into the
+    scratch array (:class:`Preconditioner`), each term after the first into
+    a second array the instance allocates on its first apply at ``r > 1``
+    and keeps.
 
     A 3D analogue would need a tensor decomposition in place of the SVD
     and is deliberately not provided.
@@ -384,12 +371,10 @@ def jacobi_standalone(
     per step serves both: ``h - L x`` is the residual recorded for the
     new iterate and the right-hand side of the next step, so a run of
     ``iters`` steps applies the operator ``iters`` times (the zero start's
-    residual is ``h`` itself), and each step is charged one apply and
-    ``4*N`` update ops.  If the residual blows past ``1e12`` times its
-    initial value the run is flagged as diverged and stops early; that is
-    a reportable outcome, not an error.  Like :func:`kronpcg.solver.pcg`
-    it refuses, with ``ValueError``, an ``h`` that is not real, does not fit
-    the grid or is not finite.
+    residual is ``h`` itself).  If the residual blows past ``1e12`` times
+    its initial value the run is flagged as diverged and stops early; that
+    is a reportable outcome, not an error.  ``h`` must pass
+    :func:`kronpcg.operators.checked_rhs`.
     """
     iters = checked_integer("iters", iters)
     if iters < 0:

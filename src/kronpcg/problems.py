@@ -1,16 +1,9 @@
 """Benchmark right-hand sides and the packaged experiment table.
 
-Three families of charge distributions, mirroring the package's
-demonstration experiments:
-
-- ``p1``: alternating diagonal stripes of positive and negative charge on
-  a fully periodic 2D grid (singular system),
-- ``p2``: a single positive band between a grounded edge and an edge with
-  a prescribed outward derivative, periodic across (nonsingular),
-- ``p3``: two random-valued stripes, a wide positive one and a narrower
-  negative one, on fully periodic 2D/3D grids (singular; seeded RNG).
-
-The packaged experiments are one table of runs, :data:`EXPERIMENTS`;
+Three families of charge distributions: striped charges on a periodic
+grid (``p1``), a charged band between mixed boundaries (``p2``) and two
+random stripes on periodic 2D/3D grids (``p3``).  The packaged
+experiments are one table of runs, :data:`EXPERIMENTS`;
 :func:`experiment_runs` generates one experiment's inputs and the CLI
 solves them.
 
@@ -37,7 +30,7 @@ from .operators import (
     is_singular,
     poisson_operator,
 )
-from .tensors import frobenius_norm
+from .tensors import checked_integer, frobenius_norm
 
 __all__ = [
     "ProblemSpec",
@@ -75,10 +68,7 @@ class ProblemSpec:
 
 
 def _normalized(h: np.ndarray) -> tuple[np.ndarray, float]:
-    """Rescale so the Frobenius norm equals ``1 / (number of cells)``.
-
-    Returns the rescaled side and the applied scale factor.
-    """
+    """``h`` rescaled to the Frobenius norm ``1 / (number of cells)``, and the scale factor."""
     norm = frobenius_norm(h)
     if norm == 0.0:
         raise ValueError("cannot normalize an all-zero right-hand side")
@@ -99,9 +89,7 @@ def _finish(
     return spec, h
 
 
-def gen_problem1(
-    n: int, q: int, period: int = 12
-) -> tuple[ProblemSpec, np.ndarray]:
+def gen_problem1(n: int, q: int, period: int = 12) -> tuple[ProblemSpec, np.ndarray]:
     """Alternating diagonal charge stripes on a fully periodic 2D grid.
 
     Unit positive charge where ``(i + 2j) % period == 0``, unit negative
@@ -122,7 +110,7 @@ def gen_problem1(
 
 
 def gen_problem2(n: int = 40, q: int = 120) -> tuple[ProblemSpec, np.ndarray]:
-    """A positive charge band between a grounded and a field-driven edge.
+    """A positive charge band between a grounded edge and one of prescribed outward derivative.
 
     The first grid direction runs from a zero-potential edge to an edge
     with face value -1/2, the potential's outward derivative in units of
@@ -149,20 +137,20 @@ def gen_problem2(n: int = 40, q: int = 120) -> tuple[ProblemSpec, np.ndarray]:
     return _finish("p2", op, apply_bc_updates(h, bcs, boundary), boundary=boundary)
 
 
-def gen_problem3(
-    variant: str, seed: int = 0
-) -> tuple[ProblemSpec, np.ndarray]:
+def gen_problem3(variant: str, seed: int = 0) -> tuple[ProblemSpec, np.ndarray]:
     """Two random charge stripes on a fully periodic grid, seed-reproducible.
 
     A wide stripe of uniform(0, 1) charge and a narrower stripe of
     uniform(-1, 0) charge span the full extent of every direction but the
     first; the negative stripe is rescaled so the total charge sums to
-    zero, then the side is centered and normalized.
+    zero, then the side is centered and normalized.  ``seed`` is an
+    integer of at least 0.
     """
     if variant not in P3_VARIANTS:
-        raise ValueError(
-            f"unknown variant {variant!r}; choose one of {sorted(P3_VARIANTS)}"
-        )
+        raise ValueError(f"unknown variant {variant!r}; choose one of {sorted(P3_VARIANTS)}")
+    seed = checked_integer("p3 seed", seed)
+    if seed < 0:
+        raise ValueError(f"p3 seed must be >= 0, got {seed}")
     dims = P3_VARIANTS[variant]
     op = poisson_operator(dims, [BoundaryCondition.PERIODIC] * len(dims))
     rng = np.random.default_rng(seed)

@@ -1,52 +1,43 @@
 """Preconditioned conjugate gradients on tensor-shaped unknowns.
 
-The iteration never forms the system matrix: the operator is applied
-direction-by-direction with three-point stencils, the preconditioner is an
-opaque callable on residual tensors, and every inner product is the
-Frobenius pairing.  Singular (all-periodic / all-Neumann) systems are
-handled by keeping the recursive residual orthogonal to the constant-tensor
-null space: it is mean-centered once per iteration, and the returned
-iterate is centered once at the end (the operator annihilates constants,
-so the constant part of a search direction never reaches the scalars or
-the residual).
+The preconditioner is an opaque map on residual tensors, and every inner
+product is the Frobenius pairing.  Centering is the operator's call, not a
+knob: on a singular (all-periodic / all-Neumann) grid the recursive
+residual is mean-centered once per step and the returned iterate once at
+the end.  The operator annihilates constants, so the constant part of a
+search direction never reaches the scalars or the residual.
 
-Each run produces a :class:`ConvergenceLog` with one record per iteration:
-scalar coefficients, recursive and true residual norms, the quadratic-form
-error indicator ``kappa`` and its scaled square-root series ``eta``, the
-null-space component of the iterate, and the cumulative elementary-op
-count under the accounting rules documented in :mod:`kronpcg.counting`.
-Record 0 is the zero start (``r = h``, ``kappa = 0``) and costs no apply;
-each later record costs one: ``Lu`` gives ``kappa`` and then the true
-residual ``h - Lu`` in the same buffer.  Each step follows the PCG
-template of Barrett et al. (SIAM 1994, Fig. 2.5): precondition, pair, set
-the direction, apply, update, then log the new record.
+Loop order: each step follows the PCG template of Barrett et al. (SIAM
+1994, Fig. 2.5): precondition, pair, set the direction, apply, update,
+then log the new record.  Record 0 is the zero start (``r = h``,
+``kappa = 0``) and costs no apply; each later record costs one: ``Lu``
+gives ``kappa`` and then the true residual ``h - Lu`` in the same buffer.
+A record's ``rho`` and ``beta`` are filled when the next step
+preconditions its residual (``beta`` from record 1 on, and not after a
+stop on ``<r, z>``), so a tolerance or budget stop leaves both ``None`` on
+the last record.
 
-The loop keeps the residual and two direction buffers, allocated once per
-solve, and the iterate, written ``u = alpha*p`` by the first update.  The
-direction buffers swap roles each step: the preconditioner writes ``z``
-into the free one, which is the direction at the first step and takes
-``z + beta*p`` later; the other then holds ``Lp``, then ``Lu``.  At the
-first step that other buffer holds nothing yet, so it is lent to the
-preconditioner as its scratch (``work``); later steps lend nothing, and a
-preconditioner that needs scratch then uses its own, kept from that apply
-on.  A one-step pinv solve thus holds four grid arrays beside the
-preconditioner's 1D factors.  A step makes no grid-sized array.  A run
-starts from zero and never writes to the caller's ``h``.
+Buffer roles: the loop keeps the residual and two direction buffers,
+allocated once per solve, and the iterate, written ``u = alpha*p`` by the
+first update.  The direction buffers swap roles each step: the
+preconditioner writes ``z`` into the free one, which is the direction at
+the first step and takes ``z + beta*p`` later; the other then holds
+``Lp``, then ``Lu``.  At the first step that other buffer holds nothing
+yet, so it is lent to the preconditioner as its ``work``; later steps
+lend nothing (:class:`kronpcg.precond.Preconditioner`).  A one-step pinv
+solve thus holds four grid arrays beside the preconditioner's 1D factors.
+A step makes no grid-sized array, and a run never writes to ``h``.
 
-Logging a record names a tolerance stop (true residual within the
-optional ``stop_tol``) or a budget stop (record ``max_iter``); one sign
-rule judges every ``<r, z>``, ``<r_0, z_0>`` too, and every ``<Lp, p>``.
-A nonpositive or non-finite value once the recursive residual is at most
-``eps * |r_0|`` (a zero start included) is the rounding floor, noted once
-in ``log.warnings``; above it, it is a breakdown (an indefinite operator
-or preconditioner) and raises :class:`PCGBreakdown` carrying the partial
-log.  So a tolerance or budget stop applies the preconditioner
-``iterations`` times, any other stop once more.
-
-The log's dataclasses are the one definition of the run-log document:
-:func:`kronpcg.formats.log_to_dict` writes their fields in declaration
-order, so a new record or header field is one line here plus its type in
-:data:`kronpcg.formats.RUN_LOG_SCHEMA`.
+Stop rule: logging a record names a tolerance stop (true residual within
+the optional ``stop_tol``) or a budget stop (record ``max_iter``).  One
+sign rule judges every ``<r, z>``, ``<r_0, z_0>`` too, and every
+``<Lp, p>``: a nonpositive or non-finite value once the recursive
+residual is at most ``eps * |r_0|`` (a zero start included) is the
+rounding floor, noted in ``log.warnings``; above it, it is a breakdown
+(an indefinite operator or preconditioner), noted there too, and raises
+:class:`PCGBreakdown` carrying the partial log.  So a tolerance or budget
+stop applies the preconditioner ``iterations`` times, any other stop once
+more.  ``ops_cum`` follows README.md's "Counting rules".
 """
 
 from __future__ import annotations
@@ -85,13 +76,8 @@ _BREAKDOWNS = {
 
 @dataclass
 class SolverConfig:
-    """Knobs for one conjugate-gradient run.
-
-    ``max_iter`` is the primary stopping rule; ``stop_tol`` (relative true
-    residual) is optional and, when set, its per-iteration evaluation is
-    charged to the op counter.  Centering is not a knob: :func:`pcg`
-    centers exactly when the operator is singular.
-    """
+    """Knobs for one run: the budget ``max_iter`` and the optional relative
+    true-residual stop ``stop_tol`` (stop rule: module docstring)."""
 
     max_iter: int = 100
     stop_tol: Optional[float] = None
@@ -107,14 +93,9 @@ class SolverConfig:
 
 @dataclass
 class IterationRecord:
-    """Per-iteration ledger entry (s=0 is the initial state).
-
-    The fields, in order, are the keys of one ``iterations`` entry of the
-    run log.  ``rho`` and ``beta`` of record ``s`` are filled when the next
-    step preconditions ``r_s``, so a tolerance or budget stop leaves them
-    ``None`` on the last record; ``beta`` is also ``None`` on record 0 and
-    after a stop on ``<r, z>``.
-    """
+    """Per-iteration ledger entry (s=0 is the initial state); the fields, in
+    order, are the keys of one ``iterations`` entry of the run log.  When
+    ``rho`` and ``beta`` are filled: loop order, module docstring."""
 
     s: int
     alpha: Optional[float]
@@ -132,10 +113,13 @@ class IterationRecord:
 class ConvergenceLog:
     """Full run history plus the final iterate.
 
-    The fields, in order, are the keys of the run-log document, except
-    where ``metadata["json"]`` renames one (``records`` is written as
-    ``iterations``) or, being ``None``, leaves it out (``u`` and
-    ``h_norm`` enter only through the computed ``final_norms``).
+    The log's dataclasses are the one definition of the run-log document:
+    the fields, in order, are its keys (:func:`kronpcg.formats.log_to_dict`),
+    except where ``metadata["json"]`` renames one (``records`` is written
+    as ``iterations``) or, being ``None``, leaves it out (``u`` and
+    ``h_norm`` enter only through the computed ``final_norms``).  A new
+    field is one line here plus its type in
+    :data:`kronpcg.formats.RUN_LOG_SCHEMA`.
     :func:`pcg` fills ``shape``, ``bcs``, ``preconditioner`` and
     ``config`` with what it ran; callers may set ``problem`` and ``seed``.
     """
@@ -197,12 +181,8 @@ def _counted_true_residual(h: np.ndarray, lu: np.ndarray, ops: Optional[OpCounte
 def _judge(
     log: ConvergenceLog, s: int, kind: str, value: float, r_norm: float, r0_norm: float
 ) -> Optional[str]:
-    """Classify one sign check of iteration ``s``; ``None`` lets the run go on.
-
-    A nonpositive or non-finite pairing is the rounding floor once the
-    recursive residual is at most ``eps * |r_0|``, else the breakdown
-    ``kind``; either verdict is noted in ``log.warnings``.
-    """
+    """Judge one sign check of iteration ``s`` by the stop rule (module
+    docstring): ``"floor"``, the breakdown ``kind``, or ``None`` to go on."""
     if 0.0 < value < np.inf:
         return None
     pairing = _BREAKDOWNS[kind][0]
@@ -222,15 +202,13 @@ def pcg(
     precond: Optional[Preconditioner] = None,
     config: Optional[SolverConfig] = None,
 ) -> tuple[np.ndarray, ConvergenceLog]:
-    """Run preconditioned conjugate gradients for ``L u = h``.
+    """Run preconditioned conjugate gradients for ``L u = h`` from ``u = 0``.
 
-    Starts from ``u = 0``; returns the final iterate and the convergence
-    log.  On a singular operator the right-hand side must arrive centered
-    (the solution's constant part is not determined): one that
-    :func:`kronpcg.operators.null_share` does not count as centered raises
-    ``ValueError``, as does one that is not real or not finite.  The
-    operator alone decides centering (module docstring).  A stop before the
-    first update returns a new zero array.
+    Returns the final iterate and the convergence log.  ``h`` must pass
+    :func:`kronpcg.operators.checked_rhs` and, on a singular grid, where
+    the solution's constant part is not determined, the centering rule of
+    :func:`kronpcg.operators.null_share`; else ``ValueError``.  A stop
+    before the first update returns a new zero array.
     """
     cfg = config if config is not None else SolverConfig()
     precond = precond if precond is not None else IdentityPreconditioner()
@@ -254,14 +232,13 @@ def pcg(
         h_norm=h_norm,
     )
     # Zero start: ``r = h - L*0`` is ``h``, centered on a singular grid in the pass
-    # that copies it (charged as ``op_mod.center``); ``p`` and ``w`` swap roles.
+    # that copies it (charged as ``op_mod.center``).
     r = np.subtract(h, h_sum / h.size) if singular else h.copy()
     ops.add(3 * h.size if singular else 0)
     r0_norm = frobenius_norm(r) if singular else h_norm
     u = None  # written by the first update
     p, w = np.empty(op.shape), np.empty(op.shape)
     counted = ops if cfg.stop_tol is not None else None
-    root_n = float(np.sqrt(h.size))  # |null part| = |sum| / sqrt(N), as nullspace_component
 
     def record(s, alpha, r_norm, true_res, kappa, null_norm) -> Optional[str]:
         """Log iteration ``s``; name its tolerance or budget stop, if any."""
@@ -318,14 +295,12 @@ def pcg(
         if singular:
             op_mod.center(r, ops, out=r)
         r_norm = frobenius_norm(r)
-        # One apply into ``w`` serves both diagnostics: ``kappa`` reads
-        # ``Lu``, then ``w`` becomes the true residual ``h - Lu``.  They are
-        # counted only when a stopping tolerance reads them.
+        # One apply serves both diagnostics, counted only when a stopping tolerance reads them.
         lu = op_mod.apply(op, u, counted, out=w)
         kappa = inner(u, lu) - 2.0 * inner(u, h)
         true_res = _counted_true_residual(h, lu, counted)
         u_sum = float(u.sum())  # u keeps this sum until the next update
-        stop = record(s, alpha, r_norm, true_res, kappa, abs(u_sum) / root_n)
+        stop = record(s, alpha, r_norm, true_res, kappa, op_mod._null_norm(u_sum, u.size))
 
     if u is None:  # a stop before the first update: the zero start
         u = np.zeros(op.shape)

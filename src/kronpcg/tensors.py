@@ -7,13 +7,6 @@ numpy's Fortran order.  Under it, a per-axis linear transform flattens to
 the matching Kronecker product of its matrices times the flattened ``T``;
 the test suite's dense references check exactly that (in 3D the trailing
 axis is contracted first).
-
-A kernel that reads ``x`` while it writes a grid-sized result takes an
-optional ``out`` and passes it through :func:`checked_out` before its first
-write: ``out`` must be a C-contiguous float array of ``x``'s shape that does
-not overlap ``x``, else ``ValueError``.  Elementwise kernels
-(:func:`hadamard_pinv`, :func:`kronpcg.operators.center`) need no such rule
-and also run in place with ``out=x``.
 """
 
 from __future__ import annotations
@@ -42,7 +35,17 @@ NULL_MODE_TOL = 1e-13
 
 
 def checked_out(x: np.ndarray, out: Optional[np.ndarray]) -> np.ndarray:
-    """``out`` once it is known to fit ``x``, or a new array when it is omitted."""
+    """``out`` once it is known to fit ``x``, or a new array when it is omitted.
+
+    The package's one ``out`` rule: a kernel that reads ``x`` while it
+    writes a grid-sized result passes its optional ``out`` through here
+    before its first write, so the result goes into ``out``, which is
+    returned, and a bad ``out`` leaves the caller's arrays as they were.
+    ``out`` must be a C-contiguous float array of ``x``'s shape that does
+    not overlap ``x``, else ``ValueError``.  Elementwise kernels
+    (:func:`hadamard_pinv`, :func:`kronpcg.operators.center`) need no such
+    rule and also run in place with ``out=x``.
+    """
     if out is None:
         return np.empty(x.shape)
     if out.shape != x.shape or out.dtype != float or not out.flags.c_contiguous:
@@ -78,8 +81,8 @@ def linear_transform(
     many small GEMMs run at a fraction of the speed of one large one.
 
     Without ``work`` each product is a new array.  With ``work`` (square
-    matrices only), ``work[0]`` must fit ``t`` and ``work[1]`` must fit
-    ``work[0]`` (:func:`checked_out`); product ``i`` is written into
+    matrices only), ``work[0]`` must fit ``t`` and ``work[1]`` ``work[0]``
+    as an ``out`` (:func:`checked_out`); product ``i`` is written into
     ``work[i % 2]`` and the result is a view of the one that holds the
     last.  ``t`` may be ``work[1]``, whose content the first product consumes.
     """
@@ -112,11 +115,7 @@ def linear_transform(
 
 
 def outer_sum(vectors: Sequence[np.ndarray]) -> np.ndarray:
-    """Kronecker-sum tensor of per-direction vectors: ``a[i] + b[j] (+ c[k])``.
-
-    Entry ``(i, j[, k])`` sums the ``i``-th, ``j``-th (and ``k``-th) entries;
-    the sums are taken left to right.
-    """
+    """Kronecker-sum tensor of per-direction vectors: ``a[i] + b[j] (+ c[k])``, left to right."""
     out = np.asarray(vectors[0], dtype=float)
     for v in vectors[1:]:
         out = np.add.outer(out, v)

@@ -134,13 +134,30 @@ def test_usage_errors_exit_one(argv, capsys):
     capsys.readouterr()
 
 
-def test_solve_refuses_uncentered_singular_with_centering_off(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["spectrum", "--n", "0", "--bc", "dirichlet"], "needs n >= 3, got n=0"),
+        (["spectrum", "--n", "-4", "--bc", "dirichlet"], "needs n >= 3, got n=-4"),
+        (["gen", "--problem", "p3", "--variant", "2d_512x256", "--seed", "-1", "--out", "{tmp}/x.kten"],
+         "p3 seed"),
+        (["experiment", "--name", "exp3", "--seed", "-1", "--outdir", "{tmp}"], "p3 seed"),
+    ],
+    ids=["spectrum-n-0", "spectrum-n-negative", "gen-p3-seed", "exp3-seed"],
+)
+def test_usage_errors_name_the_bad_value(tmp_path, capsys, argv, message):
+    """A refused value is named: ``--n 0`` is a size, not a missing ``--n``,
+    and a negative p3 seed is the generator's refusal, not numpy's."""
+    assert cli.main([arg.format(tmp=tmp_path) for arg in argv]) == 1
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""
+    assert not (tmp_path / "x.kten").exists()
+
+
+def test_solve_centers_an_uncentered_singular_side(tmp_path, capsys):
     rhs = tmp_path / "ones.kten"
     write_tensor(str(rhs), np.ones((6, 6)))
     argv = ["solve", "--input", str(rhs), "--bc", "x=periodic,y=periodic"]
-    assert cli.main(argv + ["--center", "off"]) == 1
-    capsys.readouterr()
-    # Default handling centers the side and proceeds.
     log_path = tmp_path / "log.json"
     assert cli.main(argv + ["--log", str(log_path)]) == 0
     doc = json.loads(log_path.read_text())
@@ -148,9 +165,9 @@ def test_solve_refuses_uncentered_singular_with_centering_off(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_center_off_on_a_centered_singular_side_solves(tmp_path, capsys):
-    """``--center off`` only refuses an uncentered side; the solver still
-    centers its residual on a singular grid, so no false breakdown."""
+def test_a_centered_singular_side_solves_without_a_centering_note(tmp_path, capsys):
+    """A centered side is left as it is; the solver still centers its
+    residual on a singular grid, so no false breakdown."""
     rhs = tmp_path / "p3.kten"
     cli.main(["gen", "--problem", "p3", "--variant", "3d_128x64x8", "--out", str(rhs)])
     log_path = tmp_path / "log.json"
@@ -161,13 +178,13 @@ def test_center_off_on_a_centered_singular_side_solves(tmp_path, capsys):
             "--bc", "x=periodic,y=periodic,z=periodic",
             "--precond", "pinv",
             "--max-iter", "10",
-            "--center", "off",
             "--log", str(log_path),
         ]
     )
     assert code == 0
     capsys.readouterr()
     doc = json.loads(log_path.read_text())
+    assert not any("centered" in w for w in doc["warnings"])
     assert doc["breakdown"] is None
     assert doc["final_norms"]["relative_true_residual"] <= 1e-11
 
@@ -186,8 +203,8 @@ def _threshold_sides(path: str, count: int = 200):
 
 def test_solve_centers_exactly_the_sides_pcg_refuses(tmp_path, capsys, monkeypatch):
     """One centering rule: on sides at the threshold, in C or Fortran order,
-    ``solve`` centers a side iff ``pcg`` refuses it as it stands, and the
-    default ``--center auto`` never exits 1."""
+    ``solve`` centers a side iff ``pcg`` refuses it as it stands, and never
+    exits 1."""
     op = poisson_operator((37, 53), (BoundaryCondition.PERIODIC,) * 2)
     rhs, log_path = str(tmp_path / "h.kten"), tmp_path / "log.json"
     argv = ["solve", "--input", rhs, "--bc", "x=periodic,y=periodic", "--precond", "pinv"]
@@ -207,20 +224,23 @@ def test_solve_centers_exactly_the_sides_pcg_refuses(tmp_path, capsys, monkeypat
             notes = json.loads(log_path.read_text())["warnings"]
             centered = "right-hand side centered (singular operator)" in notes
             assert centered == refused, (i, layout.__name__)
-            if refused:
-                assert cli.main(argv + ["--center", "off"]) == 1
             verdicts.add(refused)
     capsys.readouterr()
     assert verdicts == {False, True}
 
 
-def test_center_on_is_not_an_option(tmp_path, capsys):
-    """Centering a nonsingular system is wrong, so it cannot be forced."""
+@pytest.mark.parametrize("value", ["on", "off", "auto"])
+def test_center_is_not_an_option(tmp_path, capsys, value):
+    """The operator decides centering: it cannot be forced on a nonsingular
+    system, nor switched off or on by name."""
     rhs = tmp_path / "p2.kten"
     cli.main(["gen", "--problem", "p2", "--out", str(rhs)])
     argv = ["solve", "--input", str(rhs), "--bc", "x=dirichlet-neumann,y=periodic"]
-    assert cli.main(argv + ["--precond", "pinv", "--center", "on"]) == 1
+    assert cli.main(argv + ["--precond", "pinv", "--center", value]) == 1
     assert "--center" in capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        cli.main(["solve", "--help"])
+    assert "--center" not in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(
@@ -249,6 +269,7 @@ def test_solve_rejects_a_non_finite_rhs_with_exit_one(tmp_path, capsys, gen, siz
         "--tol=0",
         "--precond=jacobi:omega=nan",
         "--precond=jacobi:omega=inf",
+        "--precond=jacobi:p=3,omega=1e308",
     ],
 )
 def test_solve_rejects_bad_numbers_with_exit_one(tmp_path, capsys, flag):

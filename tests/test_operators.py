@@ -291,10 +291,4 @@ def test_each_end_takes_the_face_kind_its_matrix_row_implies(bc):
 def test_apply_bc_updates_needs_full_coverage():
     h = np.zeros((4, 6))
     with pytest.raises(ValueError):
-        apply_bc_updates(h, (BC.PERIODIC, BC.PERIODIC), BoundaryData.none(3))
-
-
-def test_boundary_data_none_is_all_closed():
-    data = BoundaryData.none(3)
-    assert len(data.faces) == 3
-    assert all(b is None and e is None for b, e in data.faces)
+        apply_bc_updates(h, (BC.PERIODIC, BC.PERIODIC), BoundaryData(((None, None),) * 3))
