@@ -8,7 +8,7 @@ work through per-axis linear transforms.  README.md is the user's guide.
 
 from .counting import OpCounter, cost_model
 from .laplace1d import BoundaryCondition, SpectralDecomposition, analytic_spectrum, is_singular_1d
-from .operators import BoundaryData, FaceValue, PoissonOperator, apply, apply_bc_updates, center
+from .operators import PoissonOperator, apply, apply_bc_updates, center
 from .operators import is_singular, nullspace_component, poisson_operator
 from .precond import IdentityPreconditioner, JacobiPreconditioner, LowRankPreconditioner
 from .precond import PinvPreconditioner, jacobi_standalone, make_preconditioner

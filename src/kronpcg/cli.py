@@ -11,22 +11,13 @@ input error, 2 solver breakdown.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
 from typing import Callable, Optional, Sequence
 
 from . import formats
-from .laplace1d import BoundaryCondition, eigenvalues
-from .operators import (
-    BoundaryData,
-    FaceValue,
-    apply_bc_updates,
-    center,
-    checked_rhs,
-    null_share,
-    poisson_operator,
-)
+from .laplace1d import BoundaryCondition, eigenvalues, face_kinds
+from .operators import apply_bc_updates, center, checked_rhs, null_share, poisson_operator
 from .precond import jacobi_standalone, make_preconditioner
 from .problems import (
     EXPERIMENTS,
@@ -37,9 +28,10 @@ from .problems import (
     gen_problem3,
 )
 from .solver import ConvergenceLog, PCGBreakdown, SolverConfig, pcg
-from .tensors import frobenius_norm, outer_sum
+from .tensors import frobenius_norm
 
 _AXES = "xyz"
+_FACE_FLAGS = {"potential": "u", "field": "e"}  # face kind -> its flags' stem (then B or E)
 
 
 class UsageError(ValueError):
@@ -103,19 +95,26 @@ def _parse_bcs(text: str, ndim: int) -> tuple[BoundaryCondition, ...]:
     return tuple(bcs[a] for a in range(ndim))
 
 
-def _parse_face_flags(args: argparse.Namespace, ndim: int) -> BoundaryData:
-    """The four face flags as boundary data; each face of an axis takes one value."""
-    begin: dict[int, FaceValue] = {}
-    end: dict[int, FaceValue] = {}
-    for flag, kind, face in [
-        ("uB", "potential", begin),
-        ("uE", "potential", end),
-        ("eB", "field", begin),
-        ("eE", "field", end),
-    ]:
-        entries = getattr(args, flag) or []
-        _axis_entries(flag, entries, ndim, lambda value: FaceValue(kind, float(value)), face)
-    return BoundaryData(tuple((begin.get(a), end.get(a)) for a in range(ndim)))
+def _parse_face_flags(
+    args: argparse.Namespace, bcs: Sequence[BoundaryCondition]
+) -> tuple[tuple[Optional[float], Optional[float]], ...]:
+    """The four face flags as ``(begin, end)`` values per axis.  A face takes
+    one value, from the flag of the kind that ``face_kinds`` gives it."""
+    faces: tuple[dict, dict] = ({}, {})
+    for flag in ("uB", "uE", "eB", "eE"):
+        end = "BE".index(flag[1])
+        given = _axis_entries(flag, getattr(args, flag) or [], len(bcs), float, {})
+        for axis, value in given.items():
+            bc, takes = bcs[axis], face_kinds(bcs[axis])[end]
+            if takes is None:
+                raise UsageError(f"--{flag}: axis {_AXES[axis]} ({bc.value}) has no faces")
+            if _FACE_FLAGS[takes] != flag[0]:
+                raise UsageError(
+                    f"--{flag}: the {('begin', 'end')[end]} face of axis {_AXES[axis]} "
+                    f"({bc.value}) takes a {takes} value, from --{_FACE_FLAGS[takes]}{flag[1]}"
+                )
+            faces[end][axis] = value
+    return tuple((faces[0].get(a), faces[1].get(a)) for a in range(len(bcs)))
 
 
 def _slug(precond_spec: str) -> str:
@@ -155,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
     exp = sub.add_parser("experiment", help="run a packaged experiment suite")
     exp.add_argument("--name", required=True, choices=sorted(EXPERIMENTS))
     exp.add_argument("--outdir", required=True)
-    exp.add_argument("--seed", type=int, default=0, help="seed for the random problems")
+    exp.add_argument("--seed", type=int, help="seed for the p3 runs (default 0)")
     exp.set_defaults(run=_cmd_experiment)
 
     spec = sub.add_parser("spectrum", help="print operator eigenvalues")
@@ -194,13 +193,17 @@ def _cmd_gen(args: argparse.Namespace) -> int:
           f"(|h| = {frobenius_norm(h):.6e})")
     if spec.boundary is not None:
         sidecar = args.out + ".bc.json"
+        faces = []
+        for axis, (bc, pair) in enumerate(zip(spec.bcs, spec.boundary)):
+            values = [
+                None if value is None else {"kind": kind, "value": value}
+                for kind, value in zip(face_kinds(bc), pair)
+            ]
+            faces.append({"axis": _AXES[axis], "begin": values[0], "end": values[1]})
         doc = {
             "bcs": [bc.value for bc in spec.bcs],
             "applied": True,
-            "faces": [
-                {"axis": _AXES[axis], "begin": b, "end": e}
-                for axis, (b, e) in enumerate(dataclasses.asdict(spec.boundary)["faces"])
-            ],
+            "faces": faces,
             "scale": spec.scale,
         }
         formats.write_json(sidecar, doc)
@@ -221,10 +224,10 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     h = formats.read_tensor(args.input)
     bcs = _parse_bcs(args.bc, h.ndim)
     op = poisson_operator(h.shape, bcs)
-    boundary = _parse_face_flags(args, h.ndim)
+    faces = _parse_face_flags(args, bcs)
     notes: list[str] = []
-    if any(b is not None or e is not None for b, e in boundary.faces):
-        h = apply_bc_updates(h, bcs, boundary)
+    if any(value is not None for pair in faces for value in pair):
+        h = apply_bc_updates(h, bcs, faces)
         notes.append("boundary face values folded into the right-hand side")
 
     h, h_norm = checked_rhs(op, h)  # centered exactly where pcg would refuse it
@@ -285,9 +288,12 @@ def _run_to_files(
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
+    keywords = {} if args.seed is None else {"seed": args.seed}
+    if keywords and all(problem[0] != "p3" for problem, _, _ in EXPERIMENTS[args.name]):
+        raise UsageError(f"{args.name} does not take --seed: it has no p3 run")
     os.makedirs(args.outdir, exist_ok=True)
     rows: list[dict] = []
-    for name, spec, h, pspec, budget in experiment_runs(args.name, seed=args.seed):
+    for name, spec, h, pspec, budget in experiment_runs(args.name, **keywords):
         row, rel, note = _run_to_files(args.outdir, name, spec, h, pspec, budget)
         rows.append(row)
         reached = row["iters_to_1e-9"]
@@ -314,7 +320,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
             print(f"axis {_AXES[axis]} ({bc.value}, n={n}): {listed}")
         if args.sums:
             # Rounded addition is monotone: extreme sums are sums of per-axis extremes.
-            low, high = (outer_sum([pick(v) for v in value_lists]) for pick in (min, max))
+            low, high = (sum(pick(v) for v in value_lists) for pick in (min, max))
             print(f"sum-spectrum min {low:.12g} max {high:.12g}")
         return 0
     if args.n is None:

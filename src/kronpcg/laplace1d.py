@@ -20,10 +20,8 @@ vector spanning the null space, the other three are positive definite.
 
 Face values: on a line of step ``h`` the end node sits one step from a
 Dirichlet face and half a step from a Neumann face.  The operator has unit
-spacing (``h**2`` times the minus-Laplacian), and a face value, added to
-its end row, is the potential on a Dirichlet face and, on a Neumann face,
-``h`` times the potential's outward derivative (``-h*E.n`` for
-``E = -grad(phi)``), the kind named ``"field"``.  Under this reading the
+spacing (``h**2`` times the minus-Laplacian), and a face value is added to
+its end row, meaning what :func:`face_kinds` says.  Under this reading the
 scheme is second order (manufactured-solution tests).
 
 A 1D operator is just its size ``n`` and its boundary condition, and
@@ -86,11 +84,12 @@ def is_singular_1d(bc: BoundaryCondition) -> bool:
 
 
 def face_kinds(bc: BoundaryCondition) -> tuple[Optional[str], Optional[str]]:
-    """The (begin, end) face-value kinds a direction with this handling accepts.
+    """What a face value means at the (begin, end) of a line with this handling.
 
-    A Dirichlet end (corner 2) takes a ``"potential"``, a Neumann end
-    (corner 1) a ``"field"``: ``h`` times the potential's outward derivative
-    (module docstring).  A periodic line (wrap corner -1) has no faces.
+    At a Dirichlet end (corner 2) it is the potential on the face,
+    ``"potential"``; at a Neumann end (corner 1) it is ``h`` times the
+    potential's outward derivative, ``-h*E.n`` for ``E = -grad(phi)``,
+    ``"field"``.  A periodic line (wrap corner -1) has no faces: ``None``.
     """
     first, last, corner = CORNER_TRIPLES[BoundaryCondition(bc)]
     if corner != 0.0:

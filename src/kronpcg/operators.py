@@ -40,8 +40,6 @@ __all__ = [
     "nullspace_component",
     "null_share",
     "NULL_SHARE_TOL",
-    "FaceValue",
-    "BoundaryData",
     "apply_bc_updates",
 ]
 
@@ -171,60 +169,33 @@ def null_share(op: PoissonOperator, h: np.ndarray, h_norm: float) -> tuple[float
     return h_sum, share if share > NULL_SHARE_TOL else None
 
 
-@dataclass(frozen=True)
-class FaceValue:
-    """One boundary face value: a ``"potential"`` on a Dirichlet face or, on a
-    Neumann face, a ``"field"``: ``h`` times the potential's outward
-    derivative (:mod:`kronpcg.laplace1d`)."""
-
-    kind: str  # "potential" or "field"
-    value: float
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("potential", "field"):
-            raise ValueError(f"face kind must be 'potential' or 'field', got {self.kind!r}")
-
-
-@dataclass(frozen=True)
-class BoundaryData:
-    """Optional (begin, end) face values per direction.
-
-    ``faces[axis] = (begin, end)``; a ``None`` entry means no update on
-    that face.  Which kind a face accepts is dictated by the direction's
-    boundary condition (:func:`kronpcg.laplace1d.face_kinds`).
-    """
-
-    faces: tuple[tuple[Optional[FaceValue], Optional[FaceValue]], ...]
-
-
 def apply_bc_updates(
-    h: np.ndarray, bcs: Sequence[BoundaryCondition], data: BoundaryData
+    h: np.ndarray,
+    bcs: Sequence[BoundaryCondition],
+    faces: Sequence[tuple[Optional[float], Optional[float]]],
 ) -> np.ndarray:
     """Fold inhomogeneous boundary values into the right-hand side.
 
-    Each supplied face value is added, with a plus sign, to every entry of
-    the boundary slice perpendicular to its direction (the first slice for
-    a begin face, the last for an end face).  Face kinds must match the
-    direction's boundary condition.
+    ``faces[axis]`` is the ``(begin, end)`` pair of face values of one
+    direction, ``None`` for no update; what a value means is set by the
+    direction's condition (:func:`kronpcg.laplace1d.face_kinds`), and a
+    periodic direction has no faces.  Each value is added, with a plus
+    sign, to every entry of the boundary slice perpendicular to its
+    direction (the first slice for a begin face, the last for an end face).
     """
     h = np.asarray(h, dtype=float).copy()
-    if len(data.faces) != h.ndim or len(bcs) != h.ndim:
-        raise ValueError("boundary data and conditions must cover every direction")
-    for axis, (bc, (begin, end)) in enumerate(zip(bcs, data.faces)):
-        for pos, face, expected in zip(("begin", "end"), (begin, end), face_kinds(bc)):
-            if face is None:
+    if len(faces) != h.ndim or len(bcs) != h.ndim:
+        raise ValueError("face values and conditions must cover every direction")
+    for axis, (bc, (begin, end)) in enumerate(zip(bcs, faces)):
+        for pos, value, kind in zip(("begin", "end"), (begin, end), face_kinds(bc)):
+            if value is None:
                 continue
-            if expected is None:
+            if kind is None:
                 raise ValueError(
                     f"direction {axis} ({BoundaryCondition(bc).value}) accepts no "
                     f"{pos} face value"
                 )
-            if face.kind != expected:
-                raise ValueError(
-                    f"direction {axis} ({BoundaryCondition(bc).value}) needs a "
-                    f"{expected!r} value on the {pos} face, got {face.kind!r}"
-                )
             index = [slice(None)] * h.ndim
             index[axis] = 0 if pos == "begin" else h.shape[axis] - 1
-            h[tuple(index)] += face.value
+            h[tuple(index)] += value
     return h

@@ -8,6 +8,7 @@ here: the stand-alone weighted Jacobi solver, the experiments' baseline.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from math import isfinite
 from numbers import Real
 from typing import Optional
@@ -17,8 +18,7 @@ import numpy as np
 from . import operators as op_mod
 from .counting import OpCounter
 from .laplace1d import analytic_spectrum, diagonal, eigenvalues
-from .tensors import checked_integer, checked_out, frobenius_norm, hadamard_pinv
-from .tensors import linear_transform, outer_sum
+from .tensors import checked_integer, checked_out, frobenius_norm, hadamard_pinv, linear_transform
 
 __all__ = [
     "Preconditioner",
@@ -162,7 +162,8 @@ class JacobiPreconditioner(Preconditioner):
         self.omega = float(omega)
         self.name = f"jacobi(p={self.p}, omega={self.omega:g})"
         diags = [diagonal(n, bc) for n, bc in zip(op.shape, op.bcs)]
-        self.dhat = self.omega * outer_sum([d[:1] if d[0] == d[-1] == 2.0 else d for d in diags])
+        varying = [d[:1] if d[0] == d[-1] == 2.0 else d for d in diags]
+        self.dhat = self.omega * reduce(np.add.outer, varying)
         self.dhat_inv = 1.0 / self.dhat
         if self.p % 2 == 0 and self.dhat.size == 1:  # M L: 1 - (1 - s/dhat)^p over the sums s
             s_max = sum(eigenvalues(n, bc)[-1] for n, bc in zip(op.shape, op.bcs))

@@ -21,15 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .laplace1d import BoundaryCondition
-from .operators import (
-    BoundaryData,
-    FaceValue,
-    PoissonOperator,
-    apply_bc_updates,
-    center,
-    is_singular,
-    poisson_operator,
-)
+from .operators import PoissonOperator, apply_bc_updates, center, is_singular, poisson_operator
 from .tensors import checked_integer, frobenius_norm
 
 __all__ = [
@@ -54,14 +46,15 @@ P3_VARIANTS: dict[str, tuple[int, ...]] = {
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """What was generated: grid, boundary handling, seed, scaling."""
+    """What was generated: grid, boundary handling, seed, scaling and the
+    ``(begin, end)`` face values per direction that were folded into H."""
 
     name: str
     shape: tuple[int, ...]
     bcs: tuple[BoundaryCondition, ...]
     seed: Optional[int] = None
     scale: float = 1.0
-    boundary: Optional[BoundaryData] = None
+    boundary: Optional[tuple] = None
 
     def operator(self) -> PoissonOperator:
         return poisson_operator(self.shape, self.bcs)
@@ -81,7 +74,7 @@ def _finish(
     op: PoissonOperator,
     h: np.ndarray,
     seed: Optional[int] = None,
-    boundary: Optional[BoundaryData] = None,
+    boundary: Optional[tuple] = None,
 ) -> tuple[ProblemSpec, np.ndarray]:
     """Center ``h`` if ``op`` is singular, normalize it, and describe it."""
     h, scale = _normalized(center(h) if is_singular(op) else h)
@@ -125,12 +118,7 @@ def gen_problem2(n: int = 40, q: int = 120) -> tuple[ProblemSpec, np.ndarray]:
     op = poisson_operator((n, q), bcs)
     if n < _P2_BAND_WIDTH:
         raise ValueError(f"p2 needs n >= {_P2_BAND_WIDTH} (the band width), got {n}")
-    boundary = BoundaryData(
-        (
-            (FaceValue("potential", 0.0), FaceValue("field", -0.5)),
-            (None, None),
-        )
-    )
+    boundary = ((0.0, -0.5), (None, None))
     h = np.zeros((n, q))
     start = max(0, n // 3 - _P2_BAND_WIDTH // 2)
     h[start : start + _P2_BAND_WIDTH, :] = 1.0

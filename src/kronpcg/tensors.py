@@ -23,7 +23,6 @@ __all__ = [
     "checked_out",
     "checked_integer",
     "linear_transform",
-    "outer_sum",
     "inner",
     "frobenius_norm",
     "hadamard_pinv",
@@ -112,14 +111,6 @@ def linear_transform(
     for i, m in enumerate(reversed(mats)):
         out = product(i, m, out.reshape(-1, m.shape[1]).T)
     return out.reshape(tuple(m.shape[0] for m in mats))
-
-
-def outer_sum(vectors: Sequence[np.ndarray]) -> np.ndarray:
-    """Kronecker-sum tensor of per-direction vectors: ``a[i] + b[j] (+ c[k])``, left to right."""
-    out = np.asarray(vectors[0], dtype=float)
-    for v in vectors[1:]:
-        out = np.add.outer(out, v)
-    return out
 
 
 def inner(x: np.ndarray, y: np.ndarray) -> float:

@@ -24,7 +24,7 @@ from kronpcg.solver import (
     _judge,
     eta_series,
 )
-from kronpcg.tensors import frobenius_norm, inner, outer_sum
+from kronpcg.tensors import frobenius_norm, inner
 
 ALL_BCS = tuple(BoundaryCondition)
 SINGULAR_BCS = (BoundaryCondition.PERIODIC, BoundaryCondition.NEUMANN)
@@ -74,6 +74,11 @@ def numeric_spectrum(n, bc):
     """Dense symmetric eigendecomposition of a 1D factor (ascending, orthonormal)."""
     values, vectors = np.linalg.eigh(dense_1d(n, bc))
     return SpectralDecomposition(values=values, vectors=vectors)
+
+
+def outer_sum(vectors):
+    """Kronecker-sum tensor of per-direction vectors: ``a[i] + b[j] (+ c[k])``, left to right."""
+    return reduce(np.add.outer, [np.asarray(v, dtype=float) for v in vectors])
 
 
 def spectrum_sums(op):

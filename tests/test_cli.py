@@ -16,7 +16,7 @@ from conftest import Negated, spectrum_sums, traced_peak
 from kronpcg import cli, formats
 from kronpcg.formats import RUN_LOG_SCHEMA, read_tensor, write_tensor
 from kronpcg.laplace1d import BoundaryCondition, analytic_spectrum
-from kronpcg.operators import NULL_SHARE_TOL, poisson_operator
+from kronpcg.operators import NULL_SHARE_TOL, apply_bc_updates, checked_rhs, poisson_operator
 from kronpcg.precond import StationaryResult, make_preconditioner
 from kronpcg.problems import gen_problem1, gen_problem2, gen_problem3
 from kronpcg.solver import SolverConfig, pcg
@@ -57,7 +57,14 @@ def test_gen_p2_writes_the_boundary_sidecar(tmp_path):
     sidecar = json.loads((tmp_path / "p2.kten.bc.json").read_text())
     assert sidecar["bcs"] == ["dirichlet-neumann", "periodic"]
     assert sidecar["applied"] is True
-    assert sidecar["faces"][0]["end"] == {"kind": "field", "value": -0.5}
+    assert sidecar["faces"] == [
+        {
+            "axis": "x",
+            "begin": {"kind": "potential", "value": 0.0},
+            "end": {"kind": "field", "value": -0.5},
+        },
+        {"axis": "y", "begin": None, "end": None},
+    ]
     assert sidecar["scale"] > 0.0
 
 
@@ -142,8 +149,9 @@ def test_usage_errors_exit_one(argv, capsys):
         (["gen", "--problem", "p3", "--variant", "2d_512x256", "--seed", "-1", "--out", "{tmp}/x.kten"],
          "p3 seed"),
         (["experiment", "--name", "exp3", "--seed", "-1", "--outdir", "{tmp}"], "p3 seed"),
+        (["experiment", "--name", "exp1", "--seed", "-1", "--outdir", "{tmp}"], "--seed"),
     ],
-    ids=["spectrum-n-0", "spectrum-n-negative", "gen-p3-seed", "exp3-seed"],
+    ids=["spectrum-n-0", "spectrum-n-negative", "gen-p3-seed", "exp3-seed", "exp1-seed"],
 )
 def test_usage_errors_name_the_bad_value(tmp_path, capsys, argv, message):
     """A refused value is named: ``--n 0`` is a size, not a missing ``--n``,
@@ -338,6 +346,56 @@ def test_solve_applies_face_flags(tmp_path):
     doc = json.loads(log_path.read_text())
     assert any("folded" in w for w in doc["warnings"])
     assert doc["final_norms"]["relative_true_residual"] <= 1e-11
+
+
+# Bounded condition -> the stems of the flags its (begin, end) faces take:
+# ``u`` a potential on a Dirichlet end, ``e`` a Neumann end's value.
+_FACE_STEMS = {
+    BoundaryCondition.DIRICHLET: "uu",
+    BoundaryCondition.NEUMANN: "ee",
+    BoundaryCondition.DIRICHLET_NEUMANN: "ue",
+    BoundaryCondition.NEUMANN_DIRICHLET: "eu",
+}
+
+
+@pytest.mark.parametrize("end", [0, 1], ids=["begin", "end"])
+@pytest.mark.parametrize("bc", list(_FACE_STEMS), ids=[bc.value for bc in _FACE_STEMS])
+def test_solve_takes_a_face_value_only_from_the_flag_of_its_kind(
+    tmp_path, capsys, monkeypatch, bc, end
+):
+    """The face's own flag folds its value exactly as ``apply_bc_updates``;
+    the other kind's flag exits 1, naming itself and the face's flag."""
+    h = np.random.default_rng(8).standard_normal((6, 8))
+    rhs = str(tmp_path / "h.kten")
+    write_tensor(rhs, h)
+    folded = []
+
+    def recorded(op, g):  # the side as folded, before any centering
+        folded.append(g.copy())
+        return checked_rhs(op, g)
+
+    monkeypatch.setattr(cli, "checked_rhs", recorded)
+    argv = ["solve", "--input", rhs, "--bc", f"x={bc.value},y=periodic", "--precond", "pinv"]
+    right = _FACE_STEMS[bc][end] + "BE"[end]
+    wrong = {"u": "e", "e": "u"}[right[0]] + "BE"[end]
+    assert cli.main(argv + [f"--{right}", "x=0.37"]) == 0
+    pair = (0.37, None) if end == 0 else (None, 0.37)
+    want = apply_bc_updates(h, (bc, BoundaryCondition.PERIODIC), (pair, (None, None)))
+    assert folded[0].tobytes() == want.tobytes()
+    capsys.readouterr()
+    assert cli.main(argv + [f"--{wrong}", "x=0.37"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --{wrong}: ") and f"from --{right}" in err
+
+
+@pytest.mark.parametrize("flag", ["uB", "uE", "eB", "eE"])
+def test_solve_refuses_any_face_flag_on_a_periodic_axis(tmp_path, capsys, flag):
+    rhs = str(tmp_path / "h.kten")
+    write_tensor(rhs, np.ones((6, 8)))
+    argv = ["solve", "--input", rhs, "--bc", "x=dirichlet,y=periodic", f"--{flag}", "y=1"]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert f"--{flag}: axis y (periodic) has no faces" in captured.err and captured.out == ""
 
 
 def test_spectrum_one_dimensional_output(capsys):

@@ -23,14 +23,7 @@ import numpy as np
 import pytest
 
 from kronpcg.laplace1d import BoundaryCondition
-from kronpcg.operators import (
-    BoundaryData,
-    FaceValue,
-    apply_bc_updates,
-    center,
-    is_singular,
-    poisson_operator,
-)
+from kronpcg.operators import apply_bc_updates, center, is_singular, poisson_operator
 from kronpcg.precond import PinvPreconditioner
 from kronpcg.solver import SolverConfig, pcg
 
@@ -73,12 +66,11 @@ def _max_error(shape, bcs, axis):
         rhs += 2 * u_star - np.roll(u_star, 1, d) - np.roll(u_star, -1, d)
     faces = [(None, None)] * len(shape)
     faces[axis] = tuple(
-        FaceValue("potential", _a(face)) if kind == "D"
-        else FaceValue("field", outward * h * _a(face, 1))
+        _a(face) if kind == "D" else outward * h * _a(face, 1)
         for kind, face, outward in ((first, 0.0, -1.0), (last, 1.0, 1.0))
     )
     op = poisson_operator(shape, bcs)
-    rhs = apply_bc_updates(rhs, bcs, BoundaryData(tuple(faces)))
+    rhs = apply_bc_updates(rhs, bcs, faces)
     if is_singular(op):
         rhs = center(rhs)
     config = SolverConfig(max_iter=5, stop_tol=1e-12)

@@ -17,12 +17,10 @@ from conftest import (
 )
 from kronpcg.counting import OpCounter
 from kronpcg.formats import write_run_log
-from kronpcg.laplace1d import BoundaryCondition
+from kronpcg.laplace1d import BoundaryCondition, face_kinds
 from kronpcg.operators import (
     _SLAB_ENTRIES,
     NULL_SHARE_TOL,
-    BoundaryData,
-    FaceValue,
     apply,
     apply_bc_updates,
     center,
@@ -245,13 +243,7 @@ def test_null_share_is_the_centering_rule():
 def test_apply_bc_updates_adds_face_values():
     h = np.zeros((4, 6))
     bcs = (BC.DIRICHLET_NEUMANN, BC.PERIODIC)
-    data = BoundaryData(
-        (
-            (FaceValue("potential", 2.0), FaceValue("field", -0.5)),
-            (None, None),
-        )
-    )
-    out = apply_bc_updates(h, bcs, data)
+    out = apply_bc_updates(h, bcs, ((2.0, -0.5), (None, None)))
     assert np.all(out[0, :] == 2.0)
     assert np.all(out[-1, :] == -0.5)
     assert np.all(out[1:-1, :] == 0.0)
@@ -259,15 +251,11 @@ def test_apply_bc_updates_adds_face_values():
     assert np.all(h == 0.0)
 
 
-def test_apply_bc_updates_validates_kinds():
+def test_apply_bc_updates_refuses_a_value_on_a_periodic_end():
     h = np.zeros((4, 6))
     bcs = (BC.DIRICHLET_NEUMANN, BC.PERIODIC)
-    wrong_kind = BoundaryData(((FaceValue("field", 1.0), None), (None, None)))
-    with pytest.raises(ValueError):
-        apply_bc_updates(h, bcs, wrong_kind)
-    closed_face = BoundaryData(((None, None), (FaceValue("potential", 1.0), None)))
-    with pytest.raises(ValueError):
-        apply_bc_updates(h, bcs, closed_face)
+    with pytest.raises(ValueError, match=r"direction 1 \(periodic\) accepts no begin"):
+        apply_bc_updates(h, bcs, ((None, None), (1.0, None)))
 
 
 @pytest.mark.parametrize("bc", list(BC))
@@ -277,18 +265,17 @@ def test_each_end_takes_the_face_kind_its_matrix_row_implies(bc):
     h = np.zeros((5, 4))
     for end, row in ((0, m[0]), (-1, m[-1])):
         expected = None if m[0, -1] != 0.0 else {1.0: "potential", 0.0: "field"}[row.sum()]
-        for kind in ("potential", "field"):
-            faces = (FaceValue(kind, 1.0), None) if end == 0 else (None, FaceValue(kind, 1.0))
-            data = BoundaryData((faces, (None, None)))
-            if kind == expected:
-                out = apply_bc_updates(h, (bc, BC.PERIODIC), data)
-                assert np.all(out[end] == 1.0) and out.sum() == 4.0
-            else:
-                with pytest.raises(ValueError):
-                    apply_bc_updates(h, (bc, BC.PERIODIC), data)
+        assert face_kinds(bc)[end] == expected
+        faces = ((1.0, None) if end == 0 else (None, 1.0), (None, None))
+        if expected is None:
+            with pytest.raises(ValueError):
+                apply_bc_updates(h, (bc, BC.PERIODIC), faces)
+        else:
+            out = apply_bc_updates(h, (bc, BC.PERIODIC), faces)
+            assert np.all(out[end] == 1.0) and out.sum() == 4.0
 
 
 def test_apply_bc_updates_needs_full_coverage():
     h = np.zeros((4, 6))
     with pytest.raises(ValueError):
-        apply_bc_updates(h, (BC.PERIODIC, BC.PERIODIC), BoundaryData(((None, None),) * 3))
+        apply_bc_updates(h, (BC.PERIODIC, BC.PERIODIC), ((None, None),) * 3)

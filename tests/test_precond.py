@@ -15,6 +15,7 @@ from conftest import (
     dense_pseudoinverse,
     kron_assemble,
     numeric_spectrum,
+    outer_sum,
     random_operator,
     rotated_bcs,
     spectrum_sums,
@@ -36,7 +37,7 @@ from kronpcg.precond import (
     make_preconditioner,
 )
 from kronpcg.solver import SolverConfig, pcg
-from kronpcg.tensors import hadamard_pinv, inner, linear_transform, outer_sum
+from kronpcg.tensors import hadamard_pinv, inner, linear_transform
 
 BC = BoundaryCondition
 

@@ -3,7 +3,7 @@ import pytest
 
 from kronpcg import problems
 from kronpcg.laplace1d import BoundaryCondition
-from kronpcg.operators import BoundaryData, FaceValue, apply_bc_updates
+from kronpcg.operators import apply_bc_updates
 from kronpcg.problems import P3_VARIANTS, gen_problem1, gen_problem2, gen_problem3
 from kronpcg.solver import SolverConfig
 
@@ -64,23 +64,14 @@ class TestProblem2:
         start = max(0, n // 3 - width // 2)
         raw = np.zeros((n, q))
         raw[start : start + width, :] = 1.0
-        raw = apply_bc_updates(
-            raw,
-            spec.bcs,
-            BoundaryData(
-                ((FaceValue("potential", 0.0), FaceValue("field", -0.5)), (None, None))
-            ),
-        )
+        raw = apply_bc_updates(raw, spec.bcs, ((0.0, -0.5), (None, None)))
         assert np.allclose(h, raw * spec.scale, atol=1e-18)
         # The field face really is folded in: the last row sits below zero.
         assert np.all(h[-1, :] < 0.0)
 
     def test_boundary_data_is_recorded(self):
         spec, _ = gen_problem2()
-        begin, end = spec.boundary.faces[0]
-        assert begin.kind == "potential" and begin.value == 0.0
-        assert end.kind == "field" and end.value == -0.5
-        assert spec.boundary.faces[1] == (None, None)
+        assert spec.boundary == ((0.0, -0.5), (None, None))
 
     def test_rejects_bad_band(self):
         with pytest.raises(ValueError, match="band width"):
