@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from math import isfinite
 from typing import Callable, Optional, Sequence
 
 from . import formats
@@ -55,11 +56,10 @@ def _parse_size(text: str, want_ndim: Optional[int] = None) -> tuple[int, ...]:
     return dims
 
 
-def _axis_entries(
-    flag: str, entries: Sequence[str], ndim: int, parse: Callable, found: dict
-) -> dict:
-    """Add ``<axis>=<value>`` entries of ``--flag`` to ``found`` as
-    ``{axis: parse(value)}``; an axis already in ``found`` is refused."""
+def _axis_entries(flag: str, entries: Sequence[str], ndim: int, parse: Callable) -> dict:
+    """``<axis>=<value>`` entries of ``--flag`` as ``{axis: parse(value)}``;
+    an axis given twice is refused."""
+    found: dict = {}
     for entry in entries:
         axis_name, sep, value = entry.partition("=")
         axis_name = axis_name.strip().lower()
@@ -78,6 +78,12 @@ def _axis_entries(
     return found
 
 
+def _finite(text: str) -> float:
+    if not isfinite(value := float(text)):
+        raise ValueError(f"{value} is not a finite number")
+    return value
+
+
 def _condition(text: str) -> BoundaryCondition:
     try:
         return BoundaryCondition(text.strip().lower())
@@ -89,7 +95,7 @@ def _condition(text: str) -> BoundaryCondition:
 
 
 def _parse_bcs(text: str, ndim: int) -> tuple[BoundaryCondition, ...]:
-    bcs = _axis_entries("bc", text.split(","), ndim, _condition, {})
+    bcs = _axis_entries("bc", text.split(","), ndim, _condition)
     if len(bcs) != ndim:
         raise UsageError(f"--bc must cover every axis {tuple(_AXES[:ndim])} exactly once")
     return tuple(bcs[a] for a in range(ndim))
@@ -103,7 +109,7 @@ def _parse_face_flags(
     faces: tuple[dict, dict] = ({}, {})
     for flag in ("uB", "uE", "eB", "eE"):
         end = "BE".index(flag[1])
-        given = _axis_entries(flag, getattr(args, flag) or [], len(bcs), float, {})
+        given = _axis_entries(flag, getattr(args, flag) or [], len(bcs), _finite)
         for axis, value in given.items():
             bc, takes = bcs[axis], face_kinds(bcs[axis])[end]
             if takes is None:
@@ -128,7 +134,6 @@ def build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("gen", help="generate a benchmark right-hand side")
     gen.add_argument("--problem", required=True, choices=["p1", "p2", "p3"])
     gen.add_argument("--size", help="grid extents, e.g. 50x100 (p1; optional for p2)")
-    gen.add_argument("--period", type=int, help="stripe period for p1 (default 12)")
     gen.add_argument("--variant", choices=sorted(P3_VARIANTS), help="grid variant for p3")
     gen.add_argument("--seed", type=int, help="RNG seed for p3 (default 0)")
     gen.add_argument("--out", required=True, help="output .kten path")
@@ -138,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--input", required=True, help="right-hand side .kten")
     solve.add_argument("--bc", required=True, help="e.g. x=periodic,y=dirichlet-neumann")
     solve.add_argument("--precond", default="none", help="none | pinv | jacobi:p=3,omega=1.3 | lowrank:r=3")
-    solve.add_argument("--max-iter", type=int, default=100)
+    solve.add_argument("--max-iter", type=int, default=SolverConfig.max_iter)
     solve.add_argument("--tol", type=float, default=None, help="relative true-residual stop")
     solve.add_argument("--log", help="write the run log JSON here")
     solve.add_argument("--solution", help="write the final iterate as .kten here")
@@ -154,7 +159,6 @@ def build_parser() -> argparse.ArgumentParser:
     exp = sub.add_parser("experiment", help="run a packaged experiment suite")
     exp.add_argument("--name", required=True, choices=sorted(EXPERIMENTS))
     exp.add_argument("--outdir", required=True)
-    exp.add_argument("--seed", type=int, help="seed for the p3 runs (default 0)")
     exp.set_defaults(run=_cmd_experiment)
 
     spec = sub.add_parser("spectrum", help="print operator eigenvalues")
@@ -168,26 +172,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # Problem -> its ``gen`` flags besides --problem and --out.
-_GEN_FLAGS = {"p1": {"size", "period"}, "p2": {"size"}, "p3": {"variant", "seed"}}
+_GEN_FLAGS = {"p1": {"size"}, "p2": {"size"}, "p3": {"variant", "seed"}}
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    given = {f for f in ("size", "period", "variant", "seed") if getattr(args, f) is not None}
+    given = {f for f in ("size", "variant", "seed") if getattr(args, f) is not None}
     stray = sorted(given - _GEN_FLAGS[args.problem])
     if stray:
         raise UsageError(f"{args.problem} does not take {', '.join('--' + f for f in stray)}")
-    keywords = {f: getattr(args, f) for f in given & {"period", "seed"}}
     if args.problem == "p1":
         if not args.size:
             raise UsageError("p1 needs --size, e.g. --size 50x100")
-        n, q = _parse_size(args.size, want_ndim=2)
-        spec, h = gen_problem1(n, q, **keywords)
+        spec, h = gen_problem1(*_parse_size(args.size, want_ndim=2))
     elif args.problem == "p2":
         spec, h = gen_problem2(*(_parse_size(args.size, want_ndim=2) if args.size else ()))
     else:
         if not args.variant:
             raise UsageError(f"p3 needs --variant (one of {', '.join(sorted(P3_VARIANTS))})")
-        spec, h = gen_problem3(args.variant, **keywords)
+        spec, h = gen_problem3(args.variant, args.seed or 0)
     formats.write_tensor(args.out, h)
     print(f"wrote {spec.name} {'x'.join(map(str, spec.shape))} to {args.out} "
           f"(|h| = {frobenius_norm(h):.6e})")
@@ -200,13 +202,10 @@ def _cmd_gen(args: argparse.Namespace) -> int:
                 for kind, value in zip(face_kinds(bc), pair)
             ]
             faces.append({"axis": _AXES[axis], "begin": values[0], "end": values[1]})
-        doc = {
-            "bcs": [bc.value for bc in spec.bcs],
-            "applied": True,
-            "faces": faces,
-            "scale": spec.scale,
-        }
-        formats.write_json(sidecar, doc)
+        bcs = [bc.value for bc in spec.bcs]
+        formats.write_json(
+            sidecar, {"bcs": bcs, "applied": True, "faces": faces, "scale": spec.scale}
+        )
         print(f"boundary data (already folded into h) recorded in {sidecar}")
     return 0
 
@@ -288,12 +287,9 @@ def _run_to_files(
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    keywords = {} if args.seed is None else {"seed": args.seed}
-    if keywords and all(problem[0] != "p3" for problem, _, _ in EXPERIMENTS[args.name]):
-        raise UsageError(f"{args.name} does not take --seed: it has no p3 run")
     os.makedirs(args.outdir, exist_ok=True)
     rows: list[dict] = []
-    for name, spec, h, pspec, budget in experiment_runs(args.name, **keywords):
+    for name, spec, h, pspec, budget in experiment_runs(args.name):
         row, rel, note = _run_to_files(args.outdir, name, spec, h, pspec, budget)
         rows.append(row)
         reached = row["iters_to_1e-9"]

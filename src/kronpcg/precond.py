@@ -40,20 +40,20 @@ def _spectral_setup(op) -> tuple[list[np.ndarray], list[np.ndarray]]:
     return [d.vectors for d in decomps], [d.values for d in decomps]
 
 
-def _ghat_blocks(values, scratch=None):
+def _ghat_blocks(values, scratch):
     """Yield ``(rows, block)``: ``ghat``'s leading ``rows``, flattened past axis 0.
 
     ``ghat`` is bitwise ``hadamard_pinv`` of the eigenvalue sums, built about
     ``_GHAT_ENTRIES`` entries (at least one row) at a time at the head of
-    ``scratch`` (a new block-sized array if omitted).  Each sum keeps its
-    order ``(a_i + b_j) + c_k``; each add runs along whole flattened rows.
+    ``scratch``.  Each sum keeps its order ``(a_i + b_j) + c_k``; each add
+    runs along whole flattened rows.
     """
     shape = [len(v) for v in values]
     tail = [v.reshape((-1,) + (1,) * (len(shape) - 1 - d)) for d, v in enumerate(values[1:], 1)]
     lines = [np.broadcast_to(v, shape[1:]).reshape(-1) for v in tail]
     width = lines[0].size
-    height = min(shape[0], max(1, _GHAT_ENTRIES // width))
-    flat = (np.empty(height * width) if scratch is None else scratch).reshape(-1)
+    height = max(1, _GHAT_ENTRIES // width)
+    flat = scratch.reshape(-1)
     for lo in range(0, shape[0], height):
         rows = slice(lo, min(lo + height, shape[0]))
         block = flat[: (rows.stop - lo) * width].reshape(-1, width)
@@ -280,10 +280,7 @@ class LowRankPreconditioner(Preconditioner):
             raise ValueError(f"rank must be in [1, {min(n, q)}], got {rank}")
         self.name = f"lowrank(r={self.rank})"
         (vn, vq), values = _spectral_setup(op)
-        ghat = np.empty(op.shape)
-        for rows, block in _ghat_blocks(values):
-            ghat[rows] = block
-        a, sigma, bt = np.linalg.svd(ghat)
+        a, sigma, bt = np.linalg.svd(hadamard_pinv(np.add.outer(*values)))
         terms = range(self.rank)
         self.left = [np.einsum("ij,kj->ik", vn * (sigma[i] * a[:, i]), vn) for i in terms]
         self.right = [np.einsum("ij,kj->ik", vq * bt[i, :], vq) for i in terms]

@@ -34,6 +34,10 @@ __all__ = [
     "experiment_runs",
 ]
 
+# p1's stripe period.  12 does not divide the benchmark grid extents, so the seams
+# at the periodic wrap spread the charge over all frequencies and make p1 a real
+# CG stress test; a wrap-aligned period excites only a few well-conditioned modes.
+_P1_PERIOD = 12
 _P2_BAND_WIDTH = 5  # rows of unit charge in the p2 band
 
 P3_VARIANTS: dict[str, tuple[int, ...]] = {
@@ -82,23 +86,16 @@ def _finish(
     return spec, h
 
 
-def gen_problem1(n: int, q: int, period: int = 12) -> tuple[ProblemSpec, np.ndarray]:
+def gen_problem1(n: int, q: int) -> tuple[ProblemSpec, np.ndarray]:
     """Alternating diagonal charge stripes on a fully periodic 2D grid.
 
-    Unit positive charge where ``(i + 2j) % period == 0``, unit negative
-    where the same expression hits ``period/2``; the result is centered
-    and normalized.  ``period`` must be even and at least 2.  The default
-    of 12 deliberately does not divide the benchmark grid extents: the
-    stripe seams at the periodic wrap spread the charge across the whole
-    frequency range, which is what makes the problem a meaningful
-    conjugate-gradient stress test (a wrap-aligned period excites only a
-    few well-conditioned modes and converges in a handful of steps).
+    Unit positive charge where ``(i + 2j) % _P1_PERIOD`` is 0, unit
+    negative where it is half the period; the result is centered and
+    normalized.
     """
     op = poisson_operator((n, q), [BoundaryCondition.PERIODIC] * 2)
-    if period < 2 or period % 2 != 0:
-        raise ValueError(f"period must be even and >= 2, got {period}")
-    phase = np.add.outer(np.arange(n), 2 * np.arange(q)) % period
-    h = np.where(phase == 0, 1.0, 0.0) + np.where(phase == period // 2, -1.0, 0.0)
+    phase = np.add.outer(np.arange(n), 2 * np.arange(q)) % _P1_PERIOD
+    h = np.where(phase == 0, 1.0, 0.0) + np.where(phase == _P1_PERIOD // 2, -1.0, 0.0)
     return _finish("p1", op, h)
 
 
@@ -177,16 +174,14 @@ EXPERIMENTS: dict[str, list[tuple[tuple, str, int]]] = {
 }
 
 
-def experiment_runs(
-    name: str, seed: int = 0
-) -> list[tuple[str, ProblemSpec, np.ndarray, str, int]]:
+def experiment_runs(name: str) -> list[tuple[str, ProblemSpec, np.ndarray, str, int]]:
     """One experiment's runs as (label, spec, h, preconditioner spec, budget),
-    in table order; each problem is generated once, p3 with ``seed``.
+    in table order; each problem is generated once, p3 with seed 0.
 
     The label is the family and the grid shape, e.g. ``p1_500x1000``, so
     it tells apart the runs of one family at several sizes.
     """
-    gens = {"p1": gen_problem1, "p2": gen_problem2, "p3": lambda v: gen_problem3(v, seed=seed)}
+    gens = {"p1": gen_problem1, "p2": gen_problem2, "p3": gen_problem3}
     made: dict[tuple, tuple[ProblemSpec, np.ndarray]] = {}
     runs = []
     for problem, pspec, budget in EXPERIMENTS[name]:

@@ -88,15 +88,13 @@ def test_gen_writes_the_sidecar_through_the_atomic_writer(tmp_path, monkeypatch)
 @pytest.mark.parametrize(
     "argv",
     [
-        ["--problem", "p3", "--variant", "2d_512x256", "--size", "3x3", "--period", "7"],
+        ["--problem", "p1", "--size", "5x10", "--variant", "2d_512x256", "--seed", "1"],
         ["--problem", "p1", "--size", "5x10", "--variant", "2d_512x256"],
         ["--problem", "p1", "--size", "5x10", "--seed", "1"],
         ["--problem", "p2", "--seed", "1"],
-        ["--problem", "p2", "--period", "12"],
         ["--problem", "p3", "--variant", "2d_512x256", "--size", "512x256"],
-        ["--problem", "p3", "--variant", "2d_512x256", "--period", "12"],
     ],
-    ids=["p3-size-period", "p1-variant", "p1-seed", "p2-seed", "p2-period", "p3-size", "p3-period"],
+    ids=["p1-variant-seed", "p1-variant", "p1-seed", "p2-seed", "p3-size"],
 )
 def test_gen_refuses_a_flag_of_another_problem(tmp_path, capsys, argv):
     out = tmp_path / "x.kten"
@@ -105,12 +103,8 @@ def test_gen_refuses_a_flag_of_another_problem(tmp_path, capsys, argv):
     assert not out.exists()
 
 
-def test_gen_passes_period_and_seed_to_the_generator(tmp_path):
-    p1, p3 = str(tmp_path / "p1.kten"), str(tmp_path / "p3.kten")
-    p1_argv = ["gen", "--problem", "p1", "--size", "6x8", "--out", p1, "--period"]
-    assert cli.main([*p1_argv, "4"]) == 0
-    assert np.array_equal(read_tensor(p1), gen_problem1(6, 8, period=4)[1])
-    assert cli.main([*p1_argv, "7"]) == 1  # an odd period reaches the generator's check
+def test_gen_passes_the_seed_to_the_generator(tmp_path):
+    p3 = str(tmp_path / "p3.kten")
     p3_argv = ["gen", "--problem", "p3", "--variant", "2d_512x256", "--seed", "3", "--out", p3]
     assert cli.main(p3_argv) == 0
     assert np.array_equal(read_tensor(p3), gen_problem3("2d_512x256", seed=3)[1])
@@ -148,10 +142,8 @@ def test_usage_errors_exit_one(argv, capsys):
         (["spectrum", "--n", "-4", "--bc", "dirichlet"], "needs n >= 3, got n=-4"),
         (["gen", "--problem", "p3", "--variant", "2d_512x256", "--seed", "-1", "--out", "{tmp}/x.kten"],
          "p3 seed"),
-        (["experiment", "--name", "exp3", "--seed", "-1", "--outdir", "{tmp}"], "p3 seed"),
-        (["experiment", "--name", "exp1", "--seed", "-1", "--outdir", "{tmp}"], "--seed"),
     ],
-    ids=["spectrum-n-0", "spectrum-n-negative", "gen-p3-seed", "exp3-seed", "exp1-seed"],
+    ids=["spectrum-n-0", "spectrum-n-negative", "gen-p3-seed"],
 )
 def test_usage_errors_name_the_bad_value(tmp_path, capsys, argv, message):
     """A refused value is named: ``--n 0`` is a size, not a missing ``--n``,
@@ -160,6 +152,25 @@ def test_usage_errors_name_the_bad_value(tmp_path, capsys, argv, message):
     captured = capsys.readouterr()
     assert message in captured.err and captured.out == ""
     assert not (tmp_path / "x.kten").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["gen", "--problem", "p1", "--size", "6x8", "--period", "12", "--out", "{tmp}/x.kten"],
+         "--period"),
+        (["experiment", "--name", "exp3", "--seed", "0", "--outdir", "{tmp}/x"], "--seed"),
+    ],
+    ids=["gen-period", "experiment-seed"],
+)
+def test_fixed_inputs_are_not_options(tmp_path, capsys, argv, flag):
+    """p1's stripe period and exp3's p3 seed are fixed: neither flag exists."""
+    assert cli.main([arg.format(tmp=tmp_path) for arg in argv]) == 1
+    assert flag in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+    with pytest.raises(SystemExit):
+        cli.main([argv[0], "--help"])
+    assert flag not in capsys.readouterr().out
 
 
 def test_solve_centers_an_uncentered_singular_side(tmp_path, capsys):
@@ -326,6 +337,16 @@ def test_solve_reports_breakdown_with_exit_two(tmp_path, capsys, monkeypatch):
     assert doc["breakdown"] == "indefinite"
 
 
+def test_solve_budget_defaults_to_the_solver_config(tmp_path, capsys):
+    """``solve`` without ``--max-iter`` runs ``SolverConfig``'s own budget."""
+    rhs, log_path = str(tmp_path / "p1.kten"), tmp_path / "log.json"
+    write_tensor(rhs, gen_problem1(6, 8)[1])
+    assert cli.main(["solve", "--input", rhs, "--bc", "x=periodic,y=periodic",
+                     "--log", str(log_path)]) == 0
+    capsys.readouterr()
+    assert json.loads(log_path.read_text())["config"]["max_iter"] == SolverConfig().max_iter
+
+
 def test_solve_applies_face_flags(tmp_path):
     rhs = tmp_path / "flat.kten"
     write_tensor(str(rhs), np.zeros((8, 10)))
@@ -386,6 +407,21 @@ def test_solve_takes_a_face_value_only_from_the_flag_of_its_kind(
     assert cli.main(argv + [f"--{wrong}", "x=0.37"]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: --{wrong}: ") and f"from --{right}" in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("flag", ["uB", "eE"])
+def test_solve_refuses_a_non_finite_face_value(tmp_path, capsys, flag, value):
+    """A non-finite face value is the flag's fault, not the input file's."""
+    rhs, log_path = str(tmp_path / "p2.kten"), tmp_path / "log.json"
+    cli.main(["gen", "--problem", "p2", "--out", rhs])
+    capsys.readouterr()
+    argv = ["solve", "--input", rhs, "--bc", "x=dirichlet-neumann,y=periodic", "--precond", "pinv"]
+    assert cli.main(argv + [f"--{flag}", f"x={value}", "--log", str(log_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: bad --{flag} entry 'x={value}': ")
+    assert "is not a finite number" in captured.err and captured.out == ""
+    assert not log_path.exists()
 
 
 @pytest.mark.parametrize("flag", ["uB", "uE", "eB", "eE"])

@@ -495,8 +495,9 @@ class TestLowRank:
 
     @pytest.mark.parametrize("first", list(BC))
     def test_svd_factors_the_reference_ghat(self, first, monkeypatch):
-        """The ``ghat`` the SVD truncates, built from the same blocks as the
-        pinv apply's, is bitwise ``hadamard_pinv(spectrum_sums(op))``."""
+        """The ``ghat`` the SVD truncates is bitwise
+        ``hadamard_pinv(spectrum_sums(op))``, the one the pinv apply builds
+        block by block."""
         factored = []
         svd = np.linalg.svd
         monkeypatch.setattr(np.linalg, "svd", lambda a: factored.append(a.copy()) or svd(a))
