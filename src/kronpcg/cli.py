@@ -33,6 +33,7 @@ from .tensors import frobenius_norm
 
 _AXES = "xyz"
 _FACE_FLAGS = {"potential": "u", "field": "e"}  # face kind -> its flags' stem (then B or E)
+_CONFIG_FLAGS = {"max_iter": "--max-iter", "stop_tol": "--tol"}  # SolverConfig field -> flag
 
 
 class UsageError(ValueError):
@@ -44,15 +45,15 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _parse_size(text: str, want_ndim: Optional[int] = None) -> tuple[int, ...]:
+def _parse_size(text: str, ndims: tuple[int, ...]) -> tuple[int, ...]:
+    """``--size`` as a tuple whose length is one of ``ndims``; the operator
+    checks each extent."""
     try:
         dims = tuple(int(part) for part in text.lower().split("x"))
     except ValueError:
         raise UsageError(f"bad --size {text!r}, expected e.g. 50x100 or 16x16x16")
-    if len(dims) not in (2, 3) or any(d < 1 for d in dims):
-        raise UsageError(f"bad --size {text!r}, expected 2 or 3 positive extents")
-    if want_ndim is not None and len(dims) != want_ndim:
-        raise UsageError(f"--size {text!r} must have {want_ndim} extents here")
+    if len(dims) not in ndims:
+        raise UsageError(f"bad --size {text!r}, expected {' or '.join(map(str, ndims))} extents")
     return dims
 
 
@@ -162,9 +163,8 @@ def build_parser() -> argparse.ArgumentParser:
     exp.set_defaults(run=_cmd_experiment)
 
     spec = sub.add_parser("spectrum", help="print operator eigenvalues")
-    spec.add_argument("--n", type=int, help="1D size (with a single --bc value)")
-    spec.add_argument("--bc", required=True, help="one condition, or x=...,y=... with --size")
-    spec.add_argument("--size", help="grid extents for the sum-spectrum form")
+    spec.add_argument("--size", required=True, help="1 to 3 extents, e.g. 8 or 6x8")
+    spec.add_argument("--bc", required=True, help="e.g. x=neumann,y=periodic")
     spec.add_argument("--sums", action="store_true", help="print sum-spectrum extrema")
     spec.set_defaults(run=_cmd_spectrum)
 
@@ -183,9 +183,9 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     if args.problem == "p1":
         if not args.size:
             raise UsageError("p1 needs --size, e.g. --size 50x100")
-        spec, h = gen_problem1(*_parse_size(args.size, want_ndim=2))
+        spec, h = gen_problem1(*_parse_size(args.size, (2,)))
     elif args.problem == "p2":
-        spec, h = gen_problem2(*(_parse_size(args.size, want_ndim=2) if args.size else ()))
+        spec, h = gen_problem2(*(_parse_size(args.size, (2,)) if args.size else ()))
     else:
         if not args.variant:
             raise UsageError(f"p3 needs --variant (one of {', '.join(sorted(P3_VARIANTS))})")
@@ -220,6 +220,11 @@ def _solve(op, h, pspec: str, config: SolverConfig) -> ConvergenceLog:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
+    try:
+        config = SolverConfig(max_iter=args.max_iter, stop_tol=args.tol)
+    except ValueError as exc:  # told in the flag's name, not the field's
+        field, _, reason = str(exc).partition(" ")
+        raise UsageError(f"{_CONFIG_FLAGS[field]} {reason}") from None
     h = formats.read_tensor(args.input)
     bcs = _parse_bcs(args.bc, h.ndim)
     op = poisson_operator(h.shape, bcs)
@@ -234,7 +239,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         center(h, out=h)
         notes.append("right-hand side centered (singular operator)")
 
-    log = _solve(op, h, args.precond, SolverConfig(max_iter=args.max_iter, stop_tol=args.tol))
+    log = _solve(op, h, args.precond, config)
     log.problem = os.path.basename(args.input)
     log.warnings[:0] = notes
 
@@ -304,29 +309,15 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
-    if args.size:
-        if args.n is not None:
-            raise UsageError("--n is the 1D form's size; with --size give the extents there")
-        dims = _parse_size(args.size)
-        bcs = _parse_bcs(args.bc, len(dims))
-        op = poisson_operator(dims, bcs)
-        value_lists = [eigenvalues(n, bc) for n, bc in zip(op.shape, op.bcs)]
-        for axis, (n, bc, values) in enumerate(zip(op.shape, op.bcs, value_lists)):
-            listed = ",".join(f"{v:.12g}" for v in values)
-            print(f"axis {_AXES[axis]} ({bc.value}, n={n}): {listed}")
-        if args.sums:
-            # Rounded addition is monotone: extreme sums are sums of per-axis extremes.
-            low, high = (sum(pick(v) for v in value_lists) for pick in (min, max))
-            print(f"sum-spectrum min {low:.12g} max {high:.12g}")
-        return 0
-    if args.n is None:
-        raise UsageError("spectrum needs either --n with a single --bc, or --size")
+    dims = _parse_size(args.size, (1, 2, 3))
+    bcs = _parse_bcs(args.bc, len(dims))
+    value_lists = [eigenvalues(n, bc) for n, bc in zip(dims, bcs)]
+    for axis, (n, bc, values) in enumerate(zip(dims, bcs, value_lists)):
+        print(f"axis {_AXES[axis]} ({bc.value}, n={n}): {','.join(f'{v:.15g}' for v in values)}")
     if args.sums:
-        raise UsageError("--sums needs --size: a single --n has no sum spectrum")
-    values = eigenvalues(args.n, _condition(args.bc))
-    print("k,eigenvalue")
-    for k, value in enumerate(values, start=1):
-        print(f"{k},{value:.15g}")
+        # Rounded addition is monotone: extreme sums are sums of per-axis extremes.
+        low, high = (sum(pick(v) for v in value_lists) for pick in (min, max))
+        print(f"sum-spectrum min {low:.12g} max {high:.12g}")
     return 0
 
 

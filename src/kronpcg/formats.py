@@ -3,7 +3,7 @@
 A ``.kten`` file is one ASCII header line ``KTEN <ndim> <d1> <d2> [<d3>]``
 followed by the raw float64 little-endian payload in first-index-fastest
 order; round-trips are bitwise, and a payload holding NaN or Inf is
-refused on read.  Run logs are JSON documents matching
+refused on write and on read.  Run logs are JSON documents matching
 :data:`RUN_LOG_SCHEMA`, derived from the log's dataclasses
 (:mod:`kronpcg.solver`).  All writers go through a temp file and an
 atomic rename so a crash never leaves a half-written artifact.
@@ -46,10 +46,16 @@ def _atomic_write_bytes(path: str, payload: bytes) -> None:
 
 
 def write_tensor(path: str, t: np.ndarray) -> None:
-    """Write a 2D/3D float64 tensor as a KTEN file."""
-    t = np.asarray(t, dtype="<f8")
+    """Write a real, finite 2D/3D tensor as a float64 KTEN file; anything else
+    is a ``ValueError`` raised before any file is created."""
+    t = np.asarray(t)
+    if t.dtype.kind not in "biuf":
+        raise ValueError(f"KTEN stores real numbers, got dtype {t.dtype}")
+    t = t.astype("<f8", copy=False)
     if t.ndim not in (2, 3):
         raise ValueError(f"KTEN stores 2D or 3D tensors, got ndim={t.ndim}")
+    if not np.isfinite(t).all():
+        raise ValueError("KTEN payload must be finite (holds NaN or Inf)")
     header = " ".join([_MAGIC, str(t.ndim), *map(str, t.shape)]) + "\n"
     _atomic_write_bytes(path, header.encode("ascii") + t.tobytes(order="F"))
 

@@ -271,13 +271,13 @@ class LowRankPreconditioner(Preconditioner):
 
     _term = None  # the rank sum's second scratch array, kept from the first apply
 
-    def __init__(self, op, rank: int):
+    def __init__(self, op, r: int):
         if op.ndim != 2:
             raise ValueError("low-rank preconditioner supports 2D grids only")
         n, q = op.shape
-        self.rank = checked_integer("rank", rank)
+        self.rank = checked_integer("rank r", r)
         if not 1 <= self.rank <= min(n, q):
-            raise ValueError(f"rank must be in [1, {min(n, q)}], got {rank}")
+            raise ValueError(f"rank r must be in [1, {min(n, q)}], got {r}")
         self.name = f"lowrank(r={self.rank})"
         (vn, vq), values = _spectral_setup(op)
         a, sigma, bt = np.linalg.svd(hadamard_pinv(np.add.outer(*values)))
@@ -306,13 +306,13 @@ class LowRankPreconditioner(Preconditioner):
         return z
 
 
-# Family -> (constructor taking the operator, {spec key: (keyword, type)},
-# required spec keys: those whose keyword the constructor does not default).
+# Family -> (constructor taking the operator, {spec key: its type}); a spec
+# key is the constructor's keyword.
 _FAMILIES = {
-    "none": (lambda op: IdentityPreconditioner(), {}, ()),
-    "pinv": (PinvPreconditioner, {}, ()),
-    "jacobi": (JacobiPreconditioner, {"p": ("p", int), "omega": ("omega", float)}, ()),
-    "lowrank": (LowRankPreconditioner, {"r": ("rank", int)}, ("r",)),
+    "none": (lambda op: IdentityPreconditioner(), {}),
+    "pinv": (PinvPreconditioner, {}),
+    "jacobi": (JacobiPreconditioner, {"p": int, "omega": float}),
+    "lowrank": (LowRankPreconditioner, {"r": int}),
 }
 
 
@@ -327,7 +327,7 @@ def make_preconditioner(op, spec: str) -> Preconditioner:
     head = head.strip().lower()
     if head not in _FAMILIES:
         raise ValueError(f"unknown preconditioner {head!r}")
-    build, params, required = _FAMILIES[head]
+    build, params = _FAMILIES[head]
     kwargs: dict = {}
     try:
         for item in tail.split(",") if tail else []:
@@ -335,13 +335,9 @@ def make_preconditioner(op, spec: str) -> Preconditioner:
             if not sep or key not in params:
                 takes = ", ".join(params) or "no parameters"
                 raise ValueError(f"bad parameter {item!r}; {head} takes {takes}")
-            keyword, kind = params[key]
-            if keyword in kwargs:
+            if key in kwargs:
                 raise ValueError(f"parameter {key!r} is given twice")
-            kwargs[keyword] = kind(value)
-        for key in required:
-            if params[key][0] not in kwargs:
-                raise ValueError(f"missing parameter {key!r}; {head} takes {', '.join(params)}")
+            kwargs[key] = params[key](value)
         return build(op, **kwargs)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"bad preconditioner spec {spec!r}: {exc}") from exc

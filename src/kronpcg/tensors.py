@@ -63,54 +63,41 @@ def checked_integer(name: str, value) -> int:
 
 
 def linear_transform(
-    mats: Sequence[np.ndarray],
-    t: np.ndarray,
-    work: Optional[tuple[np.ndarray, np.ndarray]] = None,
+    mats: Sequence[np.ndarray], t: np.ndarray, work: tuple[np.ndarray, np.ndarray]
 ) -> np.ndarray:
-    """Apply one matrix per mode: ``(A, B[, C] | t)``.
+    """Apply one square matrix per mode, ``(A, B[, C] | t)``, through ``work``.
 
-    ``mats[l]`` acts along mode ``l+1`` and its column count must match the
-    tensor's extent there; exactly one matrix per tensor dimension is
-    required.  A 2D tensor gets the congruence ``A T B^T`` as two GEMMs.
-    A 3D tensor is rotated (de Boor, ACM TOMS 5, 1979): each step is one NT
-    GEMM, the C-ordered matrix times a transposed view that contracts the
-    trailing axis, and puts the new axis first, ``(n,q,t) -> (t',n,q) ->
-    (q',t',n) -> (n',q',t')``.  BLAS reads the view in place, so there is
-    no transposed copy and no batched product over a middle mode, whose
-    many small GEMMs run at a fraction of the speed of one large one.
+    ``mats[l]``, of shape ``(extent, extent)``, acts along mode ``l+1``.  A
+    2D tensor gets the congruence ``A T B^T`` as two GEMMs.  A 3D tensor is
+    rotated (de Boor, ACM TOMS 5, 1979): each step is one NT GEMM, the
+    C-ordered matrix times a transposed view that contracts the trailing
+    axis, and puts the new axis first, ``(n,q,t) -> (t,n,q) -> (q,t,n) ->
+    (n,q,t)``.  BLAS reads the view in place, so there is no transposed
+    copy and no batched product over a middle mode, whose many small GEMMs
+    run at a fraction of the speed of one large one.
 
-    Without ``work`` each product is a new array.  With ``work`` (square
-    matrices only), ``work[0]`` must fit ``t`` and ``work[1]`` ``work[0]``
-    as an ``out`` (:func:`checked_out`); product ``i`` is written into
-    ``work[i % 2]`` and the result is a view of the one that holds the
+    ``work[0]`` must fit ``t`` and ``work[1]`` ``work[0]`` as an ``out``
+    (:func:`checked_out`); product ``i`` is written into ``work[i % 2]``
+    and the result, of ``t``'s shape, is a view of the one that holds the
     last.  ``t`` may be ``work[1]``, whose content the first product consumes.
     """
     t = np.ascontiguousarray(t, dtype=float)
-    if t.ndim not in (2, 3):
-        raise ValueError(f"expected a 2D or 3D tensor, got ndim={t.ndim}")
-    if len(mats) != t.ndim:
-        raise ValueError(f"need {t.ndim} matrices for a {t.ndim}D tensor, got {len(mats)}")
+    if t.ndim not in (2, 3) or len(mats) != t.ndim:
+        raise ValueError(
+            f"need one matrix per mode of a 2D or 3D tensor, got {len(mats)} for ndim={t.ndim}"
+        )
     mats = [np.asarray(m, dtype=float) for m in mats]
     for mode, (m, extent) in enumerate(zip(mats, t.shape), start=1):
-        if m.ndim != 2 or m.shape[1] != extent:
-            raise ValueError(
-                f"matrix shape {m.shape} does not act on tensor extent {extent} along mode {mode}"
-            )
-    if work is not None:
-        checked_out(t, work[0])
-        checked_out(work[0], work[1])
-
-    def product(i, a, b):
-        if work is None:
-            return a @ b
-        return np.matmul(a, b, out=work[i % 2].reshape(a.shape[0], b.shape[1]))
-
+        if m.shape != (extent, extent):
+            raise ValueError(f"matrix {m.shape} along mode {mode} is not ({extent}, {extent})")
+    checked_out(t, work[0])
+    checked_out(work[0], work[1])
     if t.ndim == 2:
-        return product(1, product(0, mats[0], t), mats[1].T)
+        return np.matmul(np.matmul(mats[0], t, out=work[0]), mats[1].T, out=work[1])
     out = t
     for i, m in enumerate(reversed(mats)):
-        out = product(i, m, out.reshape(-1, m.shape[1]).T)
-    return out.reshape(tuple(m.shape[0] for m in mats))
+        out = np.matmul(m, out.reshape(-1, len(m)).T, out=work[i % 2].reshape(len(m), -1))
+    return out.reshape(t.shape)
 
 
 def inner(x: np.ndarray, y: np.ndarray) -> float:

@@ -60,6 +60,17 @@ def kron_assemble(factors):
     return reduce(np.kron, [np.asarray(f, dtype=float) for f in factors])
 
 
+def plain_transform(mats, t):
+    """``tensors.linear_transform`` as plain ``@`` products in its order: a
+    congruence in 2D, the trailing axis contracted first in 3D."""
+    if t.ndim == 2:
+        return mats[0] @ t @ mats[1].T
+    out = t
+    for m in reversed(mats):
+        out = m @ out.reshape(-1, len(m)).T
+    return out.reshape(t.shape)
+
+
 def dense_1d(n, bc):
     """The full ``n x n`` matrix of the 1D factor with boundary condition ``bc``."""
     m = 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)

@@ -258,7 +258,7 @@ def test_criterion_08_low_rank_family_brackets_the_pseudoinverse():
     worst_full = 0.0
     for _ in range(20):
         op = random_operator(rng, ndim=2, lo=3, hi=50)
-        full = LowRankPreconditioner(op, rank=min(op.shape))
+        full = LowRankPreconditioner(op, r=min(op.shape))
         pinv = PinvPreconditioner(op)
         x = rng.standard_normal(op.shape)
         z_full = full.apply(x)
@@ -271,7 +271,7 @@ def test_criterion_08_low_rank_family_brackets_the_pseudoinverse():
     worst_psd = 0.0
     for shape in [(6, 8), (12, 9), (30, 40)]:
         op = poisson_operator(shape, (BC.PERIODIC, BC.NEUMANN))
-        rank_one = LowRankPreconditioner(op, rank=1)
+        rank_one = LowRankPreconditioner(op, r=1)
         for _ in range(40):
             x = rng.standard_normal(shape)
             z = rank_one.apply(x)
@@ -279,7 +279,7 @@ def test_criterion_08_low_rank_family_brackets_the_pseudoinverse():
 
     op3 = poisson_operator((4, 4, 4), (BC.DIRICHLET,) * 3)
     with pytest.raises(ValueError):
-        LowRankPreconditioner(op3, rank=2)
+        LowRankPreconditioner(op3, r=2)
 
     ok = worst_full <= 1e-10 and worst_psd >= -1e-12
     _verdict(

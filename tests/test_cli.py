@@ -126,7 +126,7 @@ def test_gen_p3_variant(tmp_path):
         ["gen", "--problem", "p3", "--out", "x.kten"],  # p3 without --variant
         ["gen", "--problem", "p1", "--size", "50", "--out", "x.kten"],
         ["solve", "--input", "missing.kten", "--bc", "x=periodic,y=periodic"],
-        ["spectrum", "--bc", "sideways", "--n", "8"],
+        ["spectrum", "--bc", "x=sideways", "--size", "8"],
         ["not-a-command"],
     ],
 )
@@ -138,16 +138,16 @@ def test_usage_errors_exit_one(argv, capsys):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["spectrum", "--n", "0", "--bc", "dirichlet"], "needs n >= 3, got n=0"),
-        (["spectrum", "--n", "-4", "--bc", "dirichlet"], "needs n >= 3, got n=-4"),
+        (["spectrum", "--size", "0", "--bc", "x=dirichlet"], "needs n >= 3, got n=0"),
+        (["spectrum", "--size", "-4", "--bc", "x=dirichlet"], "needs n >= 3, got n=-4"),
         (["gen", "--problem", "p3", "--variant", "2d_512x256", "--seed", "-1", "--out", "{tmp}/x.kten"],
          "p3 seed"),
     ],
-    ids=["spectrum-n-0", "spectrum-n-negative", "gen-p3-seed"],
+    ids=["spectrum-size-0", "spectrum-size-negative", "gen-p3-seed"],
 )
 def test_usage_errors_name_the_bad_value(tmp_path, capsys, argv, message):
-    """A refused value is named: ``--n 0`` is a size, not a missing ``--n``,
-    and a negative p3 seed is the generator's refusal, not numpy's."""
+    """A refused value is named: a spectrum extent below 3 by the 1D
+    operator's rule, and a negative p3 seed by the generator, not numpy."""
     assert cli.main([arg.format(tmp=tmp_path) for arg in argv]) == 1
     captured = capsys.readouterr()
     assert message in captured.err and captured.out == ""
@@ -160,11 +160,13 @@ def test_usage_errors_name_the_bad_value(tmp_path, capsys, argv, message):
         (["gen", "--problem", "p1", "--size", "6x8", "--period", "12", "--out", "{tmp}/x.kten"],
          "--period"),
         (["experiment", "--name", "exp3", "--seed", "0", "--outdir", "{tmp}/x"], "--seed"),
+        (["spectrum", "--size", "8", "--n", "8", "--bc", "x=dirichlet"], "--n"),
     ],
-    ids=["gen-period", "experiment-seed"],
+    ids=["gen-period", "experiment-seed", "spectrum-n"],
 )
 def test_fixed_inputs_are_not_options(tmp_path, capsys, argv, flag):
-    """p1's stripe period and exp3's p3 seed are fixed: neither flag exists."""
+    """p1's stripe period and exp3's p3 seed are fixed, and a spectrum's
+    sizes are ``--size`` alone: none of these flags exists."""
     assert cli.main([arg.format(tmp=tmp_path) for arg in argv]) == 1
     assert flag in capsys.readouterr().err
     assert os.listdir(tmp_path) == []
@@ -274,7 +276,7 @@ def test_solve_rejects_a_non_finite_rhs_with_exit_one(tmp_path, capsys, gen, siz
     _, h = gen(*size)
     h[1, 2] = bad
     rhs = tmp_path / "bad.kten"
-    write_tensor(str(rhs), h)
+    rhs.write_bytes(f"KTEN 2 {size[0]} {size[1]}\n".encode() + h.astype("<f8").tobytes(order="F"))
     assert cli.main(["solve", "--input", str(rhs), "--bc", bcs, "--precond", "pinv"]) == 1
     assert "not finite" in capsys.readouterr().err
 
@@ -298,6 +300,27 @@ def test_solve_rejects_bad_numbers_with_exit_one(tmp_path, capsys, flag):
     argv = ["solve", "--input", str(rhs), "--bc", "x=periodic,y=periodic", "--max-iter", "5"]
     assert cli.main(argv + [flag]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--tol", "nan", "--tol must be a finite positive number, got nan"),
+        ("--tol", "0", "--tol must be a finite positive number, got 0.0"),
+        ("--tol", "-1", "--tol must be a finite positive number, got -1.0"),
+        ("--max-iter", "-1", "--max-iter must be nonnegative"),
+    ],
+)
+def test_solve_names_the_flag_of_a_bad_budget_or_tolerance(tmp_path, capsys, flag, value, message):
+    """``SolverConfig``'s refusal is told in the flag's name, not the field's,
+    before any log is written."""
+    rhs, log_path = str(tmp_path / "p1.kten"), tmp_path / "log.json"
+    write_tensor(rhs, gen_problem1(50, 100)[1])
+    argv = ["solve", "--input", rhs, "--bc", "x=periodic,y=periodic", "--log", str(log_path)]
+    assert cli.main(argv + [f"{flag}={value}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and captured.out == ""
+    assert not log_path.exists()
 
 
 def test_solve_refuses_an_even_jacobi_polynomial_that_vanishes_with_exit_one(tmp_path, capsys):
@@ -435,37 +458,37 @@ def test_solve_refuses_any_face_flag_on_a_periodic_axis(tmp_path, capsys, flag):
 
 
 def test_spectrum_one_dimensional_output(capsys):
-    assert cli.main(["spectrum", "--n", "5", "--bc", "dirichlet"]) == 0
-    lines = capsys.readouterr().out.strip().splitlines()
-    assert lines[0] == "k,eigenvalue"
-    got = [float(line.split(",")[1]) for line in lines[1:]]
+    assert cli.main(["spectrum", "--size", "5", "--bc", "x=dirichlet"]) == 0
+    (line,) = capsys.readouterr().out.strip().splitlines()
+    head, _, listed = line.partition(": ")
+    assert head == "axis x (dirichlet, n=5)"
     want = analytic_spectrum(5, BoundaryCondition.DIRICHLET).values
-    assert np.allclose(got, want, atol=1e-12)
+    assert np.allclose([float(v) for v in listed.split(",")], want, atol=1e-12)
 
 
-def test_spectrum_one_dimensional_form_builds_no_basis(capsys):
-    """A 2048-point periodic spectrum used to build its 32 MiB basis first."""
-    code, peak = traced_peak(cli.main, ["spectrum", "--n", "2048", "--bc", "periodic"])
+def test_spectrum_of_one_extent_builds_no_basis(capsys):
+    """A 2048-point periodic spectrum used to build its 32 MiB basis first;
+    each eigenvalue is printed with every digit of ``%.15g``."""
+    code, peak = traced_peak(cli.main, ["spectrum", "--size", "2048", "--bc", "x=periodic"])
     assert code == 0
     assert peak < 1024 * 1024
     want = analytic_spectrum(2048, BoundaryCondition.PERIODIC).values
-    lines = ["k,eigenvalue", *(f"{k},{v:.15g}" for k, v in enumerate(want, start=1))]
-    assert capsys.readouterr().out == "\n".join(lines) + "\n"
+    listed = ",".join(f"{v:.15g}" for v in want)
+    assert capsys.readouterr().out == f"axis x (periodic, n=2048): {listed}\n"
 
 
-def test_spectrum_one_dimensional_form_refuses_sums(capsys):
-    assert cli.main(["spectrum", "--n", "5", "--bc", "dirichlet", "--sums"]) == 1
+def test_spectrum_sums_work_on_one_extent(capsys):
+    assert cli.main(["spectrum", "--size", "5", "--bc", "x=dirichlet", "--sums"]) == 0
+    values = analytic_spectrum(5, BoundaryCondition.DIRICHLET).values
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert last == f"sum-spectrum min {values.min():.12g} max {values.max():.12g}"
+
+
+def test_spectrum_size_is_required(capsys):
+    """The one form: without ``--size`` the command exits 1 naming it."""
+    assert cli.main(["spectrum", "--bc", "x=dirichlet"]) == 1
     captured = capsys.readouterr()
-    assert "--sums needs --size" in captured.err
-    assert captured.out == ""
-
-
-def test_spectrum_grid_form_refuses_n(capsys):
-    argv = ["spectrum", "--size", "6x8", "--n", "5", "--bc", "x=periodic,y=dirichlet"]
-    assert cli.main(argv) == 1
-    captured = capsys.readouterr()
-    assert captured.err.startswith("error: ") and "--n" in captured.err
-    assert captured.out == ""
+    assert "required: --size" in captured.err and captured.out == ""
 
 
 def test_spectrum_grid_form_with_sums(capsys):
@@ -634,9 +657,9 @@ def test_lowrank_run_logs_do_not_depend_on_the_blas_thread_count(tmp_path):
 @pytest.mark.parametrize(
     "argv, code",
     [
-        (["spectrum", "--n", "5", "--bc", "dirichlet"], 0),
-        (["spectrum", "--n", "5", "--bc", "sideways"], 1),
-        (["spectrum", "--n", "2", "--bc", "dirichlet"], 1),
+        (["spectrum", "--size", "5", "--bc", "x=dirichlet"], 0),
+        (["spectrum", "--size", "5", "--bc", "x=sideways"], 1),
+        (["spectrum", "--size", "2", "--bc", "x=dirichlet"], 1),
         (["solve", "--input", "{rhs}", "--bc", "x=periodic,y=sideways"], 1),
         (["solve", "--input", "{rhs}", "--bc", "x=periodic,y=periodic", "--precond", "bogus"], 1),
     ],
@@ -662,4 +685,4 @@ def test_module_entry_exit_status(tmp_path, argv, code):
         assert done.stderr.startswith("error: ")
         assert done.stdout == ""
     else:
-        assert done.stdout.startswith("k,eigenvalue\n")
+        assert done.stdout.startswith("axis x (dirichlet, n=5): ")

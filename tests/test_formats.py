@@ -74,9 +74,30 @@ def test_read_tensor_rejects_a_non_finite_payload(tmp_path, bad):
     t = np.zeros((3, 4, 5))
     t[2, 1, 3] = bad
     path = tmp_path / "bad.kten"
-    write_tensor(str(path), t)
+    path.write_bytes(b"KTEN 3 3 4 5\n" + t.astype("<f8").tobytes(order="F"))
     with pytest.raises(ValueError, match="not finite"):
         read_tensor(str(path))
+
+
+@pytest.mark.parametrize(
+    "t, match",
+    [
+        (np.full((3, 4), 1.0 + 2.0j), "real"),
+        (np.array([[1.0, 2.0], [3.0, 4.0]], dtype=object), "real"),
+        (np.array([[1.0, np.nan], [3.0, 4.0]]), "finite"),
+        (np.array([[[1.0, np.inf]]]), "finite"),
+        (np.array([[-np.inf, 0.0]]), "finite"),
+    ],
+    ids=["complex", "object", "nan", "inf", "-inf"],
+)
+def test_write_tensor_refuses_what_read_tensor_refuses_before_any_file(tmp_path, t, match):
+    """A complex array lost its imaginary part with only a ComplexWarning,
+    and a non-finite one was written for ``read_tensor`` to refuse; both now
+    raise before the file or its ``.tmp`` exists."""
+    path = tmp_path / "bad.kten"
+    with pytest.raises(ValueError, match=match):
+        write_tensor(str(path), t)
+    assert list(tmp_path.iterdir()) == []
 
 
 def _sample_log(max_iter=5, stop_tol=None):

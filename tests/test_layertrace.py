@@ -20,7 +20,7 @@ import pytest
 import kronpcg
 from kronpcg.laplace1d import BoundaryCondition as BC
 from kronpcg.operators import center, poisson_operator
-from kronpcg.precond import PinvPreconditioner
+from kronpcg.precond import make_preconditioner
 from kronpcg.solver import SolverConfig, pcg
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -49,10 +49,15 @@ def _bindings():
     return out
 
 
-def test_a_traced_solve_records_the_true_residual_span(layertrace):
+@pytest.mark.parametrize("spec, p", [("pinv", 1), ("jacobi:p=3,omega=1.3", 3)])
+def test_a_traced_solve_records_the_true_residual_span(layertrace, spec, p):
+    """The count rule on a tolerance stop: one preconditioner apply per
+    iteration; one operator apply per record after record 0, one per
+    iteration and ``p - 1`` per Jacobi apply (4 per iteration at ``p = 3``,
+    as in p1's 1308 = 4 x 327)."""
     op = poisson_operator((8, 6), (BC.PERIODIC, BC.PERIODIC))
     h = center(np.random.default_rng(43).standard_normal(op.shape))
-    precond = PinvPreconditioner(op)
+    precond = make_preconditioner(op, spec)
     before = _bindings()
     tracer = layertrace.Tracer()
     with tracer:
@@ -61,10 +66,10 @@ def test_a_traced_solve_records_the_true_residual_span(layertrace):
     stats = tracer.take()
     assert _bindings() == before
     assert log.records[-1].true_res <= 1e-9 * log.h_norm  # a tolerance stop
-    records = len(log.records)
+    records, iterations = len(log.records), log.iterations
     assert stats["solver.true_residual"].calls == records - 1  # record 0 reads |h|
-    assert stats["precond.apply"].calls == log.iterations
-    assert stats["operators.apply"].calls == records - 1 + log.iterations
+    assert stats["precond.apply"].calls == iterations
+    assert stats["operators.apply"].calls == (records - 1) + iterations + (p - 1) * iterations
 
 
 @pytest.mark.parametrize("workload", ["p2-2d-mixed-pinv", "p3-3d-1m-pinv"])

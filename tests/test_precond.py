@@ -16,6 +16,7 @@ from conftest import (
     kron_assemble,
     numeric_spectrum,
     outer_sum,
+    plain_transform,
     random_operator,
     rotated_bcs,
     spectrum_sums,
@@ -37,7 +38,7 @@ from kronpcg.precond import (
     make_preconditioner,
 )
 from kronpcg.solver import SolverConfig, pcg
-from kronpcg.tensors import hadamard_pinv, inner, linear_transform
+from kronpcg.tensors import hadamard_pinv, inner
 
 BC = BoundaryCondition
 
@@ -196,7 +197,8 @@ class TestMakePreconditioner:
             make_preconditioner(_periodic_op(4, 5), spec)
 
     def test_missing_required_parameter_is_named_by_its_spec_key(self):
-        with pytest.raises(ValueError, match="missing parameter 'r'") as info:
+        """The constructor's keyword is the spec key, so its own refusal names it."""
+        with pytest.raises(ValueError, match="argument: 'r'") as info:
             make_preconditioner(_periodic_op(4, 5), "lowrank")
         assert "'rank'" not in str(info.value)
 
@@ -358,9 +360,9 @@ def _assert_pinv_is_the_reference(op):
     :func:`_reference_ghat`."""
     p = PinvPreconditioner(op)
     r = np.random.default_rng(sum(op.shape)).standard_normal(op.shape)
-    f = linear_transform([v.T for v in p.bases], r)
+    f = plain_transform([v.T for v in p.bases], r)
     f *= _reference_ghat(op)
-    want = linear_transform(p.bases, f)
+    want = plain_transform(p.bases, f)
     assert np.array_equal(p.apply(r), want)
     assert np.array_equal(p.apply(r, out=np.empty(op.shape), work=np.empty(op.shape)), want)
 
@@ -488,7 +490,7 @@ class TestLowRank:
         rng = np.random.default_rng(50)
         op = _periodic_op(6, 9)
         r = rng.standard_normal(op.shape)
-        full = LowRankPreconditioner(op, rank=6)
+        full = LowRankPreconditioner(op, r=6)
         exact = PinvPreconditioner(op)
         z = full.apply(r)
         assert np.linalg.norm(z - exact.apply(r)) <= 1e-10 * np.linalg.norm(r)
@@ -504,13 +506,13 @@ class TestLowRank:
         shapes = [(_LEAD, t) for t in range(3, 10)] + [(_LEAD, _WIDTH)]
         for shape in shapes:
             op = poisson_operator(shape, rotated_bcs(first, 2))
-            LowRankPreconditioner(op, rank=1)
+            LowRankPreconditioner(op, r=1)
             assert np.array_equal(factored.pop(), _reference_ghat(op))
 
     def test_matches_dense_assembly(self):
         rng = np.random.default_rng(51)
         op = _periodic_op(5, 8)
-        lr = LowRankPreconditioner(op, rank=3)
+        lr = LowRankPreconditioner(op, r=3)
         m = sum(np.kron(right, left) for left, right in zip(lr.left, lr.right))
         r = rng.standard_normal(op.shape)
         z = lr.apply(r)
@@ -519,7 +521,7 @@ class TestLowRank:
     def test_rank_one_stays_positive_semidefinite(self):
         rng = np.random.default_rng(52)
         op = _periodic_op(6, 8)
-        lr = LowRankPreconditioner(op, rank=1)
+        lr = LowRankPreconditioner(op, r=1)
         for _ in range(100):
             r = rng.standard_normal(op.shape)
             z = lr.apply(r)
@@ -528,7 +530,7 @@ class TestLowRank:
     def test_warns_on_an_indefinite_direction(self):
         """Small truncation ranks genuinely lose definiteness on some residuals."""
         op = _periodic_op(6, 8)
-        lr = LowRankPreconditioner(op, rank=2)
+        lr = LowRankPreconditioner(op, r=2)
         m = sum(np.kron(right, left) for left, right in zip(lr.left, lr.right))
         m = 0.5 * (m + m.T)
         vals, vecs = np.linalg.eigh(m)
@@ -540,17 +542,17 @@ class TestLowRank:
     def test_rejects_3d_and_bad_ranks(self):
         op3 = poisson_operator((4, 4, 4), (BC.PERIODIC,) * 3)
         with pytest.raises(ValueError):
-            LowRankPreconditioner(op3, rank=2)
+            LowRankPreconditioner(op3, r=2)
         op = _periodic_op(5, 8)
         with pytest.raises(ValueError):
-            LowRankPreconditioner(op, rank=0)
+            LowRankPreconditioner(op, r=0)
         with pytest.raises(ValueError):
-            LowRankPreconditioner(op, rank=6)
+            LowRankPreconditioner(op, r=6)
 
     def test_rejects_a_fractional_rank(self):
         op = poisson_operator((5, 6), (BC.DIRICHLET, BC.NEUMANN))
         with pytest.raises(ValueError, match="integer"):
-            LowRankPreconditioner(op, rank=2.5)
+            LowRankPreconditioner(op, r=2.5)
 
 
 class TestJacobiStandalone:

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import kron_assemble, unvec, vec
+from conftest import kron_assemble, plain_transform, unvec, vec
 from kronpcg.tensors import (
     NULL_MODE_TOL,
     checked_out,
@@ -40,26 +40,42 @@ def test_unvec_rejects_wrong_length():
         unvec(np.zeros(7), (2, 3))
 
 
+def _pair(shape):
+    return np.empty(shape), np.empty(shape)
+
+
 @pytest.mark.parametrize(
     "mode, subscripts", [(0, "ia,ajk->ijk"), (1, "ja,iak->ijk"), (2, "ka,ija->ijk")]
 )
 def test_linear_transform_on_one_mode_matches_einsum(mode, subscripts):
-    """A rectangular matrix on one mode, identities on the others."""
+    """A general square matrix on one mode, identities on the others."""
     rng = np.random.default_rng(11)
     t = rng.standard_normal((3, 4, 5))
-    m = rng.standard_normal((t.shape[mode] + 3, t.shape[mode]))
+    m = rng.standard_normal((t.shape[mode],) * 2)
     mats = [np.eye(n) for n in t.shape]
     mats[mode] = m
-    assert np.allclose(linear_transform(mats, t), np.einsum(subscripts, m, t))
+    got = linear_transform(mats, t, _pair(t.shape))
+    assert np.allclose(got, np.einsum(subscripts, m, t), atol=1e-12)
 
 
 @pytest.mark.parametrize("shape", [(3, 4), (3, 4, 5)])
-def test_linear_transform_validates_each_matrix_shape(shape):
+@pytest.mark.parametrize("rows", [-1, 1])
+def test_linear_transform_refuses_a_non_square_matrix_before_any_write(shape, rows):
+    """Rectangular matrices, one extent short or long on either side, are
+    refused on every mode, and the work pair is left as it was."""
     for mode, extent in enumerate(shape):
         mats = [np.eye(n) for n in shape]
-        mats[mode] = np.zeros((extent, extent + 1))
-        with pytest.raises(ValueError, match=f"along mode {mode + 1}"):
-            linear_transform(mats, np.zeros(shape))
+        for bad in (np.zeros((extent + rows, extent)), np.zeros((extent, extent + rows))):
+            mats[mode] = bad
+            work = (np.full(shape, 7.0), np.full(shape, 7.0))
+            with pytest.raises(ValueError, match=f"along mode {mode + 1}"):
+                linear_transform(mats, np.zeros(shape), work)
+            assert (work[0] == 7.0).all() and (work[1] == 7.0).all()
+
+
+def test_linear_transform_needs_a_work_pair():
+    with pytest.raises(TypeError):
+        linear_transform([np.eye(3), np.eye(4)], np.zeros((3, 4)))
 
 
 def test_linear_transform_matches_kron_on_vec():
@@ -67,19 +83,19 @@ def test_linear_transform_matches_kron_on_vec():
     rng = np.random.default_rng(13)
     t = rng.standard_normal((3, 4, 2))
     mats = [rng.standard_normal((m, m)) for m in t.shape]
-    out = linear_transform(mats, t)
+    out = linear_transform(mats, t, _pair(t.shape))
     big = kron_assemble([mats[2], mats[1], mats[0]])
     assert np.allclose(vec(out), big @ vec(t), atol=1e-12)
 
 
-def test_linear_transform_with_three_different_rectangular_matrices_matches_kron():
-    """Every step changes an extent, one shrinking to 1: a wrong axis order
-    in the rotation would not even give the right shape."""
+def test_linear_transform_with_three_different_extents_matches_kron():
+    """Every extent differs, so a wrong axis order in the rotation would
+    put a matrix on the wrong mode and fail its shape or the reference."""
     rng = np.random.default_rng(23)
     t = rng.standard_normal((3, 4, 5))
-    mats = [rng.standard_normal(s) for s in ((2, 3), (6, 4), (1, 5))]
-    out = linear_transform(mats, t)
-    assert out.shape == (2, 6, 1)
+    mats = [rng.standard_normal((n, n)) for n in t.shape]
+    out = linear_transform(mats, t, _pair(t.shape))
+    assert out.shape == t.shape
     assert np.allclose(vec(out), kron_assemble(mats[::-1]) @ vec(t), atol=1e-12)
 
 
@@ -88,7 +104,7 @@ def test_linear_transform_2d_is_congruence():
     u = rng.standard_normal((4, 6))
     a = rng.standard_normal((4, 4))
     b = rng.standard_normal((6, 6))
-    assert np.allclose(linear_transform([a, b], u), a @ u @ b.T, atol=1e-12)
+    assert np.allclose(linear_transform([a, b], u, _pair(u.shape)), a @ u @ b.T, atol=1e-12)
 
 
 @pytest.mark.parametrize("shape", [(4, 6), (3, 4, 5)])
@@ -96,15 +112,15 @@ def test_linear_transform_ignores_the_input_layout(shape):
     """F-ordered input (what a KTEN read returns) gives the C-ordered result."""
     rng = np.random.default_rng(17)
     t = rng.standard_normal(shape)
-    mats = [rng.standard_normal((m + 1, m)) for m in shape]
-    got = linear_transform(mats, np.asfortranarray(t))
-    assert np.array_equal(got, linear_transform(mats, t))
+    mats = [rng.standard_normal((m, m)) for m in shape]
+    got = linear_transform(mats, np.asfortranarray(t), _pair(shape))
+    assert np.array_equal(got, linear_transform(mats, t, _pair(shape)))
     assert np.allclose(vec(got), kron_assemble(mats[::-1]) @ vec(t), atol=1e-12)
 
 
 def test_linear_transform_needs_one_matrix_per_mode():
-    with pytest.raises(ValueError):
-        linear_transform([np.eye(3)], np.zeros((3, 3)))
+    with pytest.raises(ValueError, match="one matrix per mode"):
+        linear_transform([np.eye(3)], np.zeros((3, 3)), _pair((3, 3)))
 
 
 def test_inner_and_norm_agree_with_numpy():
@@ -214,17 +230,17 @@ def test_checked_out_refuses_each_bad_buffer_and_allocates_for_none():
 
 
 @pytest.mark.parametrize("shape", [(4, 6), (4, 6, 3)])
-def test_linear_transform_into_a_work_pair_matches_the_fresh_products(shape):
-    """Products alternate between the two buffers; the input may be the
-    second, and the first must overlap neither the input nor the second."""
+def test_linear_transform_alternates_between_the_work_pair(shape):
+    """Products alternate between the two buffers, each bitwise a plain
+    ``@`` product; the input may be the second buffer, and the first must
+    overlap neither the input nor the second."""
     rng = np.random.default_rng(17)
     t = rng.standard_normal(shape)
     mats = [rng.standard_normal((n, n)) for n in shape]
-    want = linear_transform(mats, t)
-    work = (np.empty(shape), np.empty(shape))
+    want = plain_transform(mats, t)
+    work = _pair(shape)
     got = linear_transform(mats, t, work)
-    last = work[(len(shape) - 1) % 2]
-    assert np.shares_memory(got, last)
+    assert np.shares_memory(got, work[(len(shape) - 1) % 2])
     assert np.array_equal(got, want)
     # The second buffer as the input: the first product consumes it.
     work[1][...] = t
