@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .solver import ConvergenceLog
-from .tensors import frobenius_norm
+from .tensors import checked_tensor, frobenius_norm
 
 __all__ = [
     "write_tensor",
@@ -48,16 +48,13 @@ def _atomic_write_bytes(path: str, payload: bytes) -> None:
 def write_tensor(path: str, t: np.ndarray) -> None:
     """Write a real, finite 2D/3D tensor as a float64 KTEN file; anything else
     is a ``ValueError`` raised before any file is created."""
-    t = np.asarray(t)
-    if t.dtype.kind not in "biuf":
-        raise ValueError(f"KTEN stores real numbers, got dtype {t.dtype}")
-    t = t.astype("<f8", copy=False)
+    t = checked_tensor(t)
     if t.ndim not in (2, 3):
         raise ValueError(f"KTEN stores 2D or 3D tensors, got ndim={t.ndim}")
     if not np.isfinite(t).all():
         raise ValueError("KTEN payload must be finite (holds NaN or Inf)")
     header = " ".join([_MAGIC, str(t.ndim), *map(str, t.shape)]) + "\n"
-    _atomic_write_bytes(path, header.encode("ascii") + t.tobytes(order="F"))
+    _atomic_write_bytes(path, header.encode("ascii") + t.astype("<f8").tobytes(order="F"))
 
 
 def read_tensor(path: str) -> np.ndarray:

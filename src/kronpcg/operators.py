@@ -28,7 +28,7 @@ from .laplace1d import (
     is_singular_1d,
 )
 from .counting import OpCounter
-from .tensors import Shape, checked_integer, checked_out, frobenius_norm
+from .tensors import Shape, checked_integer, checked_out, checked_tensor, frobenius_norm
 
 __all__ = [
     "PoissonOperator",
@@ -90,9 +90,7 @@ def apply(
     of ``x`` beside the slab.  Each entry gets a whole-grid pass's
     operations in their order, so the result is bitwise the same.
     """
-    x = np.ascontiguousarray(x, dtype=float)
-    if x.shape != op.shape:
-        raise ValueError(f"tensor shape {x.shape} does not match grid {op.shape}")
+    x = checked_tensor(x, op.shape)
     out = checked_out(x, out)
     n = len(x)
     rows = max(1, _SLAB_ENTRIES // (x.size // n))
@@ -108,18 +106,9 @@ def apply(
 
 
 def checked_rhs(op: PoissonOperator, h: np.ndarray) -> tuple[np.ndarray, float]:
-    """``h`` as a C-contiguous float array and its norm, once it is real, fits and is finite.
-
-    Raises ``ValueError`` on a complex or other non-real ``h``, which a
-    float cast would truncate, on a shape other than the grid's, or on a
-    non-finite ``|h|``.
-    """
-    h = np.asarray(h)
-    if h.dtype.kind not in "biuf":
-        raise ValueError(f"right-hand side must be real, got dtype {h.dtype}")
-    h = np.ascontiguousarray(h, dtype=float)
-    if h.shape != op.shape:
-        raise ValueError(f"right-hand side shape {h.shape} does not match grid {op.shape}")
+    """``h`` as :func:`kronpcg.tensors.checked_tensor` returns it for the grid,
+    and its norm; a non-finite ``|h|`` raises ``ValueError``."""
+    h = checked_tensor(h, op.shape)
     h_norm = frobenius_norm(h)
     if not np.isfinite(h_norm):
         raise ValueError(f"right-hand side is not finite (|h| = {h_norm})")
@@ -134,8 +123,9 @@ def is_singular(op: PoissonOperator) -> bool:
 def center(
     x: np.ndarray, ops: Optional[OpCounter] = None, out: Optional[np.ndarray] = None
 ) -> np.ndarray:
-    """Remove the mean: project out the constant-tensor component, into ``out`` if given."""
-    x = np.asarray(x, dtype=float)
+    """Remove the mean, into ``out`` if given: ``x`` itself, or as ``checked_out`` asks."""
+    x = checked_tensor(x)
+    out = out if out is x else checked_out(x, out)
     if ops is not None:
         ops.add(3 * x.size)
     return np.subtract(x, x.mean(), out=out)
@@ -149,7 +139,7 @@ def _null_norm(total: float, size: int) -> float:
 
 def nullspace_component(x: np.ndarray) -> float:
     """Size of the component along the normalized constant tensor."""
-    x = np.asarray(x, dtype=float)
+    x = checked_tensor(x)
     return _null_norm(float(x.sum()), x.size)
 
 
@@ -183,7 +173,7 @@ def apply_bc_updates(
     sign, to every entry of the boundary slice perpendicular to its
     direction (the first slice for a begin face, the last for an end face).
     """
-    h = np.asarray(h, dtype=float).copy()
+    h = checked_tensor(h).copy()
     if len(faces) != h.ndim or len(bcs) != h.ndim:
         raise ValueError("face values and conditions must cover every direction")
     for axis, (bc, (begin, end)) in enumerate(zip(bcs, faces)):
@@ -197,5 +187,5 @@ def apply_bc_updates(
                 )
             index = [slice(None)] * h.ndim
             index[axis] = 0 if pos == "begin" else h.shape[axis] - 1
-            h[tuple(index)] += value
+            h[tuple(index)] += checked_tensor(value, ())
     return h

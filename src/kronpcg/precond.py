@@ -7,6 +7,7 @@ here: the stand-alone weighted Jacobi solver, the experiments' baseline.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from functools import reduce
 from math import isfinite
@@ -18,7 +19,8 @@ import numpy as np
 from . import operators as op_mod
 from .counting import OpCounter
 from .laplace1d import analytic_spectrum, diagonal, eigenvalues
-from .tensors import checked_integer, checked_out, frobenius_norm, hadamard_pinv, linear_transform
+from .tensors import checked_integer, checked_out, checked_tensor, frobenius_norm, hadamard_pinv
+from .tensors import linear_transform
 
 __all__ = [
     "Preconditioner",
@@ -69,7 +71,8 @@ class Preconditioner:
     """Base: a symmetric map from residual tensors to search-direction seeds.
 
     ``apply(r, ops, out, work)`` returns ``M r``, into ``out`` if given
-    (:func:`kronpcg.tensors.checked_out`), and never modifies ``r``.
+    (:func:`kronpcg.tensors.checked_out`), and never modifies ``r``, read by
+    :func:`kronpcg.tensors.checked_tensor` for the grid ``shape`` (``None``: any).
     ``work`` is scratch the apply may overwrite: it must fit ``r`` as an
     ``out`` does and must not overlap ``out``, checked before the first
     write.  An apply that needs scratch and gets no ``work`` uses the
@@ -79,6 +82,7 @@ class Preconditioner:
     """
 
     name = "base"  # the label a run log records
+    shape = None  # the grid an apply's ``r`` must fit; None: any shape
     init_cost = 0
     _work = None  # own scratch, for applies that arrive without ``work``
 
@@ -97,18 +101,17 @@ class Preconditioner:
         out: Optional[np.ndarray],
         work: Optional[np.ndarray],
         scratch: bool = True,
-    ) -> tuple[np.ndarray, Optional[np.ndarray]]:
-        """``out`` and, if the apply needs ``scratch``, its scratch array, both checked."""
+    ) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+        """``r``, ``out`` and, if the apply needs ``scratch``, its scratch array, all checked."""
+        r = checked_tensor(r, self.shape)
         out = checked_out(r, out)
         if work is not None:
-            checked_out(r, work)
-            if np.may_share_memory(work, out):
-                raise ValueError("scratch must not overlap the output")
+            checked_out(r, checked_out(out, work))  # it fits and misses both
         elif scratch:
             if self._work is None:
                 self._work = np.empty(r.shape)
             work = self._work
-        return out, work
+        return r, out, work
 
 
 class IdentityPreconditioner(Preconditioner):
@@ -123,7 +126,7 @@ class IdentityPreconditioner(Preconditioner):
         out: Optional[np.ndarray] = None,
         work: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        out, _ = self._buffers(r, out, work, scratch=False)
+        r, out, _ = self._buffers(r, out, work, scratch=False)
         np.copyto(out, r)
         return out
 
@@ -154,11 +157,12 @@ class JacobiPreconditioner(Preconditioner):
         if self.p < 1:
             raise ValueError(f"jacobi needs p >= 1 sweeps, got {p}")
         # Python floats: an overflowing product is inf, with no numpy warning.
-        if not (isinstance(omega, Real) and omega >= 1.0 and isfinite(float(omega) * 2 * op.ndim)):
+        real = isinstance(omega, Real) and 1.0 <= omega <= sys.float_info.max
+        if not (real and isfinite(float(omega) * 2 * op.ndim)):
             raise ValueError(
                 f"jacobi damping needs omega >= 1 with a finite omega*2*ndim, got {omega!r}"
             )
-        self.op = op
+        self.op, self.shape = op, op.shape
         self.omega = float(omega)
         self.name = f"jacobi(p={self.p}, omega={self.omega:g})"
         diags = [diagonal(n, bc) for n, bc in zip(op.shape, op.bcs)]
@@ -183,7 +187,7 @@ class JacobiPreconditioner(Preconditioner):
         out: Optional[np.ndarray] = None,
         work: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        x, f = self._buffers(r, out, work, scratch=self.p > 1)  # f: the sweep residual
+        r, x, f = self._buffers(r, out, work, scratch=self.p > 1)  # f: the sweep residual
         np.multiply(self.dhat_inv, r, out=x)
         if ops is not None:
             ops.add(r.size)
@@ -221,6 +225,7 @@ class PinvPreconditioner(Preconditioner):
     name = "pinv"
 
     def __init__(self, op):
+        self.shape = op.shape
         self.bases, self.values = _spectral_setup(op)
         # Eigenvalue sums and reciprocals, (ndim-1)+1 ops per entry, charged once.
         self.init_cost = op.ndim * int(np.prod(op.shape))
@@ -232,7 +237,7 @@ class PinvPreconditioner(Preconditioner):
         out: Optional[np.ndarray] = None,
         work: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        out, work = self._buffers(r, out, work)
+        r, out, work = self._buffers(r, out, work)
         # One GEMM per axis, reading the C-ordered bases' transposes in place.
         # The GEMMs alternate between the scratch array and ``out``: the
         # forward transform ends in the scratch array on 3D grids and in
@@ -279,6 +284,7 @@ class LowRankPreconditioner(Preconditioner):
         if not 1 <= self.rank <= min(n, q):
             raise ValueError(f"rank r must be in [1, {min(n, q)}], got {r}")
         self.name = f"lowrank(r={self.rank})"
+        self.shape = op.shape
         (vn, vq), values = _spectral_setup(op)
         a, sigma, bt = np.linalg.svd(hadamard_pinv(np.add.outer(*values)))
         terms = range(self.rank)
@@ -293,7 +299,7 @@ class LowRankPreconditioner(Preconditioner):
         out: Optional[np.ndarray] = None,
         work: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        z, work = self._buffers(r, out, work)
+        r, z, work = self._buffers(r, out, work)
         if self.rank > 1 and self._term is None:
             self._term = np.empty(r.shape)
         for i, (ml, mr) in enumerate(zip(self.left, self.right)):

@@ -42,6 +42,7 @@ more.  ``ops_cum`` follows README.md's "Counting rules".
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from numbers import Real
 from typing import Optional
@@ -87,8 +88,9 @@ class SolverConfig:
         if self.max_iter < 0:
             raise ValueError("max_iter must be nonnegative")
         tol = self.stop_tol
-        if tol is not None and not (isinstance(tol, Real) and np.isfinite(tol) and tol > 0):
+        if tol is not None and not (isinstance(tol, Real) and 0.0 < tol <= sys.float_info.max):
             raise ValueError(f"stop_tol must be a finite positive number, got {tol!r}")
+        self.stop_tol = None if tol is None else float(tol)  # a plain float for the run log
 
 
 @dataclass

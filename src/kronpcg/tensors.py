@@ -20,6 +20,7 @@ Shape = tuple[int, ...]
 
 __all__ = [
     "Shape",
+    "checked_tensor",
     "checked_out",
     "checked_integer",
     "linear_transform",
@@ -33,6 +34,22 @@ __all__ = [
 NULL_MODE_TOL = 1e-13
 
 
+def checked_tensor(x, shape: Optional[Shape] = None) -> np.ndarray:
+    """``x`` as a C-contiguous float array, with no copy when it is one: the one
+    rule for every grid array the package reads.  A real dtype is cast (past
+    float64's range to ``inf``, with no warning); any other, which a cast would
+    truncate or parse, or a shape other than ``shape``, raises ``ValueError``."""
+    x = np.asarray(x)
+    if x.dtype.kind not in "biuf":
+        raise ValueError(f"a grid array must be real, got dtype {x.dtype}")
+    if shape is not None and x.shape != shape:
+        raise ValueError(f"array shape {x.shape} does not match grid {shape}")
+    if x.dtype != float or not x.flags.c_contiguous:
+        with np.errstate(over="ignore"):
+            x = x.astype(float, order="C")
+    return x
+
+
 def checked_out(x: np.ndarray, out: Optional[np.ndarray]) -> np.ndarray:
     """``out`` once it is known to fit ``x``, or a new array when it is omitted.
 
@@ -40,15 +57,15 @@ def checked_out(x: np.ndarray, out: Optional[np.ndarray]) -> np.ndarray:
     writes a grid-sized result passes its optional ``out`` through here
     before its first write, so the result goes into ``out``, which is
     returned, and a bad ``out`` leaves the caller's arrays as they were.
-    ``out`` must be a C-contiguous float array of ``x``'s shape that does
-    not overlap ``x``, else ``ValueError``.  Elementwise kernels
-    (:func:`hadamard_pinv`, :func:`kronpcg.operators.center`) need no such
-    rule and also run in place with ``out=x``.
+    ``out`` must be a writable C-contiguous float array of ``x``'s shape
+    that does not overlap ``x``, else ``ValueError``.  Elementwise kernels
+    (:func:`hadamard_pinv`, :func:`kronpcg.operators.center`) also run in
+    place with ``out=x``.
     """
     if out is None:
         return np.empty(x.shape)
-    if out.shape != x.shape or out.dtype != float or not out.flags.c_contiguous:
-        raise ValueError(f"output must be a C-contiguous float array of shape {x.shape}")
+    if out.shape != x.shape or out.dtype != float or not out.flags.carray:
+        raise ValueError(f"output must be a writable C-contiguous float array of shape {x.shape}")
     if np.may_share_memory(out, x):
         raise ValueError("output must not overlap its input")
     return out
@@ -81,7 +98,7 @@ def linear_transform(
     and the result, of ``t``'s shape, is a view of the one that holds the
     last.  ``t`` may be ``work[1]``, whose content the first product consumes.
     """
-    t = np.ascontiguousarray(t, dtype=float)
+    t = checked_tensor(t)
     if t.ndim not in (2, 3) or len(mats) != t.ndim:
         raise ValueError(
             f"need one matrix per mode of a 2D or 3D tensor, got {len(mats)} for ndim={t.ndim}"
@@ -108,10 +125,8 @@ def inner(x: np.ndarray, y: np.ndarray) -> float:
     waking those threads several times per solver step makes a run's time
     depend on what else holds the CPUs.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape:
-        raise ValueError(f"shape mismatch in inner product: {x.shape} vs {y.shape}")
+    x = checked_tensor(x)
+    y = checked_tensor(y, x.shape)
     return float(np.einsum("i,i->", x.reshape(-1), y.reshape(-1)))
 
 
@@ -123,9 +138,10 @@ def frobenius_norm(x: np.ndarray) -> float:
 def hadamard_pinv(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Entrywise pseudoinverse: ``1/x`` where ``|x| > NULL_MODE_TOL``, else 0.
 
-    Written into ``out`` when given (``out=x`` inverts in place).
+    Written into ``out`` when given: ``x`` itself (in place) or as :func:`checked_out` asks.
     """
-    x = np.asarray(x, dtype=float)
+    x = checked_tensor(x)
+    out = out if out is x else checked_out(x, out)
     # NaN included; taken before ``out`` overwrites ``x``, with no float temporary.
     null = ~((x > NULL_MODE_TOL) | (x < -NULL_MODE_TOL))
     with np.errstate(divide="ignore"):

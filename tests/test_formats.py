@@ -20,36 +20,12 @@ from kronpcg.problems import gen_problem1
 from kronpcg.solver import IterationRecord, SolverConfig, pcg
 
 
-@pytest.mark.parametrize("shape", [(3, 4), (4, 5, 6)])
-def test_tensor_round_trip_is_bitwise(tmp_path, shape):
-    rng = np.random.default_rng(2)
-    t = rng.standard_normal(shape)
-    t.flat[0] = -0.0
-    t.flat[1] = 5e-324  # smallest denormal
-    t.flat[2] = np.pi
-    path = tmp_path / "field.kten"
-    write_tensor(str(path), t)
-    back = read_tensor(str(path))
-    assert back.shape == t.shape
-    assert np.array_equal(back.view(np.uint64), t.view(np.uint64))
-    # Laid out like the array pcg solves, so no sum over it runs in Fortran order.
-    assert back.flags.c_contiguous and back.flags.writeable and back.dtype == float
-
-
 def test_tensor_header_is_ascii_with_dims(tmp_path):
     path = tmp_path / "t.kten"
     write_tensor(str(path), np.zeros((3, 4)))
     blob = path.read_bytes()
     assert blob.startswith(b"KTEN 2 3 4\n")
     assert len(blob) == len(b"KTEN 2 3 4\n") + 12 * 8
-
-
-def test_tensor_accepts_non_contiguous_input(tmp_path):
-    base = np.arange(40, dtype=float).reshape(5, 8)
-    view = base[:, ::2]  # strided, not F-contiguous
-    path = tmp_path / "v.kten"
-    write_tensor(str(path), view)
-    assert np.array_equal(read_tensor(str(path)), view)
 
 
 @pytest.mark.parametrize(
@@ -67,37 +43,6 @@ def test_read_tensor_rejects_malformed_files(tmp_path, blob):
     path.write_bytes(blob)
     with pytest.raises(ValueError):
         read_tensor(str(path))
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_read_tensor_rejects_a_non_finite_payload(tmp_path, bad):
-    t = np.zeros((3, 4, 5))
-    t[2, 1, 3] = bad
-    path = tmp_path / "bad.kten"
-    path.write_bytes(b"KTEN 3 3 4 5\n" + t.astype("<f8").tobytes(order="F"))
-    with pytest.raises(ValueError, match="not finite"):
-        read_tensor(str(path))
-
-
-@pytest.mark.parametrize(
-    "t, match",
-    [
-        (np.full((3, 4), 1.0 + 2.0j), "real"),
-        (np.array([[1.0, 2.0], [3.0, 4.0]], dtype=object), "real"),
-        (np.array([[1.0, np.nan], [3.0, 4.0]]), "finite"),
-        (np.array([[[1.0, np.inf]]]), "finite"),
-        (np.array([[-np.inf, 0.0]]), "finite"),
-    ],
-    ids=["complex", "object", "nan", "inf", "-inf"],
-)
-def test_write_tensor_refuses_what_read_tensor_refuses_before_any_file(tmp_path, t, match):
-    """A complex array lost its imaginary part with only a ComplexWarning,
-    and a non-finite one was written for ``read_tensor`` to refuse; both now
-    raise before the file or its ``.tmp`` exists."""
-    path = tmp_path / "bad.kten"
-    with pytest.raises(ValueError, match=match):
-        write_tensor(str(path), t)
-    assert list(tmp_path.iterdir()) == []
 
 
 def _sample_log(max_iter=5, stop_tol=None):

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -16,7 +14,6 @@ from conftest import (
     whole_grid_apply,
 )
 from kronpcg.counting import OpCounter
-from kronpcg.formats import write_run_log
 from kronpcg.laplace1d import BoundaryCondition, face_kinds
 from kronpcg.operators import (
     _SLAB_ENTRIES,
@@ -29,7 +26,6 @@ from kronpcg.operators import (
     nullspace_component,
     poisson_operator,
 )
-from kronpcg.solver import SolverConfig, pcg
 from kronpcg.tensors import frobenius_norm
 
 BC = BoundaryCondition
@@ -44,38 +40,6 @@ def test_apply_matches_assembled_matrix(ndim):
         got = apply(op, x)
         want = unvec(assemble_dense(op) @ vec(x), op.shape)
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(x)
-
-
-@pytest.mark.parametrize("bc", list(BC))
-@pytest.mark.parametrize("ndim", [2, 3])
-def test_apply_into_a_buffer_matches_the_allocating_path(ndim, bc):
-    op = poisson_operator((5, 4, 6)[:ndim], (bc,) * ndim)
-    x = np.random.default_rng(3).standard_normal(op.shape)
-    buf = np.full(op.shape, np.nan)
-    assert apply(op, x, out=buf) is buf
-    assert np.array_equal(buf, apply(op, x))
-    want = unvec(assemble_dense(op) @ vec(x), op.shape)
-    assert np.linalg.norm(buf - want) <= 1e-14 * np.linalg.norm(x)
-
-
-def test_apply_refuses_an_aliased_or_misshapen_output():
-    """Each bad ``out`` is refused before the first write: ``x`` and a
-    buffer apart from it keep their contents."""
-    op = poisson_operator((4, 5), (BC.PERIODIC, BC.NEUMANN))
-    x = np.random.default_rng(5).standard_normal(op.shape)
-    x_copy = x.copy()
-    bad = (
-        x,
-        np.full((2, 4, 5), np.nan),
-        np.full((5, 4), np.nan).T,  # F-ordered
-        np.full(op.shape, np.nan, dtype=np.float32),
-    )
-    for out in bad:
-        before = out.copy()
-        with pytest.raises(ValueError):
-            apply(op, x, out=out)
-        assert np.array_equal(x, x_copy)
-        assert np.array_equal(out, before, equal_nan=True)
 
 
 def test_apply_into_a_buffer_holds_one_face_at_a_time():
@@ -113,19 +77,6 @@ def test_apply_into_a_buffer_on_the_p3_grid_holds_one_group_of_faces():
     x = np.random.default_rng(7).standard_normal(op.shape)
     _, peak = traced_peak(apply, op, x, out=np.empty(op.shape))
     assert peak <= _SLAB_ENTRIES // 8 * x.itemsize + 16 * 1024
-
-
-def test_center_in_place_matches_the_allocating_path():
-    x = np.random.default_rng(4).standard_normal((4, 6))
-    want = center(x)
-    assert center(x, out=x) is x
-    assert np.array_equal(x, want)
-
-
-def test_apply_rejects_shape_mismatch():
-    op = poisson_operator((4, 5), (BC.PERIODIC, BC.PERIODIC))
-    with pytest.raises(ValueError):
-        apply(op, np.zeros((5, 4)))
 
 
 def test_apply_counts_stencil_ops():
@@ -169,40 +120,6 @@ def test_is_singular_truth_table(bcs, singular):
     # Cross-check against the assembled spectrum.
     min_eig = np.abs(np.linalg.eigvalsh(assemble_dense(op))).min()
     assert (min_eig < 1e-12) == singular
-
-
-def test_poisson_operator_validates_arguments():
-    with pytest.raises(ValueError):
-        poisson_operator((5,), (BC.PERIODIC,))
-    with pytest.raises(ValueError):
-        poisson_operator((5, 5, 5, 5), (BC.PERIODIC,) * 4)
-    with pytest.raises(ValueError):
-        poisson_operator((5, 5), (BC.PERIODIC,))
-
-
-@pytest.mark.parametrize(
-    "dims, integral",
-    [
-        ((3.5, 4), False),
-        ((6.0, 8), False),
-        (np.array([6.0, 8.0]), False),
-        (np.array([6, 8]), True),
-        ((np.int32(6), np.uint8(8)), True),
-    ],
-)
-def test_grid_extents_must_be_integers(tmp_path, dims, integral):
-    """Extents are checked as integers up front and stored as plain ints,
-    so the run log of a numpy-sized grid is still JSON."""
-    bcs = (BC.DIRICHLET, BC.DIRICHLET)
-    if not integral:
-        with pytest.raises(ValueError, match="integers"):
-            poisson_operator(dims, bcs)
-        return
-    op = poisson_operator(dims, bcs)
-    assert op.shape == (6, 8) and all(type(n) is int for n in op.shape)
-    _, log = pcg(op, np.ones(op.shape), config=SolverConfig(max_iter=2))
-    write_run_log(str(tmp_path / "run.json"), log)
-    assert json.loads((tmp_path / "run.json").read_text())["shape"] == [6, 8]
 
 
 def test_center_removes_the_mean_and_counts():
@@ -251,13 +168,6 @@ def test_apply_bc_updates_adds_face_values():
     assert np.all(h == 0.0)
 
 
-def test_apply_bc_updates_refuses_a_value_on_a_periodic_end():
-    h = np.zeros((4, 6))
-    bcs = (BC.DIRICHLET_NEUMANN, BC.PERIODIC)
-    with pytest.raises(ValueError, match=r"direction 1 \(periodic\) accepts no begin"):
-        apply_bc_updates(h, bcs, ((None, None), (1.0, None)))
-
-
 @pytest.mark.parametrize("bc", list(BC))
 def test_each_end_takes_the_face_kind_its_matrix_row_implies(bc):
     """Wrap entry: no face value; end row sum 1: a potential; end row sum 0: a field."""
@@ -274,8 +184,3 @@ def test_each_end_takes_the_face_kind_its_matrix_row_implies(bc):
             out = apply_bc_updates(h, (bc, BC.PERIODIC), faces)
             assert np.all(out[end] == 1.0) and out.sum() == 4.0
 
-
-def test_apply_bc_updates_needs_full_coverage():
-    h = np.zeros((4, 6))
-    with pytest.raises(ValueError):
-        apply_bc_updates(h, (BC.PERIODIC, BC.PERIODIC), ((None, None),) * 3)

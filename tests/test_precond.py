@@ -90,62 +90,6 @@ _FAMILY_CASES = {
 
 
 @pytest.mark.parametrize("case", sorted(_FAMILY_CASES))
-def test_apply_into_out_matches_a_fresh_apply(case):
-    """``apply(r, out=buf)`` writes the fresh result into ``buf`` bitwise and
-    returns it; ``r`` is never modified."""
-    spec, shape, bcs = _FAMILY_CASES[case]
-    precond = make_preconditioner(poisson_operator(shape, bcs), spec)
-    r = np.random.default_rng(21).standard_normal(shape)
-    r_copy = r.copy()
-    want = precond.apply(r).copy()
-    buf = np.full(shape, np.nan)
-    ops = OpCounter()
-    got = precond.apply(r, ops, out=buf)
-    assert got is buf
-    assert np.array_equal(got, want)
-    assert np.array_equal(r, r_copy)
-    fresh = OpCounter()
-    precond.apply(r, fresh)
-    assert ops.count == fresh.count
-
-
-@pytest.mark.parametrize("case", sorted(_FAMILY_CASES))
-def test_apply_refuses_an_out_that_overlaps_r(case):
-    spec, shape, bcs = _FAMILY_CASES[case]
-    precond = make_preconditioner(poisson_operator(shape, bcs), spec)
-    r = np.random.default_rng(22).standard_normal(shape)
-    r_copy = r.copy()
-    for out in (r, r.reshape(-1).reshape(shape)):
-        with pytest.raises(ValueError, match="overlap"):
-            precond.apply(r, out=out)
-    for out in (np.empty(shape[::-1]).T, np.empty(shape, dtype=np.float32)):
-        with pytest.raises(ValueError, match="C-contiguous"):
-            precond.apply(r, out=out)
-    assert np.array_equal(r, r_copy)
-
-
-@pytest.mark.parametrize("case", sorted(_FAMILY_CASES))
-def test_apply_refuses_a_work_that_overlaps_r_or_out_before_writing(case):
-    """``work`` is checked like ``out`` and must also miss ``out``; a refused
-    apply leaves ``r``, ``out`` and ``work`` as they were."""
-    spec, shape, bcs = _FAMILY_CASES[case]
-    precond = make_preconditioner(poisson_operator(shape, bcs), spec)
-    r = np.random.default_rng(23).standard_normal(shape)
-    r_copy = r.copy()
-    buf = np.full(shape, np.nan)
-    flat = np.full(2 * r.size, np.nan)  # out and work sharing half their entries
-    shifted = flat[: r.size].reshape(shape), flat[r.size // 2 : r.size // 2 + r.size].reshape(shape)
-    for out, work in [(buf, r), (buf, r.reshape(-1).reshape(shape)), (buf, buf), shifted]:
-        with pytest.raises(ValueError, match="overlap"):
-            precond.apply(r, out=out, work=work)
-    for work in (np.full(shape[::-1], np.nan).T, np.full(shape, np.nan, dtype=np.float32)):
-        with pytest.raises(ValueError, match="C-contiguous"):
-            precond.apply(r, out=buf, work=work)
-    assert np.array_equal(r, r_copy)
-    assert np.isnan(buf).all() and np.isnan(flat).all()
-
-
-@pytest.mark.parametrize("case", sorted(_FAMILY_CASES))
 def test_applies_handed_work_allocate_no_grid_array(case):
     """Setup allocates no scratch, and applies that get ``out`` and ``work``
     trace less than half a grid array; low rank's rank sum keeps one array
@@ -180,28 +124,6 @@ class TestMakePreconditioner:
         with pytest.raises(ValueError, match="unknown preconditioner 'identity'"):
             make_preconditioner(op, "identity")
 
-    @pytest.mark.parametrize(
-        "spec",
-        [
-            "bogus",
-            "jacobi:q=1",
-            "jacobi:p=zero",
-            "lowrank",
-            "lowrank:r=0",
-            "pinv:r=1",
-            "jacobi:p=1,p=3",
-        ],
-    )
-    def test_rejects_malformed_specs(self, spec):
-        with pytest.raises(ValueError):
-            make_preconditioner(_periodic_op(4, 5), spec)
-
-    def test_missing_required_parameter_is_named_by_its_spec_key(self):
-        """The constructor's keyword is the spec key, so its own refusal names it."""
-        with pytest.raises(ValueError, match="argument: 'r'") as info:
-            make_preconditioner(_periodic_op(4, 5), "lowrank")
-        assert "'rank'" not in str(info.value)
-
     def test_name_is_the_log_label(self):
         op = _periodic_op(4, 5)
         specs = ["none", "pinv", "jacobi:p=3,omega=1.3", "jacobi", "lowrank:r=2"]
@@ -234,22 +156,6 @@ class TestJacobi:
         m = dense_jacobi_matrix(assemble_dense(op), p, omega)
         want = unvec(m @ vec(r), op.shape)
         assert np.allclose(j.apply(r), want, atol=1e-12)
-
-    def test_is_symmetric(self):
-        rng = np.random.default_rng(8)
-        op = random_operator(rng, ndim=3, hi=5)
-        j = JacobiPreconditioner(op, p=4, omega=1.3)
-        x = rng.standard_normal(op.shape)
-        y = rng.standard_normal(op.shape)
-        assert inner(j.apply(x), y) == pytest.approx(inner(x, j.apply(y)), rel=1e-12)
-
-    def test_rejects_bad_parameters(self):
-        op = _periodic_op(4, 5)
-        with pytest.raises(ValueError):
-            JacobiPreconditioner(op, p=0)
-        for omega in (0.9, np.nan, np.inf, 1e308):
-            with pytest.raises(ValueError, match="omega"):
-                JacobiPreconditioner(op, omega=omega)
 
     def test_refuses_an_omega_whose_weighted_diagonal_overflows(self):
         """The weighted diagonal reaches ``omega*2*ndim``: at ``max/4`` it is
@@ -287,14 +193,6 @@ class TestJacobi:
         precond = JacobiPreconditioner(op, p=p, omega=omega)
         _, log = pcg(op, h, precond, config=SolverConfig(max_iter=3000, stop_tol=1e-9))
         assert log.breakdown is None and log.records[-1].true_res <= 1e-9 * log.h_norm
-
-    def test_rejects_a_fractional_sweep_count_or_a_text_omega(self):
-        """``p=2.5`` is not truncated to 2 sweeps, and ``omega`` must be a number."""
-        op = poisson_operator((5, 6), (BC.DIRICHLET, BC.NEUMANN))
-        with pytest.raises(ValueError, match="integer"):
-            JacobiPreconditioner(op, p=2.5)
-        with pytest.raises(ValueError, match="omega"):
-            JacobiPreconditioner(op, omega="1.3")
 
     @pytest.mark.parametrize(
         "shape, bcs",
@@ -539,22 +437,6 @@ class TestLowRank:
         z = lr.apply(bad)
         assert inner(z, bad) == pytest.approx(vals[0], rel=1e-9)
 
-    def test_rejects_3d_and_bad_ranks(self):
-        op3 = poisson_operator((4, 4, 4), (BC.PERIODIC,) * 3)
-        with pytest.raises(ValueError):
-            LowRankPreconditioner(op3, r=2)
-        op = _periodic_op(5, 8)
-        with pytest.raises(ValueError):
-            LowRankPreconditioner(op, r=0)
-        with pytest.raises(ValueError):
-            LowRankPreconditioner(op, r=6)
-
-    def test_rejects_a_fractional_rank(self):
-        op = poisson_operator((5, 6), (BC.DIRICHLET, BC.NEUMANN))
-        with pytest.raises(ValueError, match="integer"):
-            LowRankPreconditioner(op, r=2.5)
-
-
 class TestJacobiStandalone:
     def test_converges_on_a_definite_problem(self):
         rng = np.random.default_rng(60)
@@ -586,30 +468,9 @@ class TestJacobiStandalone:
         assert step == 6 * h.size * op.ndim + 4 * h.size
         assert np.diff(result.ops_cum).tolist() == [step] * 25
 
-    def test_refuses_a_misshapen_or_non_finite_rhs(self):
-        op = poisson_operator((5, 6), (BC.DIRICHLET, BC.NEUMANN))
-        with pytest.raises(ValueError, match="does not match grid"):
-            jacobi_standalone(op, np.ones((6, 5)), iters=3)
-        for bad in (np.nan, np.inf):
-            h = np.ones(op.shape)
-            h[2, 3] = bad
-            with pytest.raises(ValueError, match="not finite"):
-                jacobi_standalone(op, h, iters=3)
-
-    def test_refuses_a_complex_rhs(self):
-        """It shares the solver's check: the imaginary part is not dropped."""
-        op = poisson_operator((5, 6), (BC.DIRICHLET, BC.NEUMANN))
-        with pytest.raises(ValueError, match="must be real"):
-            jacobi_standalone(op, np.ones(op.shape) + 1j, iters=3)
-
     def test_zero_iterations_only_records_the_start(self):
         op = poisson_operator((4, 4), (BC.DIRICHLET, BC.DIRICHLET))
         result = jacobi_standalone(op, np.ones(op.shape), iters=0)
         assert result.iterations == 0
         with pytest.raises(ValueError):
             jacobi_standalone(op, np.ones(op.shape), iters=-1)
-
-    def test_rejects_a_fractional_step_count(self):
-        op = poisson_operator((5, 6), (BC.DIRICHLET, BC.NEUMANN))
-        with pytest.raises(ValueError, match="integer"):
-            jacobi_standalone(op, np.ones(op.shape), iters=2.5)
