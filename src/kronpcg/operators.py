@@ -187,5 +187,7 @@ def apply_bc_updates(
                 )
             index = [slice(None)] * h.ndim
             index[axis] = 0 if pos == "begin" else h.shape[axis] - 1
+            if isinstance(value, (bool, np.bool_)):
+                raise ValueError(f"a face value must be real, got {value!r}")
             h[tuple(index)] += checked_tensor(value, ())
     return h

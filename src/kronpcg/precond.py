@@ -157,7 +157,8 @@ class JacobiPreconditioner(Preconditioner):
         if self.p < 1:
             raise ValueError(f"jacobi needs p >= 1 sweeps, got {p}")
         # Python floats: an overflowing product is inf, with no numpy warning.
-        real = isinstance(omega, Real) and 1.0 <= omega <= sys.float_info.max
+        real = isinstance(omega, Real) and not isinstance(omega, bool)
+        real = real and 1.0 <= omega <= sys.float_info.max
         if not (real and isfinite(float(omega) * 2 * op.ndim)):
             raise ValueError(
                 f"jacobi damping needs omega >= 1 with a finite omega*2*ndim, got {omega!r}"
@@ -329,6 +330,8 @@ def make_preconditioner(op, spec: str) -> Preconditioner:
     (parameters optional for jacobi, required ``r`` for lowrank); a
     parameter may be given once.
     """
+    if not isinstance(spec, str):
+        raise ValueError(f"a preconditioner spec is a string, got {type(spec).__name__}")
     head, _, tail = spec.strip().partition(":")
     head = head.strip().lower()
     if head not in _FAMILIES:

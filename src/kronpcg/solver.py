@@ -88,7 +88,8 @@ class SolverConfig:
         if self.max_iter < 0:
             raise ValueError("max_iter must be nonnegative")
         tol = self.stop_tol
-        if tol is not None and not (isinstance(tol, Real) and 0.0 < tol <= sys.float_info.max):
+        real = isinstance(tol, Real) and not isinstance(tol, bool)
+        if tol is not None and not (real and 0.0 < tol <= sys.float_info.max):
             raise ValueError(f"stop_tol must be a finite positive number, got {tol!r}")
         self.stop_tol = None if tol is None else float(tol)  # a plain float for the run log
 
@@ -210,7 +211,9 @@ def pcg(
     :func:`kronpcg.operators.checked_rhs` and, on a singular grid, where
     the solution's constant part is not determined, the centering rule of
     :func:`kronpcg.operators.null_share`; else ``ValueError``.  A stop
-    before the first update returns a new zero array.
+    before the first update returns a new zero array.  ``stop_tol`` is
+    relative to ``|h|`` with no floor, so ``h = 0`` stops at record 0; so
+    does a side whose squares all underflow (entries below about 2e-162).
     """
     cfg = config if config is not None else SolverConfig()
     precond = precond if precond is not None else IdentityPreconditioner()
@@ -258,7 +261,7 @@ def pcg(
                 ops_cum=ops.count,
             )
         )
-        if cfg.stop_tol is not None and true_res <= cfg.stop_tol * max(h_norm, _EPS):
+        if cfg.stop_tol is not None and true_res <= cfg.stop_tol * h_norm:
             return "tolerance"
         return "budget" if s == cfg.max_iter else None
 

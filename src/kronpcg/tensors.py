@@ -72,8 +72,10 @@ def checked_out(x: np.ndarray, out: Optional[np.ndarray]) -> np.ndarray:
 
 
 def checked_integer(name: str, value) -> int:
-    """``value`` as an ``int`` by ``operator.index``, else ``ValueError`` naming it."""
+    """``value`` as an ``int`` by ``operator.index``, else (a bool too) ``ValueError`` naming it."""
     try:
+        if isinstance(value, (bool, np.bool_)):
+            raise TypeError
         return operator.index(value)
     except TypeError:
         raise ValueError(f"{name} takes only integers, got {value!r}") from None

@@ -262,7 +262,7 @@ def zero_start_pcg(op, h, precond, config):
         log.records.append(
             IterationRecord(s, alpha, None, None, r_norm, true_res, kappa, None, null_norm, ops.count)
         )
-        if config.stop_tol is not None and true_res <= config.stop_tol * max(h_norm, 2.0**-52):
+        if config.stop_tol is not None and true_res <= config.stop_tol * h_norm:
             return "tolerance"
         return "budget" if s == config.max_iter else None
 

@@ -16,39 +16,10 @@ from conftest import Negated, spectrum_sums, traced_peak
 from kronpcg import cli, formats
 from kronpcg.formats import RUN_LOG_SCHEMA, read_tensor, write_tensor
 from kronpcg.laplace1d import BoundaryCondition, analytic_spectrum
-from kronpcg.operators import NULL_SHARE_TOL, apply_bc_updates, checked_rhs, poisson_operator
+from kronpcg.operators import NULL_SHARE_TOL, poisson_operator
 from kronpcg.precond import StationaryResult, make_preconditioner
-from kronpcg.problems import gen_problem1, gen_problem2, gen_problem3
+from kronpcg.problems import gen_problem1, gen_problem3
 from kronpcg.solver import SolverConfig, pcg
-
-
-def test_gen_then_solve_round_trip(tmp_path, capsys):
-    rhs = tmp_path / "p1.kten"
-    assert cli.main(["gen", "--problem", "p1", "--size", "20x40", "--out", str(rhs)]) == 0
-    assert rhs.exists()
-    assert read_tensor(str(rhs)).shape == (20, 40)
-
-    log_path = tmp_path / "run.json"
-    sol_path = tmp_path / "u.kten"
-    code = cli.main(
-        [
-            "solve",
-            "--input", str(rhs),
-            "--bc", "x=periodic,y=periodic",
-            "--precond", "pinv",
-            "--max-iter", "10",
-            "--log", str(log_path),
-            "--solution", str(sol_path),
-        ]
-    )
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "done:" in out
-
-    doc = json.loads(log_path.read_text())
-    jsonschema.validate(doc, RUN_LOG_SCHEMA)
-    assert doc["final_norms"]["relative_true_residual"] <= 1e-11
-    assert read_tensor(str(sol_path)).shape == (20, 40)
 
 
 def test_gen_p2_writes_the_boundary_sidecar(tmp_path):
@@ -175,41 +146,6 @@ def test_fixed_inputs_are_not_options(tmp_path, capsys, argv, flag):
     assert flag not in capsys.readouterr().out
 
 
-def test_solve_centers_an_uncentered_singular_side(tmp_path, capsys):
-    rhs = tmp_path / "ones.kten"
-    write_tensor(str(rhs), np.ones((6, 6)))
-    argv = ["solve", "--input", str(rhs), "--bc", "x=periodic,y=periodic"]
-    log_path = tmp_path / "log.json"
-    assert cli.main(argv + ["--log", str(log_path)]) == 0
-    doc = json.loads(log_path.read_text())
-    assert any("centered" in w for w in doc["warnings"])
-    capsys.readouterr()
-
-
-def test_a_centered_singular_side_solves_without_a_centering_note(tmp_path, capsys):
-    """A centered side is left as it is; the solver still centers its
-    residual on a singular grid, so no false breakdown."""
-    rhs = tmp_path / "p3.kten"
-    cli.main(["gen", "--problem", "p3", "--variant", "3d_128x64x8", "--out", str(rhs)])
-    log_path = tmp_path / "log.json"
-    code = cli.main(
-        [
-            "solve",
-            "--input", str(rhs),
-            "--bc", "x=periodic,y=periodic,z=periodic",
-            "--precond", "pinv",
-            "--max-iter", "10",
-            "--log", str(log_path),
-        ]
-    )
-    assert code == 0
-    capsys.readouterr()
-    doc = json.loads(log_path.read_text())
-    assert not any("centered" in w for w in doc["warnings"])
-    assert doc["breakdown"] is None
-    assert doc["final_norms"]["relative_true_residual"] <= 1e-11
-
-
 def _threshold_sides(path: str, count: int = 200):
     """Periodic 37x53 sides whose null share is ``NULL_SHARE_TOL`` to a
     relative 1e-6, each written to ``path`` and read back."""
@@ -264,63 +200,15 @@ def test_center_is_not_an_option(tmp_path, capsys, value):
     assert "--center" not in capsys.readouterr().out
 
 
-@pytest.mark.parametrize(
-    "gen, size, bcs, bad",
-    [
-        (gen_problem1, (5, 10), "x=periodic,y=periodic", np.nan),
-        (gen_problem2, (10, 12), "x=dirichlet-neumann,y=periodic", np.inf),
-    ],
-    ids=["p1-nan", "p2-inf"],
-)
-def test_solve_rejects_a_non_finite_rhs_with_exit_one(tmp_path, capsys, gen, size, bcs, bad):
-    _, h = gen(*size)
-    h[1, 2] = bad
-    rhs = tmp_path / "bad.kten"
-    rhs.write_bytes(f"KTEN 2 {size[0]} {size[1]}\n".encode() + h.astype("<f8").tobytes(order="F"))
-    assert cli.main(["solve", "--input", str(rhs), "--bc", bcs, "--precond", "pinv"]) == 1
-    assert "not finite" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize(
-    "flag",
-    [
-        "--tol=nan",
-        "--tol=inf",
-        "--tol=-1",
-        "--tol=0",
-        "--precond=jacobi:omega=nan",
-        "--precond=jacobi:omega=inf",
-        "--precond=jacobi:p=3,omega=1e308",
-    ],
-)
-def test_solve_rejects_bad_numbers_with_exit_one(tmp_path, capsys, flag):
-    _, h = gen_problem1(6, 8)
-    rhs = tmp_path / "rhs.kten"
-    write_tensor(str(rhs), h)
-    argv = ["solve", "--input", str(rhs), "--bc", "x=periodic,y=periodic", "--max-iter", "5"]
-    assert cli.main(argv + [flag]) == 1
-    capsys.readouterr()
-
-
-@pytest.mark.parametrize(
-    "flag, value, message",
-    [
-        ("--tol", "nan", "--tol must be a finite positive number, got nan"),
-        ("--tol", "0", "--tol must be a finite positive number, got 0.0"),
-        ("--tol", "-1", "--tol must be a finite positive number, got -1.0"),
-        ("--max-iter", "-1", "--max-iter must be nonnegative"),
-    ],
-)
-def test_solve_names_the_flag_of_a_bad_budget_or_tolerance(tmp_path, capsys, flag, value, message):
-    """``SolverConfig``'s refusal is told in the flag's name, not the field's,
-    before any log is written."""
-    rhs, log_path = str(tmp_path / "p1.kten"), tmp_path / "log.json"
-    write_tensor(rhs, gen_problem1(50, 100)[1])
-    argv = ["solve", "--input", rhs, "--bc", "x=periodic,y=periodic", "--log", str(log_path)]
-    assert cli.main(argv + [f"{flag}={value}"]) == 1
-    captured = capsys.readouterr()
-    assert captured.err == f"error: {message}\n" and captured.out == ""
-    assert not log_path.exists()
+def test_solve_stops_relative_to_a_tiny_side(tmp_path, capsys):
+    """The stop is relative to ``|h|`` with no floor: p1 times ``2**-330``
+    (``|h|`` about 1e-103) solves to the tolerance, not to the zero start."""
+    rhs, sol = str(tmp_path / "p1.kten"), str(tmp_path / "u.kten")
+    write_tensor(rhs, np.ldexp(gen_problem1(50, 100)[1], -330))
+    argv = ["solve", "--input", rhs, "--bc", "x=periodic,y=periodic", "--precond", "pinv"]
+    assert cli.main(argv + ["--tol", "1e-9", "--solution", sol]) == 0
+    assert capsys.readouterr().out.startswith("done: 1 iterations")
+    assert np.any(read_tensor(sol) != 0.0)
 
 
 def test_solve_refuses_an_even_jacobi_polynomial_that_vanishes_with_exit_one(tmp_path, capsys):
@@ -358,103 +246,6 @@ def test_solve_reports_breakdown_with_exit_two(tmp_path, capsys, monkeypatch):
     doc = json.loads(log_path.read_text())
     jsonschema.validate(doc, RUN_LOG_SCHEMA)
     assert doc["breakdown"] == "indefinite"
-
-
-def test_solve_budget_defaults_to_the_solver_config(tmp_path, capsys):
-    """``solve`` without ``--max-iter`` runs ``SolverConfig``'s own budget."""
-    rhs, log_path = str(tmp_path / "p1.kten"), tmp_path / "log.json"
-    write_tensor(rhs, gen_problem1(6, 8)[1])
-    assert cli.main(["solve", "--input", rhs, "--bc", "x=periodic,y=periodic",
-                     "--log", str(log_path)]) == 0
-    capsys.readouterr()
-    assert json.loads(log_path.read_text())["config"]["max_iter"] == SolverConfig().max_iter
-
-
-def test_solve_applies_face_flags(tmp_path):
-    rhs = tmp_path / "flat.kten"
-    write_tensor(str(rhs), np.zeros((8, 10)))
-    log_path = tmp_path / "log.json"
-    code = cli.main(
-        [
-            "solve",
-            "--input", str(rhs),
-            "--bc", "x=dirichlet-neumann,y=periodic",
-            "--uB", "x=1.0",
-            "--eE", "x=-0.5",
-            "--precond", "pinv",
-            "--max-iter", "10",
-            "--log", str(log_path),
-        ]
-    )
-    assert code == 0
-    doc = json.loads(log_path.read_text())
-    assert any("folded" in w for w in doc["warnings"])
-    assert doc["final_norms"]["relative_true_residual"] <= 1e-11
-
-
-# Bounded condition -> the stems of the flags its (begin, end) faces take:
-# ``u`` a potential on a Dirichlet end, ``e`` a Neumann end's value.
-_FACE_STEMS = {
-    BoundaryCondition.DIRICHLET: "uu",
-    BoundaryCondition.NEUMANN: "ee",
-    BoundaryCondition.DIRICHLET_NEUMANN: "ue",
-    BoundaryCondition.NEUMANN_DIRICHLET: "eu",
-}
-
-
-@pytest.mark.parametrize("end", [0, 1], ids=["begin", "end"])
-@pytest.mark.parametrize("bc", list(_FACE_STEMS), ids=[bc.value for bc in _FACE_STEMS])
-def test_solve_takes_a_face_value_only_from_the_flag_of_its_kind(
-    tmp_path, capsys, monkeypatch, bc, end
-):
-    """The face's own flag folds its value exactly as ``apply_bc_updates``;
-    the other kind's flag exits 1, naming itself and the face's flag."""
-    h = np.random.default_rng(8).standard_normal((6, 8))
-    rhs = str(tmp_path / "h.kten")
-    write_tensor(rhs, h)
-    folded = []
-
-    def recorded(op, g):  # the side as folded, before any centering
-        folded.append(g.copy())
-        return checked_rhs(op, g)
-
-    monkeypatch.setattr(cli, "checked_rhs", recorded)
-    argv = ["solve", "--input", rhs, "--bc", f"x={bc.value},y=periodic", "--precond", "pinv"]
-    right = _FACE_STEMS[bc][end] + "BE"[end]
-    wrong = {"u": "e", "e": "u"}[right[0]] + "BE"[end]
-    assert cli.main(argv + [f"--{right}", "x=0.37"]) == 0
-    pair = (0.37, None) if end == 0 else (None, 0.37)
-    want = apply_bc_updates(h, (bc, BoundaryCondition.PERIODIC), (pair, (None, None)))
-    assert folded[0].tobytes() == want.tobytes()
-    capsys.readouterr()
-    assert cli.main(argv + [f"--{wrong}", "x=0.37"]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: --{wrong}: ") and f"from --{right}" in err
-
-
-@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-@pytest.mark.parametrize("flag", ["uB", "eE"])
-def test_solve_refuses_a_non_finite_face_value(tmp_path, capsys, flag, value):
-    """A non-finite face value is the flag's fault, not the input file's."""
-    rhs, log_path = str(tmp_path / "p2.kten"), tmp_path / "log.json"
-    cli.main(["gen", "--problem", "p2", "--out", rhs])
-    capsys.readouterr()
-    argv = ["solve", "--input", rhs, "--bc", "x=dirichlet-neumann,y=periodic", "--precond", "pinv"]
-    assert cli.main(argv + [f"--{flag}", f"x={value}", "--log", str(log_path)]) == 1
-    captured = capsys.readouterr()
-    assert captured.err.startswith(f"error: bad --{flag} entry 'x={value}': ")
-    assert "is not a finite number" in captured.err and captured.out == ""
-    assert not log_path.exists()
-
-
-@pytest.mark.parametrize("flag", ["uB", "uE", "eB", "eE"])
-def test_solve_refuses_any_face_flag_on_a_periodic_axis(tmp_path, capsys, flag):
-    rhs = str(tmp_path / "h.kten")
-    write_tensor(rhs, np.ones((6, 8)))
-    argv = ["solve", "--input", rhs, "--bc", "x=dirichlet,y=periodic", f"--{flag}", "y=1"]
-    assert cli.main(argv) == 1
-    captured = capsys.readouterr()
-    assert f"--{flag}: axis y (periodic) has no faces" in captured.err and captured.out == ""
 
 
 def test_spectrum_one_dimensional_output(capsys):

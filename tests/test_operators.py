@@ -5,12 +5,8 @@ from conftest import (
     ASSEMBLE_LIMIT,
     assemble_dense,
     dense_1d,
-    random_operator,
     rotated_bcs,
-    spectrum_sums,
     traced_peak,
-    unvec,
-    vec,
     whole_grid_apply,
 )
 from kronpcg.counting import OpCounter
@@ -29,17 +25,6 @@ from kronpcg.operators import (
 from kronpcg.tensors import frobenius_norm
 
 BC = BoundaryCondition
-
-
-@pytest.mark.parametrize("ndim", [2, 3])
-def test_apply_matches_assembled_matrix(ndim):
-    rng = np.random.default_rng(ndim)
-    for _ in range(8):
-        op = random_operator(rng, ndim=ndim)
-        x = rng.standard_normal(op.shape)
-        got = apply(op, x)
-        want = unvec(assemble_dense(op) @ vec(x), op.shape)
-        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(x)
 
 
 def test_apply_into_a_buffer_holds_one_face_at_a_time():
@@ -93,16 +78,6 @@ def test_assemble_dense_refuses_large_grids():
         assemble_dense(op)
 
 
-@pytest.mark.parametrize("ndim", [2, 3])
-def test_spectrum_sums_match_dense_eigenvalues(ndim):
-    rng = np.random.default_rng(10 + ndim)
-    for _ in range(4):
-        op = random_operator(rng, ndim=ndim, hi=6)
-        sums = np.sort(spectrum_sums(op).ravel())
-        dense_vals = np.linalg.eigvalsh(assemble_dense(op))
-        assert np.allclose(sums, dense_vals, atol=1e-8)
-
-
 @pytest.mark.parametrize(
     "bcs,singular",
     [
@@ -120,16 +95,6 @@ def test_is_singular_truth_table(bcs, singular):
     # Cross-check against the assembled spectrum.
     min_eig = np.abs(np.linalg.eigvalsh(assemble_dense(op))).min()
     assert (min_eig < 1e-12) == singular
-
-
-def test_center_removes_the_mean_and_counts():
-    rng = np.random.default_rng(31)
-    x = rng.standard_normal((6, 7)) + 3.0
-    ops = OpCounter()
-    c = center(x, ops)
-    assert abs(c.mean()) < 1e-14
-    assert np.allclose(c, x - x.mean(), atol=1e-15)
-    assert ops.count == 3 * x.size
 
 
 def test_nullspace_component_is_norm_of_constant_part():

@@ -8,13 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import kron_assemble, plain_transform, unvec, vec
-from kronpcg.tensors import (
-    NULL_MODE_TOL,
-    frobenius_norm,
-    hadamard_pinv,
-    inner,
-    linear_transform,
-)
+from kronpcg.tensors import NULL_MODE_TOL, hadamard_pinv, linear_transform
 
 
 def test_vec_is_first_index_fastest():
@@ -77,47 +71,9 @@ def test_linear_transform_needs_a_work_pair():
         linear_transform([np.eye(3), np.eye(4)], np.zeros((3, 4)))
 
 
-def test_linear_transform_matches_kron_on_vec():
-    """vec of the multi-mode product equals the reversed Kronecker matvec."""
-    rng = np.random.default_rng(13)
-    t = rng.standard_normal((3, 4, 2))
-    mats = [rng.standard_normal((m, m)) for m in t.shape]
-    out = linear_transform(mats, t, _pair(t.shape))
-    big = kron_assemble([mats[2], mats[1], mats[0]])
-    assert np.allclose(vec(out), big @ vec(t), atol=1e-12)
-
-
-def test_linear_transform_with_three_different_extents_matches_kron():
-    """Every extent differs, so a wrong axis order in the rotation would
-    put a matrix on the wrong mode and fail its shape or the reference."""
-    rng = np.random.default_rng(23)
-    t = rng.standard_normal((3, 4, 5))
-    mats = [rng.standard_normal((n, n)) for n in t.shape]
-    out = linear_transform(mats, t, _pair(t.shape))
-    assert out.shape == t.shape
-    assert np.allclose(vec(out), kron_assemble(mats[::-1]) @ vec(t), atol=1e-12)
-
-
-def test_linear_transform_2d_is_congruence():
-    rng = np.random.default_rng(17)
-    u = rng.standard_normal((4, 6))
-    a = rng.standard_normal((4, 4))
-    b = rng.standard_normal((6, 6))
-    assert np.allclose(linear_transform([a, b], u, _pair(u.shape)), a @ u @ b.T, atol=1e-12)
-
-
 def test_linear_transform_needs_one_matrix_per_mode():
     with pytest.raises(ValueError, match="one matrix per mode"):
         linear_transform([np.eye(3)], np.zeros((3, 3)), _pair((3, 3)))
-
-
-def test_inner_and_norm_agree_with_numpy():
-    rng = np.random.default_rng(19)
-    x = rng.standard_normal((5, 6))
-    y = rng.standard_normal((5, 6))
-    assert inner(x, y) == pytest.approx(float(np.sum(x * y)), rel=1e-14)
-    assert frobenius_norm(x) == pytest.approx(float(np.linalg.norm(x)), rel=1e-14)
-    assert inner(x, x) == pytest.approx(frobenius_norm(x) ** 2, rel=1e-13)
 
 
 # Reductions long enough for a BLAS dot to split them over its threads, and
