@@ -72,7 +72,7 @@ class Preconditioner:
 
     ``apply(r, ops, out, work)`` returns ``M r``, into ``out`` if given
     (:func:`kronpcg.tensors.checked_out`), and never modifies ``r``, read by
-    :func:`kronpcg.tensors.checked_tensor` for the grid ``shape`` (``None``: any).
+    :func:`kronpcg.tensors.checked_tensor` for the grid ``shape``.
     ``work`` is scratch the apply may overwrite: it must fit ``r`` as an
     ``out`` does and must not overlap ``out``, checked before the first
     write.  An apply that needs scratch and gets no ``work`` uses the
@@ -82,7 +82,7 @@ class Preconditioner:
     """
 
     name = "base"  # the label a run log records
-    shape = None  # the grid an apply's ``r`` must fit; None: any shape
+    shape: tuple  # the grid an apply's ``r`` must fit, the operator's
     init_cost = 0
     _work = None  # own scratch, for applies that arrive without ``work``
 
@@ -118,6 +118,9 @@ class IdentityPreconditioner(Preconditioner):
     """No preconditioning: a copy of ``r``, charged 0 ops."""
 
     name = "identity"
+
+    def __init__(self, op):
+        self.shape = op.shape
 
     def apply(
         self,
@@ -316,7 +319,7 @@ class LowRankPreconditioner(Preconditioner):
 # Family -> (constructor taking the operator, {spec key: its type}); a spec
 # key is the constructor's keyword.
 _FAMILIES = {
-    "none": (lambda op: IdentityPreconditioner(), {}),
+    "none": (IdentityPreconditioner, {}),
     "pinv": (PinvPreconditioner, {}),
     "jacobi": (JacobiPreconditioner, {"p": int, "omega": float}),
     "lowrank": (LowRankPreconditioner, {"r": int}),

@@ -89,9 +89,11 @@ class SolverConfig:
             raise ValueError("max_iter must be nonnegative")
         tol = self.stop_tol
         real = isinstance(tol, Real) and not isinstance(tol, bool)
+        if real and abs(tol) <= sys.float_info.max:
+            tol = float(tol)  # a plain float for the run log, the value whose range is checked
         if tol is not None and not (real and 0.0 < tol <= sys.float_info.max):
-            raise ValueError(f"stop_tol must be a finite positive number, got {tol!r}")
-        self.stop_tol = None if tol is None else float(tol)  # a plain float for the run log
+            raise ValueError(f"stop_tol must be a finite positive number, got {self.stop_tol!r}")
+        self.stop_tol = tol
 
 
 @dataclass
@@ -216,7 +218,7 @@ def pcg(
     does a side whose squares all underflow (entries below about 2e-162).
     """
     cfg = config if config is not None else SolverConfig()
-    precond = precond if precond is not None else IdentityPreconditioner()
+    precond = precond if precond is not None else IdentityPreconditioner(op)
     h, h_norm = op_mod.checked_rhs(op, h)  # one layout for every pairing
     singular = op_mod.is_singular(op)
     h_sum, share = op_mod.null_share(op, h, h_norm)  # the sum also gives the centered start

@@ -5,9 +5,13 @@ eigendecompositions, textbook recurrences on flat vectors.  The package
 must agree with these on problems small enough to afford them.
 """
 
+import os
+import subprocess
+import sys
 import tracemalloc
 from functools import reduce
 from math import prod
+from pathlib import Path
 
 import numpy as np
 
@@ -29,6 +33,7 @@ from kronpcg.tensors import frobenius_norm, inner
 ALL_BCS = tuple(BoundaryCondition)
 SINGULAR_BCS = (BoundaryCondition.PERIODIC, BoundaryCondition.NEUMANN)
 ASSEMBLE_LIMIT = 10_000
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def rotated_bcs(first, ndim):
@@ -156,6 +161,22 @@ def whole_grid_apply(op, x):
     for axis, bc in enumerate(op.bcs):
         whole_grid_offdiagonal(bc, x, out, axis)
     return out
+
+
+def run_python(args, threads=("1", "2"), code=0):
+    """Run ``sys.executable`` with ``args`` and ``src`` leading ``PYTHONPATH``,
+    once per ``OPENBLAS_NUM_THREADS`` value in ``threads`` (``None``: as
+    inherited); yield each run, checked to exit with ``code``, before the next."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    for n in threads:
+        if n is not None:
+            env["OPENBLAS_NUM_THREADS"] = n
+        done = subprocess.run(
+            [sys.executable, *args], env=env, capture_output=True, text=True, timeout=300
+        )
+        assert done.returncode == code, done.stderr
+        yield done
 
 
 def traced_peak(fn, *args, **kwargs):

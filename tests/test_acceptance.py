@@ -110,7 +110,7 @@ def test_criterion_03_cg_scalars_match_textbook_recurrence():
         _, log = pcg(
             op,
             h,
-            IdentityPreconditioner(),
+            IdentityPreconditioner(op),
             config=SolverConfig(max_iter=budget),
         )
         a = assemble_dense(op)
@@ -176,7 +176,7 @@ def test_criterion_05_jacobi_stalls_where_cg_converges():
     """Plain CG beats 5000 damped-Jacobi sweeps on the striped problem."""
     spec, h = gen_problem1(50, 100)
     op = spec.operator()
-    _, log = pcg(op, h, IdentityPreconditioner(), config=SolverConfig(max_iter=500))
+    _, log = pcg(op, h, IdentityPreconditioner(op), config=SolverConfig(max_iter=500))
     cg_at = next(
         (rec.s for rec in log.records[1:] if rec.true_res <= 1e-8 * log.h_norm),
         None,
@@ -241,7 +241,7 @@ def test_criterion_07_iterates_stay_off_the_null_space():
         ("problem3 3d_128x64x8 pinv", gen_problem3("3d_128x64x8"), "pinv", 10),
     ]:
         op = spec.operator()
-        pre = IdentityPreconditioner() if pre_kind == "identity" else PinvPreconditioner(op)
+        pre = IdentityPreconditioner(op) if pre_kind == "identity" else PinvPreconditioner(op)
         u, log = pcg(op, h, pre, config=SolverConfig(max_iter=iters))
         u1, _ = pcg(op, h, pre, config=SolverConfig(max_iter=1))
         denom = min(float(np.linalg.norm(u1)), float(np.linalg.norm(u)))
@@ -307,7 +307,7 @@ def test_criterion_09_operation_counts_match_the_cost_tables():
         _, log = pcg(
             op,
             h,
-            IdentityPreconditioner(),
+            IdentityPreconditioner(op),
             config=SolverConfig(max_iter=4),
         )
         deltas = [
@@ -340,7 +340,7 @@ def test_criterion_10_error_indicator_tracks_the_energy_norm():
     _, log = pcg(
         op,
         h,
-        IdentityPreconditioner(),
+        IdentityPreconditioner(op),
         config=SolverConfig(max_iter=40, stop_tol=1e-6),
     )
     kappas = np.array([rec.kappa for rec in log.records])
@@ -353,7 +353,7 @@ def test_criterion_10_error_indicator_tracks_the_energy_norm():
         u_s, _ = pcg(
             op,
             h,
-            IdentityPreconditioner(),
+            IdentityPreconditioner(op),
             config=SolverConfig(max_iter=s),
         )
         d = u_s.ravel(order="F") - u_star

@@ -20,9 +20,9 @@ import numpy as np
 import pytest
 
 from conftest import assemble_dense, dense_jacobi_matrix, dense_pcg, dense_pseudoinverse
-from conftest import kron_assemble, vec
+from conftest import kron_assemble, numeric_spectrum, spectrum_sums, vec
 from kronpcg import cli
-from kronpcg.counting import OpCounter
+from kronpcg.counting import OpCounter, cost_model
 from kronpcg.formats import log_to_dict, read_tensor, write_tensor
 from kronpcg.laplace1d import BoundaryCondition as BC, face_kinds
 from kronpcg.operators import apply, apply_bc_updates, center, checked_rhs, is_singular
@@ -30,7 +30,7 @@ from kronpcg.operators import null_share, nullspace_component, poisson_operator
 from kronpcg.precond import JacobiPreconditioner, LowRankPreconditioner, Preconditioner
 from kronpcg.precond import jacobi_standalone, make_preconditioner
 from kronpcg.solver import PCGBreakdown, SolverConfig, pcg
-from kronpcg.tensors import frobenius_norm, inner, linear_transform
+from kronpcg.tensors import frobenius_norm, hadamard_pinv, inner, linear_transform
 
 SEEDS = range(12)
 GRID = "does not match grid"
@@ -144,7 +144,7 @@ def entry_points(seed, op, rng, path):
         "kten": (None, True, kten),
     }
     for spec, precond in draw_preconditioners(seed, op).items():
-        table[spec] = (GRID if spec != "none" else None, False, precond.apply)
+        table[spec] = (GRID, False, precond.apply)
     return table
 
 
@@ -216,13 +216,16 @@ def bad_buffers(x, flat):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_out_and_work_are_checked_before_the_first_write(seed):
-    """A good ``out`` (and ``work``) gets the fresh call's result bitwise and
-    its op count; a bad one is refused with every array as it was.  ``work``
-    must also miss ``out``; ``linear_transform``'s second work array may be
-    its input, and the elementwise ``center`` runs in place with ``out=x``."""
+    """A good ``out`` and a NaN-filled ``work`` leave the instance's own scratch
+    unallocated and get the result and op count of two fresh calls bitwise
+    (the first allocates that scratch, the second reuses it); a bad one is
+    refused with every array as it was.  ``work`` must also miss ``out``;
+    ``linear_transform``'s second work array may be its input, and the
+    elementwise ``center`` runs in place with ``out=x``."""
     rng, op = draw(seed)
     x, flat = halves(rng, op.shape)
     mats = [rng.standard_normal((n, n)) for n in op.shape]
+    precs = draw_preconditioners(seed, op)
 
     def transform(out, work, ops):
         pair = [np.empty(op.shape) if b is None else b for b in (out, work)]
@@ -233,17 +236,19 @@ def test_out_and_work_are_checked_before_the_first_write(seed):
         "center": lambda out, work, ops: center(x, ops, out=out),
         "linear_transform": transform,
     }
-    for spec, precond in draw_preconditioners(seed, op).items():
+    for spec, precond in precs.items():
         kernels[spec] = lambda out, work, ops, precond=precond: precond.apply(x, ops, out, work)
     for name, kernel in kernels.items():
-        ops, fresh_ops = OpCounter(), OpCounter()
-        want = kernel(None, None, fresh_ops).copy()
+        ops = OpCounter()
         out, out_flat = halves(rng, op.shape)
         work = np.full(op.shape, np.nan)
         got = kernel(out, work, ops)
+        assert name not in precs or precs[name]._work is None, name
         holders = (out, work) if name == "linear_transform" else (out,)
         assert any(np.shares_memory(got, b) for b in holders), name
-        assert got.tobytes() == want.tobytes() and ops.count == fresh_ops.count, name
+        for fresh_ops in (OpCounter(), OpCounter()):
+            want = kernel(None, None, fresh_ops)
+            assert got.tobytes() == want.tobytes() and ops.count == fresh_ops.count, name
         if name == "center":
             assert center(y := x.copy(), out=y) is y and y.tobytes() == want.tobytes()
         cases = [(b, work, m) for b, m in bad_buffers(x, flat)[name == "center" :]]
@@ -270,19 +275,27 @@ def test_every_family_is_symmetric_and_the_definite_ones_positive(seed):
             assert inner(x, precond.apply(x)) > 0, spec
 
 
-def dense_matrix(precond, a):
-    """The conftest reference matrix of a drawn preconditioner, for grid matrix ``a``."""
+def dense_matrix(op, precond, a):
+    """The conftest reference matrix of a drawn preconditioner on ``op``, whose
+    matrix is ``a``.  Lowrank's is built from the operator alone: the SVD of
+    ``hadamard_pinv`` of the eigenvalue sums, truncated to the rank, as a
+    diagonal between the Kronecker-assembled 1D eigenbases."""
     if isinstance(precond, JacobiPreconditioner):
         return dense_jacobi_matrix(a, precond.p, precond.omega)
     if isinstance(precond, LowRankPreconditioner):
-        return sum(np.kron(right, left) for left, right in zip(precond.left, precond.right))
+        u, sigma, vt = np.linalg.svd(hadamard_pinv(spectrum_sums(op)))
+        r = precond.rank
+        g = (u[:, :r] * sigma[:r]) @ vt[:r]
+        bases = [numeric_spectrum(n, bc).vectors for n, bc in zip(op.shape, op.bcs)]
+        v = kron_assemble(bases[::-1])
+        return (v * vec(g)) @ v.T
     return dense_pseudoinverse(a) if precond.name == "pinv" else np.eye(len(a))
 
 
-def solve_log(op, h, precond):
-    """``pcg``'s log to 1e-9, the partial one after a breakdown."""
+def solve_log(op, h, precond, config=SolverConfig(500, 1e-9)):
+    """``pcg``'s log, to 1e-9 by default, the partial one after a breakdown."""
     try:
-        return pcg(op, h, precond, SolverConfig(500, 1e-9))[1]
+        return pcg(op, h, precond, config)[1]
     except PCGBreakdown as exc:
         return exc.log
 
@@ -319,7 +332,7 @@ def test_every_entry_point_is_its_dense_reference_to_rounding(seed):
         if spec == "none":
             assert z.tobytes() == y.tobytes()
         tol = 1e-10 if spec == "pinv" else 1e-12
-        assert_near(z, dense_matrix(precond, a) @ vec(y), tol, size(y))
+        assert_near(z, dense_matrix(op, precond, a) @ vec(y), tol, size(y))
         if spec == f"lowrank:r={min(op.shape)}":
             assert_near(z, dense_pseudoinverse(a) @ vec(y), 1e-10, size(y))
 
@@ -334,7 +347,8 @@ def test_pcg_follows_the_dense_pcg_of_every_drawn_family(seed):
     assert solve_log(op, np.zeros(op.shape), None).iterations == 0
     for spec, precond in draw_preconditioners(seed, op).items():
         log = solve_log(op, h, precond)
-        _, alphas, betas, res = dense_pcg(a, vec(h), dense_matrix(precond, a), iters=log.iterations)
+        m = dense_matrix(op, precond, a)
+        _, alphas, betas, res = dense_pcg(a, vec(h), m, iters=log.iterations)
         assert log.records[0].computed_res == pytest.approx(res[0], rel=1e-12)
         for rec, alpha, beta, r, r_last in zip(log.records[1:], alphas, betas, res[1:], res):
             if r_last <= floor:
@@ -356,6 +370,55 @@ def test_pcg_scales_exactly_with_a_power_of_two_side(seed):
             scaled = solve_log(op, np.ldexp(h, k), precond)
             assert scaled.iterations == log.iterations, (spec, k)
             assert np.ldexp(scaled.u, -k).tobytes() == log.u.tobytes(), (spec, k)
+
+
+def readme_charges(precond, shape):
+    """A drawn family's (apply, ``init_cost``) charges by README's "Counting rules"."""
+    n, ndim = int(np.prod(shape)), len(shape)
+    if isinstance(precond, JacobiPreconditioner):
+        return n + (precond.p - 1) * (6 * n * ndim + 4 * n), (ndim + 1) * n
+    if isinstance(precond, LowRankPreconditioner):
+        return precond.rank * (2 * n * sum(shape) + n), ndim * n
+    return (4 * n * sum(shape) + n, ndim * n) if precond.name == "pinv" else (0, 0)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_every_kernel_charges_readmes_counting_rules(seed):
+    """The closed forms of README's "Counting rules" (and ``cost_model``'s):
+    each kernel's and family's charge and ``init_cost``, and a fresh result
+    that shares no memory with its input."""
+    op, h = drawn_side(seed)
+    n, stencil = h.size, 6 * h.size * op.ndim
+    assert cost_model(op.shape, "iter") == stencil + 10 * n
+    assert cost_model(op.shape, "pinv_apply") == 4 * n * sum(op.shape) + n
+    charged = [(lambda x, ops: apply(op, x, ops), stencil), (center, 3 * n)]
+    for spec, precond in draw_preconditioners(seed, op).items():
+        charge, init = readme_charges(precond, op.shape)
+        charged.append((precond.apply, charge))
+        assert precond.init_cost == init, spec
+    for kernel, charge in charged:
+        ops = OpCounter()
+        assert not np.shares_memory(kernel(h, ops), h) and ops.count == charge, kernel
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_every_solver_record_charges_readmes_counting_rules(seed):
+    """README's "Counting rules" summed per record: ``pcg``'s record 0 and
+    every later increment, with and without ``stop_tol``, for every drawn
+    family; the stand-alone Jacobi steps."""
+    op, h = drawn_side(seed)
+    n, ndim = h.size, op.ndim
+    stencil = 6 * n * ndim
+    check = stencil + 4 * n  # a stopping rule's Lu and |h - Lu|, or a stand-alone Jacobi step
+    centering = 3 * n if is_singular(op) else 0
+    for spec, precond in draw_preconditioners(seed, op).items():
+        charge, init = readme_charges(precond, op.shape)
+        for tol in (None, 1e-300):
+            counts = [r.ops_cum for r in solve_log(op, h, precond, SolverConfig(3, tol)).records]
+            step = stencil + 10 * n + charge + centering + check * (tol is not None)
+            assert counts[0] == init + centering and np.diff(counts).tolist() == [step] * 3, spec
+    counts = jacobi_standalone(op, h, 1.3, 3).ops_cum
+    assert counts[0] == (ndim + 1) * n and np.diff(counts).tolist() == [check] * 3
 
 
 _STEMS = {"potential": "ue", "field": "eu"}  # a face's kind -> its flags' stem, then the other's
@@ -464,7 +527,8 @@ KNOBS = {
     "conditions": (lambda bcs: poisson_operator((5, 6), bcs), [], [(_BCS[:1], "one boundary")]),
     "max_iter": (SolverConfig, [(np.int64(3), 3)], _INTEGRAL + [(-1, "nonnegative")]),
     "stop_tol": (lambda t: SolverConfig(5, t), [(Fraction(1, 10**9), 1e-9)],
-                 [(t, "stop_tol") for t in (np.nan, np.inf, -1.0, 0.0, 10**400, "1e-9", True)]),
+                 [(t, "stop_tol") for t in (np.nan, np.inf, -1.0, 0.0, 10**400, "1e-9", True)]
+                 + [(Fraction(1, 10**400), "stop_tol")]),
     "p": (lambda p: JacobiPreconditioner(_OP, p), [(np.int64(3), 3)], _INTEGRAL + [(0, "p >= 1")]),
     "omega": (lambda w: JacobiPreconditioner(_OP, 3, w), [(Fraction(13, 10), 1.3), (np.int8(2), 2)],
               [(w, "omega") for w in (0.9, np.nan, np.inf, 1e308, 10**400, "1", True)]

@@ -9,7 +9,6 @@ from conftest import (
     traced_peak,
     whole_grid_apply,
 )
-from kronpcg.counting import OpCounter
 from kronpcg.laplace1d import BoundaryCondition, face_kinds
 from kronpcg.operators import (
     _SLAB_ENTRIES,
@@ -62,13 +61,6 @@ def test_apply_into_a_buffer_on_the_p3_grid_holds_one_group_of_faces():
     x = np.random.default_rng(7).standard_normal(op.shape)
     _, peak = traced_peak(apply, op, x, out=np.empty(op.shape))
     assert peak <= _SLAB_ENTRIES // 8 * x.itemsize + 16 * 1024
-
-
-def test_apply_counts_stencil_ops():
-    op = poisson_operator((4, 5, 3), (BC.PERIODIC, BC.DIRICHLET, BC.NEUMANN))
-    ops = OpCounter()
-    apply(op, np.ones(op.shape), ops)
-    assert ops.count == 6 * 4 * 5 * 3 * 3
 
 
 def test_assemble_dense_refuses_large_grids():

@@ -1,10 +1,7 @@
 import itertools
 import json
-import os
-import subprocess
 import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,12 +10,12 @@ from conftest import (
     outer_sum,
     plain_transform,
     rotated_bcs,
+    run_python,
     spectrum_sums,
     traced_peak,
     unvec,
 )
 from kronpcg import operators as op_mod
-from kronpcg.counting import OpCounter, cost_model
 from kronpcg.laplace1d import BoundaryCondition, diagonal
 from kronpcg.operators import center, poisson_operator
 from kronpcg.precond import (
@@ -38,25 +35,6 @@ BC = BoundaryCondition
 
 def _periodic_op(n, q):
     return poisson_operator((n, q), (BC.PERIODIC, BC.PERIODIC))
-
-
-def test_identity_copies_into_out_for_free():
-    """The identity keeps the one ``apply`` contract: given ``out`` it copies
-    ``r`` there and returns ``out``; without it a new array.  ``r`` is never
-    modified and the copy is charged 0 ops."""
-    p = IdentityPreconditioner()
-    r = np.arange(12.0).reshape(3, 4)
-    r_copy = r.copy()
-    buf = np.full(r.shape, np.nan)
-    ops = OpCounter()
-    assert p.apply(r, ops, out=buf) is buf
-    assert np.array_equal(buf, r)
-    fresh = p.apply(r, ops)
-    assert not np.may_share_memory(fresh, r)
-    assert np.array_equal(fresh, r)
-    assert np.array_equal(r, r_copy)
-    assert ops.count == 0
-    assert p.init_cost == 0
 
 
 # (spec, grid shape, boundary conditions): every family, pinv in 2D and 3D.
@@ -193,17 +171,6 @@ class TestJacobi:
         assert j.dhat.shape == (1, 1)
         assert peak < 0.05 * grid and held < 0.05 * grid
 
-    def test_sweep_op_costs(self):
-        op = _periodic_op(5, 6)
-        n = 30
-        r = np.ones(op.shape)
-        ops = OpCounter()
-        JacobiPreconditioner(op, p=1).apply(r, ops)
-        assert ops.count == n
-        ops = OpCounter()
-        JacobiPreconditioner(op, p=3).apply(r, ops)
-        assert ops.count == n + 2 * (6 * n * 2 + 4 * n)
-
 
 _WIDTH = 300  # entries per leading row of the blocked-ghat test grids
 _LEAD = 2 * (_GHAT_ENTRIES // _WIDTH) + 5  # two full blocks and a partial one at _WIDTH
@@ -273,16 +240,6 @@ class TestPinv:
         z = p.apply(np.ones(op.shape))
         assert np.linalg.norm(z) < 1e-12
 
-    def test_apply_cost_matches_model(self):
-        op = poisson_operator((5, 6, 4), (BC.PERIODIC,) * 3)
-        p = PinvPreconditioner(op)
-        ops = OpCounter()
-        p.apply(np.ones(op.shape), ops)
-        n = 5 * 6 * 4
-        assert ops.count == 4 * n * (5 + 6 + 4) + n
-        assert ops.count == cost_model(op.shape, "pinv_apply")
-        assert p.init_cost == 3 * n
-
 
 # A 3D pinv solve (rotated per-axis transforms) to 1e-9; the iterate goes
 # to the .npy path given as the first argument.
@@ -305,22 +262,9 @@ print(json.dumps({
 
 
 def test_3d_pinv_solve_does_not_depend_on_the_blas_thread_count(tmp_path):
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    runs = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        path = tmp_path / f"u{threads}.npy"
-        done = subprocess.run(
-            [sys.executable, "-c", _PINV_3D_PROBE, str(path)],
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=300,
-        )
-        assert done.returncode == 0, done.stderr
-        runs.append((json.loads(done.stdout), np.load(path)))
-    (summary_1, u_1), (summary_2, u_2) = runs
+    path = tmp_path / "u.npy"  # each run's iterate, read before the next run
+    probe = run_python(["-c", _PINV_3D_PROBE, str(path)])
+    (summary_1, u_1), (summary_2, u_2) = [(json.loads(d.stdout), np.load(path)) for d in probe]
     assert summary_1 == summary_2
     assert summary_1["tolerance_stop"]
     assert np.linalg.norm(u_1 - u_2) <= 1e-12 * np.linalg.norm(u_1)
@@ -389,9 +333,6 @@ class TestJacobiStandalone:
         result = jacobi_standalone(op, h, omega=1.3, iters=25)
         assert result.iterations == 25
         assert len(calls) == 25  # the zero start's residual is h itself
-        step = result.ops_cum[1] - result.ops_cum[0]
-        assert step == 6 * h.size * op.ndim + 4 * h.size
-        assert np.diff(result.ops_cum).tolist() == [step] * 25
 
     def test_zero_iterations_only_records_the_start(self):
         op = poisson_operator((4, 4), (BC.DIRICHLET, BC.DIRICHLET))

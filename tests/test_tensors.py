@@ -1,13 +1,9 @@
-import os
-import subprocess
-import sys
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import kron_assemble, plain_transform, unvec, vec
+from conftest import kron_assemble, plain_transform, run_python, unvec, vec
 from kronpcg.tensors import NULL_MODE_TOL, hadamard_pinv, linear_transform
 
 
@@ -94,21 +90,7 @@ print(repr(log_to_dict(log)["final_norms"]["u"]))
 
 
 def test_reductions_do_not_depend_on_the_blas_thread_count():
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    outputs = set()
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        done = subprocess.run(
-            [sys.executable, "-c", _THREAD_PROBE],
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
-        assert done.returncode == 0, done.stderr
-        outputs.add(done.stdout)
-    assert len(outputs) == 1
+    assert len({done.stdout for done in run_python(["-c", _THREAD_PROBE])}) == 1
 
 
 def test_hadamard_and_pinv():
