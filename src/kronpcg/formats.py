@@ -4,9 +4,10 @@ A ``.kten`` file is one ASCII header line ``KTEN <ndim> <d1> <d2> [<d3>]``
 followed by the raw float64 little-endian payload in first-index-fastest
 order; round-trips are bitwise, and a payload holding NaN or Inf is
 refused on write and on read.  Run logs are JSON documents matching
-:data:`RUN_LOG_SCHEMA`, derived from the log's dataclasses
-(:mod:`kronpcg.solver`).  All writers go through a temp file and an
-atomic rename so a crash never leaves a half-written artifact.
+:data:`RUN_LOG_SCHEMA`, written by hand and kept in step with the log's
+dataclasses (:mod:`kronpcg.solver`), field for field and in order, by
+tests.  All writers go through a temp file and an atomic rename so a
+crash never leaves a half-written artifact.
 """
 
 from __future__ import annotations
@@ -120,9 +121,9 @@ RUN_LOG_SCHEMA: dict = {
                 beta=_NUMBER_OR_NULL,
                 rho=_NUMBER_OR_NULL,
                 computed_res={"type": "number"},
-                true_res=_NUMBER_OR_NULL,
+                true_res={"type": "number"},
                 kappa={"type": "number"},
-                eta_scaled=_NUMBER_OR_NULL,
+                eta_scaled={"type": "number"},
                 null_norm={"type": "number"},
                 ops_cum={"type": "integer", "minimum": 0},
             ),

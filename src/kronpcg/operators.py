@@ -27,7 +27,6 @@ from .laplace1d import (
     face_kinds,
     is_singular_1d,
 )
-from .counting import OpCounter
 from .tensors import Shape, checked_integer, checked_out, checked_tensor, frobenius_norm
 
 __all__ = [
@@ -74,12 +73,7 @@ def poisson_operator(
     return PoissonOperator(shape, tuple(BoundaryCondition(bc) for bc in bcs))
 
 
-def apply(
-    op: PoissonOperator,
-    x: np.ndarray,
-    ops: Optional[OpCounter] = None,
-    out: Optional[np.ndarray] = None,
-) -> np.ndarray:
+def apply(op: PoissonOperator, x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Apply the operator with the Kronecker-sum stencil, into ``out`` if given
     (:func:`kronpcg.tensors.checked_out`).
 
@@ -100,8 +94,6 @@ def apply(
         add_leading_offdiagonal(op.bcs[0], x, out, slab)
         for axis, bc in enumerate(op.bcs[1:], start=1):
             add_offdiagonal(bc, x[slab], out[slab], axis)
-    if ops is not None:
-        ops.add(6 * x.size * op.ndim)
     return out
 
 
@@ -120,14 +112,10 @@ def is_singular(op: PoissonOperator) -> bool:
     return all(is_singular_1d(bc) for bc in op.bcs)
 
 
-def center(
-    x: np.ndarray, ops: Optional[OpCounter] = None, out: Optional[np.ndarray] = None
-) -> np.ndarray:
+def center(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Remove the mean, into ``out`` if given: ``x`` itself, or as ``checked_out`` asks."""
     x = checked_tensor(x)
     out = out if out is x else checked_out(x, out)
-    if ops is not None:
-        ops.add(3 * x.size)
     return np.subtract(x, x.mean(), out=out)
 
 
@@ -172,6 +160,7 @@ def apply_bc_updates(
     periodic direction has no faces.  Each value is added, with a plus
     sign, to every entry of the boundary slice perpendicular to its
     direction (the first slice for a begin face, the last for an end face).
+    A value must be a finite real number, else ``ValueError``.
     """
     h = checked_tensor(h).copy()
     if len(faces) != h.ndim or len(bcs) != h.ndim:
@@ -189,5 +178,8 @@ def apply_bc_updates(
             index[axis] = 0 if pos == "begin" else h.shape[axis] - 1
             if isinstance(value, (bool, np.bool_)):
                 raise ValueError(f"a face value must be real, got {value!r}")
-            h[tuple(index)] += checked_tensor(value, ())
+            value = checked_tensor(value, ())
+            if not np.isfinite(value):
+                raise ValueError(f"direction {axis} {pos} face value is not finite: {value}")
+            h[tuple(index)] += value
     return h

@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from . import operators as op_mod
-from .counting import OpCounter
+from .counting import cost_model
 from .laplace1d import analytic_spectrum, diagonal, eigenvalues
 from .tensors import checked_integer, checked_out, checked_tensor, frobenius_norm, hadamard_pinv
 from .tensors import linear_transform
@@ -70,7 +70,7 @@ def _ghat_blocks(values, scratch):
 class Preconditioner:
     """Base: a symmetric map from residual tensors to search-direction seeds.
 
-    ``apply(r, ops, out, work)`` returns ``M r``, into ``out`` if given
+    ``apply(r, out, work)`` returns ``M r``, into ``out`` if given
     (:func:`kronpcg.tensors.checked_out`), and never modifies ``r``, read by
     :func:`kronpcg.tensors.checked_tensor` for the grid ``shape``.
     ``work`` is scratch the apply may overwrite: it must fit ``r`` as an
@@ -79,19 +79,20 @@ class Preconditioner:
     instance's own array, allocated by the first such apply and kept, so
     setup allocates no scratch and one instance serves one solve at a
     time.  Either array, while idle, may also hold block scratch.
+
+    ``init_cost`` and ``apply_cost`` are the ops README.md's "Counting
+    rules" charge for setup and for one apply; :func:`kronpcg.solver.pcg`
+    adds them to ``ops_cum``, and a subclass that sets neither costs 0.
     """
 
     name = "base"  # the label a run log records
     shape: tuple  # the grid an apply's ``r`` must fit, the operator's
     init_cost = 0
+    apply_cost = 0
     _work = None  # own scratch, for applies that arrive without ``work``
 
     def apply(
-        self,
-        r: np.ndarray,
-        ops: Optional[OpCounter] = None,
-        out: Optional[np.ndarray] = None,
-        work: Optional[np.ndarray] = None,
+        self, r: np.ndarray, out: Optional[np.ndarray] = None, work: Optional[np.ndarray] = None
     ) -> np.ndarray:
         raise NotImplementedError
 
@@ -115,7 +116,7 @@ class Preconditioner:
 
 
 class IdentityPreconditioner(Preconditioner):
-    """No preconditioning: a copy of ``r``, charged 0 ops."""
+    """No preconditioning: a copy of ``r``, charged 0 ops (the base's costs)."""
 
     name = "identity"
 
@@ -123,11 +124,7 @@ class IdentityPreconditioner(Preconditioner):
         self.shape = op.shape
 
     def apply(
-        self,
-        r: np.ndarray,
-        ops: Optional[OpCounter] = None,
-        out: Optional[np.ndarray] = None,
-        work: Optional[np.ndarray] = None,
+        self, r: np.ndarray, out: Optional[np.ndarray] = None, work: Optional[np.ndarray] = None
     ) -> np.ndarray:
         r, out, _ = self._buffers(r, out, work, scratch=False)
         np.copyto(out, r)
@@ -181,37 +178,30 @@ class JacobiPreconditioner(Preconditioner):
                     f"jacobi p={self.p}, omega={self.omega:g} gives M L the eigenvalue "
                     f"{lowest:.3g} <= 0; use an odd p or omega > 1"
                 )
-        # Charged as the full weighted diagonal, whatever its stored shape (README).
-        self.init_cost = (op.ndim + 1) * int(np.prod(op.shape))
+        # Setup is charged as the full weighted diagonal, whatever its stored shape
+        # (README); an apply as the first sweep's scaling, then per later sweep one
+        # stencil apply and the subtraction and relaxation, 4 ops an entry.
+        n = int(np.prod(op.shape))
+        self.init_cost = (op.ndim + 1) * n
+        self.apply_cost = n + (self.p - 1) * (6 * n * op.ndim + 4 * n)
 
     def apply(
-        self,
-        r: np.ndarray,
-        ops: Optional[OpCounter] = None,
-        out: Optional[np.ndarray] = None,
-        work: Optional[np.ndarray] = None,
+        self, r: np.ndarray, out: Optional[np.ndarray] = None, work: Optional[np.ndarray] = None
     ) -> np.ndarray:
         r, x, f = self._buffers(r, out, work, scratch=self.p > 1)  # f: the sweep residual
         np.multiply(self.dhat_inv, r, out=x)
-        if ops is not None:
-            ops.add(r.size)
         for _ in range(self.p - 1):
-            op_mod.apply(self.op, x, ops, out=f)
+            op_mod.apply(self.op, x, out=f)
             np.subtract(r, f, out=f)
-            self.relax(x, f, ops)
+            self.relax(x, f)
         return x
 
-    def relax(self, x: np.ndarray, res: np.ndarray, ops: Optional[OpCounter] = None) -> None:
-        """One relaxation step in place, given the residual ``res = r - L x``.
-
-        ``x <- Dhat^-1 (res + Dhat x)``, charged ``4*N`` ops together with
-        the subtraction that formed ``res``.
-        """
+    def relax(self, x: np.ndarray, res: np.ndarray) -> None:
+        """One relaxation step in place, given the residual ``res = r - L x``:
+        ``x <- Dhat^-1 (res + Dhat x)``."""
         x *= self.dhat
         x += res
         x *= self.dhat_inv
-        if ops is not None:
-            ops.add(4 * x.size)
 
 
 class PinvPreconditioner(Preconditioner):
@@ -233,13 +223,10 @@ class PinvPreconditioner(Preconditioner):
         self.bases, self.values = _spectral_setup(op)
         # Eigenvalue sums and reciprocals, (ndim-1)+1 ops per entry, charged once.
         self.init_cost = op.ndim * int(np.prod(op.shape))
+        self.apply_cost = cost_model(op.shape, "pinv_apply")
 
     def apply(
-        self,
-        r: np.ndarray,
-        ops: Optional[OpCounter] = None,
-        out: Optional[np.ndarray] = None,
-        work: Optional[np.ndarray] = None,
+        self, r: np.ndarray, out: Optional[np.ndarray] = None, work: Optional[np.ndarray] = None
     ) -> np.ndarray:
         r, out, work = self._buffers(r, out, work)
         # One GEMM per axis, reading the C-ordered bases' transposes in place.
@@ -254,8 +241,6 @@ class PinvPreconditioner(Preconditioner):
         for rows, block in _ghat_blocks(self.values, back[0]):
             f_rows[rows] *= block
         linear_transform(self.bases, f, back)
-        if ops is not None:
-            ops.add(4 * r.size * sum(r.shape) + r.size)
         return out
 
 
@@ -294,14 +279,12 @@ class LowRankPreconditioner(Preconditioner):
         terms = range(self.rank)
         self.left = [np.einsum("ij,kj->ik", vn * (sigma[i] * a[:, i]), vn) for i in terms]
         self.right = [np.einsum("ij,kj->ik", vq * bt[i, :], vq) for i in terms]
-        self.init_cost = op.ndim * int(np.prod(op.shape))
+        size = n * q
+        self.init_cost = op.ndim * size
+        self.apply_cost = self.rank * (2 * size * (n + q) + size)  # per term: two mode products, a sum
 
     def apply(
-        self,
-        r: np.ndarray,
-        ops: Optional[OpCounter] = None,
-        out: Optional[np.ndarray] = None,
-        work: Optional[np.ndarray] = None,
+        self, r: np.ndarray, out: Optional[np.ndarray] = None, work: Optional[np.ndarray] = None
     ) -> np.ndarray:
         r, z, work = self._buffers(r, out, work)
         if self.rank > 1 and self._term is None:
@@ -311,8 +294,6 @@ class LowRankPreconditioner(Preconditioner):
             term = np.einsum("ij,kj->ik", left, mr, out=self._term if i else z)
             if i:  # the first congruence is written into z, the others added
                 z += term
-        if ops is not None:
-            ops.add(self.rank * (2 * r.size * sum(r.shape) + r.size))
         return z
 
 
@@ -389,15 +370,14 @@ def jacobi_standalone(
     jacobi = JacobiPreconditioner(op, p=1, omega=omega)
     x = np.zeros(op.shape)
     r = h.copy()  # the residual h - L*0
-    ops = OpCounter()
-    ops.add(jacobi.init_cost)
-    res = StationaryResult(residuals=[res0], ops_cum=[ops.count])
+    step = 6 * h.size * op.ndim + 4 * h.size  # one stencil apply and the relaxation
+    res = StationaryResult(residuals=[res0], ops_cum=[jacobi.init_cost])
     for _ in range(iters):
-        jacobi.relax(x, r, ops)
-        np.subtract(h, op_mod.apply(op, x, ops, out=r), out=r)
+        jacobi.relax(x, r)
+        np.subtract(h, op_mod.apply(op, x, out=r), out=r)
         res_norm = frobenius_norm(r)
         res.residuals.append(res_norm)
-        res.ops_cum.append(ops.count)
+        res.ops_cum.append(res.ops_cum[-1] + step)
         if res0 > 0.0 and res_norm > 1e12 * res0:
             res.diverged = True
             break

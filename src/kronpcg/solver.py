@@ -37,7 +37,14 @@ rounding floor, noted in ``log.warnings``; above it, it is a breakdown
 (an indefinite operator or preconditioner), noted there too, and raises
 :class:`PCGBreakdown` carrying the partial log.  So a tolerance or budget
 stop applies the preconditioner ``iterations`` times, any other stop once
-more.  ``ops_cum`` follows README.md's "Counting rules".
+more.
+
+Charges: ``ops_cum`` follows README.md's "Counting rules" in closed form.
+Record ``s`` is the preconditioner's ``init_cost`` plus the zero start's
+centering plus ``s`` equal steps: ``counting.cost_model(shape, "iter")``,
+the preconditioner's ``apply_cost``, the residual's centering on a
+singular grid and, with ``stop_tol`` set, the apply and true residual it
+reads.  A step cut short by a stop writes no record and so charges nothing.
 """
 
 from __future__ import annotations
@@ -50,7 +57,7 @@ from typing import Optional
 import numpy as np
 
 from . import operators as op_mod
-from .counting import OpCounter
+from .counting import cost_model
 from .precond import IdentityPreconditioner, Preconditioner
 from .tensors import checked_integer, frobenius_norm, inner
 
@@ -174,12 +181,13 @@ def eta_series(kappas, first_iter_residual: Optional[float]) -> np.ndarray:
     return alpha * eta + _EPS
 
 
-def _counted_true_residual(h: np.ndarray, lu: np.ndarray, ops: Optional[OpCounter]) -> float:
-    """``|h - Lu|`` from a given ``Lu``, overwriting ``lu`` with the residual."""
+def _counted_true_residual(h: np.ndarray, lu: np.ndarray) -> float:
+    """``|h - Lu|`` from a given ``Lu``, overwriting ``lu`` with the residual.
+
+    Its own function, and so named, only because ``perfbench/layertrace.py``
+    binds it to time the true residual.
+    """
     np.subtract(h, lu, out=lu)
-    if ops is not None:
-        ops.add(2 * h.size)  # subtraction
-        ops.add(2 * h.size)  # norm
     return frobenius_norm(lu)
 
 
@@ -228,8 +236,11 @@ def pcg(
             f"(null component {share:.2e} of |h|); center h first"
         )
 
-    ops = OpCounter()
-    ops.add(precond.init_cost)
+    # Record s is charged start_cost + s*step (charges: module docstring).
+    centering = 3 * h.size if singular else 0
+    check = 6 * h.size * op.ndim + 4 * h.size if cfg.stop_tol is not None else 0
+    step = cost_model(op.shape, "iter") + precond.apply_cost + centering + check
+    start_cost = precond.init_cost + centering
 
     log = ConvergenceLog(
         shape=list(op.shape),
@@ -239,13 +250,11 @@ def pcg(
         h_norm=h_norm,
     )
     # Zero start: ``r = h - L*0`` is ``h``, centered on a singular grid in the pass
-    # that copies it (charged as ``op_mod.center``).
+    # that copies it.
     r = np.subtract(h, h_sum / h.size) if singular else h.copy()
-    ops.add(3 * h.size if singular else 0)
     r0_norm = frobenius_norm(r) if singular else h_norm
     u = None  # written by the first update
     p, w = np.empty(op.shape), np.empty(op.shape)
-    counted = ops if cfg.stop_tol is not None else None
 
     def record(s, alpha, r_norm, true_res, kappa, null_norm) -> Optional[str]:
         """Log iteration ``s``; name its tolerance or budget stop, if any."""
@@ -260,7 +269,7 @@ def pcg(
                 kappa=kappa,
                 eta_scaled=None,
                 null_norm=null_norm,
-                ops_cum=ops.count,
+                ops_cum=start_cost + s * step,
             )
         )
         if cfg.stop_tol is not None and true_res <= cfg.stop_tol * h_norm:
@@ -272,10 +281,9 @@ def pcg(
 
     s = 0
     while stop is None:
-        z = precond.apply(r, ops, out=w, work=p if s == 0 else None)  # p is idle at s = 0
+        z = precond.apply(r, out=w, work=p if s == 0 else None)  # p is idle at s = 0
         last = log.records[-1]
         last.rho = inner(r, z)
-        ops.add(2 * h.size)
         stop = _judge(log, s, "indefinite", last.rho, r_norm, r0_norm)
         if stop is not None:
             break
@@ -283,12 +291,10 @@ def pcg(
             last.beta = last.rho / rho
             z += np.multiply(p, last.beta, out=p)
         rho = last.rho
-        ops.add(2 * h.size)
         p, w = w, p
         s += 1
-        op_mod.apply(op, p, ops, out=w)
+        op_mod.apply(op, p, out=w)
         wp = inner(w, p)
-        ops.add(2 * h.size)
         stop = _judge(log, s, "curvature", wp, r_norm, r0_norm)
         if stop is not None:
             break
@@ -298,14 +304,12 @@ def pcg(
             u = np.multiply(p, alpha)  # the first iterate, written
         else:
             u += np.multiply(p, alpha, out=w)  # u + alpha*p
-        ops.add(4 * h.size)
         if singular:
-            op_mod.center(r, ops, out=r)
+            op_mod.center(r, out=r)
         r_norm = frobenius_norm(r)
-        # One apply serves both diagnostics, counted only when a stopping tolerance reads them.
-        lu = op_mod.apply(op, u, counted, out=w)
+        lu = op_mod.apply(op, u, out=w)  # one apply serves both diagnostics
         kappa = inner(u, lu) - 2.0 * inner(u, h)
-        true_res = _counted_true_residual(h, lu, counted)
+        true_res = _counted_true_residual(h, lu)
         u_sum = float(u.sum())  # u keeps this sum until the next update
         stop = record(s, alpha, r_norm, true_res, kappa, op_mod._null_norm(u_sum, u.size))
 

@@ -16,7 +16,6 @@ from pathlib import Path
 import numpy as np
 
 from kronpcg import operators as op_mod
-from kronpcg.counting import OpCounter
 from kronpcg.laplace1d import CORNER_TRIPLES, BoundaryCondition, SpectralDecomposition, eigenvalues
 from kronpcg.operators import apply, poisson_operator
 from kronpcg.precond import Preconditioner
@@ -266,22 +265,20 @@ def zero_start_pcg(op, h, precond, config):
     Every step adds ``z`` into ``p`` (zero at ``s = 0``) and ``alpha*p``
     into ``u``; ``h``, ``r`` and ``u`` are centered and their null parts
     measured by the public ``center`` and ``nullspace_component``.  Returns
-    ``(u, log)``; a breakdown is left in ``log.breakdown``, not raised.
+    ``(u, log)``; a breakdown is left in ``log.breakdown``, not raised, and
+    every record's ``ops_cum`` is ``None``: the loop counts nothing.
     """
     h = np.ascontiguousarray(h, dtype=float)
     h_norm = frobenius_norm(h)
     singular = op_mod.is_singular(op)
-    ops = OpCounter()
-    ops.add(precond.init_cost)
     log = ConvergenceLog(config=config, h_norm=h_norm)
     u = np.zeros(op.shape)
-    r = op_mod.center(h, ops) if singular else h.copy()
+    r = op_mod.center(h) if singular else h.copy()
     p = np.zeros(op.shape)
-    counted = ops if config.stop_tol is not None else None
 
     def record(s, alpha, r_norm, true_res, kappa, null_norm):
         log.records.append(
-            IterationRecord(s, alpha, None, None, r_norm, true_res, kappa, None, null_norm, ops.count)
+            IterationRecord(s, alpha, None, None, r_norm, true_res, kappa, None, null_norm, None)
         )
         if config.stop_tol is not None and true_res <= config.stop_tol * h_norm:
             return "tolerance"
@@ -291,10 +288,9 @@ def zero_start_pcg(op, h, precond, config):
     stop = record(0, None, r_norm, h_norm, 0.0, 0.0)
     s = 0
     while stop is None:
-        z = precond.apply(r, ops)
+        z = precond.apply(r)
         last = log.records[-1]
         last.rho = inner(r, z)
-        ops.add(2 * h.size)
         stop = _judge(log, s, "indefinite", last.rho, r_norm, r0_norm)
         if stop is not None:
             break
@@ -303,24 +299,21 @@ def zero_start_pcg(op, h, precond, config):
             p *= last.beta
         rho = last.rho
         p += z
-        ops.add(2 * h.size)
         s += 1
-        w = op_mod.apply(op, p, ops)
+        w = op_mod.apply(op, p)
         wp = inner(w, p)
-        ops.add(2 * h.size)
         stop = _judge(log, s, "curvature", wp, r_norm, r0_norm)
         if stop is not None:
             break
         alpha = rho / wp
         r += w * -alpha
         u += p * alpha
-        ops.add(4 * h.size)
         if singular:
-            op_mod.center(r, ops, out=r)
+            op_mod.center(r, out=r)
         r_norm = frobenius_norm(r)
-        lu = op_mod.apply(op, u, counted)
+        lu = op_mod.apply(op, u)
         kappa = inner(u, lu) - 2.0 * inner(u, h)
-        true_res = _counted_true_residual(h, lu, counted)
+        true_res = _counted_true_residual(h, lu)
         stop = record(s, alpha, r_norm, true_res, kappa, op_mod.nullspace_component(u))
     if singular:
         op_mod.center(u, out=u)
@@ -369,7 +362,7 @@ class Negated(Preconditioner):
         self.inner = inner_precond
         self.after = after
 
-    def apply(self, r, ops=None, out=None, work=None):
-        z = self.inner.apply(r, ops, out, work)
+    def apply(self, r, out=None, work=None):
+        z = self.inner.apply(r, out, work)
         self.after -= 1
         return z if self.after >= 0 else -z

@@ -19,7 +19,6 @@ from conftest import (
     random_operator,
     spectrum_sums,
 )
-from kronpcg.counting import OpCounter
 from kronpcg.laplace1d import BoundaryCondition, analytic_spectrum
 from kronpcg.operators import (
     apply as apply_operator,
@@ -291,7 +290,7 @@ def test_criterion_08_low_rank_family_brackets_the_pseudoinverse():
 
 
 def test_criterion_09_operation_counts_match_the_cost_tables():
-    """Per-iteration and pseudoinverse-application counts hit the budgets."""
+    """Per-iteration and pseudoinverse-application charges equal the budgets exactly."""
     rng = np.random.default_rng(29)
     parts = []
     ok = True
@@ -313,19 +312,16 @@ def test_criterion_09_operation_counts_match_the_cost_tables():
         deltas = [
             log.records[s].ops_cum - log.records[s - 1].ops_cum for s in range(2, 5)
         ]
-        iter_ok = all(abs(d - iter_budget) <= 0.1 * iter_budget for d in deltas)
+        iter_ok = all(d == iter_budget for d in deltas)
 
         pinv_budget = int(4 * size * (sum(shape) + 0.25))
-        counter = OpCounter()
-        PinvPreconditioner(op).apply(h, counter)
-        pinv_ok = abs(counter.count - pinv_budget) <= 0.1 * pinv_budget
-
-        ok = ok and iter_ok and pinv_ok
+        pinv_charge = PinvPreconditioner(op).apply_cost
+        ok = ok and iter_ok and pinv_charge == pinv_budget
         parts.append(
             f"{'x'.join(map(str, shape))}: iteration {deltas[0]} vs {iter_budget}, "
-            f"pinv apply {counter.count} vs {pinv_budget}"
+            f"pinv apply {pinv_charge} vs {pinv_budget}"
         )
-    _verdict(9, ok, "; ".join(parts) + " (tolerance 10%)")
+    _verdict(9, ok, "; ".join(parts) + " (exact)")
 
 
 def test_criterion_10_error_indicator_tracks_the_energy_norm():

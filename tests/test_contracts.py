@@ -22,7 +22,7 @@ import pytest
 from conftest import assemble_dense, dense_jacobi_matrix, dense_pcg, dense_pseudoinverse
 from conftest import kron_assemble, numeric_spectrum, spectrum_sums, vec
 from kronpcg import cli
-from kronpcg.counting import OpCounter, cost_model
+from kronpcg.counting import cost_model
 from kronpcg.formats import log_to_dict, read_tensor, write_tensor
 from kronpcg.laplace1d import BoundaryCondition as BC, face_kinds
 from kronpcg.operators import apply, apply_bc_updates, center, checked_rhs, is_singular
@@ -217,7 +217,7 @@ def bad_buffers(x, flat):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_out_and_work_are_checked_before_the_first_write(seed):
     """A good ``out`` and a NaN-filled ``work`` leave the instance's own scratch
-    unallocated and get the result and op count of two fresh calls bitwise
+    unallocated and get the result of two fresh calls bitwise
     (the first allocates that scratch, the second reuses it); a bad one is
     refused with every array as it was.  ``work`` must also miss ``out``;
     ``linear_transform``'s second work array may be its input, and the
@@ -227,28 +227,27 @@ def test_out_and_work_are_checked_before_the_first_write(seed):
     mats = [rng.standard_normal((n, n)) for n in op.shape]
     precs = draw_preconditioners(seed, op)
 
-    def transform(out, work, ops):
+    def transform(out, work):
         pair = [np.empty(op.shape) if b is None else b for b in (out, work)]
         return linear_transform(mats, x, pair)
 
     kernels = {
-        "apply": lambda out, work, ops: apply(op, x, ops, out=out),
-        "center": lambda out, work, ops: center(x, ops, out=out),
+        "apply": lambda out, work: apply(op, x, out=out),
+        "center": lambda out, work: center(x, out=out),
         "linear_transform": transform,
     }
     for spec, precond in precs.items():
-        kernels[spec] = lambda out, work, ops, precond=precond: precond.apply(x, ops, out, work)
+        kernels[spec] = lambda out, work, precond=precond: precond.apply(x, out, work)
     for name, kernel in kernels.items():
-        ops = OpCounter()
         out, out_flat = halves(rng, op.shape)
         work = np.full(op.shape, np.nan)
-        got = kernel(out, work, ops)
+        got = kernel(out, work)
         assert name not in precs or precs[name]._work is None, name
         holders = (out, work) if name == "linear_transform" else (out,)
         assert any(np.shares_memory(got, b) for b in holders), name
-        for fresh_ops in (OpCounter(), OpCounter()):
-            want = kernel(None, None, fresh_ops)
-            assert got.tobytes() == want.tobytes() and ops.count == fresh_ops.count, name
+        for _ in range(2):
+            want = kernel(None, None)
+            assert got.tobytes() == want.tobytes(), name
         if name == "center":
             assert center(y := x.copy(), out=y) is y and y.tobytes() == want.tobytes()
         cases = [(b, work, m) for b, m in bad_buffers(x, flat)[name == "center" :]]
@@ -257,7 +256,7 @@ def test_out_and_work_are_checked_before_the_first_write(seed):
             works += [(out, "overlap"), (bad_buffers(out, out_flat)[1][0], "overlap")]
             cases += [(out, b, m) for b, m in works]
         for b_out, b_work, match in cases:
-            got = outcome(lambda: kernel(b_out, b_work, None), x, flat, out_flat, b_out, b_work)
+            got = outcome(lambda: kernel(b_out, b_work), x, flat, out_flat, b_out, b_work)
             assert got[0] == "refused" and re.search(match, got[1]), (name, got)
 
 
@@ -383,22 +382,20 @@ def readme_charges(precond, shape):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_every_kernel_charges_readmes_counting_rules(seed):
+def test_every_family_declares_readmes_counting_rules(seed):
     """The closed forms of README's "Counting rules" (and ``cost_model``'s):
-    each kernel's and family's charge and ``init_cost``, and a fresh result
-    that shares no memory with its input."""
+    each family's ``apply_cost`` and ``init_cost``, and of each kernel a
+    fresh result that shares no memory with its input."""
     op, h = drawn_side(seed)
-    n, stencil = h.size, 6 * h.size * op.ndim
-    assert cost_model(op.shape, "iter") == stencil + 10 * n
+    n = h.size
+    assert cost_model(op.shape, "iter") == 6 * n * op.ndim + 10 * n
     assert cost_model(op.shape, "pinv_apply") == 4 * n * sum(op.shape) + n
-    charged = [(lambda x, ops: apply(op, x, ops), stencil), (center, 3 * n)]
+    kernels = [lambda x: apply(op, x), center]
     for spec, precond in draw_preconditioners(seed, op).items():
-        charge, init = readme_charges(precond, op.shape)
-        charged.append((precond.apply, charge))
-        assert precond.init_cost == init, spec
-    for kernel, charge in charged:
-        ops = OpCounter()
-        assert not np.shares_memory(kernel(h, ops), h) and ops.count == charge, kernel
+        assert (precond.apply_cost, precond.init_cost) == readme_charges(precond, op.shape), spec
+        kernels.append(precond.apply)
+    for kernel in kernels:
+        assert not np.shares_memory(kernel(h), h), kernel
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -542,6 +539,7 @@ KNOBS = {
     "face value": (lambda v: apply_bc_updates(_R, _BCS, ((v, None), (None, None))),
                    [(np.int64(2), 2)],
                    [(v, "must be real") for v in ("0.5", 0.5j, Fraction(1, 3), True)]
+                   + [(v, "0 begin face value is not finite") for v in (np.nan, np.inf, -np.inf)]
                    + [([1.0], GRID)]),
     "faces": (lambda faces: apply_bc_updates(_R, (BC.DIRICHLET, BC.PERIODIC), faces), [], _FACES),
     "spec": (lambda spec: make_preconditioner(_OP, spec),

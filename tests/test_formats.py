@@ -89,6 +89,17 @@ def test_a_tolerance_or_budget_stop_leaves_the_last_rho_null():
         assert (records[-1].rho, records[-1].beta) == (None, None)
 
 
+@pytest.mark.parametrize("key", ["alpha", "true_res", "eta_scaled"])
+def test_a_record_is_null_only_where_pcg_writes_null(key):
+    """Record 0's ``alpha`` is null as ``pcg`` writes it; a null ``true_res``
+    or ``eta_scaled`` fails validation."""
+    doc = log_to_dict(_sample_log())
+    assert doc["iterations"][0]["alpha"] is None
+    doc["iterations"][0][key] = None
+    errors = [e.message for e in jsonschema.Draft202012Validator(RUN_LOG_SCHEMA).iter_errors(doc)]
+    assert errors == ([] if key == "alpha" else ["None is not of type 'number'"])
+
+
 def test_log_without_metadata_still_validates():
     spec, h = gen_problem1(5, 10)
     op = spec.operator()
