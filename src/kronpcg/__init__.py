@@ -6,7 +6,6 @@ applied as in-place three-point stencils, and the spectral preconditioners
 work through per-axis linear transforms.  README.md is the user's guide.
 """
 
-from .counting import cost_model
 from .laplace1d import BoundaryCondition, SpectralDecomposition, analytic_spectrum, is_singular_1d
 from .operators import PoissonOperator, apply, apply_bc_updates, center
 from .operators import is_singular, nullspace_component, poisson_operator

@@ -284,11 +284,10 @@ def _run_to_files(
         ops_cum = [rec.ops_cum for rec in log.records]
         residuals = [rec.true_res for rec in log.records]
         label = log.preconditioner
-    h_norm = frobenius_norm(h)
     title = f"{name} {label}: cumulative ops vs true residual"
     formats.write_gnuplot_series(f"{stem}.dat", ops_cum, residuals, title)
-    row = formats.summary_row(name, label, ops_cum, residuals, h_norm)
-    return row, residuals[-1] / h_norm, note
+    row = formats.summary_row(name, label, ops_cum, residuals)
+    return row, residuals[-1] / residuals[0], note
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:

@@ -1,13 +1,13 @@
 """On-disk formats: KTEN tensors, run-log JSON, CSV / gnuplot summaries.
 
 A ``.kten`` file is one ASCII header line ``KTEN <ndim> <d1> <d2> [<d3>]``
-followed by the raw float64 little-endian payload in first-index-fastest
-order; round-trips are bitwise, and a payload holding NaN or Inf is
-refused on write and on read.  Run logs are JSON documents matching
-:data:`RUN_LOG_SCHEMA`, written by hand and kept in step with the log's
-dataclasses (:mod:`kronpcg.solver`), field for field and in order, by
-tests.  All writers go through a temp file and an atomic rename so a
-crash never leaves a half-written artifact.
+(every extent at least 1) followed by the raw float64 little-endian
+payload in first-index-fastest order; round-trips are bitwise, and a
+payload holding NaN or Inf is refused on write and on read.  Run logs
+are JSON documents matching :data:`RUN_LOG_SCHEMA`, written by hand and
+kept in step with the log's dataclasses (:mod:`kronpcg.solver`), field
+for field and in order, by tests.  All writers go through a temp file and
+an atomic rename so a crash never leaves a half-written artifact.
 """
 
 from __future__ import annotations
@@ -50,8 +50,8 @@ def write_tensor(path: str, t: np.ndarray) -> None:
     """Write a real, finite 2D/3D tensor as a float64 KTEN file; anything else
     is a ``ValueError`` raised before any file is created."""
     t = checked_tensor(t)
-    if t.ndim not in (2, 3):
-        raise ValueError(f"KTEN stores 2D or 3D tensors, got ndim={t.ndim}")
+    if t.ndim not in (2, 3) or min(t.shape) < 1:
+        raise ValueError(f"KTEN stores 2D or 3D tensors of extents >= 1, got shape {t.shape}")
     if not np.isfinite(t).all():
         raise ValueError("KTEN payload must be finite (holds NaN or Inf)")
     header = " ".join([_MAGIC, str(t.ndim), *map(str, t.shape)]) + "\n"
@@ -180,12 +180,11 @@ def write_run_log(path: str, log: ConvergenceLog) -> None:
 _SUMMARY_COLUMNS = ("problem", "preconditioner", "iters_to_1e-9", "final_true_res", "ops_cum")
 
 
-def summary_row(
-    problem: str, preconditioner: str, ops_cum: Sequence, residuals: Sequence, h_norm: float
-) -> dict:
+def summary_row(problem: str, preconditioner: str, ops_cum: Sequence, residuals: Sequence) -> dict:
     """One CSV row of a run's series: the first step whose true residual is
-    at most ``1e-9 * h_norm`` (empty if none), the final residual and ops."""
-    reach = 1e-9 * h_norm
+    at most ``1e-9 * residuals[0]`` (record 0's, ``|h|``; empty if none),
+    the final residual and ops."""
+    reach = 1e-9 * residuals[0]
     crossing = next((s for s, r in enumerate(residuals) if r <= reach), "")
     values = (problem, preconditioner, crossing, repr(residuals[-1]), ops_cum[-1])
     return dict(zip(_SUMMARY_COLUMNS, values))

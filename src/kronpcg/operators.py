@@ -16,6 +16,7 @@ right-hand-side updates that fold inhomogeneous boundary values into ``H``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 from typing import Optional, Sequence
 
 import numpy as np
@@ -57,6 +58,11 @@ class PoissonOperator:
     @property
     def ndim(self) -> int:
         return len(self.shape)
+
+    @property
+    def apply_cost(self) -> int:
+        """Ops of one :func:`apply`: 6 an entry a direction (README's "Counting rules")."""
+        return 6 * prod(self.shape) * self.ndim
 
 
 def poisson_operator(

@@ -17,7 +17,6 @@ from typing import Optional
 import numpy as np
 
 from . import operators as op_mod
-from .counting import cost_model
 from .laplace1d import analytic_spectrum, diagonal, eigenvalues
 from .tensors import checked_integer, checked_out, checked_tensor, frobenius_norm, hadamard_pinv
 from .tensors import linear_transform
@@ -180,10 +179,12 @@ class JacobiPreconditioner(Preconditioner):
                 )
         # Setup is charged as the full weighted diagonal, whatever its stored shape
         # (README); an apply as the first sweep's scaling, then per later sweep one
-        # stencil apply and the subtraction and relaxation, 4 ops an entry.
+        # stencil apply and the subtraction and relaxation, 4 ops an entry (also
+        # a stand-alone step's charge).
         n = int(np.prod(op.shape))
         self.init_cost = (op.ndim + 1) * n
-        self.apply_cost = n + (self.p - 1) * (6 * n * op.ndim + 4 * n)
+        self.sweep_cost = op.apply_cost + 4 * n
+        self.apply_cost = n + (self.p - 1) * self.sweep_cost
 
     def apply(
         self, r: np.ndarray, out: Optional[np.ndarray] = None, work: Optional[np.ndarray] = None
@@ -221,9 +222,11 @@ class PinvPreconditioner(Preconditioner):
     def __init__(self, op):
         self.shape = op.shape
         self.bases, self.values = _spectral_setup(op)
-        # Eigenvalue sums and reciprocals, (ndim-1)+1 ops per entry, charged once.
-        self.init_cost = op.ndim * int(np.prod(op.shape))
-        self.apply_cost = cost_model(op.shape, "pinv_apply")
+        # Eigenvalue sums and reciprocals, (ndim-1)+1 ops per entry, charged once;
+        # an apply is two full multi-mode transforms and a Hadamard product.
+        size = int(np.prod(op.shape))
+        self.init_cost = op.ndim * size
+        self.apply_cost = 4 * size * sum(op.shape) + size
 
     def apply(
         self, r: np.ndarray, out: Optional[np.ndarray] = None, work: Optional[np.ndarray] = None
@@ -370,14 +373,13 @@ def jacobi_standalone(
     jacobi = JacobiPreconditioner(op, p=1, omega=omega)
     x = np.zeros(op.shape)
     r = h.copy()  # the residual h - L*0
-    step = 6 * h.size * op.ndim + 4 * h.size  # one stencil apply and the relaxation
     res = StationaryResult(residuals=[res0], ops_cum=[jacobi.init_cost])
     for _ in range(iters):
         jacobi.relax(x, r)
         np.subtract(h, op_mod.apply(op, x, out=r), out=r)
         res_norm = frobenius_norm(r)
         res.residuals.append(res_norm)
-        res.ops_cum.append(res.ops_cum[-1] + step)
+        res.ops_cum.append(res.ops_cum[-1] + jacobi.sweep_cost)
         if res0 > 0.0 and res_norm > 1e12 * res0:
             res.diverged = True
             break

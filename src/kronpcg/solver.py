@@ -41,10 +41,11 @@ more.
 
 Charges: ``ops_cum`` follows README.md's "Counting rules" in closed form.
 Record ``s`` is the preconditioner's ``init_cost`` plus the zero start's
-centering plus ``s`` equal steps: ``counting.cost_model(shape, "iter")``,
-the preconditioner's ``apply_cost``, the residual's centering on a
-singular grid and, with ``stop_tol`` set, the apply and true residual it
-reads.  A step cut short by a stop writes no record and so charges nothing.
+centering plus ``s`` equal steps: the operator's ``apply_cost`` and ``10N``
+for two inner products and three scaled additions, the preconditioner's
+``apply_cost``, the residual's centering on a singular grid and, with
+``stop_tol`` set, the apply and true residual it reads.  A step cut short
+by a stop writes no record and so charges nothing.
 """
 
 from __future__ import annotations
@@ -57,7 +58,6 @@ from typing import Optional
 import numpy as np
 
 from . import operators as op_mod
-from .counting import cost_model
 from .precond import IdentityPreconditioner, Preconditioner
 from .tensors import checked_integer, frobenius_norm, inner
 
@@ -238,8 +238,8 @@ def pcg(
 
     # Record s is charged start_cost + s*step (charges: module docstring).
     centering = 3 * h.size if singular else 0
-    check = 6 * h.size * op.ndim + 4 * h.size if cfg.stop_tol is not None else 0
-    step = cost_model(op.shape, "iter") + precond.apply_cost + centering + check
+    check = op.apply_cost + 4 * h.size if cfg.stop_tol is not None else 0
+    step = op.apply_cost + 10 * h.size + precond.apply_cost + centering + check
     start_cost = precond.init_cost + centering
 
     log = ConvergenceLog(

@@ -22,7 +22,6 @@ import pytest
 from conftest import assemble_dense, dense_jacobi_matrix, dense_pcg, dense_pseudoinverse
 from conftest import kron_assemble, numeric_spectrum, spectrum_sums, vec
 from kronpcg import cli
-from kronpcg.counting import cost_model
 from kronpcg.formats import log_to_dict, read_tensor, write_tensor
 from kronpcg.laplace1d import BoundaryCondition as BC, face_kinds
 from kronpcg.operators import apply, apply_bc_updates, center, checked_rhs, is_singular
@@ -383,16 +382,18 @@ def readme_charges(precond, shape):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_every_family_declares_readmes_counting_rules(seed):
-    """The closed forms of README's "Counting rules" (and ``cost_model``'s):
-    each family's ``apply_cost`` and ``init_cost``, and of each kernel a
-    fresh result that shares no memory with its input."""
+    """The closed forms of README's "Counting rules": the operator's
+    ``apply_cost``, each family's ``apply_cost`` and ``init_cost`` and
+    Jacobi's ``sweep_cost``, and of each kernel a fresh result that shares
+    no memory with its input."""
     op, h = drawn_side(seed)
     n = h.size
-    assert cost_model(op.shape, "iter") == 6 * n * op.ndim + 10 * n
-    assert cost_model(op.shape, "pinv_apply") == 4 * n * sum(op.shape) + n
+    assert op.apply_cost == 6 * n * op.ndim
     kernels = [lambda x: apply(op, x), center]
     for spec, precond in draw_preconditioners(seed, op).items():
         assert (precond.apply_cost, precond.init_cost) == readme_charges(precond, op.shape), spec
+        if isinstance(precond, JacobiPreconditioner):
+            assert precond.sweep_cost == 6 * n * op.ndim + 4 * n, spec
         kernels.append(precond.apply)
     for kernel in kernels:
         assert not np.shares_memory(kernel(h), h), kernel

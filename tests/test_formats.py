@@ -29,6 +29,16 @@ def test_tensor_header_is_ascii_with_dims(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "shape", [(0, 5), (3, 0), (2, 4, 0), (4,), (2, 2, 2, 2)], ids=["0x5", "3x0", "2x4x0", "1d", "4d"]
+)
+def test_write_tensor_refuses_what_read_tensor_refuses(tmp_path, shape):
+    """An extent below 1 or a rank other than 2 or 3, before any file is made."""
+    with pytest.raises(ValueError, match="KTEN stores 2D or 3D tensors of extents >= 1"):
+        write_tensor(str(tmp_path / "t.kten"), np.zeros(shape))
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
     "blob",
     [
         b"NOPE 2 3 4\n" + b"\0" * 96,
@@ -36,6 +46,7 @@ def test_tensor_header_is_ascii_with_dims(tmp_path):
         b"KTEN 2 3 4\n" + b"\0" * 40,  # truncated payload
         b"KTEN 2 3 4\n" + b"\0" * 120,  # trailing bytes
         b"KTEN 4 2 2 2 2\n" + b"\0" * 128,  # unsupported rank
+        b"KTEN 2 0 5\n",  # an empty extent
     ],
 )
 def test_read_tensor_rejects_malformed_files(tmp_path, blob):
@@ -56,7 +67,7 @@ def _sample_log(max_iter=5, stop_tol=None):
 def _sample_row(log):
     ops_cum = [rec.ops_cum for rec in log.records]
     residuals = [rec.true_res for rec in log.records]
-    return summary_row("p1", log.preconditioner, ops_cum, residuals, log.h_norm)
+    return summary_row("p1", log.preconditioner, ops_cum, residuals)
 
 
 def test_log_document_validates_against_the_schema():
