@@ -4,9 +4,9 @@ A ``.kten`` file is one ASCII header line ``KTEN <ndim> <d1> <d2> [<d3>]``
 (every extent at least 1) followed by the raw float64 little-endian
 payload in first-index-fastest order; round-trips are bitwise, and a
 payload holding NaN or Inf is refused on write and on read.  Run logs
-are JSON documents matching :data:`RUN_LOG_SCHEMA`, written by hand and
-kept in step with the log's dataclasses (:mod:`kronpcg.solver`), field
-for field and in order, by tests.  All writers go through a temp file and
+are JSON documents matching :data:`RUN_LOG_SCHEMA`, derived from the
+log's dataclasses (:mod:`kronpcg.solver`) with ``minimum`` and
+``required`` from field metadata.  All writers go through a temp file and
 an atomic rename so a crash never leaves a half-written artifact.
 """
 
@@ -17,7 +17,8 @@ import dataclasses
 import io
 import json
 import os
-from typing import Sequence
+import typing
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -91,81 +92,70 @@ def read_tensor(path: str) -> np.ndarray:
     return t
 
 
-_NUMBER_OR_NULL = {"type": ["number", "null"]}
+def _log_fields(cls) -> list:
+    """``(key, field)`` for each field of the dataclass ``cls`` in the run log:
+    ``metadata["json"]`` renames a field or, being ``None``, leaves it out."""
+    keyed = ((f.metadata.get("json", f.name), f) for f in dataclasses.fields(cls))
+    return [(key, f) for key, f in keyed if key is not None]
 
 
-def _object(optional: tuple = (), /, **properties) -> dict:
-    """A schema object requiring every one of its ``properties`` but ``optional``."""
-    required = [key for key in properties if key not in optional]
-    return {"type": "object", "required": required, "properties": properties}
+@dataclasses.dataclass(frozen=True)
+class _FinalNorms:
+    """The computed ``final_norms`` closing a run log: ``|h|``, ``|u|`` and the
+    last record's true residual, absolute and relative to ``|h|``."""
+
+    h: float
+    u: Optional[float]
+    true_residual: Optional[float]
+    relative_true_residual: Optional[float]
 
 
-RUN_LOG_SCHEMA: dict = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    **_object(
-        ("breakdown",),
-        problem={"type": ["string", "null"]},
-        shape={"type": "array", "items": {"type": "integer", "minimum": 1}},
-        bcs={"type": "array", "items": {"type": "string"}},
-        preconditioner={"type": "string"},
-        seed={"type": ["integer", "null"]},
-        config=_object(
-            max_iter={"type": "integer", "minimum": 0},
-            stop_tol=_NUMBER_OR_NULL,
-        ),
-        iterations={
-            "type": "array",
-            "items": _object(
-                s={"type": "integer", "minimum": 0},
-                alpha=_NUMBER_OR_NULL,
-                beta=_NUMBER_OR_NULL,
-                rho=_NUMBER_OR_NULL,
-                computed_res={"type": "number"},
-                true_res={"type": "number"},
-                kappa={"type": "number"},
-                eta_scaled={"type": "number"},
-                null_norm={"type": "number"},
-                ops_cum={"type": "integer", "minimum": 0},
-            ),
-        },
-        warnings={"type": "array", "items": {"type": "string"}},
-        breakdown={"type": ["string", "null"]},
-        final_norms=_object(
-            h={"type": "number"},
-            u=_NUMBER_OR_NULL,
-            true_residual=_NUMBER_OR_NULL,
-            relative_true_residual=_NUMBER_OR_NULL,
-        ),
-    ),
-}
+_JSON_TYPES = {int: "integer", float: "number", str: "string"}
+
+
+def _schema(tp, minimum=None) -> dict:
+    """The schema node of a log value of type ``tp``: a dataclass is an object
+    of its logged keys, ``Optional[X]`` is ``X`` or null, ``list[X]`` an array
+    of ``X``; ``minimum`` bounds a number, or the items of a list."""
+    if dataclasses.is_dataclass(tp):
+        hints, fields = typing.get_type_hints(tp), _log_fields(tp)
+        required = [key for key, f in fields if f.metadata.get("required", True)]
+        properties = {key: _schema(hints[f.name], f.metadata.get("minimum")) for key, f in fields}
+        return {"type": "object", "required": required, "properties": properties}
+    if typing.get_origin(tp) is list:
+        return {"type": "array", "items": _schema(typing.get_args(tp)[0], minimum)}
+    if typing.get_origin(tp) is typing.Union:  # Optional[X]
+        node = _schema(typing.get_args(tp)[0], minimum)
+        return {**node, "type": [node["type"], "null"]}
+    node = {"type": _JSON_TYPES[tp]}
+    if minimum is not None:
+        node["minimum"] = minimum
+    return node
+
+
+RUN_LOG_SCHEMA: dict = {"$schema": "https://json-schema.org/draft/2020-12/schema"}
+RUN_LOG_SCHEMA.update(_schema(ConvergenceLog))
+RUN_LOG_SCHEMA["required"].append("final_norms")
+RUN_LOG_SCHEMA["properties"]["final_norms"] = _schema(_FinalNorms)
 
 
 def _plain(value):
-    """A log field as JSON data: dataclasses become dicts, lists are copied."""
+    """A log value as JSON data: dataclasses become dicts of their logged keys."""
     if isinstance(value, list):
         return [_plain(item) for item in value]
-    return dataclasses.asdict(value) if dataclasses.is_dataclass(value) else value
+    if dataclasses.is_dataclass(value):
+        return {key: _plain(getattr(value, f.name)) for key, f in _log_fields(value)}
+    return value
 
 
 def log_to_dict(log: ConvergenceLog) -> dict:
     """The run-log document: the log's fields in declaration order (see
     :class:`~kronpcg.solver.ConvergenceLog`), then the computed ``final_norms``."""
-    doc = {}
-    for f in dataclasses.fields(log):
-        key = f.metadata.get("json", f.name)
-        if key is not None:
-            doc[key] = _plain(getattr(log, f.name))
     final_true = log.records[-1].true_res if log.records else None
-    rel = None
-    if final_true is not None and log.h_norm > 0.0:
-        rel = final_true / log.h_norm
-    doc["final_norms"] = {
-        "h": log.h_norm,
-        "u": None if log.u is None else frobenius_norm(log.u),
-        "true_residual": final_true,
-        "relative_true_residual": rel,
-    }
-    return doc
+    rel = final_true / log.h_norm if final_true is not None and log.h_norm > 0.0 else None
+    u_norm = None if log.u is None else frobenius_norm(log.u)
+    norms = _FinalNorms(log.h_norm, u_norm, final_true, rel)
+    return {**_plain(log), "final_norms": _plain(norms)}
 
 
 def write_json(path: str, doc) -> None:

@@ -87,7 +87,7 @@ class SolverConfig:
     """Knobs for one run: the budget ``max_iter`` and the optional relative
     true-residual stop ``stop_tol`` (stop rule: module docstring)."""
 
-    max_iter: int = 100
+    max_iter: int = field(default=100, metadata={"minimum": 0})
     stop_tol: Optional[float] = None
 
     def __post_init__(self) -> None:
@@ -107,18 +107,20 @@ class SolverConfig:
 class IterationRecord:
     """Per-iteration ledger entry (s=0 is the initial state); the fields, in
     order, are the keys of one ``iterations`` entry of the run log.  When
-    ``rho`` and ``beta`` are filled: loop order, module docstring."""
+    ``rho`` and ``beta`` are filled: loop order, module docstring.
+    ``eta_scaled`` needs the whole ``kappa`` series, so :func:`pcg` writes
+    it on every record as it stops, before any log leaves it."""
 
-    s: int
+    s: int = field(metadata={"minimum": 0})
     alpha: Optional[float]
     beta: Optional[float]
     rho: Optional[float]
     computed_res: float
     true_res: float
     kappa: float
-    eta_scaled: Optional[float]
+    eta_scaled: float
     null_norm: float
-    ops_cum: int
+    ops_cum: int = field(metadata={"minimum": 0})
 
 
 @dataclass
@@ -129,22 +131,24 @@ class ConvergenceLog:
     the fields, in order, are its keys (:func:`kronpcg.formats.log_to_dict`),
     except where ``metadata["json"]`` renames one (``records`` is written
     as ``iterations``) or, being ``None``, leaves it out (``u`` and
-    ``h_norm`` enter only through the computed ``final_norms``).  A new
-    field is one line here plus its type in
-    :data:`kronpcg.formats.RUN_LOG_SCHEMA`.
+    ``h_norm`` enter only through the computed ``final_norms``).
+    :data:`kronpcg.formats.RUN_LOG_SCHEMA` is derived from the field types,
+    with ``metadata["minimum"]`` bounding a number (or a list's items) and
+    ``metadata["required"]`` false for a key a log may omit, so a new field
+    is one line here.
     :func:`pcg` fills ``shape``, ``bcs``, ``preconditioner`` and
     ``config`` with what it ran; callers may set ``problem`` and ``seed``.
     """
 
     problem: Optional[str] = None
-    shape: list[int] = field(default_factory=list)
+    shape: list[int] = field(default_factory=list, metadata={"minimum": 1})
     bcs: list[str] = field(default_factory=list)
     preconditioner: str = "identity"
     seed: Optional[int] = None
     config: SolverConfig = field(default_factory=SolverConfig)
     records: list[IterationRecord] = field(default_factory=list, metadata={"json": "iterations"})
     warnings: list[str] = field(default_factory=list)
-    breakdown: Optional[str] = None
+    breakdown: Optional[str] = field(default=None, metadata={"required": False})
     u: Optional[np.ndarray] = field(default=None, metadata={"json": None})
     h_norm: float = field(default=0.0, metadata={"json": None})
 

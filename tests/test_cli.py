@@ -368,14 +368,16 @@ def test_experiment_verdicts_are_the_committed_goldens(experiments, name):
 
 
 def test_experiments_write_every_run_and_end_where_their_tables_say(experiments):
-    """A ``.dat`` series per summary row and a ``.json`` log per ``pcg`` row;
-    exp2's solves end unbroken at the rounding level, and each of exp1's
-    stand-alone Jacobi runs ends above plain CG."""
+    """A ``.dat`` series per summary row and a ``.json`` log of the run-log
+    schema per ``pcg`` row; exp2's solves end unbroken at the rounding
+    level, and each of exp1's stand-alone Jacobi runs ends above plain CG."""
     for name, outdir in experiments.items():
         rows = _read_summary(outdir / "summary.csv")
         solves = [r for r in rows if not r["preconditioner"].startswith("jacobi-standalone")]
         assert len(list(outdir.glob("*.dat"))) == len(rows), name
         assert len(list(outdir.glob("*.json"))) == len(solves), name
+        for path in outdir.glob("*.json"):
+            jsonschema.validate(json.loads(path.read_text()), RUN_LOG_SCHEMA)
     for doc in (json.loads(path.read_text()) for path in experiments["exp2"].glob("*.json")):
         assert doc["breakdown"] is None, doc["preconditioner"]
         assert doc["final_norms"]["relative_true_residual"] <= 1e-12, doc["preconditioner"]

@@ -1,10 +1,11 @@
+import functools
 import json
-from dataclasses import fields
 
 import jsonschema
 import numpy as np
 import pytest
 
+from conftest import Negated
 from kronpcg.formats import (
     RUN_LOG_SCHEMA,
     log_to_dict,
@@ -15,9 +16,9 @@ from kronpcg.formats import (
     write_run_log,
     write_tensor,
 )
-from kronpcg.precond import PinvPreconditioner
+from kronpcg.precond import JacobiPreconditioner, PinvPreconditioner
 from kronpcg.problems import gen_problem1
-from kronpcg.solver import IterationRecord, SolverConfig, pcg
+from kronpcg.solver import PCGBreakdown, SolverConfig, pcg
 
 
 def test_tensor_header_is_ascii_with_dims(tmp_path):
@@ -111,13 +112,6 @@ def test_a_record_is_null_only_where_pcg_writes_null(key):
     assert errors == ([] if key == "alpha" else ["None is not of type 'number'"])
 
 
-def test_log_without_metadata_still_validates():
-    spec, h = gen_problem1(5, 10)
-    op = spec.operator()
-    _, log = pcg(op, h, PinvPreconditioner(op), config=SolverConfig(max_iter=3))
-    jsonschema.validate(log_to_dict(log), RUN_LOG_SCHEMA)
-
-
 def test_log_with_the_old_centering_key_still_validates():
     """Logs written before centering became the operator's call carry
     ``config.center_each_iter``; the schema must keep accepting them."""
@@ -127,52 +121,83 @@ def test_log_with_the_old_centering_key_still_validates():
         jsonschema.validate(doc, RUN_LOG_SCHEMA)
 
 
-# Every object of the run-log schema: its schema node and its instances in a document.
-_SCHEMA_OBJECTS = {
-    "log": (lambda schema: schema, lambda doc: [doc]),
-    "config": (lambda schema: schema["properties"]["config"], lambda doc: [doc["config"]]),
-    "record": (
-        lambda schema: schema["properties"]["iterations"]["items"],
-        lambda doc: doc["iterations"],
-    ),
-    "final_norms": (
-        lambda schema: schema["properties"]["final_norms"],
-        lambda doc: [doc["final_norms"]],
-    ),
+@functools.cache
+def _stop_log(stop):
+    """A log of each way a run ends; the breakdown's keeps ``problem`` and ``seed`` null."""
+    if stop != "breakdown":
+        return _sample_log(*dict(tolerance=(5, 1e-9), budget=(5, None), floor=(100, None))[stop])
+    spec, h = gen_problem1(5, 10)
+    op = spec.operator()
+    with pytest.raises(PCGBreakdown) as info:
+        pcg(op, h, Negated(JacobiPreconditioner(op), after=1), config=SolverConfig(max_iter=5))
+    return info.value.log
+
+
+_STOPS = ["tolerance", "budget", "floor", "breakdown"]
+# Where each object of a log sits in its document; -1 is the last record.
+_OBJECT_PATHS = {
+    "log": (),
+    "config": ("config",),
+    "record": ("iterations", -1),
+    "final_norms": ("final_norms",),
 }
 
 
-@pytest.mark.parametrize("obj", sorted(_SCHEMA_OBJECTS))
-def test_document_keys_are_the_schema_properties_in_order(obj):
-    node, instances = _SCHEMA_OBJECTS[obj]
-    keys = list(node(RUN_LOG_SCHEMA)["properties"])
-    for instance in instances(log_to_dict(_sample_log())):
-        assert list(instance) == keys
+def _instance(doc, obj):
+    for step in _OBJECT_PATHS[obj]:
+        doc = doc[step]
+    return doc
 
 
-@pytest.mark.parametrize("cls, obj", [(IterationRecord, "record"), (SolverConfig, "config")])
-def test_dataclass_fields_are_the_schema_properties_in_order(cls, obj):
-    node, _ = _SCHEMA_OBJECTS[obj]
-    assert [f.name for f in fields(cls)] == list(node(RUN_LOG_SCHEMA)["properties"])
+def _node(obj):
+    node = RUN_LOG_SCHEMA
+    for step in _OBJECT_PATHS[obj]:
+        node = node["items"] if step == -1 else node["properties"][step]
+    return node
+
+
+@pytest.mark.parametrize("obj", sorted(_OBJECT_PATHS))
+@pytest.mark.parametrize("stop", _STOPS)
+def test_every_stop_writes_the_schema_keys_in_order(stop, obj):
+    """Every stop's log validates, and each object's keys are its schema properties, in order."""
+    doc = log_to_dict(_stop_log(stop))
+    assert (doc["problem"] is None) == (stop == "breakdown")
+    jsonschema.validate(doc, RUN_LOG_SCHEMA)
+    assert list(_instance(doc, obj)) == list(_node(obj)["properties"])
 
 
 @pytest.mark.parametrize(
-    "obj, key",
-    [
-        (obj, key)
-        for obj, (node, _) in sorted(_SCHEMA_OBJECTS.items())
-        for key in node(RUN_LOG_SCHEMA)["properties"]
-    ],
+    "obj, key", [(obj, key) for obj in sorted(_OBJECT_PATHS) for key in _node(obj)["properties"]]
 )
-def test_every_key_but_the_breakdown_is_required(obj, key):
+@pytest.mark.parametrize("stop", _STOPS)
+def test_every_stop_requires_each_key_but_the_breakdown(stop, obj, key):
+    doc = log_to_dict(_stop_log(stop))
+    del _instance(doc, obj)[key]
+    errors = [e.message for e in jsonschema.Draft202012Validator(RUN_LOG_SCHEMA).iter_errors(doc)]
+    optional = (obj, key) == ("log", "breakdown")
+    assert errors == ([] if optional else [f"{key!r} is a required property"])
+
+
+@pytest.mark.parametrize(
+    "path, minimum",
+    [
+        (("shape", 0), 1),
+        (("config", "max_iter"), 0),
+        (("iterations", -1, "s"), 0),
+        (("iterations", -1, "ops_cum"), 0),
+    ],
+    ids=["shape", "max_iter", "s", "ops_cum"],
+)
+def test_a_count_below_its_minimum_fails(path, minimum):
+    """The bounds the schema takes from field metadata: extents from 1, counts from 0."""
     doc = log_to_dict(_sample_log())
-    first_instance = _SCHEMA_OBJECTS[obj][1](doc)[0]
-    del first_instance[key]
-    if (obj, key) == ("log", "breakdown"):
-        jsonschema.validate(doc, RUN_LOG_SCHEMA)
-    else:
-        with pytest.raises(jsonschema.ValidationError, match="required"):
-            jsonschema.validate(doc, RUN_LOG_SCHEMA)
+    *steps, key = path
+    instance = doc
+    for step in steps:
+        instance = instance[step]
+    instance[key] = minimum - 1
+    errors = [e.message for e in jsonschema.Draft202012Validator(RUN_LOG_SCHEMA).iter_errors(doc)]
+    assert errors == [f"{minimum - 1} is less than the minimum of {minimum}"]
 
 
 def test_write_run_log_round_trips_through_json(tmp_path):
