@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from math import isfinite
 from typing import Callable, Optional, Sequence
 
 from . import formats
@@ -29,7 +28,7 @@ from .problems import (
     gen_problem3,
 )
 from .solver import ConvergenceLog, PCGBreakdown, SolverConfig, pcg
-from .tensors import frobenius_norm
+from .tensors import checked_real, frobenius_norm
 
 _AXES = "xyz"
 _FACE_FLAGS = {"potential": "u", "field": "e"}  # face kind -> its flags' stem (then B or E)
@@ -79,12 +78,6 @@ def _axis_entries(flag: str, entries: Sequence[str], ndim: int, parse: Callable)
     return found
 
 
-def _finite(text: str) -> float:
-    if not isfinite(value := float(text)):
-        raise ValueError(f"{value} is not a finite number")
-    return value
-
-
 def _condition(text: str) -> BoundaryCondition:
     try:
         return BoundaryCondition(text.strip().lower())
@@ -110,7 +103,10 @@ def _parse_face_flags(
     faces: tuple[dict, dict] = ({}, {})
     for flag in ("uB", "uE", "eB", "eE"):
         end = "BE".index(flag[1])
-        given = _axis_entries(flag, getattr(args, flag) or [], len(bcs), _finite)
+        entries = getattr(args, flag) or []
+        given = _axis_entries(
+            flag, entries, len(bcs), lambda v: checked_real("a face value", float(v))
+        )
         for axis, value in given.items():
             bc, takes = bcs[axis], face_kinds(bcs[axis])[end]
             if takes is None:

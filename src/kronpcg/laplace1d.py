@@ -41,7 +41,7 @@ from typing import Optional
 
 import numpy as np
 
-from .tensors import checked_out
+from .tensors import checked_integer, checked_out
 
 __all__ = [
     "BoundaryCondition",
@@ -158,8 +158,7 @@ class SpectralDecomposition:
 
 def _angle_rule(n: int, bc: BoundaryCondition) -> tuple[np.ndarray, int, int, int]:
     """Column ``k``: angle ``pi*a[k]/denom``, samples at ``j - shift2/2``, phase ``phase4*pi/4``."""
-    if n < 3:
-        raise ValueError(f"1D operator needs n >= 3, got n={n}")
+    n = checked_integer("1-D extent", n, 3)
     first, last, corner = CORNER_TRIPLES[BoundaryCondition(bc)]
     m = np.arange(n)
     if corner == -1.0:

@@ -28,7 +28,8 @@ from .laplace1d import (
     face_kinds,
     is_singular_1d,
 )
-from .tensors import Shape, checked_integer, checked_out, checked_tensor, frobenius_norm
+from .tensors import Shape, checked_integer, checked_out, checked_real, checked_tensor
+from .tensors import frobenius_norm
 
 __all__ = [
     "PoissonOperator",
@@ -73,9 +74,7 @@ def poisson_operator(
         raise ValueError(f"grid must be 2D or 3D, got {len(dims)} dims")
     if len(bcs) != len(dims):
         raise ValueError("need one boundary condition per direction")
-    shape = tuple(checked_integer("a grid extent", n) for n in dims)
-    if min(shape) < 3:
-        raise ValueError(f"every direction needs n >= 3, got {shape}")
+    shape = tuple(checked_integer("a grid extent", n, 3) for n in dims)
     return PoissonOperator(shape, tuple(BoundaryCondition(bc) for bc in bcs))
 
 
@@ -166,7 +165,7 @@ def apply_bc_updates(
     periodic direction has no faces.  Each value is added, with a plus
     sign, to every entry of the boundary slice perpendicular to its
     direction (the first slice for a begin face, the last for an end face).
-    A value must be a finite real number, else ``ValueError``.
+    A value is any finite real (:func:`kronpcg.tensors.checked_real`).
     """
     h = checked_tensor(h).copy()
     if len(faces) != h.ndim or len(bcs) != h.ndim:
@@ -182,10 +181,5 @@ def apply_bc_updates(
                 )
             index = [slice(None)] * h.ndim
             index[axis] = 0 if pos == "begin" else h.shape[axis] - 1
-            if isinstance(value, (bool, np.bool_)):
-                raise ValueError(f"a face value must be real, got {value!r}")
-            value = checked_tensor(value, ())
-            if not np.isfinite(value):
-                raise ValueError(f"direction {axis} {pos} face value is not finite: {value}")
-            h[tuple(index)] += value
+            h[tuple(index)] += checked_real(f"direction {axis} {pos} face value", value)
     return h

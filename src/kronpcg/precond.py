@@ -7,19 +7,17 @@ here: the stand-alone weighted Jacobi solver, the experiments' baseline.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
 from functools import reduce
-from math import isfinite
-from numbers import Real
+from math import nextafter, prod
 from typing import Optional
 
 import numpy as np
 
 from . import operators as op_mod
 from .laplace1d import analytic_spectrum, diagonal, eigenvalues
-from .tensors import checked_integer, checked_out, checked_tensor, frobenius_norm, hadamard_pinv
-from .tensors import linear_transform
+from .tensors import FLOAT_MAX, checked_integer, checked_out, checked_real, checked_tensor
+from .tensors import frobenius_norm, hadamard_pinv, linear_transform
 
 __all__ = [
     "Preconditioner",
@@ -141,9 +139,11 @@ class JacobiPreconditioner(Preconditioner):
         ``x_j = Dhat^-1 (r - apply(op, x_{j-1}) + Dhat x_{j-1})``
 
     with ``x_0 = 0`` (the first sweep collapses to ``Dhat^-1 r``).
-    ``omega`` must be at least 1, and small enough that the weighted
-    diagonal, at most ``omega*2*ndim``, is finite; slightly above 1 it
-    trades speed per sweep for robustness.  An even ``p`` that gives ``M L``
+    ``omega`` lies in ``[1, max/(2*ndim)]``, ``max`` the largest float, so
+    the weighted diagonal, at most ``omega*2*ndim``, is finite; slightly
+    above 1 it trades speed per sweep for robustness.  ``p`` lies in ``[1,
+    N]`` for ``N`` unknowns: PCG on ``N`` unknowns needs no polynomial of
+    degree ``N`` or more.  An even ``p`` that gives ``M L``
     an eigenvalue ``<= 0`` on a constant diagonal is refused at setup.
     ``dhat`` and ``dhat_inv`` hold only what varies: they have extent 1
     along each periodic or Dirichlet direction, whose diagonal is constant,
@@ -152,18 +152,12 @@ class JacobiPreconditioner(Preconditioner):
     """
 
     def __init__(self, op, p: int = 1, omega: float = 1.0):
-        self.p = checked_integer("jacobi sweep count p", p)
-        if self.p < 1:
-            raise ValueError(f"jacobi needs p >= 1 sweeps, got {p}")
-        # Python floats: an overflowing product is inf, with no numpy warning.
-        real = isinstance(omega, Real) and not isinstance(omega, bool)
-        real = real and 1.0 <= omega <= sys.float_info.max
-        if not (real and isfinite(float(omega) * 2 * op.ndim)):
-            raise ValueError(
-                f"jacobi damping needs omega >= 1 with a finite omega*2*ndim, got {omega!r}"
-            )
+        size = prod(op.shape)
+        self.p = checked_integer("jacobi sweep count p", p, 1, size)
+        top = FLOAT_MAX / (2 * op.ndim)  # rounded up in 3D, where top*6 would overflow
+        top = top if top * 2 * op.ndim <= FLOAT_MAX else nextafter(top, 0.0)
+        self.omega = checked_real("jacobi damping omega", omega, 1.0, top)
         self.op, self.shape = op, op.shape
-        self.omega = float(omega)
         self.name = f"jacobi(p={self.p}, omega={self.omega:g})"
         diags = [diagonal(n, bc) for n, bc in zip(op.shape, op.bcs)]
         varying = [d[:1] if d[0] == d[-1] == 2.0 else d for d in diags]
@@ -181,10 +175,9 @@ class JacobiPreconditioner(Preconditioner):
         # (README); an apply as the first sweep's scaling, then per later sweep one
         # stencil apply and the subtraction and relaxation, 4 ops an entry (also
         # a stand-alone step's charge).
-        n = int(np.prod(op.shape))
-        self.init_cost = (op.ndim + 1) * n
-        self.sweep_cost = op.apply_cost + 4 * n
-        self.apply_cost = n + (self.p - 1) * self.sweep_cost
+        self.init_cost = (op.ndim + 1) * size
+        self.sweep_cost = op.apply_cost + 4 * size
+        self.apply_cost = size + (self.p - 1) * self.sweep_cost
 
     def apply(
         self, r: np.ndarray, out: Optional[np.ndarray] = None, work: Optional[np.ndarray] = None
@@ -272,9 +265,7 @@ class LowRankPreconditioner(Preconditioner):
         if op.ndim != 2:
             raise ValueError("low-rank preconditioner supports 2D grids only")
         n, q = op.shape
-        self.rank = checked_integer("rank r", r)
-        if not 1 <= self.rank <= min(n, q):
-            raise ValueError(f"rank r must be in [1, {min(n, q)}], got {r}")
+        self.rank = checked_integer("rank r", r, 1, min(n, q))
         self.name = f"lowrank(r={self.rank})"
         self.shape = op.shape
         (vn, vq), values = _spectral_setup(op)
@@ -366,9 +357,7 @@ def jacobi_standalone(
     is a reportable outcome, not an error.  ``h`` must pass
     :func:`kronpcg.operators.checked_rhs`.
     """
-    iters = checked_integer("iters", iters)
-    if iters < 0:
-        raise ValueError("iters must be nonnegative")
+    iters = checked_integer("iters", iters, 0)
     h, res0 = op_mod.checked_rhs(op, h)
     jacobi = JacobiPreconditioner(op, p=1, omega=omega)
     x = np.zeros(op.shape)

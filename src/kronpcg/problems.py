@@ -111,10 +111,9 @@ def gen_problem2(n: int = 40, q: int = 120) -> tuple[ProblemSpec, np.ndarray]:
     ``spec.scale`` recovers the physical system in which the potential
     really drops at rate 1/2 off the far edge.
     """
+    n = checked_integer("p2 extent n (at least the band width)", n, _P2_BAND_WIDTH)
     bcs = (BoundaryCondition.DIRICHLET_NEUMANN, BoundaryCondition.PERIODIC)
     op = poisson_operator((n, q), bcs)
-    if n < _P2_BAND_WIDTH:
-        raise ValueError(f"p2 needs n >= {_P2_BAND_WIDTH} (the band width), got {n}")
     boundary = ((0.0, -0.5), (None, None))
     h = np.zeros((n, q))
     start = max(0, n // 3 - _P2_BAND_WIDTH // 2)
@@ -133,9 +132,7 @@ def gen_problem3(variant: str, seed: int = 0) -> tuple[ProblemSpec, np.ndarray]:
     """
     if variant not in P3_VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; choose one of {sorted(P3_VARIANTS)}")
-    seed = checked_integer("p3 seed", seed)
-    if seed < 0:
-        raise ValueError(f"p3 seed must be >= 0, got {seed}")
+    seed = checked_integer("p3 seed", seed, 0)
     dims = P3_VARIANTS[variant]
     op = poisson_operator(dims, [BoundaryCondition.PERIODIC] * len(dims))
     rng = np.random.default_rng(seed)

@@ -50,16 +50,14 @@ by a stop writes no record and so charges nothing.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
-from numbers import Real
 from typing import Optional
 
 import numpy as np
 
 from . import operators as op_mod
 from .precond import IdentityPreconditioner, Preconditioner
-from .tensors import checked_integer, frobenius_norm, inner
+from .tensors import checked_integer, checked_real, frobenius_norm, inner
 
 __all__ = [
     "SolverConfig",
@@ -91,16 +89,9 @@ class SolverConfig:
     stop_tol: Optional[float] = None
 
     def __post_init__(self) -> None:
-        self.max_iter = checked_integer("max_iter", self.max_iter)
-        if self.max_iter < 0:
-            raise ValueError("max_iter must be nonnegative")
-        tol = self.stop_tol
-        real = isinstance(tol, Real) and not isinstance(tol, bool)
-        if real and abs(tol) <= sys.float_info.max:
-            tol = float(tol)  # a plain float for the run log, the value whose range is checked
-        if tol is not None and not (real and 0.0 < tol <= sys.float_info.max):
-            raise ValueError(f"stop_tol must be a finite positive number, got {self.stop_tol!r}")
-        self.stop_tol = tol
+        self.max_iter = checked_integer("max_iter", self.max_iter, 0)
+        if self.stop_tol is not None:  # from the least positive float: zero is out
+            self.stop_tol = checked_real("stop_tol", self.stop_tol, 5e-324)
 
 
 @dataclass

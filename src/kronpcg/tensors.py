@@ -7,11 +7,19 @@ numpy's Fortran order.  Under it, a per-axis linear transform flattens to
 the matching Kronecker product of its matrices times the flattened ``T``;
 the test suite's dense references check exactly that (in 3D the trailing
 axis is contracted first).
+
+The package's three input rules live here: a grid array passes
+:func:`checked_tensor`, an integer knob :func:`checked_integer` and a real
+knob :func:`checked_real`.  A knob of another type (a bool too) or out of
+its range raises ``ValueError("<name> must be an integer in [low, high],
+got <value>")``, or ``... a real number in ...`` for a real knob.
 """
 
 from __future__ import annotations
 
 import operator
+from math import inf
+from numbers import Real
 from typing import Optional, Sequence
 
 import numpy as np
@@ -23,15 +31,19 @@ __all__ = [
     "checked_tensor",
     "checked_out",
     "checked_integer",
+    "checked_real",
     "linear_transform",
     "inner",
     "frobenius_norm",
     "hadamard_pinv",
     "NULL_MODE_TOL",
+    "FLOAT_MAX",
 ]
 
 # Eigenvalue sums at or below this magnitude count as null modes.
 NULL_MODE_TOL = 1e-13
+
+FLOAT_MAX = float(np.finfo(float).max)  # the largest finite float64
 
 
 def checked_tensor(x, shape: Optional[Shape] = None) -> np.ndarray:
@@ -71,14 +83,26 @@ def checked_out(x: np.ndarray, out: Optional[np.ndarray]) -> np.ndarray:
     return out
 
 
-def checked_integer(name: str, value) -> int:
-    """``value`` as an ``int`` by ``operator.index``, else (a bool too) ``ValueError`` naming it."""
+def checked_integer(name: str, value, low: int, high: float = inf) -> int:
+    """``value`` as an ``int`` by ``operator.index`` if it lies in ``[low, high]``,
+    else (a bool too) ``ValueError`` naming it."""
     try:
-        if isinstance(value, (bool, np.bool_)):
-            raise TypeError
-        return operator.index(value)
+        n = None if isinstance(value, (bool, np.bool_)) else operator.index(value)
     except TypeError:
-        raise ValueError(f"{name} takes only integers, got {value!r}") from None
+        n = None
+    if n is not None and low <= n <= high:
+        return n
+    raise ValueError(f"{name} must be an integer in [{low}, {high}], got {value!r}")
+
+
+def checked_real(name: str, value, low: Real = -FLOAT_MAX, high: Real = FLOAT_MAX) -> float:
+    """``value`` as a ``float`` if it is a ``numbers.Real`` (not a bool) in
+    ``[low, high]``, by default every finite float, else ``ValueError`` naming
+    it.  The bounds are compared before the cast, exactly, so a value past
+    float64's range (``10**400``, a ``Fraction``) is refused, not rounded."""
+    if isinstance(value, Real) and not isinstance(value, (bool, np.bool_)) and low <= value <= high:
+        return float(value)
+    raise ValueError(f"{name} must be a real number in [{low!r}, {high!r}], got {value!r}")
 
 
 def linear_transform(

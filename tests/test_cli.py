@@ -107,8 +107,10 @@ def test_usage_errors_exit_one(argv, capsys):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["spectrum", "--size", "0", "--bc", "x=dirichlet"], "needs n >= 3, got n=0"),
-        (["spectrum", "--size", "-4", "--bc", "x=dirichlet"], "needs n >= 3, got n=-4"),
+        (["spectrum", "--size", "0", "--bc", "x=dirichlet"],
+         "1-D extent must be an integer in [3, inf], got 0"),
+        (["spectrum", "--size", "-4", "--bc", "x=dirichlet"],
+         "1-D extent must be an integer in [3, inf], got -4"),
         (["gen", "--problem", "p3", "--variant", "2d_512x256", "--seed", "-1", "--out", "{tmp}/x.kten"],
          "p3 seed"),
     ],

@@ -23,16 +23,18 @@ from conftest import assemble_dense, dense_jacobi_matrix, dense_pcg, dense_pseud
 from conftest import kron_assemble, numeric_spectrum, spectrum_sums, vec
 from kronpcg import cli
 from kronpcg.formats import log_to_dict, read_tensor, write_tensor
-from kronpcg.laplace1d import BoundaryCondition as BC, face_kinds
+from kronpcg.laplace1d import BoundaryCondition as BC, analytic_spectrum, eigenvalues, face_kinds
 from kronpcg.operators import apply, apply_bc_updates, center, checked_rhs, is_singular
 from kronpcg.operators import null_share, nullspace_component, poisson_operator
 from kronpcg.precond import JacobiPreconditioner, LowRankPreconditioner, Preconditioner
 from kronpcg.precond import jacobi_standalone, make_preconditioner
+from kronpcg.problems import gen_problem1, gen_problem2, gen_problem3
 from kronpcg.solver import PCGBreakdown, SolverConfig, pcg
 from kronpcg.tensors import frobenius_norm, hadamard_pinv, inner, linear_transform
 
 SEEDS = range(12)
 GRID = "does not match grid"
+_MAX = sys.float_info.max
 # ``seed // 2`` picks where a grid's directions start in this cycle: axis 0 and
 # the last axis, 2D and 3D alike, take every condition; two 2D and two 3D grids
 # are singular, one of each all-periodic.
@@ -421,10 +423,10 @@ def test_every_solver_record_charges_readmes_counting_rules(seed):
 
 _STEMS = {"potential": "ue", "field": "eu"}  # a face's kind -> its flags' stem, then the other's
 # (extra ``solve`` flags, what its stderr holds) for the refusals every grid draws.
-_SOLVE_REFUSALS = [(["--max-iter=-1"], "error: --max-iter must be nonnegative\n")]
-_SOLVE_REFUSALS += [([f"--tol={t}"], f"error: --tol must be a finite positive number, got {t}\n")
-                    for t in (np.nan, np.inf, 0.0, -1.0)]
-_SOLVE_REFUSALS += [([f"--precond=jacobi:p=3,omega={w}"], "jacobi damping needs omega")
+_SOLVE_REFUSALS = [(["--max-iter=-1"], "error: --max-iter must be an integer in [0, inf], got -1")]
+_SOLVE_REFUSALS += [([f"--tol={t}"], f"error: --tol must be a real number in [5e-324, {_MAX!r}], "
+                     f"got {t}\n") for t in (np.nan, np.inf, 0.0, -1.0)]
+_SOLVE_REFUSALS += [([f"--precond=jacobi:p=3,omega={w}"], "omega must be a real number in [1.0, ")
                     for w in ("nan", "inf", "1e308")]
 
 
@@ -459,7 +461,8 @@ def solve_case(seed, tmp_path):
             flags += [flag, f"{a}={value!r}"]
             refusals.append(([other, f"{a}=0.5"], f"error: {other}: the ", f"value, from {flag}\n"))
             entry = f"{a}={('nan', 'inf', '-inf')[seed % 3]}"
-            refusals.append(([flag, entry], f"error: bad {flag} entry '{entry}': {entry[2:]} is not a"))
+            refused = f"a face value must be a real number in [{-_MAX!r}, {_MAX!r}], got {entry[2:]}"
+            refusals.append(([flag, entry], f"error: bad {flag} entry '{entry}': {refused}\n"))
     return op, h, argv, spec, faces, flags, refusals
 
 
@@ -516,32 +519,57 @@ _SPECS = [
 _FACES = [(((None, None),), "cover every direction")]
 _FACES += [(((None, None), (1.0, None)), r"direction 1 \(periodic\) accepts no begin")]
 
+def _integer(knob, low, high=float("inf")):
+    """The refusal match of an integer knob's rule."""
+    return re.escape(f"{knob} must be an integer in [{low}, {high}], got ")
+
+
+def _real(knob, low, high=_MAX):
+    """The refusal match of a real knob's rule."""
+    return re.escape(f"{knob} must be a real number in [{low!r}, {high!r}], got ")
+
+
 # knob -> (the call on one value, [(value, the plain value it equals)], [(value, refusal match)])
 KNOBS = {
     "extent": (lambda n: poisson_operator((n, 6), _BCS), [(np.int32(5), 5), (np.uint8(5), 5)],
-               _INTEGRAL + [(2, "n >= 3")]),
+               _INTEGRAL + [(n, _integer("a grid extent", 3)) for n in (0, 1, 2)]),
+    "1-D extent, eigenvalues": (lambda n: eigenvalues(n, BC.DIRICHLET), [(np.int64(4), 4)],
+                                [(n, _integer("1-D extent", 3)) for n in (2, 3.5, True)]),
+    "1-D extent, analytic_spectrum": (lambda n: analytic_spectrum(n, BC.PERIODIC).vectors,
+                                      [(np.int64(4), 4)],
+                                      [(n, _integer("1-D extent", 3)) for n in (2, 3.5, True)]),
+    "p1 extent": (lambda n: gen_problem1(n, 10)[1], [(np.int64(12), 12)],
+                  [(v, _integer("a grid extent", 3)) for v in (2, 3.5)]),
+    "p2 band": (lambda n: gen_problem2(n)[1], [(np.int64(5), 5)],
+                [(v, _integer("p2 extent n (at least the band width)", 5)) for v in (4, 40.5)]),
+    "p3 variant": (gen_problem3, [], [("4d_hypercube", "unknown variant '4d_hypercube'")]),
+    "p3 seed": (lambda s: gen_problem3("2d_512x256", s), [], [(-1, _integer("p3 seed", 0))]),
     "extents": (lambda dims: poisson_operator(dims, (BC.PERIODIC,) * len(dims)), [],
                 [((5,), "2D or 3D"), ((5,) * 4, "2D or 3D")]),
     "conditions": (lambda bcs: poisson_operator((5, 6), bcs), [], [(_BCS[:1], "one boundary")]),
-    "max_iter": (SolverConfig, [(np.int64(3), 3)], _INTEGRAL + [(-1, "nonnegative")]),
+    "max_iter": (SolverConfig, [(np.int64(3), 3)], _INTEGRAL + [(-1, _integer("max_iter", 0))]),
     "stop_tol": (lambda t: SolverConfig(5, t), [(Fraction(1, 10**9), 1e-9)],
-                 [(t, "stop_tol") for t in (np.nan, np.inf, -1.0, 0.0, 10**400, "1e-9", True)]
-                 + [(Fraction(1, 10**400), "stop_tol")]),
-    "p": (lambda p: JacobiPreconditioner(_OP, p), [(np.int64(3), 3)], _INTEGRAL + [(0, "p >= 1")]),
-    "omega": (lambda w: JacobiPreconditioner(_OP, 3, w), [(Fraction(13, 10), 1.3), (np.int8(2), 2)],
-              [(w, "omega") for w in (0.9, np.nan, np.inf, 1e308, 10**400, "1", True)]
-              + [(Fraction(10**400), "omega")]),
+                 [(t, _real("stop_tol", 5e-324)) for t in
+                  (np.nan, np.inf, -1.0, 0.0, 10**400, "1e-9", True, Fraction(1, 10**400))]),
+    "p": (lambda p: JacobiPreconditioner(_OP, p), [(np.int64(3), 3), (np.int64(30), 30)],
+          _INTEGRAL + [(v, _integer("jacobi sweep count p", 1, 30)) for v in (0, 31)]),
+    "omega": (lambda w: JacobiPreconditioner(_OP, 3, w),
+              [(Fraction(13, 10), 1.3), (np.int8(2), 2), (Fraction(_MAX) / 4, _MAX / 4)],
+              [(w, _real("jacobi damping omega", 1.0, _MAX / 4))
+               for w in (0.9, np.nan, np.inf, 1e308, 10**400, "1", True, Fraction(10**400))]),
+    # In 3D the bound is the largest omega whose 6*omega is finite, one below the rounded max/6.
+    "omega, 3-D": (lambda w: JacobiPreconditioner(poisson_operator((4, 5, 6), _BCS + _BCS[:1]), 1, w),
+                   [], [(_MAX / 4, _real("jacobi damping omega", 1.0, 2.996155224770526e307))]),
     "r": (lambda r: LowRankPreconditioner(_OP, r), [(np.uint8(2), 2)],
-          _INTEGRAL + [(0, r"in \[1, 5\]"), (6, r"in \[1, 5\]")]),
+          _INTEGRAL + [(v, _integer("rank r", 1, 5)) for v in (0, 6)]),
     "lowrank grid": (lambda dims: LowRankPreconditioner(poisson_operator(dims, _BCS + _BCS[:1]), 2),
                      [], [((4, 4, 4), "2D grids only")]),
     "iters": (lambda n: jacobi_standalone(_OP, _R, iters=n), [(np.int64(3), 3)],
-              _INTEGRAL + [(-1, "nonnegative")]),
+              _INTEGRAL + [(-1, _integer("iters", 0))]),
     "face value": (lambda v: apply_bc_updates(_R, _BCS, ((v, None), (None, None))),
-                   [(np.int64(2), 2)],
-                   [(v, "must be real") for v in ("0.5", 0.5j, Fraction(1, 3), True)]
-                   + [(v, "0 begin face value is not finite") for v in (np.nan, np.inf, -np.inf)]
-                   + [([1.0], GRID)]),
+                   [(np.int64(2), 2), (Fraction(1, 3), 1 / 3)],
+                   [(v, _real("direction 0 begin face value", -_MAX)) for v in
+                    ("0.5", 0.5j, True, np.nan, np.inf, -np.inf, 10**400, [1.0], np.array(2.0))]),
     "faces": (lambda faces: apply_bc_updates(_R, (BC.DIRICHLET, BC.PERIODIC), faces), [], _FACES),
     "spec": (lambda spec: make_preconditioner(_OP, spec),
              [(" Jacobi: p = 3 , omega = 1.3 ", "jacobi:p=3,omega=1.3")], _SPECS),

@@ -49,12 +49,6 @@ def test_every_corner_coefficient_is_zero_or_minus_one(bc):
     assert {first - 2.0, last - 2.0, corner} <= {0.0, -1.0}
 
 
-def test_build_rejects_small_grids():
-    for n in (0, 1, 2):
-        with pytest.raises(ValueError):
-            poisson_operator((n, 5), (BC.DIRICHLET, BC.DIRICHLET))
-
-
 @pytest.mark.parametrize("bc", ALL_BCS)
 def test_apply_matches_dense_matvec(bc):
     rng = np.random.default_rng(3)
@@ -157,8 +151,3 @@ def test_singularity_flag_matches_spectrum(bc):
         assert np.allclose(vec, vec[0], atol=1e-13)
 
 
-def test_analytic_spectrum_rejects_small_grids():
-    with pytest.raises(ValueError):
-        analytic_spectrum(2, BC.PERIODIC)
-    with pytest.raises(ValueError):
-        eigenvalues(2, BC.DIRICHLET)

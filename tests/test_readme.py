@@ -1,6 +1,6 @@
 """README.md stays true: its Python examples and its ``gen``, ``solve`` and
-``spectrum`` command lines run, and every command-line flag it shows is one
-the parser accepts."""
+``spectrum`` command lines run, every command-line flag it shows is one
+the parser accepts, and its suite size is the recorded one."""
 
 import argparse
 import re
@@ -13,7 +13,8 @@ from kronpcg import cli
 from kronpcg.formats import write_tensor
 from kronpcg.problems import gen_problem2
 
-README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+ROOT = Path(__file__).resolve().parents[1]
+README = (ROOT / "README.md").read_text(encoding="utf-8")
 
 
 def _blocks(language: str) -> list[str]:
@@ -73,3 +74,11 @@ def test_shown_commands_run(tmp_path, monkeypatch, capsys):
     for words in ran:
         assert cli.main(words[1:]) == 0, words
     capsys.readouterr()
+
+
+def test_the_shown_suite_size_is_the_recorded_one():
+    """README's "full suite: N tests" counts the PASSED ids of
+    ``test_output.txt``, the record CI holds to the collected ids."""
+    record = (ROOT / "test_output.txt").read_text(encoding="utf-8").splitlines()
+    passed = sum(" PASSED" in line for line in record)
+    assert re.findall(r"full suite: (\d+) tests", README) == [str(passed)]
