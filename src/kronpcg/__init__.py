@@ -8,7 +8,7 @@ work through per-axis linear transforms.  README.md is the user's guide.
 
 from .laplace1d import BoundaryCondition, SpectralDecomposition, analytic_spectrum, is_singular_1d
 from .operators import PoissonOperator, apply, apply_bc_updates, center
-from .operators import is_singular, nullspace_component, poisson_operator
+from .operators import is_singular, nullspace_component
 from .precond import IdentityPreconditioner, JacobiPreconditioner, LowRankPreconditioner
 from .precond import PinvPreconditioner, jacobi_standalone, make_preconditioner
 from .problems import P3_VARIANTS, ProblemSpec, gen_problem1, gen_problem2, gen_problem3

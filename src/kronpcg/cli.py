@@ -17,7 +17,7 @@ from typing import Callable, Optional, Sequence
 
 from . import formats
 from .laplace1d import BoundaryCondition, eigenvalues, face_kinds
-from .operators import apply_bc_updates, center, checked_rhs, null_share, poisson_operator
+from .operators import PoissonOperator, apply_bc_updates, center, checked_rhs, null_share
 from .precond import jacobi_standalone, make_preconditioner
 from .problems import (
     EXPERIMENTS,
@@ -223,7 +223,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         raise UsageError(f"{_CONFIG_FLAGS[field]} {reason}") from None
     h = formats.read_tensor(args.input)
     bcs = _parse_bcs(args.bc, h.ndim)
-    op = poisson_operator(h.shape, bcs)
+    op = PoissonOperator(h.shape, bcs)
     faces = _parse_face_flags(args, bcs)
     notes: list[str] = []
     if any(value is not None for pair in faces for value in pair):
@@ -259,20 +259,16 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 def _run_to_files(
     outdir: str, name: str, spec, h, pspec: str, budget: int
-) -> tuple[dict, float, str]:
+) -> tuple[dict, float]:
     """Run one experiment entry and write its series (and run log) under
-    ``name``; return its summary row, final relative true residual and a
-    note for its printed line (empty unless the run diverged)."""
+    ``name``; return its summary row and final relative true residual."""
     stem = os.path.join(outdir, f"{name}_{_slug(pspec)}")
     op = spec.operator()
     head, _, omega = pspec.partition(":omega=")
-    note = ""
     if head == "jacobi-standalone":
         result = jacobi_standalone(op, h, omega=float(omega), iters=budget)
         ops_cum, residuals = result.ops_cum, result.residuals
         label = f"jacobi-standalone(omega={float(omega):g})"
-        if result.diverged:
-            note = f", diverged at sweep {result.iterations}"
     else:
         log = _solve(op, h, pspec, SolverConfig(max_iter=budget))
         log.problem, log.seed = name, spec.seed
@@ -283,20 +279,19 @@ def _run_to_files(
     title = f"{name} {label}: cumulative ops vs true residual"
     formats.write_gnuplot_series(f"{stem}.dat", ops_cum, residuals, title)
     row = formats.summary_row(name, label, ops_cum, residuals)
-    return row, residuals[-1] / residuals[0], note
+    return row, residuals[-1] / residuals[0]
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
     os.makedirs(args.outdir, exist_ok=True)
     rows: list[dict] = []
     for name, spec, h, pspec, budget in experiment_runs(args.name):
-        row, rel, note = _run_to_files(args.outdir, name, spec, h, pspec, budget)
+        row, rel = _run_to_files(args.outdir, name, spec, h, pspec, budget)
         rows.append(row)
         reached = row["iters_to_1e-9"]
         print(
             f"{name} {row['preconditioner']}: iterations to 1e-9 = "
             f"{'not reached' if reached == '' else reached}, final relative residual {rel:.3e}"
-            f"{note}"
         )
     formats.write_csv_summary(os.path.join(args.outdir, "summary.csv"), rows)
     print(f"summary written to {os.path.join(args.outdir, 'summary.csv')}")

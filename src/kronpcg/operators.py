@@ -6,7 +6,7 @@ summed.  In matrix form that is ``(I x L1) + (L2 x I)`` in 2D and the
 three-term analogue in 3D, but the operator is never assembled:
 :func:`apply` stays with the three-point stencils.  A factor is fixed by
 its extent and boundary condition, so an operator is just the grid shape
-and one condition per direction.
+and one condition per direction, checked as the operator is built.
 
 Also here: the null-space utilities (mean-centering, the component along
 the constant tensor and the centering rule, :func:`null_share`) and the
@@ -33,7 +33,6 @@ from .tensors import frobenius_norm
 
 __all__ = [
     "PoissonOperator",
-    "poisson_operator",
     "apply",
     "checked_rhs",
     "is_singular",
@@ -47,14 +46,30 @@ __all__ = [
 _SLAB_ENTRIES = 3 << 15  # per slab in apply (768 KiB): x's and out's fit a 2 MiB L2 together
 
 NULL_SHARE_TOL = 1e-10  # largest null share of a centered right-hand side (null_share)
+_MAX_ENTRIES = np.iinfo(np.intp).max // 8  # most float64 entries an array's byte count can index
 
 
 @dataclass(frozen=True)
 class PoissonOperator:
-    """A 2D/3D minus-Laplacian: the grid shape and one boundary condition per direction."""
+    """A 2D/3D minus-Laplacian: the grid shape and one boundary condition per direction.
+
+    Takes 2 or 3 integer extents, each >= 3, whose float64 grid an array can
+    hold, and one :class:`BoundaryCondition` or its spelling per extent;
+    stores a tuple of ``int`` and one of conditions."""
 
     shape: Shape
     bcs: tuple[BoundaryCondition, ...]
+
+    def __post_init__(self) -> None:
+        if len(self.shape) not in (2, 3):
+            raise ValueError(f"grid must be 2D or 3D, got {len(self.shape)} dims")
+        if len(self.bcs) != len(self.shape):
+            raise ValueError("need one boundary condition per direction")
+        shape = tuple(checked_integer("a grid extent", n, 3) for n in self.shape)
+        if prod(shape) > _MAX_ENTRIES:
+            raise ValueError(f"grid {shape} has {prod(shape)} unknowns, more than an array holds")
+        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "bcs", tuple(BoundaryCondition(bc) for bc in self.bcs))
 
     @property
     def ndim(self) -> int:
@@ -64,18 +79,6 @@ class PoissonOperator:
     def apply_cost(self) -> int:
         """Ops of one :func:`apply`: 6 an entry a direction (README's "Counting rules")."""
         return 6 * prod(self.shape) * self.ndim
-
-
-def poisson_operator(
-    dims: Sequence[int], bcs: Sequence[BoundaryCondition]
-) -> PoissonOperator:
-    """Build the grid operator for ``dims`` (2 or 3 integer directions, each >= 3)."""
-    if len(dims) not in (2, 3):
-        raise ValueError(f"grid must be 2D or 3D, got {len(dims)} dims")
-    if len(bcs) != len(dims):
-        raise ValueError("need one boundary condition per direction")
-    shape = tuple(checked_integer("a grid extent", n, 3) for n in dims)
-    return PoissonOperator(shape, tuple(BoundaryCondition(bc) for bc in bcs))
 
 
 def apply(op: PoissonOperator, x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:

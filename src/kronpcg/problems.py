@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .laplace1d import BoundaryCondition
-from .operators import PoissonOperator, apply_bc_updates, center, is_singular, poisson_operator
+from .operators import PoissonOperator, apply_bc_updates, center, is_singular
 from .tensors import checked_integer, frobenius_norm
 
 __all__ = [
@@ -61,7 +61,7 @@ class ProblemSpec:
     boundary: Optional[tuple] = None
 
     def operator(self) -> PoissonOperator:
-        return poisson_operator(self.shape, self.bcs)
+        return PoissonOperator(self.shape, self.bcs)
 
 
 def _normalized(h: np.ndarray) -> tuple[np.ndarray, float]:
@@ -93,7 +93,7 @@ def gen_problem1(n: int, q: int) -> tuple[ProblemSpec, np.ndarray]:
     negative where it is half the period; the result is centered and
     normalized.
     """
-    op = poisson_operator((n, q), [BoundaryCondition.PERIODIC] * 2)
+    op = PoissonOperator((n, q), [BoundaryCondition.PERIODIC] * 2)
     phase = np.add.outer(np.arange(n), 2 * np.arange(q)) % _P1_PERIOD
     h = np.where(phase == 0, 1.0, 0.0) + np.where(phase == _P1_PERIOD // 2, -1.0, 0.0)
     return _finish("p1", op, h)
@@ -113,7 +113,7 @@ def gen_problem2(n: int = 40, q: int = 120) -> tuple[ProblemSpec, np.ndarray]:
     """
     n = checked_integer("p2 extent n (at least the band width)", n, _P2_BAND_WIDTH)
     bcs = (BoundaryCondition.DIRICHLET_NEUMANN, BoundaryCondition.PERIODIC)
-    op = poisson_operator((n, q), bcs)
+    op = PoissonOperator((n, q), bcs)
     boundary = ((0.0, -0.5), (None, None))
     h = np.zeros((n, q))
     start = max(0, n // 3 - _P2_BAND_WIDTH // 2)
@@ -134,7 +134,7 @@ def gen_problem3(variant: str, seed: int = 0) -> tuple[ProblemSpec, np.ndarray]:
         raise ValueError(f"unknown variant {variant!r}; choose one of {sorted(P3_VARIANTS)}")
     seed = checked_integer("p3 seed", seed, 0)
     dims = P3_VARIANTS[variant]
-    op = poisson_operator(dims, [BoundaryCondition.PERIODIC] * len(dims))
+    op = PoissonOperator(dims, [BoundaryCondition.PERIODIC] * len(dims))
     rng = np.random.default_rng(seed)
     n = dims[0]
     wide = max(2, -(-n // 8))  # ceil(n/8)

@@ -80,7 +80,7 @@ _BREAKDOWNS = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverConfig:
     """Knobs for one run: the budget ``max_iter`` and the optional relative
     true-residual stop ``stop_tol`` (stop rule: module docstring)."""
@@ -89,9 +89,9 @@ class SolverConfig:
     stop_tol: Optional[float] = None
 
     def __post_init__(self) -> None:
-        self.max_iter = checked_integer("max_iter", self.max_iter, 0)
+        object.__setattr__(self, "max_iter", checked_integer("max_iter", self.max_iter, 0))
         if self.stop_tol is not None:  # from the least positive float: zero is out
-            self.stop_tol = checked_real("stop_tol", self.stop_tol, 5e-324)
+            object.__setattr__(self, "stop_tol", checked_real("stop_tol", self.stop_tol, 5e-324))
 
 
 @dataclass

@@ -17,7 +17,7 @@ import numpy as np
 
 from kronpcg import operators as op_mod
 from kronpcg.laplace1d import CORNER_TRIPLES, BoundaryCondition, SpectralDecomposition, eigenvalues
-from kronpcg.operators import apply, poisson_operator
+from kronpcg.operators import PoissonOperator, apply
 from kronpcg.precond import Preconditioner
 from kronpcg.solver import (
     _BREAKDOWNS,
@@ -349,7 +349,7 @@ def random_operator(rng, ndim=2, lo=3, hi=7, nonsingular=None):
         bcs = tuple(ALL_BCS[int(rng.integers(len(ALL_BCS)))] for _ in range(ndim))
         singular = all(bc in SINGULAR_BCS for bc in bcs)
         if nonsingular is None or singular != nonsingular:
-            return poisson_operator(dims, bcs)
+            return PoissonOperator(dims, bcs)
 
 
 class Negated(Preconditioner):

@@ -14,8 +14,8 @@ from conftest import Negated, run_python, spectrum_sums, traced_peak
 from kronpcg import cli, formats
 from kronpcg.formats import RUN_LOG_SCHEMA, read_tensor, write_tensor
 from kronpcg.laplace1d import BoundaryCondition, analytic_spectrum
-from kronpcg.operators import NULL_SHARE_TOL, poisson_operator
-from kronpcg.precond import StationaryResult, make_preconditioner
+from kronpcg.operators import NULL_SHARE_TOL, PoissonOperator
+from kronpcg.precond import make_preconditioner
 from kronpcg.problems import gen_problem1, gen_problem3
 from kronpcg.solver import SolverConfig, pcg
 
@@ -162,7 +162,7 @@ def test_solve_centers_exactly_the_sides_pcg_refuses(tmp_path, capsys, monkeypat
     """One centering rule: on sides at the threshold, in C or Fortran order,
     ``solve`` centers a side iff ``pcg`` refuses it as it stands, and never
     exits 1."""
-    op = poisson_operator((37, 53), (BoundaryCondition.PERIODIC,) * 2)
+    op = PoissonOperator((37, 53), (BoundaryCondition.PERIODIC,) * 2)
     rhs, log_path = str(tmp_path / "h.kten"), tmp_path / "log.json"
     argv = ["solve", "--input", rhs, "--bc", "x=periodic,y=periodic", "--precond", "pinv"]
     argv += ["--max-iter", "1", "--log", str(log_path)]
@@ -304,7 +304,7 @@ def test_spectrum_sum_line_is_the_extremes_of_the_sum_tensor(capsys, size, bcs):
     assert cli.main(["spectrum", "--size", size, "--bc", bcs, "--sums"]) == 0
     dims = [int(n) for n in size.split("x")]
     conditions = [BoundaryCondition(entry.split("=")[1]) for entry in bcs.split(",")]
-    sums = spectrum_sums(poisson_operator(dims, conditions))
+    sums = spectrum_sums(PoissonOperator(dims, conditions))
     last = capsys.readouterr().out.splitlines()[-1]
     assert last == f"sum-spectrum min {sums.min():.12g} max {sums.max():.12g}"
 
@@ -322,24 +322,6 @@ def test_spectrum_sums_build_no_grid_tensor(capsys):
 def _read_summary(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
-
-
-def test_experiment_reports_a_diverged_stationary_run(tmp_path, capsys, monkeypatch):
-    """A stand-alone Jacobi run that stopped on divergence says so on its line."""
-    calls = []
-
-    def diverging(op, h, omega=1.0, iters=100):
-        calls.append(omega)
-        return StationaryResult(residuals=[1.0, 1e3, 1e13], ops_cum=[0, 7, 14], diverged=True)
-
-    monkeypatch.setattr(cli, "jacobi_standalone", diverging)
-    assert cli.main(["experiment", "--name", "exp1", "--outdir", str(tmp_path)]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert len(calls) == 3
-    standalone = [line for line in lines if "jacobi-standalone" in line]
-    assert len(standalone) == 3
-    assert all(line.endswith(", diverged at sweep 2") for line in standalone)
-    assert not any("diverged" in line for line in lines if line not in standalone)
 
 
 EXPERIMENTS = ("exp1", "exp2", "exp3")

@@ -10,6 +10,7 @@ iterate exactly under power-of-two scales of the side, and ``kronpcg solve``
 writes what ``pcg`` gives for its folded side or exits 1.
 """
 
+import dataclasses
 import json
 import os
 import re
@@ -25,7 +26,7 @@ from kronpcg import cli
 from kronpcg.formats import log_to_dict, read_tensor, write_tensor
 from kronpcg.laplace1d import BoundaryCondition as BC, analytic_spectrum, eigenvalues, face_kinds
 from kronpcg.operators import apply, apply_bc_updates, center, checked_rhs, is_singular
-from kronpcg.operators import null_share, nullspace_component, poisson_operator
+from kronpcg.operators import PoissonOperator, null_share, nullspace_component
 from kronpcg.precond import JacobiPreconditioner, LowRankPreconditioner, Preconditioner
 from kronpcg.precond import jacobi_standalone, make_preconditioner
 from kronpcg.problems import gen_problem1, gen_problem2, gen_problem3
@@ -49,7 +50,7 @@ def draw(seed):
     rng = np.random.default_rng(seed)
     dims = rng.integers(3, 10, size=2 + seed % 2)
     bcs = [_CYCLE[(seed // 2 + (d == len(dims) - 1)) % 6] for d in range(len(dims))]
-    return rng, poisson_operator(dims, bcs)
+    return rng, PoissonOperator(dims, bcs)
 
 
 def draw_preconditioners(seed, op):
@@ -405,7 +406,8 @@ def test_every_family_declares_readmes_counting_rules(seed):
 def test_every_solver_record_charges_readmes_counting_rules(seed):
     """README's "Counting rules" summed per record: ``pcg``'s record 0 and
     every later increment, with and without ``stop_tol``, for every drawn
-    family; the stand-alone Jacobi steps."""
+    family; the stand-alone Jacobi steps, whose residuals stay within
+    ``sqrt(2) |h|`` (:func:`kronpcg.precond.jacobi_standalone`)."""
     op, h = drawn_side(seed)
     n, ndim = h.size, op.ndim
     stencil = 6 * n * ndim
@@ -417,8 +419,9 @@ def test_every_solver_record_charges_readmes_counting_rules(seed):
             counts = [r.ops_cum for r in solve_log(op, h, precond, SolverConfig(3, tol)).records]
             step = stencil + 10 * n + charge + centering + check * (tol is not None)
             assert counts[0] == init + centering and np.diff(counts).tolist() == [step] * 3, spec
-    counts = jacobi_standalone(op, h, 1.3, 3).ops_cum
-    assert counts[0] == (ndim + 1) * n and np.diff(counts).tolist() == [check] * 3
+    run = jacobi_standalone(op, h, 1.3, 3)
+    assert run.ops_cum[0] == (ndim + 1) * n and np.diff(run.ops_cum).tolist() == [check] * 3
+    assert max(run.residuals) <= np.sqrt(2) * run.residuals[0]
 
 
 _STEMS = {"potential": "ue", "field": "eu"}  # a face's kind -> its flags' stem, then the other's
@@ -505,7 +508,7 @@ def test_kronpcg_solve_is_pcg_on_the_folded_side(seed, tmp_path, capsys):
 
 
 _BCS = (BC.DIRICHLET, BC.NEUMANN)
-_OP = poisson_operator((5, 6), _BCS)
+_OP = PoissonOperator((5, 6), _BCS)
 _R = np.random.default_rng(0).standard_normal(_OP.shape)
 _INTEGRAL = [(v, "integer") for v in (3.0, 2.5, Fraction(3), "3", True)]
 _SPECS = [
@@ -531,8 +534,9 @@ def _real(knob, low, high=_MAX):
 
 # knob -> (the call on one value, [(value, the plain value it equals)], [(value, refusal match)])
 KNOBS = {
-    "extent": (lambda n: poisson_operator((n, 6), _BCS), [(np.int32(5), 5), (np.uint8(5), 5)],
-               _INTEGRAL + [(n, _integer("a grid extent", 3)) for n in (0, 1, 2)]),
+    "extent": (lambda n: PoissonOperator((n, 6), _BCS),
+               [(np.int32(5), 5), (np.uint8(5), 5), (np.int64(5), 5)],
+               _INTEGRAL + [(n, _integer("a grid extent", 3)) for n in (0, 1, 2, 3.5)]),
     "1-D extent, eigenvalues": (lambda n: eigenvalues(n, BC.DIRICHLET), [(np.int64(4), 4)],
                                 [(n, _integer("1-D extent", 3)) for n in (2, 3.5, True)]),
     "1-D extent, analytic_spectrum": (lambda n: analytic_spectrum(n, BC.PERIODIC).vectors,
@@ -544,9 +548,13 @@ KNOBS = {
                 [(v, _integer("p2 extent n (at least the band width)", 5)) for v in (4, 40.5)]),
     "p3 variant": (gen_problem3, [], [("4d_hypercube", "unknown variant '4d_hypercube'")]),
     "p3 seed": (lambda s: gen_problem3("2d_512x256", s), [], [(-1, _integer("p3 seed", 0))]),
-    "extents": (lambda dims: poisson_operator(dims, (BC.PERIODIC,) * len(dims)), [],
-                [((5,), "2D or 3D"), ((5,) * 4, "2D or 3D")]),
-    "conditions": (lambda bcs: poisson_operator((5, 6), bcs), [], [(_BCS[:1], "one boundary")]),
+    "extents": (lambda dims: PoissonOperator(dims, (BC.PERIODIC,) * len(dims)),
+                [(np.array([5, 6]), (5, 6)), (np.array([5, 6, 7]), (5, 6, 7))],
+                [((5,), "2D or 3D"), ((5,) * 4, "2D or 3D"),
+                 ((10**20, 6), "more than an array holds")]),
+    "conditions": (lambda bcs: PoissonOperator((5, 6), bcs),
+                   [(("periodic", "neumann"), (BC.PERIODIC, BC.NEUMANN))],
+                   [(_BCS[:1], "one boundary"), (("periodic", "bogus"), "'bogus' is not a valid")]),
     "max_iter": (SolverConfig, [(np.int64(3), 3)], _INTEGRAL + [(-1, _integer("max_iter", 0))]),
     "stop_tol": (lambda t: SolverConfig(5, t), [(Fraction(1, 10**9), 1e-9)],
                  [(t, _real("stop_tol", 5e-324)) for t in
@@ -558,11 +566,11 @@ KNOBS = {
               [(w, _real("jacobi damping omega", 1.0, _MAX / 4))
                for w in (0.9, np.nan, np.inf, 1e308, 10**400, "1", True, Fraction(10**400))]),
     # In 3D the bound is the largest omega whose 6*omega is finite, one below the rounded max/6.
-    "omega, 3-D": (lambda w: JacobiPreconditioner(poisson_operator((4, 5, 6), _BCS + _BCS[:1]), 1, w),
+    "omega, 3-D": (lambda w: JacobiPreconditioner(PoissonOperator((4, 5, 6), _BCS + _BCS[:1]), 1, w),
                    [], [(_MAX / 4, _real("jacobi damping omega", 1.0, 2.996155224770526e307))]),
     "r": (lambda r: LowRankPreconditioner(_OP, r), [(np.uint8(2), 2)],
           _INTEGRAL + [(v, _integer("rank r", 1, 5)) for v in (0, 6)]),
-    "lowrank grid": (lambda dims: LowRankPreconditioner(poisson_operator(dims, _BCS + _BCS[:1]), 2),
+    "lowrank grid": (lambda dims: LowRankPreconditioner(PoissonOperator(dims, _BCS + _BCS[:1]), 2),
                      [], [((4, 4, 4), "2D grids only")]),
     "iters": (lambda n: jacobi_standalone(_OP, _R, iters=n), [(np.int64(3), 3)],
               _INTEGRAL + [(-1, _integer("iters", 0))]),
@@ -588,3 +596,12 @@ def test_every_knob_is_an_integer_or_a_real_number_in_range(call, value, plain, 
     else:
         with pytest.raises(ValueError, match=match):
             call(value)
+
+
+@pytest.mark.parametrize("checked, field", [
+    (SolverConfig(), "max_iter"), (SolverConfig(), "stop_tol"), (_OP, "shape"), (_OP, "bcs")
+])
+def test_a_checked_knob_cannot_be_set_past_its_check(checked, field):
+    """A field is checked as it is built; setting it later is refused."""
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(checked, field, 2.5)

@@ -10,7 +10,7 @@ from kronpcg.laplace1d import (
     eigenvalues,
     is_singular_1d,
 )
-from kronpcg.operators import poisson_operator
+from kronpcg.operators import PoissonOperator
 from kronpcg.precond import PinvPreconditioner
 
 BC = BoundaryCondition
@@ -129,7 +129,7 @@ def test_bases_come_c_ordered_with_exact_periodic_pairs(n):
     pairs = values[1 : n - (n + 1) % 2].reshape(-1, 2)
     assert np.array_equal(pairs[:, 0], pairs[:, 1])
     assert all(analytic_spectrum(n, bc).vectors.flags.c_contiguous for bc in ALL_BCS)
-    op = poisson_operator((n, 5), (BC.PERIODIC, BC.DIRICHLET_NEUMANN))
+    op = PoissonOperator((n, 5), (BC.PERIODIC, BC.DIRICHLET_NEUMANN))
     assert all(v.flags.c_contiguous for v in PinvPreconditioner(op).bases)
 
 

@@ -4,7 +4,8 @@
 the package, so renaming one of them breaks every traced benchmark run.
 This test imports the tracer by path, only reading ``perfbench/``, and
 traces one small solve.  ``perfbench/run.py`` calls the package's public
-API; one short run of it must solve without a failure.
+API; one short run of each workload ``BENCHMARK.json`` declares must solve
+without a failure.
 """
 
 import importlib.util
@@ -19,7 +20,7 @@ import pytest
 
 import kronpcg
 from kronpcg.laplace1d import BoundaryCondition as BC
-from kronpcg.operators import center, poisson_operator
+from kronpcg.operators import PoissonOperator, center
 from kronpcg.precond import make_preconditioner
 from kronpcg.solver import SolverConfig, pcg
 
@@ -55,7 +56,7 @@ def test_a_traced_solve_records_the_true_residual_span(layertrace, spec, p):
     iteration; one operator apply per record after record 0, one per
     iteration and ``p - 1`` per Jacobi apply (4 per iteration at ``p = 3``,
     as in p1's 1308 = 4 x 327)."""
-    op = poisson_operator((8, 6), (BC.PERIODIC, BC.PERIODIC))
+    op = PoissonOperator((8, 6), (BC.PERIODIC, BC.PERIODIC))
     h = center(np.random.default_rng(43).standard_normal(op.shape))
     precond = make_preconditioner(op, spec)
     before = _bindings()
@@ -72,7 +73,10 @@ def test_a_traced_solve_records_the_true_residual_span(layertrace, spec, p):
     assert stats["operators.apply"].calls == (records - 1) + iterations + (p - 1) * iterations
 
 
-@pytest.mark.parametrize("workload", ["p2-2d-mixed-pinv", "p3-3d-1m-pinv"])
+WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
 def test_the_benchmark_harness_solves_a_workload(workload):
     argv = ["--workload", workload, "--seed", "0", "--seconds", "0", "--trace", "0"]
     done = subprocess.run(

@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 
 from kronpcg.laplace1d import BoundaryCondition
-from kronpcg.operators import apply_bc_updates, center, is_singular, poisson_operator
+from kronpcg.operators import PoissonOperator, apply_bc_updates, center, is_singular
 from kronpcg.precond import PinvPreconditioner
 from kronpcg.solver import SolverConfig, pcg
 
@@ -69,7 +69,7 @@ def _max_error(shape, bcs, axis):
         _a(face) if kind == "D" else outward * h * _a(face, 1)
         for kind, face, outward in ((first, 0.0, -1.0), (last, 1.0, 1.0))
     )
-    op = poisson_operator(shape, bcs)
+    op = PoissonOperator(shape, bcs)
     rhs = apply_bc_updates(rhs, bcs, faces)
     if is_singular(op):
         rhs = center(rhs)

@@ -13,13 +13,13 @@ from kronpcg.laplace1d import BoundaryCondition, face_kinds
 from kronpcg.operators import (
     _SLAB_ENTRIES,
     NULL_SHARE_TOL,
+    PoissonOperator,
     apply,
     apply_bc_updates,
     center,
     is_singular,
     null_share,
     nullspace_component,
-    poisson_operator,
 )
 from kronpcg.tensors import frobenius_norm
 
@@ -29,7 +29,7 @@ BC = BoundaryCondition
 def test_apply_into_a_buffer_holds_one_face_at_a_time():
     """The stencil saves one face per end and reuses its buffer: on a 3D grid
     the traced peak is one face of the extent-8 axis (64 KiB) plus change."""
-    op = poisson_operator((128, 64, 8), (BC.PERIODIC,) * 3)
+    op = PoissonOperator((128, 64, 8), (BC.PERIODIC,) * 3)
     x = np.random.default_rng(6).standard_normal(op.shape)
     out = np.empty(op.shape)
     face = x.nbytes // op.shape[-1]
@@ -49,7 +49,7 @@ def test_apply_in_groups_of_blocks_is_bitwise_the_whole_grid_pass(shape, first):
     the slab: every condition, each direction a different one.  On
     ``(3, 400, 400)`` each slab is one row, so the middle slab holds
     neither end of axis 0; the last shape ends in a slab of one row."""
-    op = poisson_operator(shape, rotated_bcs(first, len(shape)))
+    op = PoissonOperator(shape, rotated_bcs(first, len(shape)))
     x = np.random.default_rng(len(shape)).standard_normal(shape)
     assert np.array_equal(apply(op, x), whole_grid_apply(op, x))
 
@@ -57,14 +57,14 @@ def test_apply_in_groups_of_blocks_is_bitwise_the_whole_grid_pass(shape, first):
 def test_apply_into_a_buffer_on_the_p3_grid_holds_one_group_of_faces():
     """The extent-8 axis of the 512x256x8 grid saves the faces of one slab
     at a time, not a face of the whole grid (1 MiB)."""
-    op = poisson_operator((512, 256, 8), (BC.PERIODIC,) * 3)
+    op = PoissonOperator((512, 256, 8), (BC.PERIODIC,) * 3)
     x = np.random.default_rng(7).standard_normal(op.shape)
     _, peak = traced_peak(apply, op, x, out=np.empty(op.shape))
     assert peak <= _SLAB_ENTRIES // 8 * x.itemsize + 16 * 1024
 
 
 def test_assemble_dense_refuses_large_grids():
-    op = poisson_operator((200, 200), (BC.PERIODIC, BC.PERIODIC))
+    op = PoissonOperator((200, 200), (BC.PERIODIC, BC.PERIODIC))
     assert 200 * 200 > ASSEMBLE_LIMIT
     with pytest.raises(ValueError):
         assemble_dense(op)
@@ -82,7 +82,7 @@ def test_assemble_dense_refuses_large_grids():
     ],
 )
 def test_is_singular_truth_table(bcs, singular):
-    op = poisson_operator((5, 6), bcs)
+    op = PoissonOperator((5, 6), bcs)
     assert is_singular(op) == singular
     # Cross-check against the assembled spectrum.
     min_eig = np.abs(np.linalg.eigvalsh(assemble_dense(op))).min()
@@ -100,7 +100,7 @@ def test_nullspace_component_is_norm_of_constant_part():
 def test_null_share_is_the_centering_rule():
     """The sum serves the centered start; the share, ``nullspace_component(h)
     / |h|``, is reported only above ``NULL_SHARE_TOL``."""
-    periodic = poisson_operator((6, 8), (BC.PERIODIC, BC.PERIODIC))
+    periodic = PoissonOperator((6, 8), (BC.PERIODIC, BC.PERIODIC))
     h = center(np.random.default_rng(41).standard_normal(periodic.shape))
     step = NULL_SHARE_TOL * frobenius_norm(h) / np.sqrt(h.size)
     for scale, over in ((0.0, False), (0.5, False), (2.0, True)):
@@ -110,7 +110,7 @@ def test_null_share_is_the_centering_rule():
         assert g_sum == float(g.sum())
         assert share == (nullspace_component(g) / g_norm if over else None)
     assert null_share(periodic, np.zeros(periodic.shape), 0.0) == (0.0, None)
-    mixed = poisson_operator((6, 8), (BC.DIRICHLET, BC.PERIODIC))
+    mixed = PoissonOperator((6, 8), (BC.DIRICHLET, BC.PERIODIC))
     assert null_share(mixed, np.ones(mixed.shape), np.sqrt(48.0)) == (0.0, None)
 
 

@@ -14,7 +14,7 @@ from conftest import (
 )
 from kronpcg import operators as op_mod
 from kronpcg.laplace1d import BoundaryCondition
-from kronpcg.operators import center, nullspace_component, poisson_operator
+from kronpcg.operators import PoissonOperator, center, nullspace_component
 from kronpcg.precond import (
     IdentityPreconditioner,
     JacobiPreconditioner,
@@ -28,7 +28,7 @@ BC = BoundaryCondition
 
 
 def _mixed_op():
-    return poisson_operator((5, 6), (BC.DIRICHLET, BC.NEUMANN_DIRICHLET))
+    return PoissonOperator((5, 6), (BC.DIRICHLET, BC.NEUMANN_DIRICHLET))
 
 
 def _mixed_rhs(op, seed=0):
@@ -54,7 +54,7 @@ def test_singular_problem_keeps_iterates_centered():
 
 
 def test_uncentered_rhs_on_singular_operator_is_refused():
-    op = poisson_operator((4, 5), (BC.PERIODIC, BC.PERIODIC))
+    op = PoissonOperator((4, 5), (BC.PERIODIC, BC.PERIODIC))
     with pytest.raises(ValueError, match="center"):
         pcg(op, np.ones(op.shape))
     # A null share the CLI would center is refused too, not solved to the floor.
@@ -87,7 +87,7 @@ def _assert_fresh_zero_iterate(u, op, h, handed=()):
 
 def test_zero_rhs_short_circuits():
     """A zero start residual is the rounding floor: ``<r_0, z_0> = 0``."""
-    op = poisson_operator((4, 5), (BC.PERIODIC, BC.PERIODIC))
+    op = PoissonOperator((4, 5), (BC.PERIODIC, BC.PERIODIC))
     h = np.zeros(op.shape)
     precond = Recording(IdentityPreconditioner(op))
     u, log = pcg(op, h, precond, config=SolverConfig(max_iter=50))
@@ -98,7 +98,7 @@ def test_zero_rhs_short_circuits():
 
 @pytest.mark.parametrize("singular", [True, False], ids=["singular", "nonsingular"])
 def test_a_zero_budget_returns_the_zero_start(singular):
-    op = poisson_operator((5, 6), (BC.PERIODIC, BC.NEUMANN)) if singular else _mixed_op()
+    op = PoissonOperator((5, 6), (BC.PERIODIC, BC.NEUMANN)) if singular else _mixed_op()
     h = center(_mixed_rhs(op, seed=3)) if singular else _mixed_rhs(op, seed=3)
     u, log = pcg(op, h, PinvPreconditioner(op), config=SolverConfig(max_iter=0))
     assert log.iterations == 0 and log.records[0].rho is None
@@ -131,7 +131,7 @@ def test_iterates_and_records_are_bitwise_the_zero_start_loop(spec, grid, cfg):
     shared null-space sums change no bit of ``u`` or of any record field but
     ``ops_cum``, which the loop does not count (``test_contracts`` checks it)."""
     shape, bcs = _REFERENCE_GRIDS[grid]
-    op = poisson_operator(shape, bcs)
+    op = PoissonOperator(shape, bcs)
     h = np.random.default_rng(len(spec) + sum(shape)).standard_normal(shape)
     if op_mod.is_singular(op):
         h = center(h)
@@ -175,7 +175,7 @@ def test_indefinite_preconditioner_breaks_down():
 
 def test_negative_curvature_breaks_down(monkeypatch):
     """An operator applied as ``-L`` fails the curvature check of step 1."""
-    op = poisson_operator((4, 6), (BC.PERIODIC, BC.PERIODIC))
+    op = PoissonOperator((4, 6), (BC.PERIODIC, BC.PERIODIC))
     rng = np.random.default_rng(9)
     h = center(rng.standard_normal(op.shape))
     real_apply = op_mod.apply
@@ -223,7 +223,7 @@ def test_run_stops_at_the_residual_floor():
 def test_jacobi_on_an_all_neumann_grid_returns_a_mean_free_iterate():
     """Jacobi output carries a constant part that the search directions
     accumulate; the returned iterate must still be off the null space."""
-    op = poisson_operator((30, 40), (BC.NEUMANN, BC.NEUMANN))
+    op = PoissonOperator((30, 40), (BC.NEUMANN, BC.NEUMANN))
     h = center(np.random.default_rng(29).standard_normal(op.shape))
     precond = JacobiPreconditioner(op, p=3, omega=1.3)
     u, log = pcg(op, h, precond, config=SolverConfig(max_iter=300))
@@ -354,7 +354,7 @@ class TestInPlaceIteration:
     )
     def test_logged_kappa_is_the_indicator_of_each_iterate(self, singular, cfg):
         if singular:
-            op = poisson_operator((7, 9), (BC.PERIODIC, BC.NEUMANN))
+            op = PoissonOperator((7, 9), (BC.PERIODIC, BC.NEUMANN))
         else:
             op = _mixed_op()
         h = center(_mixed_rhs(op, seed=37)) if singular else _mixed_rhs(op, seed=37)
@@ -369,7 +369,7 @@ class TestInPlaceIteration:
     @pytest.mark.parametrize("stop_tol", [None, 1e-8])
     @pytest.mark.parametrize("sweeps", [1, 3])
     def test_one_operator_apply_per_step_and_per_record(self, monkeypatch, stop_tol, sweeps):
-        op = poisson_operator((12, 10), (BC.PERIODIC, BC.PERIODIC))
+        op = PoissonOperator((12, 10), (BC.PERIODIC, BC.PERIODIC))
         h = center(np.random.default_rng(41).standard_normal(op.shape))
         precond = JacobiPreconditioner(op, p=sweeps, omega=1.3)
         calls = []
